@@ -8,7 +8,7 @@ inputs).  Exit codes: 0 ok, 2 parse error, 3 precondition violated,
 import argparse
 import sys
 
-from .clifford import verify_all, verify_iso
+from .clifford import UnknownSuite, verify_all, verify_iso
 from .docio import ParseError, parse_document
 from .exactalg import (ComplexInvalid, Inconsistent, IndexOutOfRange,
                        Underdetermined, all_homology, exact_sequence_solve)
@@ -234,7 +234,10 @@ def cmd_fibred(args):
 
 
 def cmd_clifford_verify(args):
-    suites = verify_all() if args.suite == "all" else [verify_iso(args.suite)]
+    try:
+        suites = verify_all() if args.suite == "all" else [verify_iso(args.suite)]
+    except UnknownSuite as exc:
+        raise CliError(EXIT_PARSE, str(exc)) from None
     lines = []
     failed = False
     for rep in suites:

@@ -22,6 +22,10 @@ class NotSplitting(ValueError):
     """The volume element does not square to 1."""
 
 
+class UnknownSuite(ValueError):
+    """No verification suite has the requested name."""
+
+
 class VerificationFailed(AssertionError):
     """An identity check failed; the message names the identity."""
 
@@ -32,8 +36,9 @@ class GaussianRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        # Fraction() on a Fraction only copies it, through slow type checks
+        self.re = re if type(re) is Fraction else Fraction(re)
+        self.im = im if type(im) is Fraction else Fraction(im)
 
     def __add__(self, other):
         other = _coerce(other)
@@ -50,6 +55,8 @@ class GaussianRational:
 
     def __mul__(self, other):
         other = _coerce(other)
+        if not (self.im or other.im):
+            return GaussianRational(self.re * other.re, self.im)
         return GaussianRational(self.re * other.re - self.im * other.im,
                                 self.re * other.im + self.im * other.re)
 
@@ -65,9 +72,6 @@ class GaussianRational:
 
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
-
-    def conjugate(self):
-        return GaussianRational(self.re, -self.im)
 
     def is_zero(self):
         return self.re == 0 and self.im == 0
@@ -222,11 +226,6 @@ class CliffordElement:
         return CliffordElement(self.n, self.field,
                                {b: (-c if len(b) % 2 else c)
                                 for b, c in self.terms.items()})
-
-    def complexify(self):
-        if self.field == "C":
-            return self
-        return CliffordElement(self.n, "C", dict(self.terms))
 
     def coefficient_vector(self, blades):
         return [self.coeff(b) for b in blades]
@@ -814,8 +813,8 @@ _SUITES = {
 def verify_iso(which):
     """Run one verification suite; returns a VerificationReport."""
     if which not in _SUITES:
-        raise ValueError(f"unknown suite {which!r}; "
-                         f"choose from {sorted(_SUITES)}")
+        raise UnknownSuite(f"unknown suite {which!r}; "
+                           f"choose from {', '.join(sorted(_SUITES))}")
     return _SUITES[which]()
 
 

@@ -132,7 +132,10 @@ def _parse_presentation(body):
             raise ParseError(f"line {lineno}: unexpected {line!r}")
     if gens is None:
         raise ParseError("presentation needs a generators: line")
-    P = Presentation(gens, relators)
+    try:
+        P = Presentation(gens, relators)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
     class_maps = {}
     for name, values in classes.items():
         try:

@@ -105,6 +105,11 @@ class Presentation:
 
     def __init__(self, generators, relators):
         self.generators = tuple(generators)
+        seen = set()
+        for g in self.generators:
+            if g in seen:
+                raise ValueError(f"duplicate generator name {g!r}")
+            seen.add(g)
         self.relators = tuple(free_reduce(r) for r in relators)
         n = len(self.generators)
         for r in self.relators:
@@ -424,7 +429,14 @@ def group_from_spec(spec):
 
 
 class FiniteQuotient:
-    """An epimorphism onto a finite group, with its regular permutation action."""
+    """An epimorphism onto a finite group, with its coset table.
+
+    The table comes from one breadth-first walk of the Cayley graph of G on
+    the generator images, taking generator i = 0..n-1 with exponent +1 then
+    -1: `order` lists the elements of G in discovery order, `position[y]` is
+    the index of y in `order`, and `parent[y]` is the edge (x, i, s), with
+    y = x * image(g_i)^s, that discovered y (None for the identity).
+    """
 
     def __init__(self, presentation, group, images):
         self.presentation = presentation
@@ -435,8 +447,25 @@ class FiniteQuotient:
         for r in presentation.relators:
             if self.of_word(r) != 0:
                 raise InvalidQuotient("relator not killed")
-        if len(_closure(group, self.images)) != group.order:
+        G = group
+        steps = [(i, s, img if s > 0 else G.inv(img))
+                 for i, img in enumerate(self.images) for s in (1, -1)]
+        order = [0]
+        position = [None] * G.order
+        position[0] = 0
+        parent = [None] * G.order
+        for x in order:  # breadth-first: order grows while it is walked
+            for i, s, img in steps:
+                y = G.mul(x, img)
+                if position[y] is None:
+                    position[y] = len(order)
+                    order.append(y)
+                    parent[y] = (x, i, s)
+        if len(order) != G.order:
             raise InvalidQuotient("images do not generate")
+        self.order = tuple(order)
+        self.position = tuple(position)
+        self.parent = tuple(parent)
 
     def of_word(self, word):
         x = 0
@@ -449,42 +478,14 @@ class FiniteQuotient:
         """Left multiplication by the element, as a permutation tuple."""
         return tuple(self.group.mul(element, x) for x in range(self.group.order))
 
-    def generator_perms(self):
-        return tuple(self.regular_perm(img) for img in self.images)
-
     def kernel_key(self):
         """Canonical key identifying ker(alpha): the standardized coset table."""
-        G = self.group
-        order = [0]
-        seen = {0: 0}
-        queue = [0]
-        while queue:
-            x = queue.pop(0)
-            for img in self.images:
-                for y in (G.mul(x, img), G.mul(x, G.inv(img))):
-                    if y not in seen:
-                        seen[y] = len(order)
-                        order.append(y)
-                        queue.append(y)
-        table = tuple(tuple(seen[G.mul(x, img)] for x in order)
-                      for img in self.images)
-        return table
+        mul, pos = self.group.mul, self.position
+        return tuple(tuple(pos[mul(x, img)] for x in self.order)
+                     for img in self.images)
 
     def __repr__(self):
         return f"FiniteQuotient({self.group.label}, images={self.images})"
-
-
-def _closure(group, elements):
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        x = frontier.pop()
-        for e in elements:
-            for y in (group.mul(x, e), group.mul(x, group.inv(e))):
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-    return seen
 
 
 def enumerate_epimorphisms(P, G, bound=12, dedup_auto=False):
@@ -509,9 +510,10 @@ def enumerate_epimorphisms(P, G, bound=12, dedup_auto=False):
                 break
         if not ok:
             continue
-        if len(_closure(G, images)) != G.order:
+        try:
+            q = FiniteQuotient(P, G, images)
+        except InvalidQuotient:
             continue
-        q = FiniteQuotient(P, G, images)
         if dedup_auto:
             key = q.kernel_key()
             if key in seen_keys:
@@ -537,8 +539,8 @@ class Cover:
 def reidemeister_schreier(P, q):
     """Presentation of the kernel of q on the Schreier generators.
 
-    The transversal comes from a breadth-first search of the coset graph with
-    lexicographic edge order, so the output is deterministic.
+    The transversal is read off the parent edges of q's coset table, so the
+    output is deterministic.
     """
     if q.presentation is not P:
         # allow structurally equal presentations
@@ -546,31 +548,17 @@ def reidemeister_schreier(P, q):
                 or q.presentation.relators != P.relators):
             raise Incompatible("quotient belongs to a different presentation")
     G = q.group
-    m = G.order
-    # BFS over cosets (right multiplication); cosets are group elements
-    discovery = {0: 0}
-    order = [0]
+    order, discovery = q.order, q.position
     trans = {0: ()}
-    queue = [0]
-    while queue:
-        x = queue.pop(0)
-        for i in range(P.ngens):
-            for s in (1, -1):
-                img = q.images[i] if s > 0 else G.inv(q.images[i])
-                y = G.mul(x, img)
-                if y not in discovery:
-                    discovery[y] = len(order)
-                    order.append(y)
-                    trans[y] = word_mul(trans[x], ((i, s),))
-                    queue.append(y)
-    if len(order) != m:
-        raise InvalidQuotient("coset graph is not transitive")
+    for y in order[1:]:
+        x, i, s = q.parent[y]
+        trans[y] = word_mul(trans[x], ((i, s),))
 
     # Schreier generators s_{x,i} = t_x g_i t_{x g_i}^{-1}; tree edges trivial
     gen_id = {}
     gen_words = []
     gen_names = []
-    for x in sorted(order, key=lambda e: discovery[e]):
+    for x in order:
         for i in range(P.ngens):
             y = G.mul(x, q.images[i])
             w = word_mul(trans[x], ((i, 1),), word_inverse(trans[y]))
@@ -596,14 +584,14 @@ def reidemeister_schreier(P, q):
         return free_reduce(tuple(out))
 
     relators = []
-    for x in sorted(order, key=lambda e: discovery[e]):
+    for x in order:
         for r in P.relators:
             w = rewrite(x, r)
             if w:
                 relators.append(w)
     cover_pres = Presentation(gen_names, relators)
     return Cover(cover_pres, q, tuple(gen_words),
-                 tuple(trans[x] for x in order), tuple(order))
+                 tuple(trans[x] for x in order), order)
 
 
 def pullback_class(Phi, q, cover):

@@ -8,7 +8,6 @@ variable and positive coefficient on its lexicographically greatest term.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 
@@ -197,18 +196,6 @@ class LaurentPoly:
 
     def __repr__(self):
         return f"LaurentPoly({render_poly(self)!r})"
-
-    def evaluate(self, point):
-        """Exact evaluation at a tuple of nonzero rationals/integers."""
-        if len(point) != self.rank:
-            raise RankMismatch("point has wrong length")
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            v = Fraction(c)
-            for x, k in zip(point, e):
-                v *= Fraction(x) ** k
-            total += v
-        return total
 
 
 def lp_arith(a, b, op):
@@ -472,6 +459,7 @@ def lp_gcd(a, b):
 
 
 def lp_gcd_many(polys, rank):
+    """Gcd of an iterable of rank-`rank` polynomials; stops at the first unit."""
     acc = LaurentPoly.zero(rank)
     for p in polys:
         acc = lp_gcd(acc, p).representative

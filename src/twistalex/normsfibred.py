@@ -146,8 +146,7 @@ def group_catalog(budget):
     return sorted(groups, key=lambda g: (g.order, g.label))
 
 
-def fibred_certificate(P, phi, thurston_norm, budget, b3=1, dedup_auto=False,
-                       _cache=None):
+def fibred_certificate(P, phi, thurston_norm, budget, b3=1, dedup_auto=False):
     """Run the fibredness criterion over all quotients up to the budget.
 
     Per quotient: the twisted polynomial, its degree and monicness, div of
@@ -159,7 +158,7 @@ def fibred_certificate(P, phi, thurston_norm, budget, b3=1, dedup_auto=False,
     _check_thurston(thurston_norm)
     if phi.is_trivial():
         raise ValueError("Phi must be nontrivial")
-    cache = _cache if _cache is not None else {}
+    cache = {}
     records = []
     quotients = [FiniteQuotient(P, trivial_group(), (0,) * P.ngens)]
     for G in group_catalog(budget):

@@ -12,7 +12,7 @@ values cross the boundary only on the way in and out.
 from itertools import combinations
 from math import comb, gcd, isqrt
 
-from .laurent import (LaurentPoly, UnsupportedRank, div_exact, lp_gcd,
+from .laurent import (LaurentPoly, UnsupportedRank, div_exact, lp_gcd_many,
                       _int_poly_content, _int_poly_gcd, normalize_unit)
 
 ENUM_BOUND = 400
@@ -24,12 +24,6 @@ def _trim(a):
     while a and a[-1] == 0:
         a.pop()
     return a
-
-
-def _add(a, b):
-    n = max(len(a), len(b))
-    return _trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-                  for i in range(n)])
 
 
 def _sub(a, b):
@@ -145,7 +139,6 @@ def _rows_to_arrays(M):
             if e.is_zero():
                 arrs.append([])
             else:
-                lo = e.min_exp(0)
                 hi = e.max_exp(0)
                 a = [0] * (hi - shift + 1)
                 for (k,), c in e.terms.items():
@@ -462,11 +455,7 @@ def max_minor_gcd(M, rank, ncols=None):
         return normalize_unit(_arr_to_poly(g))
     if comb(len(M), k) > 20000:
         raise UnsupportedRank("multivariable minor enumeration too large")
-    acc = LaurentPoly.zero(rank)
-    for subset in combinations(range(len(M)), k):
-        d = laurent_det([M[i] for i in subset], rank)
-        if not d.is_zero():
-            acc = lp_gcd(acc, d).representative
-            if acc.is_unit():
-                break
-    return normalize_unit(acc)
+    dets = (laurent_det([M[i] for i in subset], rank)
+            for subset in combinations(range(len(M)), k))
+    return lp_gcd_many((d for d in dets if not d.is_zero()),
+                       rank).representative

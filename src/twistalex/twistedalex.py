@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .grouppres import (ClassMap, FiniteQuotient, Incompatible, abelianize,
                         fox_jacobian, trivial_group)
 from .laurent import (LaurentPoly, UnitClass, UnsupportedRank, div_exact,
-                      lp_gcd)
+                      lp_gcd_many)
 from .polymat import laurent_det, max_minor_gcd
 
 
@@ -137,47 +137,26 @@ def twist_ring_map(x, T):
     return out
 
 
-def _schreier_phi_values(T):
-    """Phi-values of the Schreier generators of ker(alpha).
-
-    These generate Phi(ker alpha) inside Z^s, which controls the order of the
-    twisted H_0.
-    """
-    P = T.phi.presentation
-    G = T.alpha.group
-    phi = T.phi
-    trans = {0: (0,) * T.rank}
-    queue = [0]
-    values = []
-    while queue:
-        x = queue.pop(0)
-        for i in range(P.ngens):
-            for s in (1, -1):
-                img = T.alpha.images[i] if s > 0 else G.inv(T.alpha.images[i])
-                step = phi.of_generator(i)
-                y = G.mul(x, img)
-                py = tuple(a + s * b for a, b in zip(trans[x], step))
-                if y not in trans:
-                    trans[y] = py
-                    queue.append(y)
-                else:
-                    v = tuple(a - b for a, b in zip(py, trans[y]))
-                    if any(v):
-                        values.append(v)
-    return values
-
-
 def _h0_order(T):
-    """Order of the twisted H_0: gcd of t^v - 1 over Phi(ker alpha) generators."""
-    rank = T.rank
+    """Order of the twisted H_0: gcd of t^v - 1 over Phi(ker alpha) generators.
+
+    Phi(ker alpha) is generated by the Phi-values of the Schreier generators,
+    v = Phi(t_x) + Phi(g_i) - Phi(t_{x g_i}), with the transversal t read off
+    the parent edges of alpha's coset table; tree edges give v = 0.
+    """
+    q, phi, rank = T.alpha, T.phi, T.rank
+    G = q.group
+    trans = [None] * G.order
+    trans[0] = (0,) * rank
+    for y in q.order[1:]:
+        x, i, s = q.parent[y]
+        trans[y] = tuple(a + s * b for a, b in zip(trans[x], phi.of_generator(i)))
+    values = (tuple(a + b - c for a, b, c in
+                    zip(trans[x], phi.of_generator(i), trans[G.mul(x, img)]))
+              for x in q.order for i, img in enumerate(q.images))
     one = LaurentPoly.one(rank)
-    acc = LaurentPoly.zero(rank)
-    for v in _schreier_phi_values(T):
-        binom = LaurentPoly.monomial(rank, v) - one
-        acc = lp_gcd(acc, binom).representative
-        if acc.is_unit():
-            break
-    return acc
+    return lp_gcd_many((LaurentPoly.monomial(rank, v) - one
+                        for v in values if any(v)), rank).representative
 
 
 @dataclass(frozen=True)

@@ -94,6 +94,15 @@ def test_alexander_group(capsys):
     assert "t^4 - 2*t^2 + 1" in out
 
 
+def test_duplicate_generator_names_exit2(capsys, tmp_path):
+    dup = tmp_path / "dup.pres"
+    dup.write_text("presentation\ngenerators: a a\nrelator: a\n")
+    code, out, err = run(capsys, "alexander", dup, "--phi", "1,0")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "duplicate generator name 'a'" in err
+
+
 def test_alexander_no_valid_column_exit4(capsys):
     code, _, err = run(capsys, "alexander", FIXTURES / "t3.pres",
                        "--phi", "0 0 0".replace(" ", ","))
@@ -145,6 +154,14 @@ def test_clifford_verify(capsys):
     assert code == 0
     assert "all passing: true" in out
     assert "FAIL" not in out
+
+
+def test_clifford_verify_unknown_suite_exit2(capsys):
+    code, out, err = run(capsys, "clifford-verify", "nope")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "unknown suite 'nope'" in err and "spin4-adjoint" in err
 
 
 def test_formcheck_m(capsys):

@@ -147,6 +147,13 @@ def test_epimorphism_validation():
         FiniteQuotient(Presentation(["a"], []), cyclic_group(2), (0,))
 
 
+def test_duplicate_generator_names_rejected():
+    with pytest.raises(ValueError, match="duplicate generator name 'a'"):
+        Presentation(["a", "b", "a"], [])
+    with pytest.raises(ValueError, match="duplicate"):
+        Presentation.from_text(["a", "a"], ["a"])
+
+
 def test_dedup_auto():
     P = na_presentation()
     epis = enumerate_epimorphisms(P, cyclic_group(5))

@@ -1,14 +1,17 @@
 import random
+from math import gcd
 
 import pytest
 
 from twistalex.grouppres import (ClassMap, FiniteQuotient, Presentation,
                                  cyclic_group, dihedral_group,
-                                 enumerate_epimorphisms, pullback_class,
+                                 enumerate_epimorphisms, free_reduce,
+                                 pullback_class,
                                  reidemeister_schreier, symmetric_group,
                                  trivial_group)
 from twistalex.laurent import (LaurentPoly, UnitClass, laurent_degree,
                                normalize_unit, symmetric_representative)
+from twistalex.normsfibred import group_catalog
 from twistalex.twistedalex import (MonomialMatrix, NoValidColumn, TwistData,
                                    multivariable_alexander, trivial_twist,
                                    twist_ring_map, twisted_alexander)
@@ -210,6 +213,45 @@ def test_cover_consistency_nonabelian():
             tw_cover = twisted_alexander(
                 cover.presentation, trivial_twist(cover.presentation, phi_a))
             assert tw.value == tw_cover.value
+
+
+def test_coset_table_against_word_map_and_cover():
+    """The coset table against two independent oracles, on every epimorphism
+    of na, fig8, trefoil and T^3 onto a catalog group of order <= 12:
+    transversal words rebuilt from the parent edges evaluate to their coset,
+    and the Schreier Phi-values have the gcd that pullback_class reports."""
+    t3 = Presentation.from_text(["a", "b", "c"], ["[a,b]", "[a,c]", "[b,c]"])
+    cases = ((na_presentation(), [(0,), (0,), (1,)]),
+             (fig8(), [(0,), (0,), (1,)]),
+             (trefoil(), [(1,), (1,)]),
+             (t3, [(1,), (0,), (0,)]))
+    total = 0
+    for P, images in cases:
+        phi = ClassMap(P, images)
+        for G in group_catalog(12):
+            for q in enumerate_epimorphisms(P, G):
+                total += 1
+                assert sorted(q.order) == list(range(G.order))
+                assert all(q.order[q.position[x]] == x for x in q.order)
+                words = {0: ()}
+                for y in q.order[1:]:
+                    x, i, s = q.parent[y]
+                    assert q.position[x] < q.position[y]
+                    words[y] = words[x] + ((i, s),)
+                for x, word in words.items():
+                    assert q.of_word(word) == x
+                cover = reidemeister_schreier(P, q)
+                assert cover.transversal == tuple(
+                    free_reduce(words[x]) for x in q.order)
+                div = 0
+                for x in q.order:
+                    for i, img in enumerate(q.images):
+                        y = G.mul(x, img)
+                        v = (phi.of_word(words[x])[0] + images[i][0]
+                             - phi.of_word(words[y])[0])
+                        div = gcd(div, v)
+                assert div == pullback_class(phi, q, cover)[1]
+    assert total == 6256
 
 
 def test_multivariable_examples():
