@@ -60,8 +60,19 @@ def word_exponents(word, ngens):
     return tuple(v)
 
 
+MAX_WORD_LETTERS = 100_000
+
+
+def _check_word_length(n):
+    if n > MAX_WORD_LETTERS:
+        raise ValueError(f"word longer than {MAX_WORD_LETTERS} letters")
+
+
 def parse_word(text, names):
-    """Parse "a b a^-1", commutators "[a,b]" and powers "a^3"."""
+    """Parse "a b a^-1", commutators "[a,b]" and powers "a^3".
+
+    A word past MAX_WORD_LETTERS letters raises ValueError unexpanded.
+    """
     index = {n: i for i, n in enumerate(names)}
     letters = []
     for tok in text.split():
@@ -72,7 +83,9 @@ def parse_word(text, names):
             x, _, y = inner.partition(",")
             wx = parse_word(x.strip(), names)
             wy = parse_word(y.strip(), names)
-            letters.extend(word_mul(wx, wy, word_inverse(wx), word_inverse(wy)))
+            comm = word_mul(wx, wy, word_inverse(wx), word_inverse(wy))
+            _check_word_length(len(letters) + len(comm))
+            letters.extend(comm)
             continue
         if "^" in tok:
             name, _, k = tok.partition("^")
@@ -85,6 +98,7 @@ def parse_word(text, names):
         if name not in index:
             raise ValueError(f"unknown generator {name!r}")
         letter = (index[name], -1 if neg else 1)
+        _check_word_length(len(letters) + power)
         letters.extend([letter] * power)
     return free_reduce(tuple(letters))
 

@@ -9,6 +9,7 @@ norm is user-supplied throughout; it is never computed here.
 """
 
 from dataclasses import dataclass
+from itertools import chain
 from math import gcd
 
 from .grouppres import (ClassMap, abelianize, dihedral_group, cyclic_group,
@@ -160,10 +161,12 @@ def fibred_certificate(P, phi, thurston_norm, budget, b3=1, dedup_auto=False):
         raise ValueError("Phi must be nontrivial")
     cache = {}
     records = []
-    quotients = [FiniteQuotient(P, trivial_group(), (0,) * P.ngens)]
-    for G in group_catalog(budget):
-        quotients.extend(enumerate_epimorphisms(P, G, bound=budget,
-                                                dedup_auto=dedup_auto))
+    # one group's epimorphisms are held at a time
+    quotients = chain([FiniteQuotient(P, trivial_group(), (0,) * P.ngens)],
+                      chain.from_iterable(
+                          enumerate_epimorphisms(P, G, bound=budget,
+                                                 dedup_auto=dedup_auto)
+                          for G in group_catalog(budget)))
     for q in quotients:
         key = (q.group.label, q.kernel_key())
         if key in cache:

@@ -3,8 +3,10 @@
 The order of the cokernel of an integer-Laurent matrix is the gcd of its
 maximal minors.  Small matrices are handled by direct enumeration; larger
 single-variable matrices use unimodular row reduction over the PID Q[t]
-(where the gcd of maximal minors is the product of the pivots) together with
-a Gauss-valuation elimination per prime for the integer-content part.
+(where the gcd of maximal minors is the product of the pivots).  The primes
+that can divide the integer content come from integer evaluations: Bareiss
+elimination of the integer matrices M(2), M(3), ...; a Gauss-valuation
+elimination per candidate prime gives its exact exponent.
 Everything here works with plain coefficient arrays for speed; LaurentPoly
 values cross the boundary only on the way in and out.
 """
@@ -95,32 +97,49 @@ def _strip_row_content(row):
     return row
 
 
+def _bareiss(a, k, zero, one, step):
+    """Fraction-free (Bareiss) elimination of an m x k matrix, rows pivoted.
+
+    Works in place on the list of rows `a` over an exact ring with the given
+    zero and one; step(p, f, xs, ys, prev) returns the exact quotients
+    (p*x - f*y) / prev for x, y in zip(xs, ys).  Returns the indices of k
+    pivot rows, in pivot order, whether the row swaps were odd, and the last
+    pivot, which is the minor of those rows in that order (for a square
+    matrix, +-its determinant); or None if the rank is < k.
+    """
+    idx, odd, prev = list(range(len(a))), False, one
+    for c in range(k):
+        piv = next((i for i in range(c, len(a)) if a[i][c] != zero), None)
+        if piv is None:
+            return None
+        a[c], a[piv] = a[piv], a[c]
+        idx[c], idx[piv] = idx[piv], idx[c]
+        odd ^= piv != c
+        p, tail = a[c][c], a[c][c + 1:]
+        for r in a[c + 1:]:
+            r[c + 1:] = step(p, r[c], r[c + 1:], tail, prev)
+        prev = p
+    return idx[:k], odd, prev
+
+
 def _bareiss_det(rows):
     """Exact determinant of a square matrix of coefficient arrays."""
-    n = len(rows)
-    if n == 0:
-        return [1]
-    a = [[list(e) for e in r] for r in rows]
-    sign = 1
-    prev = [1]
-    for k in range(n - 1):
-        if not a[k][k]:
-            piv = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if piv is None:
-                return []
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = _sub(_mul(a[i][j], a[k][k]), _mul(a[i][k], a[k][j]))
-                a[i][j] = _divexact(num, prev)
-            a[i][k] = []
-        prev = a[k][k]
-    d = a[n - 1][n - 1]
-    return _scale(d, sign) if sign < 0 else d
+    found = _bareiss([list(r) for r in rows], len(rows), [], [1],
+                     lambda p, f, xs, ys, prev:
+                     [_divexact(_sub(_mul(x, p), _mul(f, y)), prev)
+                      for x, y in zip(xs, ys)])
+    if found is None:
+        return []
+    _, odd, d = found
+    return _scale(d, -1) if odd else d
 
 
 # ---- conversions --------------------------------------------------------
+
+def _row_shift(row):
+    """The power of t that makes a single-variable Laurent row polynomial."""
+    return min([0] + [e.min_exp(0) for e in row if not e.is_zero()])
+
 
 def _rows_to_arrays(M):
     """Row-normalize a single-variable Laurent matrix into Z[t] arrays.
@@ -130,20 +149,13 @@ def _rows_to_arrays(M):
     """
     out = []
     for row in M:
-        shift = 0
-        for e in row:
-            if not e.is_zero():
-                shift = min(shift, e.min_exp(0))
+        shift = _row_shift(row)
         arrs = []
         for e in row:
-            if e.is_zero():
-                arrs.append([])
-            else:
-                hi = e.max_exp(0)
-                a = [0] * (hi - shift + 1)
-                for (k,), c in e.terms.items():
-                    a[k - shift] = c
-                arrs.append(_trim(a))
+            a = [] if e.is_zero() else [0] * (e.max_exp(0) - shift + 1)
+            for (k,), c in e.terms.items():
+                a[k - shift] = c
+            arrs.append(_trim(a))
         out.append(arrs)
     return out
 
@@ -154,46 +166,25 @@ def _arr_to_poly(a):
 
 # ---- general determinant -------------------------------------------------
 
+def _laurent_step(p, f, xs, ys, prev):
+    out = [div_exact(x * p - f * y, prev) for x, y in zip(xs, ys)]
+    if None in out:
+        raise AssertionError("Bareiss division failed")
+    return out
+
+
 def laurent_det(M, rank):
     """Exact determinant of a square matrix of LaurentPoly entries."""
-    n = len(M)
-    if n == 0:
-        return LaurentPoly.one(rank)
     if rank == 1:
-        shift_total = 0
-        rows = []
-        for row in M:
-            shift = 0
-            for e in row:
-                if not e.is_zero():
-                    shift = min(shift, e.min_exp(0))
-            shift_total += shift
-            rows.append(row if shift == 0 else [e.shift((-shift,)) for e in row])
-        d = _bareiss_det(_rows_to_arrays(rows))
-        return _arr_to_poly(d).shift((shift_total,))
-    # fraction-free Bareiss over the multivariable ring
-    a = [[e for e in row] for row in M]
-    sign = 1
-    prev = LaurentPoly.one(rank)
+        d = _bareiss_det(_rows_to_arrays(M))
+        return _arr_to_poly(d).shift((sum(map(_row_shift, M)),))
     zero = LaurentPoly.zero(rank)
-    for k in range(n - 1):
-        if a[k][k].is_zero():
-            piv = next((i for i in range(k + 1, n) if not a[i][k].is_zero()), None)
-            if piv is None:
-                return zero
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
-                q = div_exact(num, prev)
-                if q is None:
-                    raise AssertionError("Bareiss division failed")
-                a[i][j] = q
-            a[i][k] = zero
-        prev = a[k][k]
-    d = a[n - 1][n - 1]
-    return -d if sign < 0 else d
+    found = _bareiss([list(r) for r in M], len(M), zero, LaurentPoly.one(rank),
+                     _laurent_step)
+    if found is None:
+        return zero
+    _, odd, d = found
+    return -d if odd else d
 
 
 # ---- integer factorization helpers (for the content part) ----------------
@@ -277,32 +268,51 @@ def _prim_like(a):
     return [-c for c in a] if a and a[-1] < 0 else list(a)
 
 
+def _eval(a, x):
+    v = 0
+    for c in reversed(a):
+        v = v * x + c
+    return v
+
+
+def _evaluations(rows, k):
+    """(x, _bareiss of the integer matrix rows(x)) for x = 2, 3, ..., D + 2.
+
+    D, the sum of the k largest row degrees, bounds the degree of every
+    k x k minor, so a nonzero minor is nonzero at one of these D + 1 points.
+    """
+    D = sum(sorted(max(map(len, r)) - 1 for r in rows)[-k:])
+    for x in range(2, D + 3):
+        yield x, _bareiss([[_eval(e, x) for e in r] for r in rows], k, 0, 1,
+                          lambda p, f, us, vs, prev:
+                          [(p * u - f * v) // prev for u, v in zip(us, vs)])
+
+
 def _independent_rows(rows, k):
-    """Indices of k rows with nonzero determinant, or None if rank < k."""
-    m = len(rows)
-    work = [[list(e) for e in r] for r in rows]
-    idx = list(range(m))
-    r = 0
-    for c in range(k):
-        piv = None
-        best = None
-        for i in range(r, m):
-            e = work[i][c]
-            if e and (best is None or len(e) < best):
-                best = len(e)
-                piv = i
-        if piv is None:
-            return None
-        work[r], work[piv] = work[piv], work[r]
-        idx[r], idx[piv] = idx[piv], idx[r]
-        for j in range(r + 1, m):
-            if work[j][c]:
-                pc, jc = work[r][c], work[j][c]
-                work[j] = [_sub(_mul(e, pc), _mul(work[r][ci], jc))
-                           for ci, e in enumerate(work[j])]
-                _strip_row_content(work[j])
-        r += 1
-    return sorted(idx[:k])
+    """Indices of k rows with nonzero determinant, or None if rank < k.
+
+    A nonzero minor of the integer matrix rows(x) proves the polynomial
+    minor on the same rows nonzero.
+    """
+    return next((sorted(found[0]) for _, found in _evaluations(rows, k)
+                 if found), None)
+
+
+def _content_multiple(rows, qpart):
+    """A nonzero multiple of the content c of the maximal-minor gcd.
+
+    `rows` is a square submatrix with nonzero determinant d.  The gcd, which
+    is c*qpart, divides d in Z[t], so wherever d(x) != 0 also qpart(x) != 0
+    and c divides d(x) / qpart(x).  Takes the gcd of these values until it
+    is 1 or the points run out.
+    """
+    g = 0
+    for x, found in _evaluations(rows, len(rows)):
+        if found:
+            g = gcd(g, found[2] // _eval(qpart, x))
+            if g == 1:
+                break
+    return g
 
 
 def _hermite_qpart(rows, k):
@@ -351,20 +361,13 @@ def _hermite_qpart(rows, k):
 
 
 def _val_p(e, p):
-    """Gauss valuation: min p-adic valuation over the coefficients."""
-    best = None
-    for c in e:
-        if c == 0:
-            continue
-        v = 0
-        while c % p == 0:
-            c //= p
-            v += 1
-        if best is None or v < best:
-            best = v
-            if best == 0:
-                return 0
-    return best
+    """Gauss valuation of a nonzero array: min p-adic valuation over the
+    coefficients."""
+    v = 0
+    while all(c % p == 0 for c in e):
+        e = [c // p for c in e]
+        v += 1
+    return v
 
 
 def _strip_pfree_content(row, p):
@@ -417,19 +420,14 @@ def _gauss_valuation_sum(rows, k, p):
 
 
 def _max_minor_gcd_1var(rows, k):
-    m = len(rows)
-    if m < k:
-        return []
-    if comb(m, k) <= ENUM_BOUND:
+    if comb(len(rows), k) <= ENUM_BOUND:
         return _enum_minor_gcd_arrays(rows, k)
     qpart = _hermite_qpart(rows, k)
     if qpart is None:
         return []
-    piv_idx = _independent_rows(rows, k)
-    m0 = _bareiss_det([rows[i] for i in piv_idx])
-    c0 = _int_poly_content(m0)
+    pivot_rows = [rows[i] for i in _independent_rows(rows, k)]
     content = 1
-    for p in _prime_factors(c0):
+    for p in _prime_factors(_content_multiple(pivot_rows, qpart)):
         w = _gauss_valuation_sum(rows, k, p)
         content *= p ** w
     return _scale(qpart, content)

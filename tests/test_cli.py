@@ -103,6 +103,15 @@ def test_duplicate_generator_names_exit2(capsys, tmp_path):
     assert err.count("\n") == 1 and "duplicate generator name 'a'" in err
 
 
+def test_oversized_power_exit2(capsys, tmp_path):
+    big = tmp_path / "big.pres"
+    big.write_text("presentation\ngenerators: a b\nrelator: a^1000000000000\n")
+    code, out, err = run(capsys, "alexander", big, "--phi", "1,0")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "word longer than" in err
+
+
 def test_alexander_no_valid_column_exit4(capsys):
     code, _, err = run(capsys, "alexander", FIXTURES / "t3.pres",
                        "--phi", "0 0 0".replace(" ", ","))

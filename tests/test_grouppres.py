@@ -9,7 +9,7 @@ from twistalex.grouppres import (ClassMap, FiniteQuotient, GroupRingElement,
                                  cyclic_group, dihedral_group,
                                  enumerate_epimorphisms, fox_derivative,
                                  fox_jacobian, free_reduce, group_from_spec,
-                                 parse_word, pullback_class,
+                                 MAX_WORD_LETTERS, parse_word, pullback_class,
                                  reidemeister_schreier, render_word,
                                  symmetric_group, trivial_group, word_inverse,
                                  word_mul)
@@ -145,6 +145,19 @@ def test_epimorphism_validation():
         FiniteQuotient(na_presentation(), cyclic_group(2), (1, 0, 0))
     with pytest.raises(InvalidQuotient):
         FiniteQuotient(Presentation(["a"], []), cyclic_group(2), (0,))
+
+
+def test_parse_word_letter_cap():
+    assert len(parse_word(f"a^{MAX_WORD_LETTERS}", ["a"])) == MAX_WORD_LETTERS
+    with pytest.raises(ValueError, match="word longer than"):
+        parse_word(f"a^{MAX_WORD_LETTERS} b", ["a", "b"])
+    with pytest.raises(ValueError, match="word longer than"):
+        parse_word(f"a^-{MAX_WORD_LETTERS + 1}", ["a"])
+    # a commutator counts both halves
+    half = MAX_WORD_LETTERS // 4
+    assert len(parse_word(f"[a^{half},b^{half}]", ["a", "b"])) == 4 * half
+    with pytest.raises(ValueError, match="word longer than"):
+        parse_word(f"[a^{half},b^{half + 1}]", ["a", "b"])
 
 
 def test_duplicate_generator_names_rejected():

@@ -1,12 +1,21 @@
 import random
+from itertools import combinations
 
+import pytest
+
+from twistalex import polymat, twistedalex
+from twistalex.docio import parse_document
+from twistalex.grouppres import cyclic_group, enumerate_epimorphisms
 from twistalex.laurent import LaurentPoly, UnitClass, normalize_unit
-from twistalex.polymat import (_enum_minor_gcd_arrays, _gauss_valuation_sum,
-                               _hermite_qpart, _independent_rows,
+from twistalex.polymat import (_content_multiple, _enum_minor_gcd_arrays,
+                               _gauss_valuation_sum, _hermite_qpart,
+                               _independent_rows,
                                _bareiss_det, _prime_factors, _rows_to_arrays,
                                _arr_to_poly, _scale, laurent_det,
                                max_minor_gcd)
+from twistalex.twistedalex import TwistData, twisted_alexander
 
+from conftest import fixture_text
 from oracles import brute_minor_gcd, cofactor_det
 
 
@@ -21,7 +30,11 @@ def random_matrix(rng, m, k, **kw):
 
 
 def hermite_path_gcd(M):
-    """Force the Hermite + content route, bypassing the enumeration bound."""
+    """The Hermite route with the content read off the exact pivot minor.
+
+    An oracle for the production route, which finds the content primes from
+    integer evaluations instead.
+    """
     rows = _rows_to_arrays(M)
     k = len(M[0])
     qpart = _hermite_qpart(rows, k)
@@ -124,3 +137,151 @@ def test_prime_factors():
     assert _prime_factors(1) == []
     assert _prime_factors(2 * 2 * 3 * 97) == [2, 3, 97]
     assert _prime_factors(10007 * 10009) == [10007, 10009]
+
+
+# ---- the production Hermite route: content primes from integer values ----
+
+@pytest.fixture
+def hermite_route(monkeypatch):
+    """Send every single-variable matrix down the Hermite route and record
+    the (prime, valuation) pairs the content step examines."""
+    monkeypatch.setattr(polymat, "ENUM_BOUND", 0)
+    examined = []
+    real = polymat._gauss_valuation_sum
+
+    def recording(rows, k, p):
+        w = real(rows, k, p)
+        examined.append((p, w))
+        return w
+
+    monkeypatch.setattr(polymat, "_gauss_valuation_sum", recording)
+    return examined
+
+
+def poly_matmul(A, B):
+    zero = LaurentPoly.zero(1)
+    return [[sum((a * B[i][j] for i, a in enumerate(row)), zero)
+             for j in range(len(B[0]))] for row in A]
+
+
+def test_production_route_with_shared_content(hermite_route):
+    rng = random.Random(47)
+    for _ in range(20):
+        k = rng.randint(2, 3)
+        m = k + rng.randint(1, 2)
+        M = random_matrix(rng, m, k, max_terms=2, max_exp=2, max_coeff=3)
+        c = rng.choice((2, 3, 6, 12))
+        M = [[e * c for e in row] for row in M]
+        assert UnitClass(max_minor_gcd(M, 1)) == brute_minor_gcd(M, 1)
+
+
+def test_production_route_structured_content(hermite_route):
+    t = LaurentPoly.var(1)
+    one = LaurentPoly.one(1)
+    M = [[2 * one, LaurentPoly.zero(1)],
+         [LaurentPoly.zero(1), 2 * t],
+         [2 * t ** 2, 2 * one]]
+    assert max_minor_gcd(M, 1) == LaurentPoly.const(1, 4)
+    assert UnitClass(max_minor_gcd(M, 1)) == brute_minor_gcd(M, 1)
+
+
+@pytest.mark.parametrize("content", [1, 7])
+def test_production_route_fixed_divisor_of_the_qpart(hermite_route,
+                                                     monkeypatch, content):
+    # every minor is content*(t^6-1)^2 times a minor of B, and x^6 - 1 is
+    # divisible by 7 at x = 2..6: only dividing the pivot minor's values by
+    # qpart(x) brings their gcd down to the content within a point or two
+    t = LaurentPoly.var(1)
+    one = LaurentPoly.one(1)
+    z = LaurentPoly.zero(1)
+    q = (t ** 6 - one) ** 2
+    B = [[one, z], [z, one], [t, t + one], [one - t, 2 * one]]
+    M = poly_matmul(poly_matmul(B, [[content * one, z], [z, q]]),
+                    [[one, t ** 2], [z, one]])
+    assert brute_minor_gcd(B, 1) == UnitClass(one)
+    assert brute_minor_gcd(M, 1) == UnitClass(content * q)
+    assert UnitClass(max_minor_gcd(M, 1)) == UnitClass(content * q)
+    assert set(hermite_route) == ({(7, 1)} if content == 7 else set())
+
+    rows = _rows_to_arrays(M)
+    pivot_rows = [rows[i] for i in _independent_rows(rows, 2)]
+    points = []
+    real = polymat._evaluations
+
+    def recording(rows, k):
+        for x, found in real(rows, k):
+            points.append(x)
+            yield x, found
+
+    monkeypatch.setattr(polymat, "_evaluations", recording)
+    g = _content_multiple(pivot_rows, _hermite_qpart(rows, 2))
+    assert g % content == 0 and g < 7 * content
+    if content == 1:
+        assert len(points) <= 2
+
+
+def test_production_route_spurious_prime(hermite_route):
+    # t^2+t and t^2+t+2 are even at every integer but have gcd 1, so the
+    # pivot minor's values are all even: 2 is a candidate with valuation 0
+    t = LaurentPoly.var(1)
+    one = LaurentPoly.one(1)
+    z = LaurentPoly.zero(1)
+    M = [[t ** 2 + t, z], [z, one], [t ** 2 + t + 2 * one, z]]
+    assert max_minor_gcd(M, 1) == one
+    assert brute_minor_gcd(M, 1) == UnitClass(one)
+    assert (2, 0) in hermite_route
+
+
+def test_independent_rows_against_brute_rank():
+    rng = random.Random(61)
+    deficient_seen = full_seen = 0
+    for trial in range(60):
+        k = rng.randint(1, 3)
+        m = k + rng.randint(0, 2)
+        if trial % 3 == 0 and k > 1:
+            # rank <= k - 1 by construction
+            M = poly_matmul(random_matrix(rng, m, k - 1),
+                            random_matrix(rng, k - 1, k))
+        else:
+            M = random_matrix(rng, m, k, max_terms=2)
+        rows = _rows_to_arrays(M)
+        idx = _independent_rows(rows, k)
+        deficient = all(cofactor_det([M[i] for i in s], 1).is_zero()
+                        for s in combinations(range(m), k))
+        assert (idx is None) == deficient
+        if idx is not None:
+            assert idx == sorted(set(idx)) and len(idx) == k
+            assert _bareiss_det([rows[i] for i in idx]) != []
+        deficient_seen += deficient
+        full_seen += not deficient
+    assert deficient_seen and full_seen
+
+
+def test_independent_rows_past_vanishing_points():
+    # the only minor, (t-2)(t-3), vanishes at the first two points
+    assert _independent_rows([[[6, -5, 1]]], 1) == [0]
+    assert _independent_rows([[[-2, 1]], [[-4, 0, 1]]], 1) == [0]
+    assert _independent_rows([[[]], [[]]], 1) is None
+
+
+def test_row_order_does_not_change_the_gcd(monkeypatch):
+    # the twisted Jacobian of na.pres for its first Z21 quotient, deleted
+    # column dropped: 63 x 42
+    _, (P, classes) = parse_document(fixture_text("na.pres"))
+    q = enumerate_epimorphisms(P, cyclic_group(21), bound=21)[0]
+    captured = []
+
+    def capture(rows, rank, ncols=None):
+        captured.append(rows)
+        return max_minor_gcd(rows, rank, ncols)
+
+    monkeypatch.setattr(twistedalex, "max_minor_gcd", capture)
+    twisted_alexander(P, TwistData(classes["fib"], q))
+    [M] = captured
+    assert (len(M), len(M[0])) == (63, 42)
+    expected = max_minor_gcd(M, 1)
+    assert not expected.is_zero()
+    for s in (1, 2, 3):
+        shuffled = list(M)
+        random.Random(s).shuffle(shuffled)
+        assert max_minor_gcd(shuffled, 1) == expected
