@@ -24,8 +24,8 @@ from .normsfibred import (FibredCertificate, NormReport, alexander_norm,
                           fibred_certificate, mcmullen_check,
                           norm_relation_check)
 from .clifford import (CliffordElement, ExactMatrix, GaussianRational,
-                       clifford_product, hodge_star, mu_map, projector,
-                       verify_all, verify_iso, volume_element)
+                       hodge_star, mu_map, projector, verify_all, verify_iso,
+                       volume_element)
 from .fourman import (FormData, SurfaceEntry, adjunction_check,
                       evenness_check, lagrangian_square_check)
 

@@ -254,10 +254,6 @@ def all_blades(n):
     return sorted(out, key=lambda t: (len(t), t))
 
 
-def clifford_product(x, y):
-    return x * y
-
-
 def volume_element(n, field):
     """omega = e_1 ... e_n, with the i^[n(n-1)/2] prefactor over C."""
     if n < 1:
@@ -351,27 +347,57 @@ class ExactMatrix:
         return f"ExactMatrix({[[repr(x) for x in r] for r in self.rows]})"
 
 
-def vector_rank(vectors):
-    """Rank over the Gaussian rationals, by Gaussian elimination."""
-    rows = [list(v) for v in vectors if any(not _coerce(x).is_zero() for x in v)]
-    rank = 0
-    col = 0
-    width = len(rows[0]) if rows else 0
-    while rows and col < width:
-        piv = next((i for i in range(rank, len(rows))
+def _gauss_jordan(rows):
+    """Reduced row echelon form over the Gaussian rationals.
+
+    Returns (reduced rows with unit pivots, pivot columns, det); for square
+    input det is the determinant, +-(product of the pivots) or 0.  Row
+    operations keep the linear relations among the columns, so the pivot
+    columns are the columns outside the span of the columns before them.
+    """
+    rows = [[_coerce(x) for x in r] for r in rows]
+    pivots = []
+    det = GR_ONE
+    for col in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows))
                     if not rows[i][col].is_zero()), None)
         if piv is None:
-            col += 1
+            det = GR_ZERO
             continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pr = rows[rank]
-        for i in range(len(rows)):
-            if i != rank and not rows[i][col].is_zero():
-                f = rows[i][col] / pr[col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], pr)]
-        rank += 1
-        col += 1
-    return rank
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            det = -det
+        det = det * rows[r][col]
+        inv = GR_ONE / rows[r][col]   # then reals multiply by one Fraction product
+        pr = rows[r] = [x * inv for x in rows[r]]
+        for row in rows:
+            f = row[col]
+            if row is not pr and not f.is_zero():
+                # pr is zero left of col: those columns held no pivot below
+                # row r, or were cleared by an earlier pivot
+                row[col:] = [a - f * b for a, b in zip(row[col:], pr[col:])]
+        pivots.append(col)
+    return rows, pivots, det
+
+
+def vector_rank(vectors):
+    """Rank over the Gaussian rationals."""
+    return len(_gauss_jordan(vectors)[1])
+
+
+def _coordinates(basis, vec):
+    """Coordinates of vec in the independent vectors `basis`, or None.
+
+    None when vec is off their span (the last column of [basis | vec] holds
+    a pivot) or when the basis is dependent (a basis column has none).
+    """
+    k = len(basis)
+    rows, pivots, _ = _gauss_jordan([[b[i] for b in basis] + [vec[i]]
+                                     for i in range(len(vec))])
+    if pivots != list(range(k)):
+        return None
+    return [rows[i][k] for i in range(k)]
 
 
 # ---- the explicit 4x4 complex model --------------------------------------
@@ -408,23 +434,14 @@ def mu_map(x):
 
 # ---- Hodge star ------------------------------------------------------------
 
-def _perm_sign(perm):
-    sign = 1
-    p = list(perm)
-    for i in range(len(p)):
-        for j in range(i + 1, len(p)):
-            if p[i] > p[j]:
-                sign = -sign
-    return sign
-
-
 def hodge_star(blade, n=4):
     """*(e_S) = sign * e_{S^c}; sign is the permutation sign of (S, S^c)."""
     blade = tuple(blade)
     comp = tuple(i for i in range(1, n + 1) if i not in blade)
     if len(blade) + len(comp) != n or list(blade) != sorted(blade):
         raise ValueError(f"bad blade {blade} for dimension {n}")
-    return _perm_sign(blade + comp), comp
+    # no index is repeated, so the sign of e_S e_{S^c} is that of (S, S^c)
+    return _blade_mul(blade, comp)[0], comp
 
 
 # ---- verification suites ----------------------------------------------------
@@ -566,40 +583,9 @@ def _verify_cliffm1():
 def _plus_minus_bases():
     pp = mu_map(projector(1, 4))
     pm = mu_map(projector(-1, 4))
-    def colbasis(m):
-        cols = [m.column(j) for j in range(4)]
-        basis = []
-        for c in cols:
-            if vector_rank(basis + [c]) > len(basis):
-                basis.append(c)
-        return basis
-    return pp, pm, colbasis(pp), colbasis(pm)
-
-
-def _coords_in(basis, vec):
-    """Coordinates of vec in a 2-element basis of C^4, or None."""
-    # solve sum c_i basis_i = vec by elimination
-    cols = [list(b) for b in basis]
-    n = len(vec)
-    aug = [[cols[j][i] for j in range(len(basis))] + [vec[i]] for i in range(n)]
-    coords = [None] * len(basis)
-    rank = 0
-    for col in range(len(basis)):
-        piv = next((i for i in range(rank, n) if not aug[i][col].is_zero()), None)
-        if piv is None:
-            return None
-        aug[rank], aug[piv] = aug[piv], aug[rank]
-        pr = aug[rank]
-        for i in range(n):
-            if i != rank and not aug[i][col].is_zero():
-                f = aug[i][col] / pr[col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], pr)]
-        rank += 1
-    sol = [aug[i][-1] / aug[i][i] for i in range(len(basis))]
-    for i in range(rank, n):
-        if not aug[i][-1].is_zero():
-            return None
-    return sol
+    bp, bm = ([m.column(j) for j in _gauss_jordan(m.rows)[1]]
+              for m in (pp, pm))
+    return pp, pm, bp, bm
 
 
 def _verify_cliffiso():
@@ -617,7 +603,7 @@ def _verify_cliffiso():
         cols = []
         for v in bp:
             w = m.apply(v)
-            c = _coords_in(bm, w)
+            c = _coordinates(bm, w)
             if c is None:
                 swap_ok = False
                 break
@@ -626,7 +612,7 @@ def _verify_cliffiso():
         cols = []
         for v in bm:
             w = m.apply(v)
-            c = _coords_in(bp, w)
+            c = _coordinates(bp, w)
             if c is None:
                 swap_ok = False
                 break
@@ -657,7 +643,7 @@ def _verify_endiso():
             m = mu_map(x)
             flat = []
             for v in basis:
-                c = _coords_in(basis, m.apply(v))
+                c = _coordinates(basis, m.apply(v))
                 if c is None:
                     closed = False
                     break
@@ -776,7 +762,7 @@ def _verify_spin4_adjoint(samples=200, seed=7):
         if not gram_ok:
             ok_orth = False
             break
-        if _det4(m) != 1:
+        if _gauss_jordan(m)[2] != 1:
             ok_det = False
             break
     checks.append(Check(f"Ad_phi preserves R^4 ({samples} random even products)",
@@ -785,18 +771,6 @@ def _verify_spin4_adjoint(samples=200, seed=7):
                         ok_space and ok_orth))
     checks.append(Check("Ad_phi has determinant 1", ok_space and ok_orth and ok_det))
     return _report("spin4-adjoint", checks)
-
-
-def _det4(m):
-    from itertools import permutations
-    total = Fraction(0)
-    for perm in permutations(range(4)):
-        sign = _perm_sign(perm)
-        prod = Fraction(1)
-        for i, j in enumerate(perm):
-            prod *= m[i][j]
-        total += sign * prod
-    return total
 
 
 _SUITES = {

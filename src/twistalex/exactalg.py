@@ -73,12 +73,12 @@ class IntMatrix:
     def __mul__(self, other):
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
-        a, b = self.to_lists(), other.to_lists()
-        out = []
+        b, out = other.to_lists(), [[0] * other.cols for _ in range(self.rows)]
         for i in range(self.rows):
-            for j in range(other.cols):
-                out.append(sum(a[i][k] * b[k][j] for k in range(self.cols)))
-        return IntMatrix(self.rows, other.cols, out)
+            for x, row in zip(self.row(i), b):
+                if x:
+                    out[i] = [s + x * y for s, y in zip(out[i], row)]
+        return IntMatrix(self.rows, other.cols, [v for r in out for v in r])
 
     def __eq__(self, other):
         return (isinstance(other, IntMatrix) and self.rows == other.rows
@@ -240,10 +240,6 @@ def smith_normal_form(M):
                               IntMatrix.from_rows(v) if n else IntMatrix.zero(n, n))
 
 
-def rank(M):
-    return smith_normal_form(M).rank()
-
-
 @dataclass(frozen=True)
 class HomologyGroup:
     """Free rank plus torsion coefficients d1 | d2 | ... , each > 1."""
@@ -305,17 +301,20 @@ def homology(C, k):
     """H_k(C) = ker d_k / im d_{k+1} as a HomologyGroup."""
     if k < 0 or k > C.dim:
         raise IndexOutOfRange(f"degree {k} outside complex of dimension {C.dim}")
-    n_k = C.cells[k]
-    rank_k = rank(C.boundary(k)) if k >= 1 else 0
-    snf_up = smith_normal_form(C.boundary(k + 1)) if k + 1 <= C.dim else None
-    rank_up = snf_up.rank() if snf_up else 0
-    free = n_k - rank_k - rank_up
-    torsion = tuple(d for d in (snf_up.elementary_divisors() if snf_up else []) if d > 1)
-    return HomologyGroup(free, torsion)
+    return all_homology(C)[k]
 
 
 def all_homology(C):
-    return [homology(C, k) for k in range(C.dim + 1)]
+    """H_0 .. H_dim from one Smith form per boundary map.
+
+    rank d_k is the number of elementary divisors of d_k; the torsion of H_k
+    is the divisors of d_{k+1} that are > 1.  d_0 and d_{dim+1} are zero.
+    """
+    divs = [[]] + [smith_normal_form(d).elementary_divisors()
+                   for d in C.boundaries] + [[]]
+    return [HomologyGroup(n - len(divs[k]) - len(divs[k + 1]),
+                          tuple(x for x in divs[k + 1] if x > 1))
+            for k, n in enumerate(C.cells)]
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ deg = |G| * thurston + (1 + b3) * div, aggregating a verdict.  The Thurston
 norm is user-supplied throughout; it is never computed here.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
 from math import gcd
 
@@ -170,14 +170,8 @@ def fibred_certificate(P, phi, thurston_norm, budget, b3=1, dedup_auto=False):
     for q in quotients:
         key = (q.group.label, q.kernel_key())
         if key in cache:
-            rec = cache[key]
-            records.append(AlphaRecord(group_label=q.group.label,
-                                       group_order=q.group.order,
-                                       images=q.images, div=rec.div,
-                                       poly=rec.poly, degree=rec.degree,
-                                       monic=rec.monic,
-                                       degree_equation_ok=rec.degree_equation_ok,
-                                       error=rec.error))
+            # the key holds the group label, so label and order match
+            records.append(replace(cache[key], images=q.images))
             continue
         try:
             cover = reidemeister_schreier(P, q)

@@ -186,20 +186,23 @@ def twisted_alexander(P, T, column=None):
     rank = T.rank
     d = T.degree
     n = P.ngens
-    gen_mats = [_generator_matrix(T, g) for g in range(n)]
     ident = MonomialMatrix.identity(d, rank).to_dense()
-    col_dets = []
-    for g in range(n):
-        dense = gen_mats[g].to_dense()
-        diff = [[dense[i][j] - ident[i][j] for j in range(d)] for i in range(d)]
-        col_dets.append(laurent_det(diff, rank))
+
+    def col_det(g):
+        dense = _generator_matrix(T, g).to_dense()
+        return laurent_det([[dense[i][k] - ident[i][k] for k in range(d)]
+                            for i in range(d)], rank)
+
     if column is None:
-        j = next((g for g in range(n) if not col_dets[g].is_zero()), None)
-        if j is None:
+        for j in range(n):
+            corr = col_det(j)
+            if not corr.is_zero():
+                break
+        else:
             raise NoValidColumn("no generator with det(twist(g) - I) != 0")
     else:
         j = column
-        if not 0 <= j < n or col_dets[j].is_zero():
+        if not 0 <= j < n or (corr := col_det(j)).is_zero():
             raise NoValidColumn(f"column {j} is not valid")
 
     jac = fox_jacobian(P)
@@ -214,7 +217,6 @@ def twisted_alexander(P, T, column=None):
     raw = max_minor_gcd(rows, rank, ncols=(n - 1) * d)
 
     h0 = _h0_order(T)
-    corr = col_dets[j]
     corrected = None
     if not raw.is_zero():
         corrected = div_exact(raw * h0, corr)

@@ -7,7 +7,10 @@ from twistalex.clifford import (CliffordElement, DimensionMismatch,
                                 ExactMatrix, GaussianRational, GR_I, GR_ONE,
                                 NotSplitting, all_blades, hodge_star, mu_map,
                                 projector, vector_rank, verify_all,
-                                verify_iso, volume_element, HODGE_TABLE_4)
+                                verify_iso, volume_element, HODGE_TABLE_4,
+                                _coordinates, _gauss_jordan)
+
+from oracles import int_det, rational_rank
 
 
 def e(i, n=4, field="C"):
@@ -125,3 +128,72 @@ def test_vector_rank():
     zero = GaussianRational(0)
     assert vector_rank([[one, zero], [zero, one], [one, one]]) == 2
     assert vector_rank([]) == 0
+
+
+def _random_matrix(rng, m, n, entry):
+    """A random m x n matrix of rank <= r (random r), as a product of two."""
+    r = rng.randint(0, min(m, n))
+    left = [[entry() for _ in range(r)] for _ in range(m)]
+    right = [[entry() for _ in range(n)] for _ in range(r)]
+    return [[sum((left[i][t] * right[t][j] for t in range(r)), GaussianRational())
+             for j in range(n)] for i in range(m)]
+
+
+def _realify(rows):
+    """The real 2m x 2n form [[A, -B], [B, A]] of A + iB; its rank is twice."""
+    re = [[x.re for x in r] for r in rows]
+    im = [[x.im for x in r] for r in rows]
+    return ([a + [-x for x in b] for a, b in zip(re, im)]
+            + [b + a for a, b in zip(re, im)])
+
+
+def test_gauss_jordan_rank_and_det_against_oracles():
+    rng = random.Random(41)
+    ints = lambda: GaussianRational(rng.randint(-4, 4))
+    gauss = lambda: GaussianRational(Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+                                     Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+    for entry in (ints, gauss):
+        for _ in range(60):
+            m, n = rng.randint(1, 5), rng.randint(1, 5)
+            rows = _random_matrix(rng, m, n, entry)
+            if rng.random() < 0.5:
+                rows = [[entry() for _ in range(n)] for _ in range(m)]
+                rows[0][0] = GaussianRational()   # a zero first pivot entry
+            reduced, pivots, det = _gauss_jordan(rows)
+            assert 2 * len(pivots) == rational_rank(_realify(rows))
+            for i, j in enumerate(pivots):
+                assert [r[j] for r in reduced] == [GR_ONE if t == i else 0
+                                                   for t in range(m)]
+            if m == n:
+                assert det == int_det(rows)
+
+
+def test_coordinates_round_trip():
+    rng = random.Random(43)
+    entry = lambda: GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3))
+    seen = 0
+    while seen < 40:
+        m = [[entry() for _ in range(4)] for _ in range(4)]
+        if int_det(m) == 0:
+            continue
+        seen += 1
+        cols = [[m[i][j] for i in range(4)] for j in range(4)]
+        k = rng.randint(1, 3)
+        coeffs = [entry() for _ in range(k)]
+        vec = [sum((c * col[i] for c, col in zip(coeffs, cols)),
+                   GaussianRational()) for i in range(4)]
+        assert _coordinates(cols[:k], vec) == coeffs
+        off = [x + y for x, y in zip(vec, cols[k])]
+        assert _coordinates(cols[:k], off) is None
+        assert _coordinates(cols[:k] + [vec], vec) is None
+
+
+def test_hodge_sign_is_the_inversion_parity():
+    for n in range(1, 6):
+        for blade in all_blades(n):
+            sign, comp = hodge_star(blade, n)
+            perm = blade + comp
+            inversions = sum(perm[i] > perm[j]
+                             for i in range(n) for j in range(i + 1, n))
+            assert comp == tuple(i for i in range(1, n + 1) if i not in blade)
+            assert sign == (-1) ** inversions

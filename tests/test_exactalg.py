@@ -165,3 +165,36 @@ def test_exact_sequence_inconsistent():
     with pytest.raises(Inconsistent):
         exact_sequence_solve(ExactSequenceData([0, 2, 1, 0],
                                                {1: MapData(kernel=0)}))
+
+
+def test_all_homology_one_smith_form_per_boundary(monkeypatch):
+    import twistalex.exactalg as exactalg
+    from twistalex.docio import parse_document
+    from conftest import fixture_text
+    calls = []
+    real = exactalg.smith_normal_form
+    monkeypatch.setattr(exactalg, "smith_normal_form",
+                        lambda M: calls.append(M) or real(M))
+    for C, expected in (
+            (na_complex(), "Z Z^2 Z^2 Z"),
+            (parse_document(fixture_text("na_x_s1.cplx"))[1],
+             "Z Z^3 Z^4 Z^3 Z")):
+        calls.clear()
+        assert " ".join(map(str, all_homology(C))) == expected
+        assert calls == list(C.boundaries)
+        calls.clear()
+        assert str(homology(C, 1)) == expected.split()[1]
+        assert len(calls) == len(C.boundaries)
+
+
+def test_sparse_product_against_dense_sum():
+    rng = random.Random(31)
+    for _ in range(80):
+        m, k, n = (rng.randint(0, 5) for _ in range(3))
+        a = [[rng.choice((0, 0, 0, rng.randint(-9, 9))) for _ in range(k)]
+             for _ in range(m)]
+        b = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(k)]
+        dense = [sum(a[i][t] * b[t][j] for t in range(k))
+                 for i in range(m) for j in range(n)]
+        prod = IntMatrix(m, k, sum(a, [])) * IntMatrix(k, n, sum(b, []))
+        assert (prod.rows, prod.cols, list(prod.entries)) == (m, n, dense)

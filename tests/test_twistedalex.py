@@ -348,3 +348,24 @@ def test_correction_metadata():
     assert str(tw.h0_correction) == "t - 1"
     assert tw.deleted_column == 2
     assert str(tw.raw_minor_gcd) == "t^2 - 2*t + 1"
+
+
+def test_column_determinants_stop_at_the_valid_column(monkeypatch):
+    import twistalex.twistedalex as ta
+    calls = []
+    real = ta.laurent_det
+    monkeypatch.setattr(ta, "laurent_det",
+                        lambda m, rank: calls.append(len(m)) or real(m, rank))
+    P = na_presentation()
+    # g_0 maps to 0, so column 0 is invalid and column 1 is the first valid
+    T = trivial_twist(P, ClassMap(P, [(0,), (1,), (1,)]))
+    auto = twisted_alexander(P, T)
+    assert auto.deleted_column == 1 and len(calls) == 2
+    calls.clear()
+    assert twisted_alexander(P, T, column=1) == auto
+    assert len(calls) == 1
+    for bad in (0, 3, -1):
+        calls.clear()
+        with pytest.raises(NoValidColumn):
+            twisted_alexander(P, T, column=bad)
+        assert len(calls) == (bad == 0)
