@@ -218,7 +218,10 @@ def smith_normal_form(M):
                         moved = True
             if moved:
                 continue
-            # row and column t are clear; enforce divisibility of the rest
+            # row and column t are clear; enforce divisibility of the rest,
+            # which a unit pivot has already
+            if a[t][t] in (1, -1):
+                break
             bad = None
             for i in range(t + 1, m):
                 for j in range(t + 1, n):

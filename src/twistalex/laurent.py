@@ -198,17 +198,6 @@ class LaurentPoly:
         return f"LaurentPoly({render_poly(self)!r})"
 
 
-def lp_arith(a, b, op):
-    """Spec-level dispatcher for ring arithmetic."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
-
-
 def laurent_degree(p):
     """Width of the support of a single-variable Laurent polynomial."""
     if p.rank != 1:

@@ -10,8 +10,8 @@ module-order definition on every oracle family; both are exposed.
 
 from dataclasses import dataclass
 
-from .grouppres import (ClassMap, FiniteQuotient, Incompatible, abelianize,
-                        fox_jacobian, trivial_group)
+from .grouppres import (ClassMap, FiniteQuotient, GroupRingElement,
+                        Incompatible, abelianize, fox_jacobian, trivial_group)
 from .laurent import (LaurentPoly, UnitClass, UnsupportedRank, div_exact,
                       lp_gcd_many)
 from .polymat import laurent_det, max_minor_gcd
@@ -186,12 +186,11 @@ def twisted_alexander(P, T, column=None):
     rank = T.rank
     d = T.degree
     n = P.ngens
-    ident = MonomialMatrix.identity(d, rank).to_dense()
 
     def col_det(g):
-        dense = _generator_matrix(T, g).to_dense()
-        return laurent_det([[dense[i][k] - ident[i][k] for k in range(d)]
-                            for i in range(d)], rank)
+        # the twisted image of g - 1
+        g_minus_1 = GroupRingElement({((g, 1),): 1, (): -1})
+        return laurent_det(twist_ring_map(g_minus_1, T), rank)
 
     if column is None:
         for j in range(n):

@@ -161,3 +161,29 @@ def brute_epimorphism_count(P, G):
         if len(seen) == G.order:
             count += 1
     return count
+
+
+# ---- Clifford blade products by sorting the index word ----
+
+def blade_product(b1, b2):
+    """e_{b1} e_{b2} in Cl(K^n) as (sign, ascending index tuple).
+
+    Bubble-sorts the concatenated index word, flipping the sign at each swap
+    of two distinct letters (e_i e_j = -e_j e_i), then cancels each adjacent
+    equal pair with e_i e_i = -1.
+    """
+    word = list(b1) + list(b2)
+    sign = 1
+    for end in range(len(word) - 1, 0, -1):
+        for i in range(end):
+            if word[i] > word[i + 1]:
+                word[i], word[i + 1] = word[i + 1], word[i]
+                sign = -sign
+    out = []
+    for x in word:
+        if out and out[-1] == x:
+            out.pop()
+            sign = -sign
+        else:
+            out.append(x)
+    return sign, tuple(out)

@@ -8,9 +8,10 @@ from twistalex.clifford import (CliffordElement, DimensionMismatch,
                                 NotSplitting, all_blades, hodge_star, mu_map,
                                 projector, vector_rank, verify_all,
                                 verify_iso, volume_element, HODGE_TABLE_4,
-                                _coordinates, _gauss_jordan)
+                                _blade, _blade_mul, _coordinates,
+                                _gauss_jordan, _mask, _mu_generators)
 
-from oracles import int_det, rational_rank
+from oracles import blade_product, int_det, rational_rank
 
 
 def e(i, n=4, field="C"):
@@ -197,3 +198,55 @@ def test_hodge_sign_is_the_inversion_parity():
                              for i in range(n) for j in range(i + 1, n))
             assert comp == tuple(i for i in range(1, n + 1) if i not in blade)
             assert sign == (-1) ** inversions
+
+
+def test_blade_mul_against_sorting_oracle():
+    for n in range(1, 6):
+        blades = all_blades(n)
+        assert len(set(blades)) == 2 ** n
+        for b1 in blades:
+            for b2 in blades:
+                sign, mask = _blade_mul(_mask(b1, n), _mask(b2, n))
+                assert (sign, _blade(mask)) == blade_product(b1, b2)
+                assert mask == sum(1 << (i - 1) for i in _blade(mask))
+
+
+def test_coefficients_are_field_native():
+    half = Fraction(1, 2)
+    for field, kind in (("R", Fraction), ("C", GaussianRational)):
+        x = CliffordElement(3, field, {(): half, (1,): 2, (1, 3): -3,
+                                       (1, 2, 3): GaussianRational(1)})
+        y = CliffordElement.e(3, field, 2) * 5 + x * x
+        for z in (x, y, x * y, x + y, x - y, -x, 3 * x, x * half,
+                  x.grade_part(2), x.even_part(), x.odd_part(), x.alpha()):
+            assert z.terms and all(type(m) is int for m in z.terms)
+            assert all(type(c) is kind and c != 0 for c in z.terms.values())
+        assert type(x.coeff((2, 3))) is kind and x.coeff((2, 3)) == 0
+        assert (x - x).is_zero() and (x * 0).is_zero()
+    with pytest.raises(ValueError, match="imaginary"):
+        CliffordElement(3, "R", {(1,): GR_I})
+    with pytest.raises(ValueError, match="imaginary"):
+        CliffordElement.e(3, "R", 1) * GR_I
+    for bad in ((2, 1), (1, 1), (0,), (4,)):
+        with pytest.raises(ValueError, match="bad blade"):
+            CliffordElement(3, "R", {bad: 1})
+
+
+def test_repr_text():
+    x = CliffordElement(3, "R", {(1, 3): -2, (): Fraction(1, 2),
+                                 (1, 2, 3): Fraction(-5, 7), (2,): 3})
+    assert repr(x) == "1/2*1 + 3*e2 + -2*e1e3 + -5/7*e1e2e3"
+    z = CliffordElement(4, "C", {(1, 4): GaussianRational(1, -2), (2, 3): GR_I,
+                                 (): 3, (3,): GaussianRational(Fraction(1, 2),
+                                                               Fraction(3, 4))})
+    assert repr(z) == "3*1 + (1/2+3/4i)*e3 + (1-2i)*e1e4 + (0+1i)*e2e3"
+    assert repr(CliffordElement.zero(2, "R")) == "0"
+
+
+def test_mu_map_of_basis_blades_is_the_generator_product():
+    gens = _mu_generators()
+    for blade in all_blades(4):
+        product = ExactMatrix.identity(4)
+        for i in blade:
+            product = product * gens[i - 1]
+        assert mu_map(CliffordElement.blade(4, "C", blade)) == product

@@ -369,3 +369,34 @@ def test_column_determinants_stop_at_the_valid_column(monkeypatch):
         with pytest.raises(NoValidColumn):
             twisted_alexander(P, T, column=bad)
         assert len(calls) == (bad == 0)
+
+
+def test_generator_determinant_closed_form():
+    """det of the twisted image of g - 1 is +-(t^(e ord g) - 1)^(|G|/ord g),
+    e = Phi(g), on every quotient of na, fig8 and trefoil of order <= 8: in
+    the regular representation alpha(g) permutes G in |G|/ord g cycles of
+    length ord g."""
+    from twistalex.grouppres import GroupRingElement
+    from twistalex.polymat import laurent_det
+    cases = ((na_presentation(), [(0,), (0,), (1,)]),
+             (fig8(), [(0,), (0,), (1,)]),
+             (trefoil(), [(1,), (1,)]))
+    one = LaurentPoly.one(1)
+    total = 0
+    for P, images in cases:
+        phi = ClassMap(P, images)
+        for G in group_catalog(8):
+            for q in enumerate_epimorphisms(P, G):
+                T = TwistData(phi, q)
+                for g, img in enumerate(q.images):
+                    order, x = 1, img
+                    while x != 0:
+                        order, x = order + 1, G.mul(x, img)
+                    e = images[g][0]
+                    closed = (LaurentPoly.monomial(1, (e * order,)) - one) ** (
+                        G.order // order)
+                    g_minus_1 = GroupRingElement({((g, 1),): 1, (): -1})
+                    det = laurent_det(twist_ring_map(g_minus_1, T), 1)
+                    assert UnitClass(det) == UnitClass(closed)
+                    total += 1
+    assert total == 708
