@@ -1,11 +1,13 @@
 """Batch command-line front end.
 
 One job per invocation; deterministic output (byte-identical for identical
-inputs).  Exit codes: 0 ok, 2 parse error, 3 precondition violated,
-4 computation impossible, 5 verification failed.
+inputs).  Exit codes: 0 ok, 1 stdout closed before the report was written,
+2 parse error, 3 precondition violated, 4 computation impossible,
+5 verification failed.
 """
 
 import argparse
+import os
 import sys
 
 from .clifford import UnknownSuite, verify_all, verify_iso
@@ -25,6 +27,7 @@ from .twistedalex import (NoValidColumn, TwistData, multivariable_alexander,
                           trivial_twist, twisted_alexander)
 
 EXIT_OK = 0
+EXIT_STDOUT_CLOSED = 1
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_IMPOSSIBLE = 4
@@ -104,10 +107,7 @@ def cmd_homology(args):
 def _alexander_lines(P, phi, quotients, output):
     lines = []
     for q in quotients:
-        try:
-            tw = twisted_alexander(P, TwistData(phi, q))
-        except NoValidColumn as exc:
-            raise CliError(EXIT_IMPOSSIBLE, str(exc)) from None
+        tw = twisted_alexander(P, TwistData(phi, q))
         rep = tw.value.representative
         deg = laurent_degree(rep)
         images = ",".join(str(x) for x in q.images)
@@ -182,10 +182,7 @@ def cmd_norms(args):
         report = mcmullen_check(delta, w, args.thurston, b1)
     except ValueError as exc:
         raise CliError(EXIT_PRECONDITION, str(exc)) from None
-    try:
-        single = twisted_alexander(P, trivial_twist(P, phi))
-    except NoValidColumn as exc:
-        raise CliError(EXIT_IMPOSSIBLE, str(exc)) from None
+    single = twisted_alexander(P, trivial_twist(P, phi))
     deg = laurent_degree(single.value.representative)
     degprop_ok = (deg is MINUS_INFINITY
                   or deg <= report.alexander_norm + 2 * dv)
@@ -221,10 +218,6 @@ def cmd_fibred(args):
              f"b3={cert.b3}", f"budget={cert.budget}"]
     for r in cert.records:
         images = ",".join(str(x) for x in r.images)
-        if r.error is not None:
-            lines.append(f"alpha group={r.group_label} images=({images}) "
-                         f"error={r.error}")
-            continue
         lines.append(f"alpha group={r.group_label} images=({images}) "
                      f"div={r.div} delta={r.poly} deg={_fmt_degree(r.degree)} "
                      f"monic={_bool(r.monic)} "
@@ -352,8 +345,16 @@ def main(argv=None):
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    for line in lines:
-        print(line)
+    try:
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit; let that write succeed
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_STDOUT_CLOSED
     return EXIT_OK
 
 

@@ -488,10 +488,6 @@ class FiniteQuotient:
             x = self.group.mul(x, y)
         return x
 
-    def regular_perm(self, element):
-        """Left multiplication by the element, as a permutation tuple."""
-        return tuple(self.group.mul(element, x) for x in range(self.group.order))
-
     def kernel_key(self):
         """Canonical key identifying ker(alpha): the standardized coset table."""
         mul, pos = self.group.mul, self.position

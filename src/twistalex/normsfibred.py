@@ -18,7 +18,7 @@ from .grouppres import (ClassMap, abelianize, dihedral_group, cyclic_group,
                         FiniteQuotient)
 from .laurent import (MINUS_INFINITY, LaurentPoly, RankMismatch, UnitClass,
                       laurent_degree, is_monic, specialize)
-from .twistedalex import NoValidColumn, TwistData, trivial_twist, twisted_alexander, \
+from .twistedalex import TwistData, trivial_twist, twisted_alexander, \
     multivariable_alexander
 
 
@@ -112,12 +112,11 @@ class AlphaRecord:
     group_label: str
     group_order: int
     images: tuple
-    div: int | None
-    poly: UnitClass | None
+    div: int
+    poly: UnitClass
     degree: object
     monic: bool
     degree_equation_ok: bool
-    error: str | None = None
 
 
 @dataclass(frozen=True)
@@ -152,7 +151,8 @@ def fibred_certificate(P, phi, thurston_norm, budget, b3=1, dedup_auto=False):
 
     Per quotient: the twisted polynomial, its degree and monicness, div of
     the pulled-back class, and the degree equation with the supplied
-    Thurston norm.  Errors are recorded per record, not raised.
+    Thurston norm.  The verdict is Fibred-evidence when every record is
+    monic and passes the degree equation, NotFibred otherwise.
     """
     if budget < 1:
         raise BudgetZero("need a positive group-order budget")
@@ -173,34 +173,22 @@ def fibred_certificate(P, phi, thurston_norm, budget, b3=1, dedup_auto=False):
             # the key holds the group label, so label and order match
             records.append(replace(cache[key], images=q.images))
             continue
-        try:
-            cover = reidemeister_schreier(P, q)
-            _, div = pullback_class(phi, q, cover)
-            tw = twisted_alexander(P, TwistData(phi, q))
-            rep = tw.value.representative
-            deg = laurent_degree(rep)
-            monic = is_monic(tw.value)
-            expected = q.group.order * thurston_norm + (1 + b3) * div
-            rec = AlphaRecord(group_label=q.group.label,
-                              group_order=q.group.order, images=q.images,
-                              div=div, poly=tw.value, degree=deg, monic=monic,
-                              degree_equation_ok=(deg == expected))
-        except NoValidColumn as exc:
-            rec = AlphaRecord(group_label=q.group.label,
-                              group_order=q.group.order, images=q.images,
-                              div=None, poly=None, degree=None, monic=False,
-                              degree_equation_ok=False, error=str(exc))
+        cover = reidemeister_schreier(P, q)
+        _, div = pullback_class(phi, q, cover)
+        tw = twisted_alexander(P, TwistData(phi, q))
+        deg = laurent_degree(tw.value.representative)
+        expected = q.group.order * thurston_norm + (1 + b3) * div
+        rec = AlphaRecord(group_label=q.group.label,
+                          group_order=q.group.order, images=q.images,
+                          div=div, poly=tw.value, degree=deg,
+                          monic=is_monic(tw.value),
+                          degree_equation_ok=(deg == expected))
         cache[key] = rec
         records.append(rec)
 
-    failures = [r for r in records if r.error is None
-                and not (r.monic and r.degree_equation_ok)]
-    errors = [r for r in records if r.error is not None]
-    if failures:
-        verdict = "NotFibred"
-    elif errors:
-        verdict = "Inconclusive"
-    else:
+    if all(r.monic and r.degree_equation_ok for r in records):
         verdict = "Fibred-evidence"
+    else:
+        verdict = "NotFibred"
     return FibredCertificate(thurston_norm=thurston_norm, b3=b3, budget=budget,
                              records=tuple(records), verdict=verdict)

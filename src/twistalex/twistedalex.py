@@ -1,11 +1,14 @@
 """Twisted Alexander polynomials.
 
 The pipeline: twist the Fox Jacobian of a presentation through alpha x Phi
-(finite permutation representation times an abelian class), delete one
-generator column whose twisted image differs invertibly from the identity,
-and take the gcd of the maximal minors.  The headline value corrects the
-raw minor gcd by the order of the twisted H_0, which matches the
-module-order definition on every oracle family; both are exposed.
+(the regular action of a finite quotient times an abelian class), delete one
+generator column, and take the gcd of the maximal minors.  In the regular
+representation alpha(g) permutes G in |G|/ord g cycles of length ord g, so
+det(twist(g) - I) = +-(t^(Phi(g) ord g) - 1)^(|G|/ord g), which is nonzero
+exactly when Phi(g) != 0: the deleted column is the first generator with
+Phi(g) != 0.  The headline value corrects the raw minor gcd by the order of
+the twisted H_0, which matches the module-order definition on every oracle
+family; both are exposed.
 """
 
 from dataclasses import dataclass
@@ -18,7 +21,7 @@ from .polymat import laurent_det, max_minor_gcd
 
 
 class NoValidColumn(ValueError):
-    """No generator has det(twist(g) - I) != 0."""
+    """A forced column with det(twist(g) - I) = 0, or b_1 = 0."""
 
 
 @dataclass(frozen=True)
@@ -51,89 +54,25 @@ def trivial_twist(P, phi):
     return TwistData(phi, q)
 
 
-class MonomialMatrix:
-    """d x d matrix with one monomial entry per row and column.
-
-    Column j holds t^exps[j] in row rows[j]; these are exactly the images of
-    group elements under the (alpha x Phi)-twist, and they multiply without
-    densifying.
-    """
-
-    __slots__ = ("size", "rank", "rows", "exps")
-
-    def __init__(self, size, rank, rows, exps):
-        self.size = size
-        self.rank = rank
-        self.rows = tuple(rows)
-        self.exps = tuple(tuple(e) for e in exps)
-        if sorted(self.rows) != list(range(size)):
-            raise ValueError("not a permutation")
-
-    @classmethod
-    def identity(cls, size, rank):
-        zero = (0,) * rank
-        return cls(size, rank, range(size), [zero] * size)
-
-    def __mul__(self, other):
-        # (self * other) column j: other sends j -> (other.rows[j], b);
-        # self sends that row k -> (self.rows[k], a); exponents add.
-        rows = []
-        exps = []
-        for j in range(self.size):
-            k = other.rows[j]
-            rows.append(self.rows[k])
-            exps.append(tuple(a + b for a, b in zip(self.exps[k], other.exps[j])))
-        return MonomialMatrix(self.size, self.rank, rows, exps)
-
-    def inverse(self):
-        rows = [0] * self.size
-        exps = [None] * self.size
-        for j in range(self.size):
-            rows[self.rows[j]] = j
-            exps[self.rows[j]] = tuple(-e for e in self.exps[j])
-        return MonomialMatrix(self.size, self.rank, rows, exps)
-
-    def to_dense(self):
-        zero = LaurentPoly.zero(self.rank)
-        out = [[zero] * self.size for _ in range(self.size)]
-        for j in range(self.size):
-            out[self.rows[j]][j] = LaurentPoly.monomial(self.rank, self.exps[j])
-        return out
-
-
-def _generator_matrix(T, g):
-    img = T.alpha.images[g]
-    perm = T.alpha.regular_perm(img)
-    exp = T.phi.of_generator(g)
-    d = T.degree
-    # column x maps to row img*x with exponent Phi(g)
-    return MonomialMatrix(d, T.rank, [perm[x] for x in range(d)], [exp] * d)
-
-
-def twist_word_matrix(word, T):
-    """Image of a free-group word under the twist, as a MonomialMatrix."""
-    n = T.phi.presentation.ngens
-    out = MonomialMatrix.identity(T.degree, T.rank)
-    for g, s in word:
-        if not 0 <= g < n:
-            raise Incompatible(f"generator index {g} outside presentation")
-        m = _generator_matrix(T, g)
-        out = out * (m if s > 0 else m.inverse())
-    return out
-
-
 def twist_ring_map(x, T):
-    """Dense matrix over the Laurent ring for a word or group-ring element."""
-    if isinstance(x, tuple):
-        return twist_word_matrix(x, T).to_dense()
-    d = T.degree
+    """Dense matrix over the Laurent ring for a word or group-ring element.
+
+    The twist of a word w is left multiplication by alpha(w) on the regular
+    representation, times t^Phi(w): column y holds t^Phi(w) in row alpha(w) y.
+    """
+    n = T.phi.presentation.ngens
+    G = T.alpha.group
     zero = LaurentPoly.zero(T.rank)
-    out = [[zero] * d for _ in range(d)]
-    for w, c in x.terms.items():
-        m = twist_word_matrix(w, T)
-        for j in range(d):
-            i = m.rows[j]
-            out[i][j] = out[i][j] + LaurentPoly.monomial(T.rank, m.exps[j], c)
+    out = [[zero] * G.order for _ in range(G.order)]
+    for w, c in ({x: 1} if isinstance(x, tuple) else x.terms).items():
+        for g, _ in w:
+            if not 0 <= g < n:
+                raise Incompatible(f"generator index {g} outside presentation")
+        a = T.alpha.of_word(w)
+        mono = LaurentPoly.monomial(T.rank, T.phi.of_word(w), c)
+        for y in range(G.order):
+            i = G.mul(a, y)
+            out[i][y] = out[i][y] + mono
     return out
 
 
@@ -178,31 +117,26 @@ class TwistedPoly:
 def twisted_alexander(P, T, column=None):
     """The twisted Alexander polynomial of (P, alpha, Phi).
 
-    Deletes the first generator column j with det(twist(g_j) - I) != 0, takes
-    the gcd of the maximal minors of the remaining twisted Jacobian, and
-    divides by det(twist(g_j) - I)/ord(H_0); the result is independent of
-    the valid column up to units.  `column` forces a specific (valid) j.
+    Deletes generator column j, takes the gcd of the maximal minors of the
+    remaining twisted Jacobian, and divides by det(twist(g_j) - I)/ord(H_0);
+    the result is independent of the column up to units.  The column is
+    valid exactly when Phi(g_j) != 0 (the closed form in the module
+    docstring), so j is the first such generator; TwistData rejects a
+    trivial Phi, so one exists.  `column` forces a specific j and raises
+    NoValidColumn when it is out of range or Phi(g_j) = 0.
     """
     rank = T.rank
     d = T.degree
     n = P.ngens
-
-    def col_det(g):
-        # the twisted image of g - 1
-        g_minus_1 = GroupRingElement({((g, 1),): 1, (): -1})
-        return laurent_det(twist_ring_map(g_minus_1, T), rank)
-
     if column is None:
-        for j in range(n):
-            corr = col_det(j)
-            if not corr.is_zero():
-                break
-        else:
-            raise NoValidColumn("no generator with det(twist(g) - I) != 0")
-    else:
+        j = next(g for g in range(n) if any(T.phi.of_generator(g)))
+    elif 0 <= column < n and any(T.phi.of_generator(column)):
         j = column
-        if not 0 <= j < n or (corr := col_det(j)).is_zero():
-            raise NoValidColumn(f"column {j} is not valid")
+    else:
+        raise NoValidColumn(f"column {column} is not valid")
+    # the twisted image of g_j - 1
+    g_minus_1 = GroupRingElement({((j, 1),): 1, (): -1})
+    corr = laurent_det(twist_ring_map(g_minus_1, T), rank)
 
     jac = fox_jacobian(P)
     rows = []

@@ -163,6 +163,54 @@ def brute_epimorphism_count(P, G):
     return count
 
 
+# ---- twisted matrices as products of one matrix per letter ----
+
+def twist_by_letters(x, T):
+    """Dense twist of a word or group-ring element under alpha x Phi.
+
+    Each letter g^s is the d x d matrix sending basis vector y to
+    t^(s Phi(g)) times basis vector alpha(g)^s y, built from the group table
+    and Phi on generators alone; a word is the product of its letters'
+    matrices, multiplied densely.  Entries are {exponents: coefficient}
+    dicts until the result is converted to LaurentPoly.
+    """
+    G, rank = T.alpha.group, T.rank
+    d = G.order
+
+    def letter(g, s):
+        img = T.alpha.images[g] if s > 0 else G.inv(T.alpha.images[g])
+        exps = tuple(s * e for e in T.phi.of_generator(g))
+        m = [[{} for _ in range(d)] for _ in range(d)]
+        for y in range(d):
+            m[G.mul(img, y)][y] = {exps: 1}
+        return m
+
+    def matmul(A, B):
+        out = [[{} for _ in range(d)] for _ in range(d)]
+        for i, row in enumerate(A):
+            for k, a in enumerate(row):
+                if not a:
+                    continue
+                for j, b in enumerate(B[k]):
+                    for e1, c1 in a.items():
+                        for e2, c2 in b.items():
+                            e = tuple(u + v for u, v in zip(e1, e2))
+                            out[i][j][e] = out[i][j].get(e, 0) + c1 * c2
+        return out
+
+    total = [[{} for _ in range(d)] for _ in range(d)]
+    for w, c in ({x: 1} if isinstance(x, tuple) else x.terms).items():
+        m = [[{(0,) * rank: 1} if i == j else {} for j in range(d)]
+             for i in range(d)]
+        for g, s in w:
+            m = matmul(m, letter(g, s))
+        for i in range(d):
+            for j in range(d):
+                for e, v in m[i][j].items():
+                    total[i][j][e] = total[i][j].get(e, 0) + c * v
+    return [[LaurentPoly(rank, entry) for entry in row] for row in total]
+
+
 # ---- Clifford blade products by sorting the index word ----
 
 def blade_product(b1, b2):

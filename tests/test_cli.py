@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from twistalex.cli import main
@@ -156,6 +160,23 @@ def test_fibred_budget_zero_exit4(capsys):
     code, _, err = run(capsys, "fibred", FIXTURES / "na.pres",
                        "--phi", "fib", "--thurston", "0", "--budget", "0")
     assert code == 4
+
+
+def test_fibred_closed_stdout_exit1():
+    """A reader that closes the pipe early (`| head`) gets exit 1 and no
+    traceback."""
+    root = FIXTURES.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    read_end, write_end = os.pipe()
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "twistalex.cli", "fibred", "fixtures/na.pres",
+         "--phi", "fib", "--thurston", "0", "--budget", "6"],
+        cwd=root, env=env, stdout=write_end, stderr=subprocess.PIPE)
+    os.close(write_end)
+    os.close(read_end)
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1
+    assert err == b""
 
 
 def test_clifford_verify(capsys):
