@@ -175,7 +175,7 @@ def cmd_norms(args):
         raise CliError(EXIT_PRECONDITION, str(exc)) from None
     try:
         multi = multivariable_alexander(P)
-    except (NoValidColumn, UnsupportedRank) as exc:
+    except UnsupportedRank as exc:
         raise CliError(EXIT_IMPOSSIBLE, str(exc)) from None
     delta = multi.value.representative
     try:
@@ -198,7 +198,8 @@ def cmd_norms(args):
         f"degprop_ok={_bool(degprop_ok)}",
     ]
     if b1 > 1:
-        lines.append(f"norm_relation_ok={_bool(norm_relation_check(P, phi))}")
+        ok = norm_relation_check(single.value, delta, w, dv)
+        lines.append(f"norm_relation_ok={_bool(ok)}")
     return lines
 
 

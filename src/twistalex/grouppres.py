@@ -8,7 +8,7 @@ A word is a tuple of letters (generator_index, +-1).
 """
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import permutations, product
 from math import gcd
 
 from .exactalg import HomologyGroup, IntMatrix, smith_normal_form
@@ -399,11 +399,8 @@ def dihedral_group(n):
 def symmetric_group(n):
     if n > 4:
         raise ValueError("symmetric groups implemented for n <= 4")
-    perms = sorted(_permutations(tuple(range(n))))
-    # put the identity first
-    ident = tuple(range(n))
-    perms.remove(ident)
-    perms.insert(0, ident)
+    # lexicographic order, so the identity comes first
+    perms = list(permutations(range(n)))
     index = {p: i for i, p in enumerate(perms)}
 
     def mul(p, q):
@@ -412,16 +409,6 @@ def symmetric_group(n):
     return FiniteGroup(f"S{n}", [[index[mul(perms[x], perms[y])]
                                   for y in range(len(perms))]
                                  for x in range(len(perms))])
-
-
-def _permutations(items):
-    if len(items) <= 1:
-        return [tuple(items)]
-    out = []
-    for i in range(len(items)):
-        rest = items[:i] + items[i + 1:]
-        out.extend([(items[i],) + p for p in _permutations(rest)])
-    return out
 
 
 def group_from_spec(spec):

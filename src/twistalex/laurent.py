@@ -5,6 +5,12 @@ exponent vectors (length-r integer tuples) to nonzero integer coefficients.
 Unit normalization fixes the +-t^n ambiguity of Alexander-type invariants:
 the canonical representative of a class has minimum exponent 0 in every
 variable and positive coefficient on its lexicographically greatest term.
+
+Single-variable work also has a dense form, the coefficient arrays of
+Z[t]: this module holds their one set of helpers (arithmetic, content and
+primitive part, exact division, evaluation, conversion to and from
+LaurentPoly, and the pseudo-remainder row operation), which the rank-1 gcd
+here and the eliminations in polymat share.
 """
 
 from dataclasses import dataclass
@@ -115,12 +121,6 @@ class LaurentPoly:
 
     def coeff(self, exps):
         return self.terms.get(tuple(exps), 0)
-
-    def content(self):
-        g = 0
-        for c in self.terms.values():
-            g = gcd(g, c)
-        return g
 
     def min_exp(self, i):
         return min(e[i] for e in self.terms)
@@ -276,70 +276,155 @@ def divides(g, f):
     return div_exact(f, g) is not None
 
 
-# ---- gcd ---------------------------------------------------------------
+# ---- coefficient arrays ------------------------------------------------
+#
+# An element of Z[t] as a list of ints, lowest degree first; [] is zero and
+# a nonzero array ends in a nonzero entry.  The single-variable gcd below and
+# every elimination in polymat run on arrays; LaurentPoly values cross over
+# through _to_array and _arr_to_poly.
 
-def _as_univar(p):
-    """Coefficient list and offset for a rank-1 polynomial."""
-    lo = p.min_exp(0)
-    hi = p.max_exp(0)
-    coeffs = [0] * (hi - lo + 1)
-    for (e,), c in p.terms.items():
-        coeffs[e - lo] = c
-    return coeffs, lo
+def _to_array(p, lo):
+    """The array of t^-lo * p, for a rank-1 p with no exponent below lo."""
+    if not p.terms:
+        return []
+    a = [0] * (max(p.terms)[0] - lo + 1)
+    for (k,), c in p.terms.items():
+        a[k - lo] = c
+    return a
 
 
-def _from_univar(coeffs, lo=0):
-    return LaurentPoly(1, {(lo + i,): c for i, c in enumerate(coeffs) if c})
+def _arr_to_poly(a, lo=0):
+    """The rank-1 LaurentPoly t^lo * a."""
+    return LaurentPoly(1, {(lo + i,): c for i, c in enumerate(a) if c})
+
+
+def _trim(a):
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _sub(a, b):
+    n = max(len(a), len(b))
+    return _trim([(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)
+                  for i in range(n)])
+
+
+def _mul(a, b):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _trim(out)
+
+
+def _scale(a, c):
+    return [] if c == 0 else [c * x for x in a]
 
 
 def _int_poly_content(a):
-    g = 0
-    for c in a:
-        g = gcd(g, c)
-    return g
+    return gcd(*a)
 
 
-def _int_poly_primitive(a):
+def _prim(a):
+    """Primitive part with a positive leading coefficient; [] for []."""
+    if not a:
+        return []
     g = _int_poly_content(a)
-    return [c // g for c in a] if g > 1 else list(a)
+    return [c // g for c in a] if a[-1] > 0 else [c // -g for c in a]
 
+
+def _divexact(a, b):
+    """a / b in Z[t], or None when not exactly divisible."""
+    if not b:
+        return None
+    if not a:
+        return []
+    if len(a) < len(b):
+        return None
+    r = list(a)
+    q = [0] * (len(a) - len(b) + 1)
+    lb = b[-1]
+    while r and len(r) >= len(b):
+        if r[-1] % lb:
+            return None
+        c = r[-1] // lb
+        off = len(r) - len(b)
+        q[off] = c
+        for i, y in enumerate(b):
+            r[off + i] -= c * y
+        _trim(r)
+    return q if not r else None
+
+
+def _eval(a, x):
+    v = 0
+    for c in reversed(a):
+        v = v * x + c
+    return v
+
+
+def _pseudo_reduce(row, base, c):
+    """Reduce row[c] to degree below base[c] by row operations.
+
+    A row is a list of arrays.  Each step scales the row by the least integer
+    that makes its leading coefficient in column c divisible by that of
+    base[c], lb // gcd(lead, lb), then subtracts q t^k times base to cancel
+    the leading term.  Returns the new row.
+    """
+    b = base[c]
+    lb = b[-1]
+    while row[c] and len(row[c]) >= len(b):
+        s = lb // gcd(row[c][-1], lb)
+        if s != 1:
+            row = [_scale(e, s) for e in row]
+        a = row[c]
+        qk = [0] * (len(a) - len(b)) + [a[-1] // lb]
+        row = [_sub(e, _mul(qk, f)) for e, f in zip(row, base)]
+    return row
+
+
+def _strip_content(row, p=None):
+    """Divide a row of arrays, in place, by its integer content, or with p
+    given by the part of the content prime to p."""
+    g = 0
+    for e in row:
+        for c in e:
+            g = gcd(g, c)
+            if g == 1:
+                return row
+    if p is not None:
+        while g > 1 and g % p == 0:
+            g //= p
+    if g > 1:
+        for e in row:
+            for i in range(len(e)):
+                e[i] //= g
+    return row
+
+
+# ---- gcd ---------------------------------------------------------------
 
 def _int_poly_gcd(a, b):
-    """Gcd in Z[t] of coefficient lists, by the primitive Euclid algorithm."""
-    a = [c for c in a]
-    b = [c for c in b]
-    while a and a[-1] == 0:
-        a.pop()
-    while b and b[-1] == 0:
-        b.pop()
-    if not a:
-        return b
-    if not b:
-        return a
-    ca, cb = _int_poly_content(a), _int_poly_content(b)
-    a, b = _int_poly_primitive(a), _int_poly_primitive(b)
+    """Gcd in Z[t] of two arrays, with a positive leading coefficient.
+
+    Primitive Euclid: the gcd of the contents times the primitive gcd, whose
+    remainders come from _pseudo_reduce on one-entry rows.
+    """
+    a, b = _trim(list(a)), _trim(list(b))
+    if not a or not b:
+        g = a or b
+        return _scale(g, -1) if g and g[-1] < 0 else g
+    content = gcd(_int_poly_content(a), _int_poly_content(b))
+    a, b = _prim(a), _prim(b)
     while b:
         if len(a) < len(b):
             a, b = b, a
-            continue
-        # pseudo-remainder of a by b, scaling only as much as exactness needs
-        r = list(a)
-        lb = b[-1]
-        while r and len(r) >= len(b):
-            scale = lb // gcd(r[-1], lb)
-            if scale != 1:
-                r = [c * scale for c in r]
-            q = r[-1] // lb
-            off = len(r) - len(b)
-            for i, c in enumerate(b):
-                r[off + i] -= q * c
-            while r and r[-1] == 0:
-                r.pop()
-        a, b = b, _int_poly_primitive(r) if r else []
-    g = _int_poly_primitive(a)
-    if g[-1] < 0:
-        g = [-c for c in g]
-    return [c * gcd(ca, cb) for c in g]
+        a, b = b, _prim(_pseudo_reduce([a], [b], 0)[0])
+    return _scale(a, content)
 
 
 def _split_last(p):
@@ -377,9 +462,8 @@ def _gcd_poly(a, b):
     if a.rank == 0:
         return LaurentPoly.const(0, gcd(a.coeff(()), b.coeff(())))
     if a.rank == 1:
-        ca, _ = _as_univar(a)
-        cb, _ = _as_univar(b)
-        return _from_univar(_int_poly_gcd(ca, cb))
+        return _arr_to_poly(_int_poly_gcd(_to_array(a, a.min_exp(0)),
+                                          _to_array(b, b.min_exp(0))))
     # recurse on the last variable: gcd = gcd(contents) * gcd(primitive parts)
     pa, pb = _split_last(a), _split_last(b)
     cont_a = _gcd_many(a.rank - 1, pa.values())

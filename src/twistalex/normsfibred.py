@@ -12,14 +12,12 @@ from dataclasses import dataclass, replace
 from itertools import chain
 from math import gcd
 
-from .grouppres import (ClassMap, abelianize, dihedral_group, cyclic_group,
-                        enumerate_epimorphisms, pullback_class,
-                        reidemeister_schreier, symmetric_group, trivial_group,
-                        FiniteQuotient)
+from .grouppres import (dihedral_group, cyclic_group, enumerate_epimorphisms,
+                        pullback_class, reidemeister_schreier, symmetric_group,
+                        trivial_group, FiniteQuotient)
 from .laurent import (MINUS_INFINITY, LaurentPoly, RankMismatch, UnitClass,
                       laurent_degree, is_monic, specialize)
-from .twistedalex import TwistData, trivial_twist, twisted_alexander, \
-    multivariable_alexander
+from .twistedalex import TwistData, twisted_alexander
 
 
 class ZeroClass(ValueError):
@@ -81,18 +79,17 @@ def mcmullen_check(delta, weights, thurston_norm, b1):
                       mcmullen_ok=a <= thurston_norm + slack)
 
 
-def norm_relation_check(P, phi):
-    """Delta_{Y,Phi} = (t^div - 1)^2 * Phi(Delta_Y), for b_1 > 1."""
-    ab = abelianize(P)
-    if ab.free_rank <= 1:
+def norm_relation_check(delta, delta_multi, weights, div):
+    """Delta_{Y,Phi} = (t^div - 1)^2 * Phi(Delta_Y), for b_1 > 1.
+
+    delta is the single-variable polynomial of Phi (a UnitClass), delta_multi
+    the multivariable one over Z[H], weights the values of Phi on a basis of
+    H = Z^{b_1} and div the divisibility of Phi.
+    """
+    if len(weights) <= 1:
         raise ValueError("norm relation needs b_1 > 1")
-    lhs = twisted_alexander(P, trivial_twist(P, phi)).value
-    dv = class_divisibility(phi)
-    delta_multi = multivariable_alexander(P).value.representative
-    w = phi.h_weights(ab)
-    factor = (LaurentPoly.monomial(1, (dv,)) - LaurentPoly.one(1)) ** 2
-    rhs = UnitClass(factor * specialize(delta_multi, w))
-    return lhs == rhs
+    factor = (LaurentPoly.monomial(1, (div,)) - LaurentPoly.one(1)) ** 2
+    return delta == UnitClass(factor * specialize(delta_multi, weights))
 
 
 def degree_case_analysis(delta):

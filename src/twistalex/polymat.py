@@ -7,95 +7,23 @@ single-variable matrices use unimodular row reduction over the PID Q[t]
 that can divide the integer content come from integer evaluations: Bareiss
 elimination of the integer matrices M(2), M(3), ...; a Gauss-valuation
 elimination per candidate prime gives its exact exponent.
-Everything here works with plain coefficient arrays for speed; LaurentPoly
-values cross the boundary only on the way in and out.
+Everything here works with the Z[t] coefficient arrays of the laurent
+module, which defines their arithmetic; LaurentPoly values cross the
+boundary only on the way in and out.
 """
 
 from itertools import combinations
 from math import comb, gcd, isqrt
 
 from .laurent import (LaurentPoly, UnsupportedRank, div_exact, lp_gcd_many,
-                      _int_poly_content, _int_poly_gcd, normalize_unit)
+                      normalize_unit, _arr_to_poly, _divexact, _eval,
+                      _int_poly_content, _int_poly_gcd, _mul, _prim,
+                      _pseudo_reduce, _scale, _strip_content, _sub, _to_array)
 
 ENUM_BOUND = 400
 
 
-# ---- coefficient arrays: list of ints, lowest degree first, [] is zero ----
-
-def _trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _sub(a, b):
-    n = max(len(a), len(b))
-    return _trim([(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)
-                  for i in range(n)])
-
-
-def _mul(a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _trim(out)
-
-
-def _scale(a, c):
-    return [] if c == 0 else [c * x for x in a]
-
-
-def _divexact(a, b):
-    """a / b in Z[t], or None when not exactly divisible."""
-    if not b:
-        return None
-    if not a:
-        return []
-    if len(a) < len(b):
-        return None
-    r = list(a)
-    q = [0] * (len(a) - len(b) + 1)
-    lb = b[-1]
-    while r and len(r) >= len(b):
-        if r[-1] % lb:
-            return None
-        c = r[-1] // lb
-        off = len(r) - len(b)
-        q[off] = c
-        for i, y in enumerate(b):
-            r[off + i] -= c * y
-        _trim(r)
-    return q if not r else None
-
-
-def _prim_pos(a):
-    """Primitive part with positive leading coefficient."""
-    if not a:
-        return []
-    g = _int_poly_content(a)
-    a = [c // g for c in a]
-    if a[-1] < 0:
-        a = [-c for c in a]
-    return a
-
-
-def _strip_row_content(row):
-    g = 0
-    for e in row:
-        for c in e:
-            g = gcd(g, c)
-            if g == 1:
-                return row
-    if g > 1:
-        for e in row:
-            for i in range(len(e)):
-                e[i] //= g
-    return row
-
+# ---- fraction-free elimination ------------------------------------------
 
 def _bareiss(a, k, zero, one, step):
     """Fraction-free (Bareiss) elimination of an m x k matrix, rows pivoted.
@@ -147,21 +75,8 @@ def _rows_to_arrays(M):
     Each row is multiplied by a power of t (a unit), which scales all maximal
     minors by a common unit and is therefore harmless for gcd purposes.
     """
-    out = []
-    for row in M:
-        shift = _row_shift(row)
-        arrs = []
-        for e in row:
-            a = [] if e.is_zero() else [0] * (e.max_exp(0) - shift + 1)
-            for (k,), c in e.terms.items():
-                a[k - shift] = c
-            arrs.append(_trim(a))
-        out.append(arrs)
-    return out
-
-
-def _arr_to_poly(a):
-    return LaurentPoly(1, {(i,): c for i, c in enumerate(a) if c})
+    return [[_to_array(e, lo) for e in row]
+            for row, lo in zip(M, map(_row_shift, M))]
 
 
 # ---- general determinant -------------------------------------------------
@@ -176,8 +91,8 @@ def _laurent_step(p, f, xs, ys, prev):
 def laurent_det(M, rank):
     """Exact determinant of a square matrix of LaurentPoly entries."""
     if rank == 1:
-        d = _bareiss_det(_rows_to_arrays(M))
-        return _arr_to_poly(d).shift((sum(map(_row_shift, M)),))
+        return _arr_to_poly(_bareiss_det(_rows_to_arrays(M)),
+                            sum(map(_row_shift, M)))
     zero = LaurentPoly.zero(rank)
     found = _bareiss([list(r) for r in M], len(M), zero, LaurentPoly.one(rank),
                      _laurent_step)
@@ -253,26 +168,12 @@ def _prime_factors(n):
 # ---- maximal-minor gcd ----------------------------------------------------
 
 def _enum_minor_gcd_arrays(rows, k):
-    m = len(rows)
     g = []
-    for subset in combinations(range(m), k):
-        d = _bareiss_det([rows[i] for i in subset])
-        if d:
-            g = _int_poly_gcd(g, d) if g else _prim_like(d)
-            if len(g) == 1 and abs(g[0]) == 1:
-                break
+    for subset in combinations(range(len(rows)), k):
+        g = _int_poly_gcd(g, _bareiss_det([rows[i] for i in subset]))
+        if g == [1]:
+            break
     return g
-
-
-def _prim_like(a):
-    return [-c for c in a] if a and a[-1] < 0 else list(a)
-
-
-def _eval(a, x):
-    v = 0
-    for c in reversed(a):
-        v = v * x + c
-    return v
 
 
 def _evaluations(rows, k):
@@ -334,55 +235,25 @@ def _hermite_qpart(rows, k):
             if len(nz) == 1:
                 break
             nz.sort(key=lambda i: len(work[i][c]))
-            base = nz[0]
-            b = work[base][c]
-            lb = b[-1]
+            base = work[nz[0]]
             for j in nz[1:]:
-                # pseudo-division of entry (j,c) by entry (base,c) via row ops
-                while work[j][c] and len(work[j][c]) >= len(b):
-                    a = work[j][c]
-                    s = lb // gcd(a[-1], lb)
-                    if s != 1:
-                        work[j] = [_scale(e, s) for e in work[j]]
-                        a = work[j][c]
-                    q = a[-1] // lb
-                    off = len(a) - len(b)
-                    qpoly = [0] * off + [q]
-                    work[j] = [_sub(e, _mul(qpoly, work[base][ci]))
-                               for ci, e in enumerate(work[j])]
-                _strip_row_content(work[j])
+                work[j] = _strip_content(_pseudo_reduce(work[j], base, c))
         piv = next(i for i in active if work[i][c])
         pivots.append(work[piv][c])
         active.remove(piv)
     prod = [1]
     for p in pivots:
         prod = _mul(prod, p)
-    return _prim_pos(prod)
+    return _prim(prod)
 
 
-def _val_p(e, p):
-    """Gauss valuation of a nonzero array: min p-adic valuation over the
-    coefficients."""
+def _val_p(n, p):
+    """p-adic valuation of a nonzero integer."""
     v = 0
-    while all(c % p == 0 for c in e):
-        e = [c // p for c in e]
+    while n % p == 0:
+        n //= p
         v += 1
     return v
-
-
-def _strip_pfree_content(row, p):
-    g = 0
-    for e in row:
-        for c in e:
-            g = gcd(g, c)
-    if g <= 1:
-        return
-    while g % p == 0:
-        g //= p
-    if g > 1:
-        for e in row:
-            for i in range(len(e)):
-                e[i] //= g
 
 
 def _gauss_valuation_sum(rows, k, p):
@@ -399,7 +270,8 @@ def _gauss_valuation_sum(rows, k, p):
         pval = None
         for i in active:
             if work[i][c]:
-                v = _val_p(work[i][c], p)
+                # the Gauss valuation: that of the content
+                v = _val_p(_int_poly_content(work[i][c]), p)
                 if pval is None or v < pval:
                     pval = v
                     piv = i
@@ -414,7 +286,7 @@ def _gauss_valuation_sum(rows, k, p):
             mu = [x // ps for x in work[j][c]]
             work[j] = [_sub(_mul(e, ctilde), _mul(mu, work[piv][ci]))
                        for ci, e in enumerate(work[j])]
-            _strip_pfree_content(work[j], p)
+            _strip_content(work[j], p)
         active.remove(piv)
     return total
 
@@ -428,8 +300,7 @@ def _max_minor_gcd_1var(rows, k):
     pivot_rows = [rows[i] for i in _independent_rows(rows, k)]
     content = 1
     for p in _prime_factors(_content_multiple(pivot_rows, qpart)):
-        w = _gauss_valuation_sum(rows, k, p)
-        content *= p ** w
+        content *= p ** _gauss_valuation_sum(rows, k, p)
     return _scale(qpart, content)
 
 

@@ -199,10 +199,10 @@ def test_criterion_06_norm_relation_and_degprop(capsys):
         phi = ClassMap(P, images)
         ab = abelianize(P)
         assert ab.free_rank >= 2
-        ok &= norm_relation_check(P, phi)
         delta = multivariable_alexander(P).value.representative
         w = phi.h_weights(ab)
         tw = twisted_alexander(P, trivial_twist(P, phi))
+        ok &= norm_relation_check(tw.value, delta, w, class_divisibility(phi))
         deg = laurent_degree(tw.value.representative)
         bound = alexander_norm(delta, w) + 2 * class_divisibility(phi)
         ok &= deg <= bound

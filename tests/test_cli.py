@@ -140,6 +140,16 @@ def test_norms(capsys):
     assert "norm_relation_ok=true" in out
 
 
+def test_norms_b1_over_3_exit4(capsys, tmp_path):
+    wide = tmp_path / "wide.pres"
+    wide.write_text("presentation\ngenerators: a b c d\nrelator: [a,b]\n")
+    code, out, err = run(capsys, "norms", wide, "--phi", "1,0,0,0",
+                         "--thurston", "0")
+    assert code == 4
+    assert out == ""
+    assert err == "error: b_1 = 4 > 3\n"
+
+
 def test_fibred(capsys):
     code, out, _ = run(capsys, "fibred", FIXTURES / "na.pres",
                        "--phi", "fib", "--thurston", "0", "--budget", "3")

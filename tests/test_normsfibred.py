@@ -15,6 +15,8 @@ from twistalex.normsfibred import (BudgetZero, NormReport, ZeroClass,
 from twistalex.twistedalex import multivariable_alexander, trivial_twist, \
     twisted_alexander
 
+from conftest import norm_relation_inputs
+
 
 def na_presentation():
     return Presentation.from_text(
@@ -85,18 +87,24 @@ def test_mcmullen_input_validation():
 
 def test_norm_relation_on_closed_fixtures():
     P = na_presentation()
-    assert norm_relation_check(P, ClassMap(P, [(0,), (0,), (1,)]))
-    assert norm_relation_check(P, ClassMap(P, [(0,), (0,), (2,)]))
-    assert norm_relation_check(P, ClassMap(P, [(0,), (1,), (0,)]))
+    assert norm_relation_check(
+        *norm_relation_inputs(P, ClassMap(P, [(0,), (0,), (1,)])))
+    assert norm_relation_check(
+        *norm_relation_inputs(P, ClassMap(P, [(0,), (0,), (2,)])))
+    assert norm_relation_check(
+        *norm_relation_inputs(P, ClassMap(P, [(0,), (1,), (0,)])))
     T3 = t3_presentation()
-    assert norm_relation_check(T3, ClassMap(T3, [(1,), (0,), (0,)]))
-    assert norm_relation_check(T3, ClassMap(T3, [(2,), (3,), (0,)]))
+    assert norm_relation_check(
+        *norm_relation_inputs(T3, ClassMap(T3, [(1,), (0,), (0,)])))
+    assert norm_relation_check(
+        *norm_relation_inputs(T3, ClassMap(T3, [(2,), (3,), (0,)])))
 
 
 def test_norm_relation_needs_b1_at_least_two():
     tre = Presentation.from_text(["x", "y"], ["x y x y^-1 x^-1 y^-1"])
     with pytest.raises(ValueError):
-        norm_relation_check(tre, ClassMap(tre, [(1,), (1,)]))
+        norm_relation_check(
+            *norm_relation_inputs(tre, ClassMap(tre, [(1,), (1,)])))
 
 
 def test_norm_relation_bounded_manifold_single_factor():
@@ -107,7 +115,7 @@ def test_norm_relation_bounded_manifold_single_factor():
     """
     P = Presentation.from_text(["a", "b"], ["[a,b]"])
     phi = ClassMap(P, [(1,), (0,)])
-    assert not norm_relation_check(P, phi)
+    assert not norm_relation_check(*norm_relation_inputs(P, phi))
     tw = twisted_alexander(P, trivial_twist(P, phi))
     t = LaurentPoly.var(1)
     assert tw.value == UnitClass(t - LaurentPoly.one(1))

@@ -6,7 +6,8 @@ import pytest
 from twistalex import polymat, twistedalex
 from twistalex.docio import parse_document
 from twistalex.grouppres import cyclic_group, enumerate_epimorphisms
-from twistalex.laurent import LaurentPoly, UnitClass, normalize_unit
+from twistalex.laurent import (LaurentPoly, UnitClass, normalize_unit,
+                               _int_poly_gcd, _mul, _trim)
 from twistalex.polymat import (_content_multiple, _enum_minor_gcd_arrays,
                                _gauss_valuation_sum, _hermite_qpart,
                                _independent_rows,
@@ -131,6 +132,32 @@ def test_multivariable_minor_gcd():
                               for _ in range(rng.randint(0, 2))})
               for _ in range(k)] for _ in range(m)]
         assert UnitClass(max_minor_gcd(M, 2)) == brute_minor_gcd(M, 2)
+
+
+def test_int_poly_gcd_against_sympy():
+    # exact agreement, sign and content included, with sympy's gcd over ZZ[t]
+    sympy = pytest.importorskip("sympy")
+    t = sympy.symbols("t")
+    cyclotomic = ([-1, 1], [1, 1], [1, 1, 1], [1, 0, 1], [1, 1, 1, 1, 1],
+                  [1, -1, 1])
+
+    def random_array(rng):
+        return _trim([rng.randint(-5, 5) for _ in range(rng.randint(0, 4))])
+
+    def sympy_gcd(a, b):
+        g = sympy.gcd(sympy.Poly(a[::-1] or [0], t, domain="ZZ"),
+                      sympy.Poly(b[::-1] or [0], t, domain="ZZ"))
+        return [] if g.is_zero else [int(c) for c in g.all_coeffs()[::-1]]
+
+    rng = random.Random(71)
+    for trial in range(200):
+        common = [rng.choice((1, -1)) * rng.choice((1, 2, 3, 6))]
+        for _ in range(rng.randint(0, 2)):
+            common = _mul(common, rng.choice(cyclotomic))
+        a = [] if trial % 10 == 0 else _mul(common, random_array(rng))
+        b = _mul(common, random_array(rng))
+        assert _int_poly_gcd(a, b) == sympy_gcd(a, b)
+        assert _int_poly_gcd(b, a) == sympy_gcd(a, b)
 
 
 def test_prime_factors():
