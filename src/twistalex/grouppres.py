@@ -8,7 +8,7 @@ A word is a tuple of letters (generator_index, +-1).
 """
 
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import permutations
 from math import gcd
 
 from .exactalg import HomologyGroup, IntMatrix, smith_normal_form
@@ -485,6 +485,40 @@ class FiniteQuotient:
         return f"FiniteQuotient({self.group.label}, images={self.images})"
 
 
+def _relator_solutions(P, G):
+    """Generator image tuples that kill every relator, in lexicographic order.
+
+    Backtracking: images are assigned one generator at a time, lowest value
+    first, and a relator is checked as soon as its highest generator has an
+    image, so a failing prefix is never extended.
+    """
+    n, table, inv = P.ngens, G.table, G.inverse
+    due = [[] for _ in range(n)]
+    for r in P.relators:
+        if r:
+            due[max(g for g, _ in r)].append(r)
+    images = [-1] * n
+
+    def kills(r):
+        x = 0
+        for g, s in r:
+            x = table[x][images[g] if s > 0 else inv[images[g]]]
+        return x == 0
+
+    i = 0
+    while i >= 0:
+        if i == n:
+            yield tuple(images)
+            i -= 1
+            continue
+        images[i] += 1
+        if images[i] == G.order:
+            images[i] = -1
+            i -= 1
+        elif all(map(kills, due[i])):
+            i += 1
+
+
 def enumerate_epimorphisms(P, G, bound=12, dedup_auto=False):
     """All surjections pi_1(P) -> G, in lexicographic image order.
 
@@ -495,18 +529,7 @@ def enumerate_epimorphisms(P, G, bound=12, dedup_auto=False):
         raise BoundExceeded(f"|G| = {G.order} exceeds bound {bound}")
     out = []
     seen_keys = set()
-    for images in product(range(G.order), repeat=P.ngens):
-        ok = True
-        for r in P.relators:
-            x = 0
-            for g, s in r:
-                y = images[g] if s > 0 else G.inv(images[g])
-                x = G.mul(x, y)
-            if x != 0:
-                ok = False
-                break
-        if not ok:
-            continue
+    for images in _relator_solutions(P, G):
         try:
             q = FiniteQuotient(P, G, images)
         except InvalidQuotient:

@@ -368,22 +368,34 @@ def _eval(a, x):
 
 
 def _pseudo_reduce(row, base, c):
-    """Reduce row[c] to degree below base[c] by row operations.
+    """Reduce row[c] to degree below base[c] by row operations, in place.
 
-    A row is a list of arrays.  Each step scales the row by the least integer
+    A row is a list of arrays.  The caller owns `row`: its arrays are
+    updated in place (none may be shared with `base` or another live row),
+    and `base` is only read.  Each step scales the row by the least integer
     that makes its leading coefficient in column c divisible by that of
     base[c], lb // gcd(lead, lb), then subtracts q t^k times base to cancel
-    the leading term.  Returns the new row.
+    the leading term, in the columns where base is nonzero only.  Returns
+    `row`.
     """
     b = base[c]
     lb = b[-1]
-    while row[c] and len(row[c]) >= len(b):
-        s = lb // gcd(row[c][-1], lb)
+    a = row[c]
+    cols = [(e, f) for e, f in zip(row, base) if f]
+    while a and len(a) >= len(b):
+        s = lb // gcd(a[-1], lb)
         if s != 1:
-            row = [_scale(e, s) for e in row]
-        a = row[c]
-        qk = [0] * (len(a) - len(b)) + [a[-1] // lb]
-        row = [_sub(e, _mul(qk, f)) for e, f in zip(row, base)]
+            for e in row:
+                for i in range(len(e)):
+                    e[i] *= s
+        q, k = a[-1] // lb, len(a) - len(b)
+        for e, f in cols:
+            if len(e) < k + len(f):
+                e.extend([0] * (k + len(f) - len(e)))
+            for i, x in enumerate(f, k):
+                if x:
+                    e[i] -= q * x
+            _trim(e)
     return row
 
 

@@ -55,7 +55,7 @@ def _bareiss_det(rows):
     found = _bareiss([list(r) for r in rows], len(rows), [], [1],
                      lambda p, f, xs, ys, prev:
                      [_divexact(_sub(_mul(x, p), _mul(f, y)), prev)
-                      for x, y in zip(xs, ys)])
+                      if x or y else [] for x, y in zip(xs, ys)])
     if found is None:
         return []
     _, odd, d = found
@@ -284,8 +284,8 @@ def _gauss_valuation_sum(rows, k, p):
             if j == piv or not work[j][c]:
                 continue
             mu = [x // ps for x in work[j][c]]
-            work[j] = [_sub(_mul(e, ctilde), _mul(mu, work[piv][ci]))
-                       for ci, e in enumerate(work[j])]
+            work[j] = [_sub(_mul(e, ctilde), _mul(mu, f))
+                       for e, f in zip(work[j], work[piv])]
             _strip_content(work[j], p)
         active.remove(piv)
     return total

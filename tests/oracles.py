@@ -7,7 +7,7 @@ minor-gcd engine or Smith normal form.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 
 from twistalex.laurent import LaurentPoly, UnitClass, lp_gcd
@@ -43,6 +43,34 @@ def brute_minor_gcd(M, rank):
         d = cofactor_det([M[i] for i in rows], rank)
         acc = lp_gcd(acc, d).representative
     return UnitClass(acc)
+
+
+# ---- the pseudo-remainder row operation, dense ----
+
+def dense_pseudo_reduce(row, base, c):
+    """Reduce row[c] below the degree of base[c], building a new row.
+
+    The same steps as the library's row operation: scale the whole row by
+    lb // gcd(lead, lb), then subtract q t^k base over every column.  Rows
+    are lists of Z[t] arrays, lowest degree first, [] for zero.
+    """
+    def minus(e, f, q, k):
+        n = max(len(e), k + len(f))
+        out = [(e[i] if i < len(e) else 0)
+               - (q * f[i - k] if 0 <= i - k < len(f) else 0)
+               for i in range(n)]
+        while out and out[-1] == 0:
+            out.pop()
+        return out
+
+    b = base[c]
+    lb = b[-1]
+    while row[c] and len(row[c]) >= len(b):
+        s = lb // gcd(row[c][-1], lb)
+        row = [[s * x for x in e] for e in row]
+        q, k = row[c][-1] // lb, len(row[c]) - len(b)
+        row = [minus(e, f, q, k) for e, f in zip(row, base)]
+    return row
 
 
 # ---- classical Alexander polynomial formulas ----
@@ -133,11 +161,47 @@ def brute_homology(cells_k, d_k_rows, d_k1_rows):
     return free, tuple(torsion)
 
 
-# ---- epimorphism counting by direct search ----
+# ---- epimorphisms by direct search ----
 
-def brute_epimorphism_count(P, G):
-    from itertools import product as iproduct
+def _closure(one, gens, mul, inv):
+    """The subgroup generated by gens, by closure under products."""
+    seen = {one}
+    frontier = [one]
+    while frontier:
+        x = frontier.pop()
+        for e in gens:
+            for y in (mul(x, e), mul(x, inv(e))):
+                if y not in seen:
+                    seen.add(y)
+                    frontier.append(y)
+    return seen
 
+
+def _same_kernel(G, a, b):
+    """Whether the epimorphisms with images a and b have one kernel.
+
+    The pairs (a_i, b_i) generate the image of pi in G x G.  Its first
+    projection is onto, so it is the graph of a map G -> G, that is
+    ker a <= ker b (and the indices agree), exactly when no element of G
+    meets two partners.
+    """
+    partner = {0: 0}
+    frontier = [0]
+    while frontier:
+        x = frontier.pop()
+        for e, f in zip(a, b):
+            y, z = G.mul(x, e), G.mul(partner[x], f)
+            if y not in partner:
+                partner[y] = z
+                frontier.append(y)
+            elif partner[y] != z:
+                return False
+    return True
+
+
+def brute_epimorphisms(P, G):
+    """Image tuples of all surjections pi_1(P) -> G, in itertools.product
+    order."""
     def ev(word, images):
         x = 0
         for g, s in word:
@@ -145,22 +209,19 @@ def brute_epimorphism_count(P, G):
             x = G.mul(x, y)
         return x
 
-    count = 0
-    for images in iproduct(range(G.order), repeat=P.ngens):
-        if any(ev(r, images) != 0 for r in P.relators):
-            continue
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            x = frontier.pop()
-            for e in images:
-                for y in (G.mul(x, e), G.mul(x, G.inv(e))):
-                    if y not in seen:
-                        seen.add(y)
-                        frontier.append(y)
-        if len(seen) == G.order:
-            count += 1
-    return count
+    return [images
+            for images in product(range(G.order), repeat=P.ngens)
+            if all(ev(r, images) == 0 for r in P.relators)
+            and len(_closure(0, images, G.mul, G.inv)) == G.order]
+
+
+def first_of_each_kernel(G, epis):
+    """The image tuples in epis whose kernel no earlier one has."""
+    out = []
+    for images in epis:
+        if not any(_same_kernel(G, kept, images) for kept in out):
+            out.append(images)
+    return out
 
 
 # ---- twisted matrices as products of one matrix per letter ----

@@ -7,17 +7,14 @@ lines while running).
 import random
 import time
 
-import pytest
-
 from twistalex.cli import main
 from twistalex.exactalg import ExactSequenceData, IntMatrix, MapData, \
     exact_sequence_solve, smith_normal_form
 from twistalex.grouppres import (ClassMap, GroupRingElement, Presentation,
                                  abelianize, enumerate_epimorphisms,
-                                 fox_derivative, free_reduce, parse_word,
+                                 fox_derivative, free_reduce,
                                  pullback_class, reidemeister_schreier)
-from twistalex.laurent import (LaurentPoly, UnitClass, is_monic,
-                               laurent_degree, normalize_unit)
+from twistalex.laurent import LaurentPoly, laurent_degree, normalize_unit
 from twistalex.normsfibred import (alexander_norm, class_divisibility,
                                    fibred_certificate, group_catalog,
                                    norm_relation_check)

@@ -4,17 +4,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twistalex.docio import parse_document
 from twistalex.grouppres import (ClassMap, FiniteQuotient, GroupRingElement,
                                  InvalidQuotient, Presentation, abelianize,
-                                 cyclic_group, dihedral_group,
-                                 enumerate_epimorphisms, fox_derivative,
-                                 fox_jacobian, free_reduce, group_from_spec,
-                                 MAX_WORD_LETTERS, parse_word, pullback_class,
-                                 reidemeister_schreier, render_word,
-                                 symmetric_group, trivial_group, word_inverse,
-                                 word_mul)
+                                 cyclic_group, enumerate_epimorphisms,
+                                 fox_derivative, fox_jacobian, free_reduce,
+                                 group_from_spec, MAX_WORD_LETTERS, parse_word,
+                                 pullback_class, reidemeister_schreier,
+                                 render_word, symmetric_group, trivial_group,
+                                 word_inverse, word_mul)
+from twistalex.normsfibred import group_catalog
 
-from oracles import brute_epimorphism_count
+from conftest import FIXTURES, fixture_text
+from oracles import brute_epimorphisms, first_of_each_kernel
 
 
 def na_presentation():
@@ -130,14 +132,18 @@ def test_enumerate_epimorphisms_examples():
 
 
 def test_enumerate_epimorphisms_against_brute_force():
-    groups = [cyclic_group(2), cyclic_group(3), cyclic_group(4),
-              cyclic_group(5), cyclic_group(6), dihedral_group(2),
-              dihedral_group(3), symmetric_group(3)]
-    for P in (na_presentation(),
-              Presentation.from_text(["x", "y"], ["x y x y^-1 x^-1 y^-1"])):
-        for G in groups:
-            assert (len(enumerate_epimorphisms(P, G))
-                    == brute_epimorphism_count(P, G))
+    # every catalog group of order <= 8 (m.pres has 8 generators, so 8^8
+    # tuples per order-8 group in the oracle: <= 5 there), and S3, whose
+    # element labels differ from D3's
+    for path in sorted(FIXTURES.glob("*.pres")):
+        _, (P, _) = parse_document(fixture_text(path.name))
+        groups = group_catalog(5 if path.name == "m.pres" else 8)
+        for G in groups + [symmetric_group(3)]:
+            epis = brute_epimorphisms(P, G)
+            for dedup, want in ((False, epis),
+                                (True, first_of_each_kernel(G, epis))):
+                got = enumerate_epimorphisms(P, G, dedup_auto=dedup)
+                assert [q.images for q in got] == want, (path.name, G.label)
 
 
 def test_epimorphism_validation():

@@ -8,7 +8,10 @@ from twistalex.laurent import (MINUS_INFINITY, LaurentPoly, NotSymmetrizable,
                                RankMismatch, UnitClass, div_exact, divides,
                                is_monic, laurent_degree, lp_gcd,
                                normalize_unit, parse_poly, render_poly,
-                               specialize, symmetric_representative)
+                               specialize, symmetric_representative,
+                               _pseudo_reduce)
+
+from oracles import dense_pseudo_reduce
 
 
 def t(rank=1, i=0):
@@ -185,3 +188,30 @@ def test_render_examples():
 def test_render_parse_roundtrip(p1, p2):
     for p in (p1, p2):
         assert parse_poly(render_poly(p), p.rank) == p
+
+
+def _random_array(rng, max_len):
+    """A nonzero Z[t] array, leading coefficient of either sign."""
+    a = [rng.randint(-6, 6) for _ in range(rng.randint(0, max_len - 1))]
+    return a + [rng.choice((-1, 1)) * rng.randint(1, 6)]
+
+
+def test_pseudo_reduce_against_dense_oracle():
+    rng = random.Random(8)
+    scaled = 0
+    for _ in range(400):
+        width = rng.randint(1, 5)
+        c = rng.randrange(width)
+        base = [_random_array(rng, 4) if rng.random() < 0.5 else []
+                for _ in range(width)]
+        base[c] = _random_array(rng, 3)
+        row = [_random_array(rng, 7) if rng.random() < 0.6 else []
+               for _ in range(width)]
+        if len(row[c]) >= len(base[c]) and row[c][-1] % base[c][-1]:
+            scaled += 1
+        want = dense_pseudo_reduce([list(e) for e in row], base, c)
+        frozen = [list(f) for f in base]
+        got = _pseudo_reduce(row, base, c)
+        assert got is row and got == want
+        assert base == frozen
+    assert scaled > 50

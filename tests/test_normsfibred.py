@@ -1,5 +1,3 @@
-import random
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +5,7 @@ from hypothesis import strategies as st
 from twistalex.grouppres import ClassMap, Presentation
 from twistalex.laurent import MINUS_INFINITY, LaurentPoly, UnitClass, \
     laurent_degree
-from twistalex.normsfibred import (BudgetZero, NormReport, ZeroClass,
+from twistalex.normsfibred import (BudgetZero, ZeroClass,
                                    alexander_norm, class_divisibility,
                                    degree_case_analysis, divisibility,
                                    fibred_certificate, group_catalog,

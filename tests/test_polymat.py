@@ -6,10 +6,10 @@ import pytest
 from twistalex import polymat, twistedalex
 from twistalex.docio import parse_document
 from twistalex.grouppres import cyclic_group, enumerate_epimorphisms
-from twistalex.laurent import (LaurentPoly, UnitClass, normalize_unit,
-                               _int_poly_gcd, _mul, _trim)
-from twistalex.polymat import (_content_multiple, _enum_minor_gcd_arrays,
-                               _gauss_valuation_sum, _hermite_qpart,
+from twistalex.laurent import (LaurentPoly, UnitClass, _int_poly_gcd, _mul,
+                               _trim)
+from twistalex.polymat import (_content_multiple, _gauss_valuation_sum,
+                               _hermite_qpart,
                                _independent_rows,
                                _bareiss_det, _prime_factors, _rows_to_arrays,
                                _arr_to_poly, _scale, laurent_det,

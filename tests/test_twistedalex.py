@@ -7,10 +7,9 @@ from twistalex.grouppres import (ClassMap, FiniteQuotient, Presentation,
                                  cyclic_group, dihedral_group,
                                  enumerate_epimorphisms, free_reduce,
                                  pullback_class,
-                                 reidemeister_schreier, symmetric_group,
-                                 trivial_group)
+                                 reidemeister_schreier, symmetric_group)
 from twistalex.laurent import (LaurentPoly, UnitClass, laurent_degree,
-                               normalize_unit, symmetric_representative)
+                               symmetric_representative)
 from twistalex.normsfibred import group_catalog
 from twistalex.twistedalex import (NoValidColumn, TwistData,
                                    multivariable_alexander, trivial_twist,
