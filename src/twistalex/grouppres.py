@@ -8,6 +8,7 @@ A word is a tuple of letters (generator_index, +-1).
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations
 from math import gcd
 
@@ -139,6 +140,11 @@ class Presentation:
     @property
     def ngens(self):
         return len(self.generators)
+
+    @cached_property
+    def jacobian(self):
+        """fox_jacobian(self), computed on first use and kept."""
+        return fox_jacobian(self)
 
     def relator_matrix(self):
         """Exponent-sum matrix, one row per relator."""

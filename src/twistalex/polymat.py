@@ -34,20 +34,39 @@ def _bareiss(a, k, zero, one, step):
     pivot rows, in pivot order, whether the row swaps were odd, and the last
     pivot, which is the minor of those rows in that order (for a square
     matrix, +-its determinant); or None if the rank is < k.
+
+    Rows are updated lazily.  With p_c the pivot of step c (p_-1 = 1), step
+    c only scales a row whose entry in column c is zero by p_c / p_(c-1), so
+    such a row is skipped: a row last updated at step s - 1 is p_(c-1) /
+    p_(s-1) times its eager self at step c, and has the same zero pattern.
+    It is brought up to date when it is used: as the pivot row by that
+    scaling, as a reduced row by (p_c x - f y) / p_(s-1).  Both are single
+    exact steps, since every eager Bareiss entry is a minor of the input.
+    The pivots, swaps and results are those of the eager elimination; the
+    rows left in `a` below the pivots lag and are not the eager ones.
     """
-    idx, odd, prev = list(range(len(a))), False, one
+    idx, odd = list(range(len(a))), False
+    prevs = [one]             # prevs[s] = p_(s-1)
+    level = [0] * len(a)      # the steps a row's entries have been through
     for c in range(k):
         piv = next((i for i in range(c, len(a)) if a[i][c] != zero), None)
         if piv is None:
             return None
         a[c], a[piv] = a[piv], a[c]
         idx[c], idx[piv] = idx[piv], idx[c]
+        level[c], level[piv] = level[piv], level[c]
         odd ^= piv != c
-        p, tail = a[c][c], a[c][c + 1:]
-        for r in a[c + 1:]:
-            r[c + 1:] = step(p, r[c], r[c + 1:], tail, prev)
-        prev = p
-    return idx[:k], odd, prev
+        row, s = a[c], level[c]
+        if s < c:
+            row[c:] = step(prevs[c], zero, row[c:], row[c:], prevs[s])
+        p, tail = row[c], row[c + 1:]
+        for i in range(c + 1, len(a)):
+            r = a[i]
+            if r[c] != zero:
+                r[c + 1:] = step(p, r[c], r[c + 1:], tail, prevs[level[i]])
+                level[i] = c + 1
+        prevs.append(p)
+    return idx[:k], odd, prevs[k]
 
 
 def _bareiss_det(rows):
@@ -176,43 +195,48 @@ def _enum_minor_gcd_arrays(rows, k):
     return g
 
 
-def _evaluations(rows, k):
-    """(x, _bareiss of the integer matrix rows(x)) for x = 2, 3, ..., D + 2.
+def _evaluations(rows, k, start):
+    """(x, _bareiss of the integer matrix rows(x)) for x = start, ..., D + 2.
 
     D, the sum of the k largest row degrees, bounds the degree of every
-    k x k minor, so a nonzero minor is nonzero at one of these D + 1 points.
+    k x k minor, so a nonzero minor is nonzero at one of the D + 1 points
+    2, ..., D + 2.
     """
     D = sum(sorted(max(map(len, r)) - 1 for r in rows)[-k:])
-    for x in range(2, D + 3):
+    for x in range(start, D + 3):
         yield x, _bareiss([[_eval(e, x) for e in r] for r in rows], k, 0, 1,
                           lambda p, f, us, vs, prev:
                           [(p * u - f * v) // prev for u, v in zip(us, vs)])
 
 
 def _independent_rows(rows, k):
-    """Indices of k rows with nonzero determinant, or None if rank < k.
+    """(indices of k rows, x, their minor at x), or None if rank < k.
 
-    A nonzero minor of the integer matrix rows(x) proves the polynomial
-    minor on the same rows nonzero.
+    x is the first of the points 2, 3, ... where the integer matrix rows(x)
+    has rank k; a nonzero minor there proves the polynomial minor on the
+    same rows nonzero.  The minor is the determinant of rows(x) on those
+    rows up to sign.
     """
-    return next((sorted(found[0]) for _, found in _evaluations(rows, k)
-                 if found), None)
+    return next(((sorted(found[0]), x, found[2])
+                 for x, found in _evaluations(rows, k, 2) if found), None)
 
 
-def _content_multiple(rows, qpart):
+def _content_multiple(rows, qpart, x, minor):
     """A nonzero multiple of the content c of the maximal-minor gcd.
 
-    `rows` is a square submatrix with nonzero determinant d.  The gcd, which
-    is c*qpart, divides d in Z[t], so wherever d(x) != 0 also qpart(x) != 0
-    and c divides d(x) / qpart(x).  Takes the gcd of these values until it
-    is 1 or the points run out.
+    `rows` is a square submatrix with nonzero determinant d, and minor is
+    +-d(x), nonzero, at the first point x = 2, 3, ... where d does not
+    vanish.  The gcd, which is c*qpart, divides d in Z[t], so wherever
+    d(x) != 0 also qpart(x) != 0 and c divides d(x) / qpart(x).  Takes the
+    gcd of these values, from x on, until it is 1 or the points run out.
     """
-    g = 0
-    for x, found in _evaluations(rows, len(rows)):
-        if found:
-            g = gcd(g, found[2] // _eval(qpart, x))
-            if g == 1:
-                break
+    g = abs(minor // _eval(qpart, x))
+    if g != 1:
+        for x, found in _evaluations(rows, len(rows), x + 1):
+            if found:
+                g = gcd(g, found[2] // _eval(qpart, x))
+                if g == 1:
+                    break
     return g
 
 
@@ -297,9 +321,10 @@ def _max_minor_gcd_1var(rows, k):
     qpart = _hermite_qpart(rows, k)
     if qpart is None:
         return []
-    pivot_rows = [rows[i] for i in _independent_rows(rows, k)]
+    idx, x, minor = _independent_rows(rows, k)
     content = 1
-    for p in _prime_factors(_content_multiple(pivot_rows, qpart)):
+    for p in _prime_factors(_content_multiple([rows[i] for i in idx], qpart,
+                                              x, minor)):
         content *= p ** _gauss_valuation_sum(rows, k, p)
     return _scale(qpart, content)
 

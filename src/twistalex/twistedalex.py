@@ -14,7 +14,7 @@ family; both are exposed.
 from dataclasses import dataclass
 
 from .grouppres import (ClassMap, FiniteQuotient, GroupRingElement,
-                        Incompatible, abelianize, fox_jacobian, trivial_group)
+                        Incompatible, abelianize, trivial_group)
 from .laurent import (LaurentPoly, UnitClass, UnsupportedRank, div_exact,
                       lp_gcd_many)
 from .polymat import laurent_det, max_minor_gcd
@@ -81,7 +81,8 @@ def _h0_order(T):
 
     Phi(ker alpha) is generated by the Phi-values of the Schreier generators,
     v = Phi(t_x) + Phi(g_i) - Phi(t_{x g_i}), with the transversal t read off
-    the parent edges of alpha's coset table; tree edges give v = 0.
+    the parent edges of alpha's coset table; tree edges give v = 0.  t^v - 1
+    and t^-v - 1 are associates, so each v is taken once up to sign.
     """
     q, phi, rank = T.alpha, T.phi, T.rank
     G = q.group
@@ -93,9 +94,12 @@ def _h0_order(T):
     values = (tuple(a + b - c for a, b, c in
                     zip(trans[x], phi.of_generator(i), trans[G.mul(x, img)]))
               for x in q.order for i, img in enumerate(q.images))
+    signed = dict.fromkeys(v if next(a for a in v if a) > 0
+                           else tuple(-a for a in v)
+                           for v in values if any(v))
     one = LaurentPoly.one(rank)
-    return lp_gcd_many((LaurentPoly.monomial(rank, v) - one
-                        for v in values if any(v)), rank).representative
+    return lp_gcd_many((LaurentPoly.monomial(rank, v) - one for v in signed),
+                       rank).representative
 
 
 @dataclass(frozen=True)
@@ -138,9 +142,8 @@ def twisted_alexander(P, T, column=None):
     g_minus_1 = GroupRingElement({((j, 1),): 1, (): -1})
     corr = laurent_det(twist_ring_map(g_minus_1, T), rank)
 
-    jac = fox_jacobian(P)
     rows = []
-    for rel_row in jac:
+    for rel_row in P.jacobian:
         blocks = [twist_ring_map(rel_row[g], T) for g in range(n) if g != j]
         for i in range(d):
             row = []

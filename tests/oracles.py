@@ -73,6 +73,29 @@ def dense_pseudo_reduce(row, base, c):
     return row
 
 
+# ---- fraction-free elimination, eager ----
+
+def eager_bareiss(a, k, zero, one, step):
+    """Bareiss elimination that updates every row below the pivot at every
+    step, with the contract of the library's lazy one: (pivot row indices
+    in pivot order, whether the swaps were odd, last pivot), or None if the
+    rank is < k.  Works in place on `a`.
+    """
+    idx, odd, prev = list(range(len(a))), False, one
+    for c in range(k):
+        piv = next((i for i in range(c, len(a)) if a[i][c] != zero), None)
+        if piv is None:
+            return None
+        a[c], a[piv] = a[piv], a[c]
+        idx[c], idx[piv] = idx[piv], idx[c]
+        odd ^= piv != c
+        p, tail = a[c][c], a[c][c + 1:]
+        for r in a[c + 1:]:
+            r[c + 1:] = step(p, r[c], r[c + 1:], tail, prev)
+        prev = p
+    return idx[:k], odd, prev
+
+
 # ---- classical Alexander polynomial formulas ----
 
 def seifert_alexander(V):

@@ -6,8 +6,8 @@ import pytest
 from twistalex import polymat, twistedalex
 from twistalex.docio import parse_document
 from twistalex.grouppres import cyclic_group, enumerate_epimorphisms
-from twistalex.laurent import (LaurentPoly, UnitClass, _int_poly_gcd, _mul,
-                               _trim)
+from twistalex.laurent import (LaurentPoly, UnitClass, _divexact, _eval,
+                               _int_poly_gcd, _mul, _sub, _trim)
 from twistalex.polymat import (_content_multiple, _gauss_valuation_sum,
                                _hermite_qpart,
                                _independent_rows,
@@ -17,7 +17,7 @@ from twistalex.polymat import (_content_multiple, _gauss_valuation_sum,
 from twistalex.twistedalex import TwistData, twisted_alexander
 
 from conftest import fixture_text
-from oracles import brute_minor_gcd, cofactor_det
+from oracles import brute_minor_gcd, cofactor_det, eager_bareiss
 
 
 def random_poly(rng, max_terms=3, max_exp=3, max_coeff=4):
@@ -41,7 +41,7 @@ def hermite_path_gcd(M):
     qpart = _hermite_qpart(rows, k)
     if qpart is None:
         return UnitClass(LaurentPoly.zero(1))
-    idx = _independent_rows(rows, k)
+    idx, _, _ = _independent_rows(rows, k)
     m0 = _bareiss_det([rows[i] for i in idx])
     from twistalex.laurent import _int_poly_content
     content = 1
@@ -231,17 +231,19 @@ def test_production_route_fixed_divisor_of_the_qpart(hermite_route,
     assert set(hermite_route) == ({(7, 1)} if content == 7 else set())
 
     rows = _rows_to_arrays(M)
-    pivot_rows = [rows[i] for i in _independent_rows(rows, 2)]
-    points = []
+    idx, x, minor = _independent_rows(rows, 2)
+    pivot_rows = [rows[i] for i in idx]
+    # the points up to x, which _independent_rows has been through
+    points = list(range(2, x + 1))
     real = polymat._evaluations
 
-    def recording(rows, k):
-        for x, found in real(rows, k):
+    def recording(rows, k, start):
+        for x, found in real(rows, k, start):
             points.append(x)
             yield x, found
 
     monkeypatch.setattr(polymat, "_evaluations", recording)
-    g = _content_multiple(pivot_rows, _hermite_qpart(rows, 2))
+    g = _content_multiple(pivot_rows, _hermite_qpart(rows, 2), x, minor)
     assert g % content == 0 and g < 7 * content
     if content == 1:
         assert len(points) <= 2
@@ -272,13 +274,16 @@ def test_independent_rows_against_brute_rank():
         else:
             M = random_matrix(rng, m, k, max_terms=2)
         rows = _rows_to_arrays(M)
-        idx = _independent_rows(rows, k)
+        found = _independent_rows(rows, k)
         deficient = all(cofactor_det([M[i] for i in s], 1).is_zero()
                         for s in combinations(range(m), k))
-        assert (idx is None) == deficient
-        if idx is not None:
+        assert (found is None) == deficient
+        if found is not None:
+            idx, x, minor = found
             assert idx == sorted(set(idx)) and len(idx) == k
-            assert _bareiss_det([rows[i] for i in idx]) != []
+            d = _bareiss_det([rows[i] for i in idx])
+            assert d != []
+            assert minor != 0 and abs(minor) == abs(_eval(d, x))
         deficient_seen += deficient
         full_seen += not deficient
     assert deficient_seen and full_seen
@@ -286,25 +291,31 @@ def test_independent_rows_against_brute_rank():
 
 def test_independent_rows_past_vanishing_points():
     # the only minor, (t-2)(t-3), vanishes at the first two points
-    assert _independent_rows([[[6, -5, 1]]], 1) == [0]
-    assert _independent_rows([[[-2, 1]], [[-4, 0, 1]]], 1) == [0]
+    assert _independent_rows([[[6, -5, 1]]], 1) == ([0], 4, 2)
+    assert _independent_rows([[[-2, 1]], [[-4, 0, 1]]], 1) == ([0], 3, 1)
     assert _independent_rows([[[]], [[]]], 1) is None
 
 
-def test_row_order_does_not_change_the_gcd(monkeypatch):
-    # the twisted Jacobian of na.pres for its first Z21 quotient, deleted
-    # column dropped: 63 x 42
+def na_twisted_jacobian(n):
+    """The twisted Jacobian of na.pres for its first Z_n quotient, deleted
+    column dropped, and the twisted polynomial's raw minor gcd."""
     _, (P, classes) = parse_document(fixture_text("na.pres"))
-    q = enumerate_epimorphisms(P, cyclic_group(21), bound=21)[0]
+    q = enumerate_epimorphisms(P, cyclic_group(n), bound=n)[0]
     captured = []
 
     def capture(rows, rank, ncols=None):
         captured.append(rows)
         return max_minor_gcd(rows, rank, ncols)
 
-    monkeypatch.setattr(twistedalex, "max_minor_gcd", capture)
-    twisted_alexander(P, TwistData(classes["fib"], q))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(twistedalex, "max_minor_gcd", capture)
+        tw = twisted_alexander(P, TwistData(classes["fib"], q))
     [M] = captured
+    return M, tw.raw_minor_gcd
+
+
+def test_row_order_does_not_change_the_gcd():
+    M, _ = na_twisted_jacobian(21)
     assert (len(M), len(M[0])) == (63, 42)
     expected = max_minor_gcd(M, 1)
     assert not expected.is_zero()
@@ -312,3 +323,90 @@ def test_row_order_does_not_change_the_gcd(monkeypatch):
         shuffled = list(M)
         random.Random(s).shuffle(shuffled)
         assert max_minor_gcd(shuffled, 1) == expected
+
+
+# ---- the lazy elimination against the eager one ----
+
+def _int_step(p, f, us, vs, prev):
+    return [(p * u - f * v) // prev for u, v in zip(us, vs)]
+
+
+def _array_step(p, f, xs, ys, prev):
+    return [_divexact(_sub(_mul(x, p), _mul(f, y)), prev) if x or y else []
+            for x, y in zip(xs, ys)]
+
+
+def _sparse_rows(rng, m, k, entry, zero, scale):
+    """m x k, about a third of the entries nonzero; in one trial of three
+    a column is zero or a multiple of another, so the rank is < k."""
+    rows = [[entry() if rng.random() < 0.35 else zero for _ in range(k)]
+            for _ in range(m)]
+    if k > 1 and rng.random() < 1 / 3:
+        i, j = rng.sample(range(k), 2)
+        c = rng.choice((None, entry()))
+        for r in rows:
+            r[j] = zero if c is None else scale(r[i], c)
+    return rows
+
+
+def test_lazy_bareiss_against_eager_oracle():
+    rng = random.Random(83)
+    counts = {"lazy": 0, "eager": 0}
+
+    def counted(name, step):
+        def wrapped(*args):
+            counts[name] += 1
+            return step(*args)
+        return wrapped
+
+    def int_entry():
+        return rng.choice((-1, 1)) * rng.randint(1, 9)
+
+    def array_entry():
+        return _trim([rng.randint(-3, 3) for _ in range(rng.randint(1, 3))]) \
+            or [1]
+
+    def rank2_entry():
+        return LaurentPoly(2, {(rng.randint(-1, 1), rng.randint(-1, 1)):
+                               rng.choice((-2, -1, 1, 2))
+                               for _ in range(rng.randint(1, 2))})
+
+    rank2_zero, rank2_one = LaurentPoly.zero(2), LaurentPoly.one(2)
+    rings = [
+        (int_entry, 0, 1, _int_step, lambda x, c: x * c, 7, 300),
+        (array_entry, [], [1], _array_step, _mul, 6, 150),
+        (rank2_entry, rank2_zero, rank2_one, polymat._laurent_step,
+         lambda x, c: x * c, 3, 40),
+    ]
+    outcomes = set()
+    for entry, zero, one, step, scale, kmax, trials in rings:
+        for _ in range(trials):
+            k = rng.randint(1, kmax)
+            m = k + rng.randint(0, 4)
+            rows = _sparse_rows(rng, m, k, entry, zero, scale)
+            lazy = polymat._bareiss([list(r) for r in rows], k, zero, one,
+                                    counted("lazy", step))
+            eager = eager_bareiss([list(r) for r in rows], k, zero, one,
+                                  counted("eager", step))
+            assert lazy == eager, rows
+            outcomes.add((step, lazy is None))
+    # every ring met full-rank and rank-deficient matrices
+    assert len(outcomes) == 2 * len(rings)
+    assert counts["lazy"] < counts["eager"]
+
+
+def test_na_z16_runs_one_evaluation_pass(monkeypatch):
+    # the pivot minor found at the first point leaves content 1, so the
+    # content search runs no elimination of its own
+    M, expected = na_twisted_jacobian(16)
+    assert (len(M), len(M[0])) == (48, 32)
+    calls = []
+    real = polymat._evaluations
+
+    def counting(rows, k, start):
+        calls.append(start)
+        return real(rows, k, start)
+
+    monkeypatch.setattr(polymat, "_evaluations", counting)
+    assert UnitClass(max_minor_gcd(M, 1)) == expected
+    assert calls == [2]

@@ -340,20 +340,23 @@ def test_h0_order_against_brute_fitting_ideal():
     from twistalex.twistedalex import _h0_order
     from twistalex.polymat import max_minor_gcd
     P = na_presentation()
-    phi = na_fibration_class(P)
-    for G in (cyclic_group(2), cyclic_group(3)):
-        for q in enumerate_epimorphisms(P, G):
-            T = TwistData(phi, q)
-            d = G.order
-            cols = [twist_ring_map(GroupRingElement({((g, 1),): 1, (): -1}), T)
-                    for g in range(P.ngens)]
-            rows = [[blk[i][j] for blk in cols for j in range(d)]
-                    for i in range(d)]
-            # transpose: minors of the row span of the block row
-            mat = [[rows[i][j] for i in range(d)]
-                   for j in range(len(rows[0]))]
-            brute = UnitClass(max_minor_gcd(mat, 1))
-            assert UnitClass(_h0_order(T)) == brute
+    # the fibration class, and Phi onto H = Z^2, whose Schreier values are
+    # pairs taken once up to sign
+    for phi in (na_fibration_class(P), ClassMap.to_abelianization(P)):
+        for G in (cyclic_group(2), cyclic_group(3)):
+            for q in enumerate_epimorphisms(P, G):
+                T = TwistData(phi, q)
+                d = G.order
+                cols = [twist_ring_map(GroupRingElement({((g, 1),): 1,
+                                                         (): -1}), T)
+                        for g in range(P.ngens)]
+                rows = [[blk[i][j] for blk in cols for j in range(d)]
+                        for i in range(d)]
+                # transpose: minors of the row span of the block row
+                mat = [[rows[i][j] for i in range(d)]
+                       for j in range(len(rows[0]))]
+                brute = UnitClass(max_minor_gcd(mat, T.rank))
+                assert UnitClass(_h0_order(T)) == brute
 
 
 def test_correction_metadata():
