@@ -16,8 +16,8 @@ from .exactalg import (ComplexInvalid, Inconsistent, IndexOutOfRange,
                        Underdetermined, all_homology, exact_sequence_solve)
 from .fourman import MissingData, adjunction_check, evenness_check, \
     lagrangian_square_check
-from .grouppres import (BoundExceeded, ClassMap, abelianize,
-                        enumerate_epimorphisms, group_from_spec)
+from .grouppres import (BoundExceeded, ClassMap, abelianize, check_order,
+                        enumerate_epimorphisms, parse_group_spec)
 from .laurent import (MINUS_INFINITY, UnsupportedRank, is_monic,
                       laurent_degree, render_poly)
 from .normsfibred import (BudgetZero, ZeroClass, class_divisibility,
@@ -131,17 +131,19 @@ def cmd_alexander(args):
     P, classes = _load(args.file, "presentation")
     phi = _resolve_phi(P, classes, args.phi)
     try:
-        G = group_from_spec(args.group)
+        order, build = parse_group_spec(args.group)
+        if order > 1:  # the trivial group is the untwisted case, not enumerated
+            check_order(order, args.budget)
+        G = build()
+    except BoundExceeded as exc:
+        raise CliError(EXIT_PRECONDITION, str(exc)) from None
     except ValueError as exc:
         raise CliError(EXIT_PARSE, str(exc)) from None
     if G.order == 1:
         quotients = [trivial_twist(P, phi).alpha]
     else:
-        try:
-            quotients = enumerate_epimorphisms(P, G, bound=args.budget,
-                                               dedup_auto=args.dedup_aut)
-        except BoundExceeded as exc:
-            raise CliError(EXIT_PRECONDITION, str(exc)) from None
+        quotients = enumerate_epimorphisms(P, G, bound=args.budget,
+                                           dedup_auto=args.dedup_aut)
         if not quotients:
             return [f"no epimorphisms onto {G.label}"]
     return _alexander_lines(P, phi, quotients, args.output)
@@ -151,9 +153,7 @@ def cmd_multivariable(args):
     P, _ = _load(args.file, "presentation")
     try:
         tw = multivariable_alexander(P)
-    except NoValidColumn as exc:
-        raise CliError(EXIT_PRECONDITION, str(exc)) from None
-    except UnsupportedRank as exc:
+    except (NoValidColumn, UnsupportedRank) as exc:
         raise CliError(EXIT_PRECONDITION, str(exc)) from None
     rep = tw.value.representative
     if args.output == "structured":

@@ -6,9 +6,18 @@ starting with # and blank lines are ignored.  Every document round-trips
 through its emitter bit-identically.
 """
 
-from .exactalg import ChainComplex, ExactSequenceData, IntMatrix, MapData
+from dataclasses import replace
+from itertools import islice
+
+from .exactalg import (ChainComplex, ComplexInvalid, ExactSequenceData,
+                       IntMatrix, MapData)
 from .fourman import FormData, SurfaceEntry
 from .grouppres import ClassMap, Presentation, parse_word, render_word
+
+# Bound on max(rows, cols)**2 for every matrix a document declares: boundary
+# blocks, omitted (zero) boundaries and Q.  It bounds the matrix and the
+# square transforms SNF builds for it; 23x the largest bench boundary.
+MAX_MATRIX_ENTRIES = 10**6
 
 
 class ParseError(ValueError):
@@ -22,74 +31,81 @@ def _meaningful(text):
             yield lineno, line
 
 
-def _int_row(line, lineno):
+def _int(tok, lineno):
     try:
-        return [int(tok) for tok in line.split()]
+        return int(tok)
     except ValueError:
-        raise ParseError(f"line {lineno}: expected integers, got {line!r}") from None
+        raise ParseError(f"line {lineno}: expected an integer, "
+                         f"got {tok!r}") from None
+
+
+def _ints(text, lineno):
+    return [_int(tok, lineno) for tok in text.split()]
+
+
+def _check_shape(nrows, ncols, what):
+    if max(nrows, ncols) ** 2 > MAX_MATRIX_ENTRIES:
+        raise ParseError(f"{what}: {nrows}x{ncols} is past the matrix bound "
+                         f"max(rows, cols)^2 <= {MAX_MATRIX_ENTRIES}")
+
+
+def _block(lines, nrows, ncols, what):
+    """The next nrows lines of `lines` as an nrows x ncols IntMatrix."""
+    _check_shape(nrows, ncols, what)
+    rows = list(islice(lines, nrows))
+    if len(rows) < nrows:
+        raise ParseError(f"{what}: missing rows")
+    entries = []
+    for lineno, line in rows:
+        row = _ints(line, lineno)
+        if len(row) != ncols:
+            raise ParseError(f"line {lineno}: expected {ncols} entries")
+        entries.extend(row)
+    return IntMatrix(nrows, ncols, entries)
 
 
 def parse_document(text):
     """Returns (kind, value); kind is the document's type tag."""
-    lines = list(_meaningful(text))
-    if not lines:
+    lines = _meaningful(text)
+    _, tag = next(lines, (None, None))
+    if tag is None:
         raise ParseError("empty document")
-    tag = lines[0][1]
-    body = lines[1:]
-    if tag == "chain-complex":
-        return tag, _parse_complex(body)
-    if tag == "presentation":
-        return tag, _parse_presentation(body)
-    if tag == "form":
-        return tag, _parse_form(body)
-    if tag == "exact-sequence":
-        return tag, _parse_sequence(body)
-    raise ParseError(f"unknown document type {tag!r}")
+    if tag not in _PARSERS:
+        raise ParseError(f"unknown document type {tag!r}")
+    return tag, _PARSERS[tag](lines)
 
 
 # ---- chain complexes ------------------------------------------------------
 
-def _parse_complex(body):
+def _parse_complex(lines):
     cells = None
     boundaries = {}
-    i = 0
-    while i < len(body):
-        lineno, line = body[i]
-        if line.startswith("cells:"):
-            cells = _int_row(line[len("cells:"):], lineno)
-            i += 1
-        elif line.startswith("boundary"):
-            head = line.rstrip(":")
-            try:
-                k = int(head.split()[1])
-            except (IndexError, ValueError):
-                raise ParseError(f"line {lineno}: bad boundary header") from None
+    for lineno, line in lines:
+        head, colon, value = line.partition(":")
+        key = head + colon  # a bare "cells" line is not a cells: line
+        if key == "cells:":
+            cells = _ints(value, lineno)
+            if any(c < 0 for c in cells):
+                raise ComplexInvalid("negative cell count")
+        elif key.startswith("boundary"):
+            words = line.rstrip(":").split()
+            if len(words) < 2:
+                raise ParseError(f"line {lineno}: bad boundary header")
+            k = _int(words[1], lineno)
             if cells is None:
                 raise ParseError(f"line {lineno}: boundary before cells")
             if not 1 <= k <= len(cells) - 1:
                 raise ParseError(f"line {lineno}: boundary {k} out of range")
-            nrows = cells[k - 1]
-            rows = []
-            i += 1
-            for _ in range(nrows):
-                if i >= len(body):
-                    raise ParseError(f"boundary {k}: missing rows")
-                rl, rline = body[i]
-                row = _int_row(rline, rl)
-                if len(row) != cells[k]:
-                    raise ParseError(f"line {rl}: expected {cells[k]} entries")
-                rows.append(row)
-                i += 1
-            boundaries[k] = IntMatrix.from_rows(rows) if rows \
-                else IntMatrix.zero(0, cells[k])
+            boundaries[k] = _block(lines, cells[k - 1], cells[k], f"boundary {k}")
         else:
             raise ParseError(f"line {lineno}: unexpected {line!r}")
     if cells is None:
         raise ParseError("chain-complex needs a cells: line")
-    maps = []
     for k in range(1, len(cells)):
-        maps.append(boundaries.get(k, IntMatrix.zero(cells[k - 1], cells[k])))
-    return ChainComplex(cells, maps)
+        if k not in boundaries:
+            _check_shape(cells[k - 1], cells[k], f"boundary {k}")
+            boundaries[k] = IntMatrix.zero(cells[k - 1], cells[k])
+    return ChainComplex(cells, [boundaries[k] for k in range(1, len(cells))])
 
 
 def emit_complex(C):
@@ -104,30 +120,30 @@ def emit_complex(C):
 
 # ---- presentations ---------------------------------------------------------
 
-def _parse_presentation(body):
+def _parse_presentation(lines):
     gens = None
     relators = []
     classes = {}
-    for lineno, line in body:
-        if line.startswith("generators:"):
-            gens = line[len("generators:"):].split()
-        elif line.startswith("relator:"):
+    for lineno, line in lines:
+        head, colon, value = line.partition(":")
+        key = head + colon
+        if key == "generators:":
+            gens = value.split()
+        elif key == "relator:":
             if gens is None:
                 raise ParseError(f"line {lineno}: relator before generators")
             try:
-                relators.append(parse_word(line[len("relator:"):].strip(), gens))
+                relators.append(parse_word(value.strip(), gens))
             except ValueError as exc:
                 raise ParseError(f"line {lineno}: {exc}") from None
-        elif line.startswith("class "):
-            head, _, vals = line.partition(":")
-            name = head[len("class "):].strip()
+        elif key.startswith("class "):
             if gens is None:
                 raise ParseError(f"line {lineno}: class before generators")
-            values = _int_row(vals, lineno)
+            values = _ints(value, lineno)
             if len(values) != len(gens):
                 raise ParseError(f"line {lineno}: class needs one value "
                                  f"per generator")
-            classes[name] = values
+            classes[head[len("class "):].strip()] = values
         else:
             raise ParseError(f"line {lineno}: unexpected {line!r}")
     if gens is None:
@@ -157,49 +173,33 @@ def emit_presentation(P, classes=None):
 
 # ---- intersection forms -----------------------------------------------------
 
-def _parse_form(body):
-    labels = None
-    Q = None
-    K = None
+def _parse_form(lines):
+    labels = Q = K = None
     surfaces = []
-    i = 0
-    while i < len(body):
-        lineno, line = body[i]
-        if line.startswith("labels:"):
-            labels = line[len("labels:"):].split()
-            i += 1
-        elif line.startswith("Q:"):
+    for lineno, line in lines:
+        head, colon, value = line.partition(":")
+        key = head + colon
+        if key == "labels:":
+            labels = value.split()
+        elif key == "Q:":
             if labels is None:
                 raise ParseError(f"line {lineno}: Q before labels")
-            rows = []
-            i += 1
-            for _ in range(len(labels)):
-                rl, rline = body[i]
-                row = _int_row(rline, rl)
-                if len(row) != len(labels):
-                    raise ParseError(f"line {rl}: expected {len(labels)} entries")
-                rows.append(row)
-                i += 1
-            Q = rows
-        elif line.startswith("K:"):
-            K = _int_row(line[len("K:"):], lineno)
-            i += 1
-        elif line.startswith("surface:"):
-            toks = line[len("surface:"):].split()
+            Q = _block(lines, len(labels), len(labels), "Q")
+        elif key == "K:":
+            K = _ints(value, lineno)
+        elif key == "surface:":
+            toks = value.split()
             if len(toks) < 2:
                 raise ParseError(f"line {lineno}: surface needs label and kind")
-            label, kind = toks[0], toks[1]
             genus = None
             for tok in toks[2:]:
-                if tok.startswith("genus="):
-                    genus = int(tok[len("genus="):])
-                else:
+                if not tok.startswith("genus="):
                     raise ParseError(f"line {lineno}: unknown field {tok!r}")
+                genus = _int(tok[len("genus="):], lineno)
             try:
-                surfaces.append(SurfaceEntry(label, kind, genus))
+                surfaces.append(SurfaceEntry(toks[0], toks[1], genus))
             except ValueError as exc:
                 raise ParseError(f"line {lineno}: {exc}") from None
-            i += 1
         else:
             raise ParseError(f"line {lineno}: unexpected {line!r}")
     if labels is None or Q is None or K is None:
@@ -227,34 +227,24 @@ def emit_form(form):
 
 # ---- exact sequences ---------------------------------------------------------
 
-def _parse_sequence(body):
+def _parse_sequence(lines):
     terms = []
     maps = {}
-    for lineno, line in body:
-        if line.startswith("term:"):
-            val = line[len("term:"):].strip()
-            if val.startswith("?"):
-                terms.append(val[1:].strip() or f"x{len(terms)}")
+    for lineno, line in lines:
+        head, colon, value = line.partition(":")
+        key = head + colon
+        value = value.strip()
+        if key == "term:":
+            if value.startswith("?"):
+                terms.append(value[1:].strip() or f"x{len(terms)}")
             else:
-                try:
-                    terms.append(int(val))
-                except ValueError:
-                    raise ParseError(f"line {lineno}: bad term {val!r}") from None
-        elif line.startswith("map "):
-            head, _, val = line.partition(":")
+                terms.append(_int(value, lineno))
+        elif key.startswith("map "):
             toks = head.split()
             if len(toks) != 3 or toks[2] not in ("image", "kernel"):
                 raise ParseError(f"line {lineno}: expected 'map N image|kernel:'")
-            try:
-                idx = int(toks[1])
-                rank = int(val)
-            except ValueError:
-                raise ParseError(f"line {lineno}: bad map data") from None
-            old = maps.get(idx, MapData())
-            if toks[2] == "image":
-                maps[idx] = MapData(image=rank, kernel=old.kernel)
-            else:
-                maps[idx] = MapData(image=old.image, kernel=rank)
+            idx, rank = _int(toks[1], lineno), _int(value, lineno)
+            maps[idx] = replace(maps.get(idx, MapData()), **{toks[2]: rank})
         else:
             raise ParseError(f"line {lineno}: unexpected {line!r}")
     if not terms:
@@ -276,3 +266,7 @@ def emit_sequence(seq):
         if md.kernel is not None:
             out.append(f"map {idx} kernel: {md.kernel}")
     return "\n".join(out) + "\n"
+
+
+_PARSERS = {"chain-complex": _parse_complex, "presentation": _parse_presentation,
+            "form": _parse_form, "exact-sequence": _parse_sequence}

@@ -8,7 +8,7 @@ A word is a tuple of letters (generator_index, +-1).
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import permutations
 from math import gcd
 
@@ -417,22 +417,32 @@ def symmetric_group(n):
                                  for x in range(len(perms))])
 
 
-def group_from_spec(spec):
-    """Parse group labels like 'trivial', 'Z6', 'D3', 'S3'."""
+def parse_group_spec(spec):
+    """A group label like 'trivial', 'Z6', 'D3', 'S3' as (order, build).
+
+    The order is read from the label; build() makes the group.  Cyclic and
+    dihedral tables hold order**2 entries, so a caller with a bound checks
+    the order first (see check_order).
+    """
     s = spec.strip()
     if s in ("1", "trivial"):
-        return trivial_group()
-    kind, num = s[0].upper(), s[1:]
-    if not num.isdigit():
+        return 1, trivial_group
+    kind, num = s[:1].upper(), s[1:]
+    if kind not in ("Z", "D", "S") or not num.isdigit():
         raise ValueError(f"cannot parse group spec {spec!r}")
     n = int(num)
     if kind == "Z":
-        return cyclic_group(n)
+        return n, partial(cyclic_group, n)
     if kind == "D":
-        return dihedral_group(n)
-    if kind == "S":
-        return symmetric_group(n)
-    raise ValueError(f"cannot parse group spec {spec!r}")
+        return 2 * n, partial(dihedral_group, n)
+    G = symmetric_group(n)  # at most S4, 24 elements
+    return G.order, lambda: G
+
+
+def check_order(order, bound):
+    """Raise BoundExceeded for a group order above the enumeration bound."""
+    if order > bound:
+        raise BoundExceeded(f"|G| = {order} exceeds bound {bound}")
 
 
 class FiniteQuotient:
@@ -531,8 +541,7 @@ def enumerate_epimorphisms(P, G, bound=12, dedup_auto=False):
     With dedup_auto, quotients with equal kernels (equivalently, equal
     standardized coset tables) are collapsed to their first representative.
     """
-    if G.order > bound:
-        raise BoundExceeded(f"|G| = {G.order} exceeds bound {bound}")
+    check_order(G.order, bound)
     out = []
     seen_keys = set()
     for images in _relator_solutions(P, G):

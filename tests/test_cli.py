@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -114,6 +115,33 @@ def test_oversized_power_exit2(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and "word longer than" in err
+
+
+@pytest.mark.parametrize("command, text, extra, code, message", [
+    ("formcheck", "form\nlabels: a b\nQ:\n0 1\n", (), 2, "Q: missing rows"),
+    ("formcheck", "form\nlabels: a\nQ:\n2\nK: 0\n"
+     "surface: a symplectic genus=x\n", (), 2, "expected an integer, got 'x'"),
+    ("homology", "chain-complex\ncells: -1 1\n", (), 3,
+     "invalid complex: negative cell count"),
+    ("alexander", "presentation\n:\ngenerators: a\n", ("--phi", "1"), 2,
+     "unexpected ':'"),
+    ("homology", "chain-complex\ncells: 100000 100000\n", (), 2, "1000000"),
+    ("alexander", None, ("--phi", "fib", "--group", "Z100000"), 3,
+     "|G| = 100000 exceeds bound 12"),
+])
+def test_malformed_input_one_error_line(capsys, tmp_path, command, text,
+                                        extra, code, message):
+    path = FIXTURES / "na.pres"
+    if text is not None:
+        path = tmp_path / "doc"
+        path.write_text(text)
+    start = time.perf_counter()
+    got, out, err = run(capsys, command, path, *extra)
+    assert time.perf_counter() - start < 1.0
+    assert got == code
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert message in err
 
 
 def test_alexander_no_valid_column_exit4(capsys):

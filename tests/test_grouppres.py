@@ -9,7 +9,7 @@ from twistalex.grouppres import (ClassMap, FiniteQuotient, GroupRingElement,
                                  InvalidQuotient, Presentation, abelianize,
                                  cyclic_group, enumerate_epimorphisms,
                                  fox_derivative, fox_jacobian, free_reduce,
-                                 group_from_spec, MAX_WORD_LETTERS, parse_word,
+                                 MAX_WORD_LETTERS, parse_group_spec, parse_word,
                                  pullback_class, reidemeister_schreier,
                                  render_word, symmetric_group, trivial_group,
                                  word_inverse, word_mul)
@@ -183,12 +183,12 @@ def test_dedup_auto():
 
 
 def test_group_from_spec():
-    assert group_from_spec("trivial").order == 1
-    assert group_from_spec("Z6").order == 6
-    assert group_from_spec("D3").order == 6
-    assert group_from_spec("S4").order == 24
-    with pytest.raises(ValueError):
-        group_from_spec("Q8")
+    for spec, order in (("trivial", 1), ("Z6", 6), ("D3", 6), ("S4", 24)):
+        read, build = parse_group_spec(spec)
+        assert read == build().order == order
+    for bad in ("Q8", "", "Z", "S5"):
+        with pytest.raises(ValueError):
+            parse_group_spec(bad)
 
 
 def test_reidemeister_schreier_index_two_in_z():
