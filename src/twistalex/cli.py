@@ -194,7 +194,7 @@ def cmd_norms(args):
         f"mcmullen_ok={_bool(report.mcmullen_ok)}",
         f"delta_single={single.value}",
         f"degree={_fmt_degree(deg)}",
-        f"degree_case={degree_case_analysis(single)}",
+        f"degree_case={degree_case_analysis(single.value)}",
         f"degprop_ok={_bool(degprop_ok)}",
     ]
     if b1 > 1:

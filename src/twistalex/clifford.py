@@ -318,10 +318,6 @@ class ExactMatrix:
         return ExactMatrix([[a + b for a, b in zip(r1, r2)]
                             for r1, r2 in zip(self.rows, other.rows)])
 
-    def __sub__(self, other):
-        return ExactMatrix([[a - b for a, b in zip(r1, r2)]
-                            for r1, r2 in zip(self.rows, other.rows)])
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
             c = _coerce(other)

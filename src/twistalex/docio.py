@@ -19,6 +19,11 @@ from .grouppres import ClassMap, Presentation, parse_word, render_word
 # square transforms SNF builds for it; 23x the largest bench boundary.
 MAX_MATRIX_ENTRIES = 10**6
 
+# Bound on the sum over relators of L(L+1)/2 for L letters: the Fox Jacobian
+# keeps one prefix per letter.  alexander, norms and fibred peak at 78 MB RSS
+# on a^1412 b a^-1412 b^-1, the longest single relator the bound accepts.
+MAX_FOX_LETTERS = 4 * 10**6
+
 
 class ParseError(ValueError):
     pass
@@ -123,6 +128,7 @@ def emit_complex(C):
 def _parse_presentation(lines):
     gens = None
     relators = []
+    fox_letters = 0
     classes = {}
     for lineno, line in lines:
         head, colon, value = line.partition(":")
@@ -136,6 +142,10 @@ def _parse_presentation(lines):
                 relators.append(parse_word(value.strip(), gens))
             except ValueError as exc:
                 raise ParseError(f"line {lineno}: {exc}") from None
+            fox_letters += len(relators[-1]) * (len(relators[-1]) + 1) // 2
+            if fox_letters > MAX_FOX_LETTERS:
+                raise ParseError(f"line {lineno}: relators past the Fox bound "
+                                 f"sum L(L+1)/2 <= {MAX_FOX_LETTERS} letters")
         elif key.startswith("class "):
             if gens is None:
                 raise ParseError(f"line {lineno}: class before generators")

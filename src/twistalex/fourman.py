@@ -25,6 +25,8 @@ class SurfaceEntry:
     def __post_init__(self):
         if self.kind not in ("symplectic", "lagrangian", "none"):
             raise ValueError(f"unknown surface kind {self.kind!r}")
+        if self.genus is not None and self.genus < 0:
+            raise ValueError(f"negative genus {self.genus}")
 
 
 class FormData:

@@ -30,12 +30,13 @@ class Incompatible(ValueError):
 # ---- words ---------------------------------------------------------------
 
 def free_reduce(word):
+    """Cancel adjacent inverse letters; the letters kept are word's own."""
     out = []
-    for g, s in word:
-        if out and out[-1][0] == g and out[-1][1] == -s:
+    for letter in word:
+        if out and out[-1][0] == letter[0] and out[-1][1] == -letter[1]:
             out.pop()
         else:
-            out.append((g, s))
+            out.append(letter)
     return tuple(out)
 
 
@@ -44,14 +45,7 @@ def word_inverse(word):
 
 
 def word_mul(*words):
-    out = []
-    for w in words:
-        for letter in w:
-            if out and out[-1][0] == letter[0] and out[-1][1] == -letter[1]:
-                out.pop()
-            else:
-                out.append(letter)
-    return tuple(out)
+    return free_reduce(letter for word in words for letter in word)
 
 
 def word_exponents(word, ngens):
@@ -325,17 +319,13 @@ class GroupRingElement:
 
 
 def fox_derivative(word, gen):
-    """d(word)/d(gen) with the product rule d(uv) = du + u dv."""
+    """d(word)/d(gen) by the product rule d(uv) = du + u dv; the prefixes
+    are sliced unreduced, and GroupRingElement reduces them."""
     terms = {}
-    prefix = ()
-    for g, s in word:
+    for i, (g, s) in enumerate(word):
         if g == gen:
-            if s == 1:
-                terms[prefix] = terms.get(prefix, 0) + 1
-            else:
-                w = word_mul(prefix, ((g, -1),))
-                terms[w] = terms.get(w, 0) - 1
-        prefix = word_mul(prefix, ((g, s),))
+            w = word[:i] if s == 1 else word[:i + 1]
+            terms[w] = terms.get(w, 0) + s
     return GroupRingElement(terms)
 
 
@@ -568,7 +558,6 @@ class Cover:
     quotient: FiniteQuotient
     generator_words: tuple  # per cover generator, a word in the base group
     transversal: tuple      # per coset (in discovery order), a base-group word
-    coset_order: tuple      # discovery order of the underlying group elements
 
 
 def reidemeister_schreier(P, q):
@@ -626,7 +615,7 @@ def reidemeister_schreier(P, q):
                 relators.append(w)
     cover_pres = Presentation(gen_names, relators)
     return Cover(cover_pres, q, tuple(gen_words),
-                 tuple(trans[x] for x in order), order)
+                 tuple(trans[x] for x in order))
 
 
 def pullback_class(Phi, q, cover):

@@ -456,15 +456,6 @@ def _join_last(rank, parts):
     return LaurentPoly(rank, terms)
 
 
-def _gcd_many(rank, polys):
-    acc = LaurentPoly.zero(rank)
-    for p in polys:
-        acc = _gcd_poly(acc, p)
-        if acc.is_unit():
-            break
-    return acc
-
-
 def _gcd_poly(a, b):
     """A gcd of a and b in Z[t1^{+-1},...], not normalized."""
     if a.is_zero():
@@ -478,8 +469,8 @@ def _gcd_poly(a, b):
                                           _to_array(b, b.min_exp(0))))
     # recurse on the last variable: gcd = gcd(contents) * gcd(primitive parts)
     pa, pb = _split_last(a), _split_last(b)
-    cont_a = _gcd_many(a.rank - 1, pa.values())
-    cont_b = _gcd_many(a.rank - 1, pb.values())
+    cont_a = lp_gcd_many(pa.values(), a.rank - 1).representative
+    cont_b = lp_gcd_many(pb.values(), a.rank - 1).representative
     cont = _gcd_poly(cont_a, cont_b)
     ppa = {d: div_exact(c, cont_a) for d, c in pa.items()}
     ppb = {d: div_exact(c, cont_b) for d, c in pb.items()}
@@ -498,7 +489,7 @@ def _pp_gcd_last(rank, fa, fb):
     def prim(parts):
         if not parts:
             return {}
-        cont = _gcd_many(rank - 1, parts.values())
+        cont = lp_gcd_many(parts.values(), rank - 1).representative
         return {d: div_exact(c, cont) for d, c in parts.items()}
 
     a, b = normalize(fa), normalize(fb)

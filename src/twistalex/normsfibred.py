@@ -93,10 +93,8 @@ def norm_relation_check(delta, delta_multi, weights, div):
 
 
 def degree_case_analysis(delta):
-    """Classify the Laurent degree into the cases -oo, 0, 2, 4 or other."""
-    rep = delta.value.representative if hasattr(delta, "value") else (
-        delta.representative if isinstance(delta, UnitClass) else delta)
-    d = laurent_degree(rep)
+    """Classify the degree of a rank-1 UnitClass: -oo, 0, 2, 4 or other."""
+    d = laurent_degree(delta.representative)
     if d is MINUS_INFINITY:
         return "-oo"
     return str(d) if d in (0, 2, 4) else "other"

@@ -128,6 +128,11 @@ def test_oversized_power_exit2(capsys, tmp_path):
     ("homology", "chain-complex\ncells: 100000 100000\n", (), 2, "1000000"),
     ("alexander", None, ("--phi", "fib", "--group", "Z100000"), 3,
      "|G| = 100000 exceeds bound 12"),
+    ("alexander", "presentation\ngenerators: a b\n"
+     "relator: a^49999 b a^-49999 b^-1\n", ("--phi", "0,1"), 2,
+     "line 3: relators past the Fox bound sum L(L+1)/2 <= 4000000"),
+    ("formcheck", "form\nlabels: a\nQ:\n0\nK: 0\n"
+     "surface: a symplectic genus=-4\n", (), 2, "negative genus -4"),
 ])
 def test_malformed_input_one_error_line(capsys, tmp_path, command, text,
                                         extra, code, message):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -121,6 +122,35 @@ def test_fox_fundamental_identity_fixtures():
 @settings(max_examples=300)
 def test_fox_fundamental_identity_random(letters):
     assert _fundamental_identity(free_reduce(tuple(letters)), 3)
+
+
+def test_fox_derivative_of_unreduced_word():
+    rng = random.Random(11)
+    for _ in range(300):
+        word = [(rng.randint(0, 2), rng.choice((1, -1)))
+                for _ in range(rng.randint(0, 10))]
+        for _ in range(rng.randint(1, 4)):
+            g, s = rng.randint(0, 2), rng.choice((1, -1))
+            i = rng.randint(0, len(word))
+            word[i:i] = [(g, s), (g, -s)]
+        word = tuple(word)
+        for j in range(3):
+            assert fox_derivative(word, j) \
+                == fox_derivative(free_reduce(word), j)
+
+
+def test_fox_jacobian_retained_memory():
+    """A relator of L letters keeps L(L+1)/2 prefix letters; each is one
+    pointer to the relator's own letter objects, not a fresh tuple."""
+    P = Presentation.from_text(["a", "b"], ["a^1000 b a^-1000 b^-1"])
+    tracemalloc.start()
+    try:
+        J = fox_jacobian(P)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(J[0][0].terms) == 2000
+    assert retained < 40 * 10**6
 
 
 def test_enumerate_epimorphisms_examples():
