@@ -14,6 +14,7 @@ here and the eliminations in polymat share.
 """
 
 from dataclasses import dataclass
+from functools import cache
 from math import gcd
 
 
@@ -358,6 +359,18 @@ def _divexact(a, b):
             r[off + i] -= c * y
         _trim(r)
     return q if not r else None
+
+
+@cache
+def _cyclotomic(d):
+    """The cyclotomic polynomial Phi_d as an array: z^d - 1 divided exactly
+    by Phi_e for every proper divisor e of d.  Memoized, so callers only
+    read it."""
+    a = [-1] + [0] * (d - 1) + [1]
+    for e in range(1, d):
+        if d % e == 0:
+            a = _divexact(a, _cyclotomic(e))
+    return a
 
 
 def _eval(a, x):

@@ -12,9 +12,10 @@ from dataclasses import dataclass, replace
 from itertools import chain
 from math import gcd
 
-from .grouppres import (dihedral_group, cyclic_group, enumerate_epimorphisms,
-                        pullback_class, reidemeister_schreier, symmetric_group,
-                        trivial_group, FiniteQuotient)
+from .grouppres import (dihedral_group, check_table_entries, cyclic_group,
+                        enumerate_epimorphisms, pullback_class,
+                        reidemeister_schreier, symmetric_group, trivial_group,
+                        FiniteQuotient)
 from .laurent import (MINUS_INFINITY, LaurentPoly, RankMismatch, UnitClass,
                       laurent_degree, is_monic, specialize)
 from .twistedalex import TwistData, twisted_alexander
@@ -127,18 +128,17 @@ def group_catalog(budget):
     """Deterministic list of catalog groups with order <= budget.
 
     Cyclic groups of every order, dihedral groups from D2 up (D1 = Z2), and
-    S4 (S2, S3 duplicate Z2, D3).  Sorted by (order, label).
+    S4 (S2, S3 duplicate Z2, D3).  Sorted by (order, label).  The tables are
+    all held at once, so their entries are checked against
+    MAX_TABLE_ENTRIES before any is built: budgets up to 125 pass.
     """
-    groups = []
-    for n in range(2, budget + 1):
-        groups.append(cyclic_group(n))
-    n = 2
-    while 2 * n <= budget:
-        groups.append(dihedral_group(n))
-        n += 1
+    makers = [(n, cyclic_group, n) for n in range(2, budget + 1)]
+    makers += [(2 * n, dihedral_group, n) for n in range(2, budget // 2 + 1)]
     if budget >= 24:
-        groups.append(symmetric_group(4))
-    return sorted(groups, key=lambda g: (g.order, g.label))
+        makers.append((24, symmetric_group, 4))
+    check_table_entries(sum(order * order for order, _, _ in makers))
+    return sorted((make(n) for _, make, n in makers),
+                  key=lambda g: (g.order, g.label))
 
 
 def fibred_certificate(P, phi, thurston_norm, budget, b3=1, dedup_auto=False):

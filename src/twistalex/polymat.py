@@ -3,10 +3,11 @@
 The order of the cokernel of an integer-Laurent matrix is the gcd of its
 maximal minors.  Small matrices are handled by direct enumeration; larger
 single-variable matrices use unimodular row reduction over the PID Q[t]
-(where the gcd of maximal minors is the product of the pivots).  The primes
-that can divide the integer content come from integer evaluations: Bareiss
-elimination of the integer matrices M(2), M(3), ...; a Gauss-valuation
-elimination per candidate prime gives its exact exponent.
+(where the gcd of maximal minors is the product of the pivots), of the
+whole matrix or of the blocks of a rational block decomposition of it.
+The primes that can divide the integer content come from integer
+evaluations: Bareiss elimination of the integer matrices M(2), M(3), ...;
+a Gauss-valuation elimination per candidate prime gives its exact exponent.
 Everything here works with the Z[t] coefficient arrays of the laurent
 module, which defines their arithmetic; LaurentPoly values cross the
 boundary only on the way in and out.
@@ -204,7 +205,8 @@ def _evaluations(rows, k, start):
     """
     D = sum(sorted(max(map(len, r)) - 1 for r in rows)[-k:])
     for x in range(start, D + 3):
-        yield x, _bareiss([[_eval(e, x) for e in r] for r in rows], k, 0, 1,
+        ints = [[_eval(e, x) if e else 0 for e in r] for r in rows]
+        yield x, _bareiss(ints, k, 0, 1,
                           lambda p, f, us, vs, prev:
                           [(p * u - f * v) // prev for u, v in zip(us, vs)])
 
@@ -226,9 +228,10 @@ def _content_multiple(rows, qpart, x, minor):
 
     `rows` is a square submatrix with nonzero determinant d, and minor is
     +-d(x), nonzero, at the first point x = 2, 3, ... where d does not
-    vanish.  The gcd, which is c*qpart, divides d in Z[t], so wherever
-    d(x) != 0 also qpart(x) != 0 and c divides d(x) / qpart(x).  Takes the
-    gcd of these values, from x on, until it is 1 or the points run out.
+    vanish.  The gcd, which is c*qpart times a power of t, divides d in
+    Z[t], so wherever d(x) != 0 also qpart(x) != 0 and c divides
+    d(x) / qpart(x).  Takes the gcd of these values, from x on, until it is
+    1 or the points run out.
     """
     g = abs(minor // _eval(qpart, x))
     if g != 1:
@@ -315,12 +318,51 @@ def _gauss_valuation_sum(rows, k, p):
     return total
 
 
-def _max_minor_gcd_1var(rows, k):
+def max_minor_gcd(rows, k, summands=()):
+    """Gcd of the k x k minors of a k-column matrix of Z[t] arrays.
+
+    Returns an array, [] when the rank is below k (fewer rows than columns
+    included) and [1] when k = 0; the gcd is exact up to a power of t,
+    which the caller normalizes away.  `summands` is a list of (rows_s,
+    k_s) such that `rows` is equivalent over Q[t^+-1], by invertible row
+    and column changes, to a block-diagonal matrix with each rows_s as a
+    block of k_s columns: the twisted Jacobian in rational summands of the
+    regular representation.  A k x k minor of a block matrix is nonzero
+    only if it takes k_s rows from every block, and is then the product of
+    their minors; so, in this order:
+
+    - a summand of rank < k_s gives [] before any other path;
+    - a matrix with at most ENUM_BOUND maximal minors enumerates them;
+    - summands whose column counts add up to k give the Q[t] part as the
+      primitive product of their pivot products, its power of t removed
+      (the row shifts of the blocks and of `rows` differ); it then divides
+      the gcd in Z[t], which is all the content steps need;
+    - otherwise the Q[t] part is the Hermite pivot product of `rows`.
+
+    The integer content comes from `rows` itself, whatever the path: a
+    rational change of basis says nothing about the primes dividing |G|.
+    """
+    if k == 0:
+        return [1]
+    if len(rows) < k:
+        return []
+    parts = []
+    for block, k_s in summands:
+        part = _hermite_qpart(block, k_s)
+        if part is None:
+            return []
+        parts.append(part)
     if comb(len(rows), k) <= ENUM_BOUND:
         return _enum_minor_gcd_arrays(rows, k)
-    qpart = _hermite_qpart(rows, k)
-    if qpart is None:
-        return []
+    if sum(k_s for _, k_s in summands) == k:
+        qpart = [1]
+        for part in parts:
+            qpart = _mul(qpart, part)
+        qpart = _prim(qpart[next(i for i, c in enumerate(qpart) if c):])
+    else:
+        qpart = _hermite_qpart(rows, k)
+        if qpart is None:
+            return []
     idx, x, minor = _independent_rows(rows, k)
     content = 1
     for p in _prime_factors(_content_multiple([rows[i] for i in idx], qpart,
@@ -329,24 +371,25 @@ def _max_minor_gcd_1var(rows, k):
     return _scale(qpart, content)
 
 
-def max_minor_gcd(M, rank, ncols=None):
+def laurent_minor_gcd(M, rank, ncols=None):
     """Gcd of the maximal (col-sized) minors of M, as a normalized LaurentPoly.
 
     M is a list of rows of LaurentPoly.  When M has fewer rows than columns
     the cokernel of the row span has a free summand and the gcd is zero; a
     matrix with zero columns has the empty determinant 1.  `ncols` settles
-    the column count when there are no rows at all.
+    the column count when there are no rows at all.  Rank 1 goes through
+    max_minor_gcd on the rows' arrays; a higher rank enumerates the minors.
     """
     k = len(M[0]) if M else ncols
     if k is None:
         raise ValueError("column count of an empty matrix is ambiguous")
+    if rank == 1:
+        return normalize_unit(_arr_to_poly(max_minor_gcd(_rows_to_arrays(M),
+                                                         k)))
     if k == 0:
         return LaurentPoly.one(rank)
     if len(M) < k:
         return LaurentPoly.zero(rank)
-    if rank == 1:
-        g = _max_minor_gcd_1var(_rows_to_arrays(M), k)
-        return normalize_unit(_arr_to_poly(g))
     if comb(len(M), k) > 20000:
         raise UnsupportedRank("multivariable minor enumeration too large")
     dets = (laurent_det([M[i] for i in subset], rank)

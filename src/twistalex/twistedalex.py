@@ -9,19 +9,33 @@ exactly when Phi(g) != 0: the deleted column is the first generator with
 Phi(g) != 0.  The headline value corrects the raw minor gcd by the order of
 the twisted H_0, which matches the module-order definition on every oracle
 family; both are exposed.
+
+The Jacobian is assembled once per quotient as sparse cells, straight from
+the Fox terms, alpha and Phi, in any integer representation of G given by
+its sparse columns.  Over Q the regular representation splits into
+rational summands (Maschke), and the minor gcd splits with it: the trivial
+summand is one for every G, and for G = Z_n the split is complete,
+Q[Z_n] = (+)_{d | n} Q[z]/Phi_d(z), each summand once.
 """
 
 from dataclasses import dataclass
+from functools import cache
 
 from .grouppres import (ClassMap, FiniteQuotient, GroupRingElement,
                         Incompatible, abelianize, trivial_group)
 from .laurent import (LaurentPoly, UnitClass, UnsupportedRank, div_exact,
-                      lp_gcd_many)
-from .polymat import laurent_det, max_minor_gcd
+                      lp_gcd_many, normalize_unit, _arr_to_poly, _cyclotomic)
+from .polymat import laurent_det, laurent_minor_gcd, max_minor_gcd
 
 
 class NoValidColumn(ValueError):
     """A forced column with det(twist(g) - I) = 0, or b_1 = 0."""
+
+
+def _check_same(p, q, message):
+    if p is not q and (p.generators != q.generators
+                       or p.relators != q.relators):
+        raise Incompatible(message)
 
 
 @dataclass(frozen=True)
@@ -34,10 +48,8 @@ class TwistData:
     def __post_init__(self):
         if self.phi.is_trivial():
             raise ValueError("Phi must be nontrivial")
-        if self.phi.presentation is not self.alpha.presentation:
-            p, q = self.phi.presentation, self.alpha.presentation
-            if p.generators != q.generators or p.relators != q.relators:
-                raise Incompatible("Phi and alpha live on different presentations")
+        _check_same(self.phi.presentation, self.alpha.presentation,
+                    "Phi and alpha live on different presentations")
 
     @property
     def rank(self):
@@ -74,6 +86,127 @@ def twist_ring_map(x, T):
             i = G.mul(a, y)
             out[i][y] = out[i][y] + mono
     return out
+
+
+# ---- sparse assembly ------------------------------------------------------
+#
+# A representation of G of dimension m is given by its sparse columns:
+# rep[a][y] lists the (i, v) with v != 0 in column y of the integer matrix
+# of a.
+
+def _regular_rep(G):
+    """Column y of a is the basis vector a*y."""
+    return [[((i, 1),) for i in row] for row in G.table]
+
+
+@cache
+def _residues(d):
+    """z^k mod Phi_d as sparse columns, for k = 0, ..., d - 1."""
+    phi = _cyclotomic(d)
+    m = len(phi) - 1
+    out, p = [], [1] + [0] * (m - 1)
+    for _ in range(d):
+        out.append(tuple((i, v) for i, v in enumerate(p) if v))
+        lead = p[-1]
+        p = [0] + p[:-1]
+        if lead:
+            p = [x - lead * f for x, f in zip(p, phi)]
+    return out
+
+
+def _cyclotomic_rep(n, d):
+    """Z_n on Q[z]/Phi_d, d | n, basis 1, z, ..., z^(phi(d) - 1): a acts by
+    z^a, so column y of a holds z^((a + y) mod d) mod Phi_d; d = 1 is the
+    trivial representation."""
+    res = _residues(d)
+    return [[res[(a + y) % d] for y in range(len(_cyclotomic(d)) - 1)]
+            for a in range(n)]
+
+
+def _summand_reps(G):
+    """Rational summands of the regular representation of G to split the
+    minor gcd through: one per divisor of n when the table is addition mod
+    n (a complete split), else the trivial one alone; none for |G| = 1,
+    whose regular representation is the trivial one."""
+    n = G.order
+    if n == 1:
+        return []
+    if all(row == tuple((x + y) % n for y in range(n))
+           for x, row in enumerate(G.table)):
+        return [_cyclotomic_rep(n, d) for d in range(1, n + 1) if n % d == 0]
+    return [[[((0, 1),)]] * n]
+
+
+def _jacobian_terms(P, T, j):
+    """(relator, block, alpha(w), Phi(w), c) for every term c*w of the Fox
+    Jacobian, numbering the generator blocks without the deleted column j."""
+    blocks = [g for g in range(P.ngens) if g != j]
+    return [(r, b, T.alpha.of_word(w), T.phi.of_word(w), c)
+            for r, rel_row in enumerate(P.jacobian)
+            for b, g in enumerate(blocks)
+            for w, c in rel_row[g].terms.items()]
+
+
+def _twisted_rows(terms, rep, nrels, nblocks, rank):
+    """The twisted Jacobian of `terms` in the representation `rep`.
+
+    The term c*w of Jacobian entry (r, b) adds c*v*t^Phi(w) to cell
+    (r*m + i, b*m + y) for each (i, v) in rep[alpha(w)][y].  Rank 1 gives
+    Z[t] arrays, each row shifted by its lowest power of t as
+    polymat._row_shift does; a higher rank gives LaurentPoly entries.
+    """
+    m = len(rep[0])
+    acc = {}    # (row, column, Phi(w)) -> coefficient
+    for r, b, a, e, c in terms:
+        rm = r * m
+        for y, col in enumerate(rep[a], b * m):
+            for i, v in col:
+                key = (rm + i, y, e)
+                acc[key] = acc.get(key, 0) + c * v
+    nrows, ncols = nrels * m, nblocks * m
+    if rank > 1:
+        cells = {}
+        for (i, y, e), c in acc.items():
+            cells.setdefault((i, y), {})[e] = c
+        zero = LaurentPoly.zero(rank)
+        rows = [[zero] * ncols for _ in range(nrows)]
+        for (i, y), cell in cells.items():
+            rows[i][y] = LaurentPoly(rank, cell)
+        return rows
+    lo = [0] * nrows
+    for (i, _, (e,)), c in acc.items():
+        if c and e < lo[i]:
+            lo[i] = e
+    # zero cells share one empty array, which is never written: a cell's
+    # array is replaced when it grows
+    rows = [[[]] * ncols for _ in range(nrows)]
+    for (i, y, (e,)), c in acc.items():
+        if c:
+            arr, k = rows[i][y], e - lo[i]
+            if len(arr) <= k:
+                arr = rows[i][y] = arr + [0] * (k + 1 - len(arr))
+            arr[k] = c
+    return rows
+
+
+def twisted_jacobian(P, T, j):
+    """The twisted Jacobian with generator column j deleted, and its summands.
+
+    Returns (rows, summands): the rows in the regular representation, and
+    for rank 1 the (rows_s, k_s) of each rational summand from
+    _summand_reps, in the form polymat.max_minor_gcd takes them.
+    """
+    _check_same(P, T.phi.presentation,
+                "the twist lives on a different presentation")
+    terms = _jacobian_terms(P, T, j)
+    nrels, nblocks = len(P.relators), P.ngens - 1
+    G = T.alpha.group
+    rows = _twisted_rows(terms, _regular_rep(G), nrels, nblocks, T.rank)
+    if T.rank > 1:
+        return rows, []
+    return rows, [(_twisted_rows(terms, rep, nrels, nblocks, 1),
+                   nblocks * len(rep[0]))
+                  for rep in _summand_reps(G)]
 
 
 def _h0_order(T):
@@ -142,15 +275,12 @@ def twisted_alexander(P, T, column=None):
     g_minus_1 = GroupRingElement({((j, 1),): 1, (): -1})
     corr = laurent_det(twist_ring_map(g_minus_1, T), rank)
 
-    rows = []
-    for rel_row in P.jacobian:
-        blocks = [twist_ring_map(rel_row[g], T) for g in range(n) if g != j]
-        for i in range(d):
-            row = []
-            for blk in blocks:
-                row.extend(blk[i])
-            rows.append(row)
-    raw = max_minor_gcd(rows, rank, ncols=(n - 1) * d)
+    rows, summands = twisted_jacobian(P, T, j)
+    if rank == 1:
+        raw = normalize_unit(_arr_to_poly(max_minor_gcd(rows, (n - 1) * d,
+                                                        summands)))
+    else:
+        raw = laurent_minor_gcd(rows, rank, ncols=(n - 1) * d)
 
     h0 = _h0_order(T)
     corrected = None

@@ -128,6 +128,11 @@ def test_oversized_power_exit2(capsys, tmp_path):
     ("homology", "chain-complex\ncells: 100000 100000\n", (), 2, "1000000"),
     ("alexander", None, ("--phi", "fib", "--group", "Z100000"), 3,
      "|G| = 100000 exceeds bound 12"),
+    ("alexander", None, ("--phi", "fib", "--group", "Z100000", "--budget",
+                         "100000"), 3,
+     "10000000000 group table entries exceed the bound of 1000000"),
+    ("fibred", None, ("--phi", "fib", "--thurston", "0", "--budget", "1000"),
+     3, "group table entries exceed the bound of 1000000"),
     ("alexander", "presentation\ngenerators: a b\n"
      "relator: a^49999 b a^-49999 b^-1\n", ("--phi", "0,1"), 2,
      "line 3: relators past the Fox bound sum L(L+1)/2 <= 4000000"),

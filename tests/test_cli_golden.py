@@ -33,6 +33,18 @@ PRESENTATIONS = {
     "zero_alex.pres": ("x", 8),
 }
 
+# the benchmark's fibred jobs and the quotients that dominate them
+BENCH_COMMANDS = (
+    ["fibred", "fixtures/na.pres", "--phi", "fib", "--thurston", "0",
+     "--budget", "16"],
+    ["fibred", "fixtures/m.pres", "--phi", "0,0,1,0,0,0,1,0", "--thurston",
+     "0", "--budget", "5"],
+    ["alexander", "fixtures/na.pres", "--phi", "fib", "--group", "Z12"],
+    ["alexander", "fixtures/na.pres", "--phi", "fib", "--group", "Z16"],
+    ["alexander", "fixtures/m.pres", "--phi", "0,0,1,0,0,0,1,0", "--group",
+     "D2"],
+)
+
 
 def _commands():
     fixtures = sorted(p.name for p in (ROOT / "fixtures").iterdir())
@@ -53,6 +65,7 @@ def _commands():
                                "0"])
         out.extend(head + ["homology", f"fixtures/{n}"]
                    for n in fixtures if n.endswith(".cplx"))
+        out.extend(head + argv for argv in BENCH_COMMANDS)
     out.extend(["formcheck", f"fixtures/{n}"]
                for n in fixtures if n.endswith(".form"))
     out.extend(["exactseq", f"fixtures/{n}"]

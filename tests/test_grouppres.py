@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistalex.docio import parse_document
-from twistalex.grouppres import (ClassMap, FiniteQuotient, GroupRingElement,
-                                 InvalidQuotient, Presentation, abelianize,
+from twistalex.grouppres import (BoundExceeded, ClassMap, FiniteQuotient,
+                                 GroupRingElement, InvalidQuotient,
+                                 MAX_TABLE_ENTRIES, Presentation, abelianize,
+                                 check_order,
                                  cyclic_group, enumerate_epimorphisms,
                                  fox_derivative, fox_jacobian, free_reduce,
                                  MAX_WORD_LETTERS, parse_group_spec, parse_word,
@@ -219,6 +221,16 @@ def test_group_from_spec():
     for bad in ("Q8", "", "Z", "S5"):
         with pytest.raises(ValueError):
             parse_group_spec(bad)
+
+
+def test_check_order_bounds_the_table():
+    assert MAX_TABLE_ENTRIES == 1000 ** 2
+    check_order(1000, 1000)
+    with pytest.raises(BoundExceeded, match="exceeds bound 999"):
+        check_order(1000, 999)
+    with pytest.raises(BoundExceeded, match="1002001 group table entries "
+                                            "exceed the bound of 1000000"):
+        check_order(1001, 10 ** 5)
 
 
 def test_reidemeister_schreier_index_two_in_z():

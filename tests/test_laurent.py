@@ -9,7 +9,7 @@ from twistalex.laurent import (MINUS_INFINITY, LaurentPoly, NotSymmetrizable,
                                is_monic, laurent_degree, lp_gcd,
                                normalize_unit, parse_poly, render_poly,
                                specialize, symmetric_representative,
-                               _pseudo_reduce)
+                               _cyclotomic, _mul, _pseudo_reduce)
 
 from oracles import dense_pseudo_reduce
 
@@ -129,6 +129,20 @@ def test_div_exact():
     assert q == t() - one()
     assert div_exact(t() ** 2 - one(), t() + 2 * one()) is None
     assert div_exact(2 * t(), 4 * t()) is None  # not integral
+
+
+def test_cyclotomic_product_is_z_to_the_n_minus_one():
+    for n in range(1, 61):
+        prod = [1]
+        for d in range(1, n + 1):
+            if n % d == 0:
+                prod = _mul(prod, _cyclotomic(d))
+        assert prod == [-1] + [0] * (n - 1) + [1]
+    assert _cyclotomic(1) == [-1, 1]
+    assert _cyclotomic(7) == [1] * 7
+    assert _cyclotomic(12) == [1, 0, -1, 0, 1]
+    # the first cyclotomic polynomial with a coefficient outside -1..1
+    assert -2 in _cyclotomic(105)
 
 
 def test_symmetric_representative_examples():

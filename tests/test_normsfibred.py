@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistalex.grouppres import ClassMap, Presentation
+from twistalex.grouppres import BoundExceeded, ClassMap, Presentation
 from twistalex.laurent import MINUS_INFINITY, LaurentPoly, UnitClass, \
     laurent_degree
 from twistalex.normsfibred import (BudgetZero, ZeroClass,
@@ -150,6 +150,20 @@ def test_degree_case_analysis():
 def test_group_catalog():
     labels = [g.label for g in group_catalog(6)]
     assert labels == ["Z2", "Z3", "D2", "Z4", "Z5", "D3", "Z6"]
+
+
+def test_group_catalog_bounds_its_tables_before_building(monkeypatch):
+    import twistalex.normsfibred as nf
+
+    def refuse(n):
+        raise AssertionError("a table was built")
+
+    # budget 125 holds 984,946 table entries, 126 holds 1,016,698
+    monkeypatch.setattr(nf, "cyclic_group", refuse)
+    with pytest.raises(BoundExceeded, match="1016698 group table entries"):
+        group_catalog(126)
+    with pytest.raises(AssertionError, match="a table was built"):
+        group_catalog(125)
 
 
 def test_fibred_certificate_na():

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from twistalex import polymat, twistedalex
+from twistalex import polymat
 from twistalex.docio import parse_document
 from twistalex.grouppres import cyclic_group, enumerate_epimorphisms
 from twistalex.laurent import (LaurentPoly, UnitClass, _divexact, _eval,
@@ -13,8 +13,9 @@ from twistalex.polymat import (_content_multiple, _gauss_valuation_sum,
                                _independent_rows,
                                _bareiss_det, _prime_factors, _rows_to_arrays,
                                _arr_to_poly, _scale, laurent_det,
-                               max_minor_gcd)
-from twistalex.twistedalex import TwistData, twisted_alexander
+                               laurent_minor_gcd, max_minor_gcd)
+from twistalex.twistedalex import (TwistData, twisted_alexander,
+                                   twisted_jacobian)
 
 from conftest import fixture_text
 from oracles import brute_minor_gcd, cofactor_det, eager_bareiss
@@ -71,7 +72,7 @@ def test_max_minor_gcd_matches_oracle_small():
         k = rng.randint(1, 3)
         m = k + rng.randint(0, 2)
         M = random_matrix(rng, m, k)
-        assert UnitClass(max_minor_gcd(M, 1)) == brute_minor_gcd(M, 1)
+        assert UnitClass(laurent_minor_gcd(M, 1)) == brute_minor_gcd(M, 1)
 
 
 def test_hermite_path_matches_enumeration():
@@ -112,14 +113,14 @@ def test_rank_deficient_and_wide():
     z = LaurentPoly.zero(1)
     # rank 1 but two columns: all 2x2 minors vanish
     M = [[t - one, 2 * (t - one)], [t, 2 * t], [one, 2 * one]]
-    assert max_minor_gcd(M, 1).is_zero()
+    assert laurent_minor_gcd(M, 1).is_zero()
     assert hermite_path_gcd(M).is_zero()
     # fewer rows than columns: free cokernel
-    assert max_minor_gcd([[t, one]], 1).is_zero()
-    assert max_minor_gcd([], 1, ncols=2).is_zero()
-    assert max_minor_gcd([[z, z], [z, z]], 1).is_zero()
+    assert laurent_minor_gcd([[t, one]], 1).is_zero()
+    assert laurent_minor_gcd([], 1, ncols=2).is_zero()
+    assert laurent_minor_gcd([[z, z], [z, z]], 1).is_zero()
     # zero columns: the empty determinant
-    assert max_minor_gcd([], 1, ncols=0) == one
+    assert laurent_minor_gcd([], 1, ncols=0) == one
 
 
 def test_multivariable_minor_gcd():
@@ -131,7 +132,7 @@ def test_multivariable_minor_gcd():
                               rng.randint(-2, 2)
                               for _ in range(rng.randint(0, 2))})
               for _ in range(k)] for _ in range(m)]
-        assert UnitClass(max_minor_gcd(M, 2)) == brute_minor_gcd(M, 2)
+        assert UnitClass(laurent_minor_gcd(M, 2)) == brute_minor_gcd(M, 2)
 
 
 def test_int_poly_gcd_against_sympy():
@@ -199,7 +200,7 @@ def test_production_route_with_shared_content(hermite_route):
         M = random_matrix(rng, m, k, max_terms=2, max_exp=2, max_coeff=3)
         c = rng.choice((2, 3, 6, 12))
         M = [[e * c for e in row] for row in M]
-        assert UnitClass(max_minor_gcd(M, 1)) == brute_minor_gcd(M, 1)
+        assert UnitClass(laurent_minor_gcd(M, 1)) == brute_minor_gcd(M, 1)
 
 
 def test_production_route_structured_content(hermite_route):
@@ -208,8 +209,8 @@ def test_production_route_structured_content(hermite_route):
     M = [[2 * one, LaurentPoly.zero(1)],
          [LaurentPoly.zero(1), 2 * t],
          [2 * t ** 2, 2 * one]]
-    assert max_minor_gcd(M, 1) == LaurentPoly.const(1, 4)
-    assert UnitClass(max_minor_gcd(M, 1)) == brute_minor_gcd(M, 1)
+    assert laurent_minor_gcd(M, 1) == LaurentPoly.const(1, 4)
+    assert UnitClass(laurent_minor_gcd(M, 1)) == brute_minor_gcd(M, 1)
 
 
 @pytest.mark.parametrize("content", [1, 7])
@@ -227,7 +228,7 @@ def test_production_route_fixed_divisor_of_the_qpart(hermite_route,
                     [[one, t ** 2], [z, one]])
     assert brute_minor_gcd(B, 1) == UnitClass(one)
     assert brute_minor_gcd(M, 1) == UnitClass(content * q)
-    assert UnitClass(max_minor_gcd(M, 1)) == UnitClass(content * q)
+    assert UnitClass(laurent_minor_gcd(M, 1)) == UnitClass(content * q)
     assert set(hermite_route) == ({(7, 1)} if content == 7 else set())
 
     rows = _rows_to_arrays(M)
@@ -256,7 +257,7 @@ def test_production_route_spurious_prime(hermite_route):
     one = LaurentPoly.one(1)
     z = LaurentPoly.zero(1)
     M = [[t ** 2 + t, z], [z, one], [t ** 2 + t + 2 * one, z]]
-    assert max_minor_gcd(M, 1) == one
+    assert laurent_minor_gcd(M, 1) == one
     assert brute_minor_gcd(M, 1) == UnitClass(one)
     assert (2, 0) in hermite_route
 
@@ -297,32 +298,29 @@ def test_independent_rows_past_vanishing_points():
 
 
 def na_twisted_jacobian(n):
-    """The twisted Jacobian of na.pres for its first Z_n quotient, deleted
-    column dropped, and the twisted polynomial's raw minor gcd."""
+    """twisted_jacobian of na.pres for its first Z_n quotient, column c
+    deleted: rows of Z[t] arrays and the cyclotomic summands; and the
+    twisted polynomial's raw minor gcd."""
     _, (P, classes) = parse_document(fixture_text("na.pres"))
     q = enumerate_epimorphisms(P, cyclic_group(n), bound=n)[0]
-    captured = []
+    T = TwistData(classes["fib"], q)
+    rows, summands = twisted_jacobian(P, T, 2)
+    return rows, summands, twisted_alexander(P, T).raw_minor_gcd
 
-    def capture(rows, rank, ncols=None):
-        captured.append(rows)
-        return max_minor_gcd(rows, rank, ncols)
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(twistedalex, "max_minor_gcd", capture)
-        tw = twisted_alexander(P, TwistData(classes["fib"], q))
-    [M] = captured
-    return M, tw.raw_minor_gcd
+def laurent_rows(rows):
+    return [[_arr_to_poly(e) for e in r] for r in rows]
 
 
 def test_row_order_does_not_change_the_gcd():
-    M, _ = na_twisted_jacobian(21)
+    M = laurent_rows(na_twisted_jacobian(21)[0])
     assert (len(M), len(M[0])) == (63, 42)
-    expected = max_minor_gcd(M, 1)
+    expected = laurent_minor_gcd(M, 1)
     assert not expected.is_zero()
     for s in (1, 2, 3):
         shuffled = list(M)
         random.Random(s).shuffle(shuffled)
-        assert max_minor_gcd(shuffled, 1) == expected
+        assert laurent_minor_gcd(shuffled, 1) == expected
 
 
 # ---- the lazy elimination against the eager one ----
@@ -398,7 +396,8 @@ def test_lazy_bareiss_against_eager_oracle():
 def test_na_z16_runs_one_evaluation_pass(monkeypatch):
     # the pivot minor found at the first point leaves content 1, so the
     # content search runs no elimination of its own
-    M, expected = na_twisted_jacobian(16)
+    rows, _, expected = na_twisted_jacobian(16)
+    M = laurent_rows(rows)
     assert (len(M), len(M[0])) == (48, 32)
     calls = []
     real = polymat._evaluations
@@ -408,5 +407,54 @@ def test_na_z16_runs_one_evaluation_pass(monkeypatch):
         return real(rows, k, start)
 
     monkeypatch.setattr(polymat, "_evaluations", counting)
-    assert UnitClass(max_minor_gcd(M, 1)) == expected
+    assert UnitClass(laurent_minor_gcd(M, 1)) == expected
     assert calls == [2]
+
+
+# ---- rational summands and the evaluation points ----
+
+def test_rank_deficient_summand_comes_first(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("another path ran")
+
+    for name in ("_enum_minor_gcd_arrays", "_independent_rows"):
+        monkeypatch.setattr(polymat, name, refuse)
+    # a zero block of width 1 says rank < k whatever the rows
+    assert max_minor_gcd([[[1]], [[2]]], 1, [([[[]]], 1)]) == []
+
+
+def test_covering_summands_replace_the_full_hermite(monkeypatch):
+    rows, summands, _ = na_twisted_jacobian(12)
+    k = 24
+    widths = []
+    real = polymat._hermite_qpart
+
+    def recording(rows, k):
+        widths.append(k)
+        return real(rows, k)
+
+    monkeypatch.setattr(polymat, "_hermite_qpart", recording)
+    split = max_minor_gcd(rows, k, summands)
+    # d = 1, 2, 3, 4, 6, 12: phi(d) columns per generator block, two blocks
+    assert widths == [2, 2, 4, 4, 4, 8]
+    widths.clear()
+    full = max_minor_gcd(rows, k)
+    assert widths == [k]
+    assert split and UnitClass(_arr_to_poly(split)) == UnitClass(
+        _arr_to_poly(full))
+    # the trivial summand alone does not cover k: the full Hermite runs
+    widths.clear()
+    assert max_minor_gcd(rows, k, summands[:1]) == full
+    assert widths == [2, k]
+
+
+def test_evaluations_skip_zero_entries(monkeypatch):
+    rows, _, _ = na_twisted_jacobian(16)
+    nonzero = sum(1 for r in rows for e in r if e)
+    assert (nonzero, len(rows) * len(rows[0])) == (80, 1536)
+    calls = []
+    real = polymat._eval
+    monkeypatch.setattr(polymat, "_eval",
+                        lambda a, x: calls.append(x) or real(a, x))
+    x, found = next(polymat._evaluations(rows, 32, 2))
+    assert found is not None and calls == [x] * nonzero

@@ -3,18 +3,25 @@ from math import gcd
 
 import pytest
 
+from twistalex.docio import parse_document
 from twistalex.grouppres import (ClassMap, FiniteQuotient, Presentation,
                                  cyclic_group, dihedral_group,
                                  enumerate_epimorphisms, free_reduce,
                                  pullback_class,
-                                 reidemeister_schreier, symmetric_group)
+                                 reidemeister_schreier, symmetric_group,
+                                 trivial_group)
 from twistalex.laurent import (LaurentPoly, UnitClass, laurent_degree,
-                               symmetric_representative)
+                               symmetric_representative, _cyclotomic, _mul,
+                               _prim)
 from twistalex.normsfibred import group_catalog
+from twistalex.polymat import _hermite_qpart, _row_shift, _rows_to_arrays
 from twistalex.twistedalex import (NoValidColumn, TwistData,
                                    multivariable_alexander, trivial_twist,
-                                   twist_ring_map, twisted_alexander)
+                                   twist_ring_map, twisted_alexander,
+                                   twisted_jacobian, _regular_rep,
+                                   _summand_reps)
 
+from conftest import fixture_text
 from oracles import (mapping_torus_alexander, seifert_alexander,
                      twist_by_letters)
 
@@ -338,7 +345,7 @@ def test_h0_order_against_brute_fitting_ideal():
     """ord H_0 = gcd of maximal minors of the full twisted degree-0 boundary."""
     from twistalex.grouppres import GroupRingElement
     from twistalex.twistedalex import _h0_order
-    from twistalex.polymat import max_minor_gcd
+    from twistalex.polymat import laurent_minor_gcd
     P = na_presentation()
     # the fibration class, and Phi onto H = Z^2, whose Schreier values are
     # pairs taken once up to sign
@@ -355,7 +362,7 @@ def test_h0_order_against_brute_fitting_ideal():
                 # transpose: minors of the row span of the block row
                 mat = [[rows[i][j] for i in range(d)]
                        for j in range(len(rows[0]))]
-                brute = UnitClass(max_minor_gcd(mat, T.rank))
+                brute = UnitClass(laurent_minor_gcd(mat, T.rank))
                 assert UnitClass(_h0_order(T)) == brute
 
 
@@ -421,3 +428,191 @@ def test_generator_determinant_closed_form():
                     assert UnitClass(det) == UnitClass(closed)
                     total += 1
     assert total == 708
+
+
+# ---- sparse assembly and rational summands ----
+
+# the classes of the CLI golden commands
+FIXTURE_CLASSES = {"fig8.pres": "fib", "m.pres": "0,0,1,0,0,0,1,0",
+                   "na.pres": "fib", "t3.pres": "x", "torus.pres": "x",
+                   "trefoil.pres": "ab", "zero_alex.pres": "x"}
+
+
+def fixture_class(name):
+    _, (P, classes) = parse_document(fixture_text(name))
+    spec = FIXTURE_CLASSES[name]
+    if spec in classes:
+        return P, classes[spec]
+    return P, ClassMap(P, [(int(v),) for v in spec.split(",")])
+
+
+def first_column(phi):
+    return next(g for g, img in enumerate(phi.images) if any(img))
+
+
+def catalog_quotients(P, budget, dedup_auto=False):
+    """The trivial quotient, then every catalog quotient up to the budget."""
+    yield FiniteQuotient(P, trivial_group(), (0,) * P.ngens)
+    for G in group_catalog(budget):
+        yield from enumerate_epimorphisms(P, G, bound=budget,
+                                          dedup_auto=dedup_auto)
+
+
+def dense_rows(P, T, j):
+    """The twisted Jacobian from dense twist_ring_map blocks, column j
+    deleted: the assembly the sparse rows replace."""
+    rows = []
+    for rel_row in P.jacobian:
+        blocks = [twist_ring_map(rel_row[g], T)
+                  for g in range(P.ngens) if g != j]
+        for i in range(T.degree):
+            rows.append([e for blk in blocks for e in blk[i]])
+    return rows
+
+
+def strip_t(a):
+    """An array divided by its largest power of t."""
+    return a[next(i for i, c in enumerate(a) if c):]
+
+
+def test_sparse_rows_equal_the_dense_twist():
+    """Array for array, on every fixture and catalog quotient up to order 8
+    (m.pres up to 5), and with the class negated up to order 6 (m.pres up
+    to 3): the negated classes give Fox terms with Phi < 0, whose rows are
+    shifted as _rows_to_arrays shifts them."""
+    total = shifted = 0
+    for name in FIXTURE_CLASSES:
+        P, phi = fixture_class(name)
+        minus = ClassMap(P, [tuple(-v for v in img) for img in phi.images])
+        j = first_column(phi)
+        for cls, budget in ((phi, 8), (minus, 6)):
+            budget -= 3 if name == "m.pres" else 0
+            for q in catalog_quotients(P, budget):
+                T = TwistData(cls, q)
+                rows, _ = twisted_jacobian(P, T, j)
+                dense = dense_rows(P, T, j)
+                assert rows == _rows_to_arrays(dense)
+                shifted += sum(1 for row in dense if _row_shift(row))
+                total += 1
+    assert (total, shifted) == (3852, 7304)
+
+
+def test_multivariable_rows_equal_the_dense_twist():
+    total = 0
+    for name in ("na.pres", "t3.pres", "torus.pres", "zero_alex.pres"):
+        P, _ = fixture_class(name)
+        phi = ClassMap.to_abelianization(P)
+        assert phi.target_rank >= 2
+        j = first_column(phi)
+        for q in catalog_quotients(P, 4):
+            T = TwistData(phi, q)
+            rows, summands = twisted_jacobian(P, T, j)
+            assert summands == []
+            assert rows == dense_rows(P, T, j)
+            total += 1
+    assert total == 222
+
+
+def test_summand_representations_are_homomorphisms():
+    """rep(a) rep(b) = rep(ab) and rep(0) = 1 for the regular
+    representation and the summands of every catalog group up to order 12;
+    on a cyclotomic summand the generator 1 of Z_n acts by the companion
+    matrix of Phi_d, column y holding z^(y + 1) mod Phi_d."""
+    def dense(cols):
+        out = [[0] * len(cols) for _ in cols]
+        for y, col in enumerate(cols):
+            for i, v in col:
+                out[i][y] = v
+        return out
+
+    def matmul(A, B):
+        return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)]
+                for row in A]
+
+    checked = 0
+    for G in group_catalog(12):
+        cyclic = G.label.startswith("Z")
+        divisors = [d for d in range(1, G.order + 1) if G.order % d == 0]
+        summands = _summand_reps(G)
+        assert len(summands) == (len(divisors) if cyclic else 1)
+        for rep in [_regular_rep(G)] + summands:
+            mats = [dense(rep[a]) for a in range(G.order)]
+            m = len(mats[0])
+            assert mats[0] == [[int(i == y) for y in range(m)]
+                               for i in range(m)]
+            for a in range(G.order):
+                for b in range(G.order):
+                    assert matmul(mats[a], mats[b]) == mats[G.mul(a, b)]
+            checked += 1
+        if cyclic:
+            for d, rep in zip(divisors, summands):
+                phi_d = _cyclotomic(d)
+                m = len(phi_d) - 1
+                companion = [[int(i == y + 1) for y in range(m - 1)]
+                             + [-phi_d[i]] for i in range(m)]
+                assert dense(rep[1]) == companion
+    assert checked == 55
+
+
+def test_cyclotomic_blocks_give_the_full_qpart():
+    """On the cyclic quotients (na.pres up to Z16, m.pres up to Z5, the
+    other fixtures up to Z12) the summands are one block per divisor d of n,
+    (ngens - 1) * phi(d) columns wide, and the primitive product of their
+    Hermite pivot products is the full matrix's up to a power of t; a block
+    has rank below its width exactly when the full matrix does.  t3.pres
+    and m.pres take one quotient per kernel: quotients with one kernel
+    differ by an automorphism of Z_n, and every quotient would cost the
+    full-matrix oracle about 20 s."""
+    counts = {}
+    for name in FIXTURE_CLASSES:
+        P, phi = fixture_class(name)
+        j = first_column(phi)
+        top = {"na.pres": 16, "m.pres": 5}.get(name, 12)
+        for n in range(2, top + 1):
+            widths = [(P.ngens - 1) * (len(_cyclotomic(d)) - 1)
+                      for d in range(1, n + 1) if n % d == 0]
+            for q in enumerate_epimorphisms(
+                    P, cyclic_group(n), bound=n,
+                    dedup_auto=name in ("t3.pres", "m.pres")):
+                rows, summands = twisted_jacobian(P, TwistData(phi, q), j)
+                k = (P.ngens - 1) * n
+                assert [k_s for _, k_s in summands] == widths
+                assert sum(widths) == k
+                full = _hermite_qpart(rows, k)
+                parts = [_hermite_qpart(b, k_s) for b, k_s in summands]
+                key = (name, full is None)
+                counts[key] = counts.get(key, 0) + 1
+                if full is None:
+                    assert None in parts
+                    continue
+                assert None not in parts
+                prod = [1]
+                for part in parts:
+                    prod = _mul(prod, part)
+                assert _prim(strip_t(prod)) == strip_t(full)
+    assert counts == {("fig8.pres", False): 45, ("m.pres", True): 331,
+                      ("na.pres", False): 1223, ("t3.pres", False): 1170,
+                      ("torus.pres", False): 527, ("trefoil.pres", False): 45,
+                      ("zero_alex.pres", True): 527}
+
+
+def test_trivial_summand_rank_bounds_the_full_rank():
+    """On every catalog quotient up to order 8 (m.pres up to 5) the first
+    summand is the untwisted Jacobian, and where its rank is below its
+    width the full matrix's is too."""
+    deficient = {}
+    for name in FIXTURE_CLASSES:
+        P, phi = fixture_class(name)
+        j = first_column(phi)
+        trivial, *quotients = catalog_quotients(
+            P, 5 if name == "m.pres" else 8)
+        untwisted, _ = twisted_jacobian(P, TwistData(phi, trivial), j)
+        for q in quotients:
+            rows, summands = twisted_jacobian(P, TwistData(phi, q), j)
+            block, k1 = summands[0]
+            assert (block, k1) == (untwisted, P.ngens - 1)
+            if _hermite_qpart(block, k1) is None:
+                assert _hermite_qpart(rows, (P.ngens - 1) * q.group.order) \
+                    is None
+                deficient[name] = deficient.get(name, 0) + 1
+    assert deficient == {"m.pres": 1169, "zero_alex.pres": 215}
