@@ -16,6 +16,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .polymat import _int_det
+
 
 class DimensionMismatch(ValueError):
     """Operands live in different Clifford algebras."""
@@ -30,14 +32,17 @@ class UnknownSuite(ValueError):
 
 
 class GaussianRational:
-    """a + b*i with exact rational a, b."""
+    """a + b*i with exact rational a, b.
+
+    Each part is an int or a Fraction: integral arithmetic stays on ints, and
+    only division makes a Fraction.
+    """
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        # Fraction() on a Fraction only copies it, through slow type checks
-        self.re = re if type(re) is Fraction else Fraction(re)
-        self.im = im if type(im) is Fraction else Fraction(im)
+        self.re = re if type(re) in _EXACT else Fraction(re)
+        self.im = im if type(im) in _EXACT else Fraction(im)
 
     def __add__(self, other):
         other = _coerce(other)
@@ -66,8 +71,9 @@ class GaussianRational:
         n = other.re * other.re + other.im * other.im
         if n == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational((self.re * other.re + self.im * other.im) / n,
-                                (self.im * other.re - self.re * other.im) / n)
+        inv = Fraction(1, n)   # int / int would be a float
+        return GaussianRational((self.re * other.re + self.im * other.im) * inv,
+                                (self.im * other.re - self.re * other.im) * inv)
 
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
@@ -88,6 +94,9 @@ class GaussianRational:
         if self.im == 0:
             return str(self.re)
         return f"({self.re}{'+' if self.im >= 0 else '-'}{abs(self.im)}i)"
+
+
+_EXACT = (int, Fraction)
 
 
 def _coerce(x):
@@ -127,14 +136,17 @@ def _blade(mask):
     return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-_ZERO = {"R": Fraction(0), "C": GR_ZERO}
+_ZERO = {"R": 0, "C": GR_ZERO}
 
 
 def _coefficient(field, c):
-    """c as a coefficient: a Fraction over R, a GaussianRational over C."""
-    c = _coerce(c)
+    """c as a coefficient: an int or a Fraction over R, a GaussianRational
+    over C."""
     if field == "C":
+        return _coerce(c)
+    if type(c) in _EXACT:
         return c
+    c = _coerce(c)
     if c.im != 0:
         raise ValueError("real algebra with imaginary coefficient")
     return c.re
@@ -322,10 +334,18 @@ class ExactMatrix:
         if isinstance(other, (int, Fraction, GaussianRational)):
             c = _coerce(other)
             return ExactMatrix([[x * c for x in r] for r in self.rows])
-        n = self.size
-        return ExactMatrix([[sum((self.rows[i][k] * other.rows[k][j]
-                                  for k in range(n)), GR_ZERO)
-                             for j in range(n)] for i in range(n)])
+        # only nonzero entries meet: the mu images are signed monomial
+        support = [[(j, b) for j, b in enumerate(r) if not b.is_zero()]
+                   for r in other.rows]
+        out = []
+        for r in self.rows:
+            acc = [GR_ZERO] * self.size
+            for a, bs in zip(r, support):
+                if not a.is_zero():
+                    for j, b in bs:
+                        acc[j] = acc[j] + a * b
+            out.append(acc)
+        return ExactMatrix(out)
 
     __rmul__ = __mul__
 
@@ -360,25 +380,19 @@ class ExactMatrix:
 def _gauss_jordan(rows):
     """Reduced row echelon form over the Gaussian rationals.
 
-    Returns (reduced rows with unit pivots, pivot columns, det); for square
-    input det is the determinant, +-(product of the pivots) or 0.  Row
-    operations keep the linear relations among the columns, so the pivot
-    columns are the columns outside the span of the columns before them.
+    Returns (reduced rows with unit pivots, pivot columns).  Row operations
+    keep the linear relations among the columns, so the pivot columns are
+    the columns outside the span of the columns before them.
     """
     rows = [[_coerce(x) for x in r] for r in rows]
     pivots = []
-    det = GR_ONE
     for col in range(len(rows[0]) if rows else 0):
         r = len(pivots)
         piv = next((i for i in range(r, len(rows))
                     if not rows[i][col].is_zero()), None)
         if piv is None:
-            det = GR_ZERO
             continue
-        if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
-            det = -det
-        det = det * rows[r][col]
+        rows[r], rows[piv] = rows[piv], rows[r]
         inv = GR_ONE / rows[r][col]   # then reals multiply by one Fraction product
         pr = rows[r] = [x * inv for x in rows[r]]
         for row in rows:
@@ -388,7 +402,7 @@ def _gauss_jordan(rows):
                 # row r, or were cleared by an earlier pivot
                 row[col:] = [a - f * b for a, b in zip(row[col:], pr[col:])]
         pivots.append(col)
-    return rows, pivots, det
+    return rows, pivots
 
 
 def vector_rank(vectors):
@@ -403,8 +417,8 @@ def _coordinates(basis, vec):
     a pivot) or when the basis is dependent (a basis column has none).
     """
     k = len(basis)
-    rows, pivots, _ = _gauss_jordan([[b[i] for b in basis] + [vec[i]]
-                                     for i in range(len(vec))])
+    rows, pivots = _gauss_jordan([[b[i] for b in basis] + [vec[i]]
+                                  for i in range(len(vec))])
     if pivots != list(range(k)):
         return None
     return [rows[i][k] for i in range(k)]
@@ -687,7 +701,8 @@ def _verify_extcliff():
 
 
 def _rational_unit_vectors(rng, count):
-    """Exact unit vectors in R^4 from squared integer quaternions."""
+    """Unit vectors in R^4 from squared integer quaternions, as pairs (w, N):
+    w an integer vector of Euclidean norm N, so w / N is the unit vector."""
     out = []
     while len(out) < count:
         q = [rng.randint(-5, 5) for _ in range(4)]
@@ -695,56 +710,79 @@ def _rational_unit_vectors(rng, count):
         if norm == 0:
             continue
         a, b, c, d = q
-        vec = [Fraction(a * a - b * b - c * c - d * d, norm),
-               Fraction(2 * a * b, norm), Fraction(2 * a * c, norm),
-               Fraction(2 * a * d, norm)]
+        vec = [a * a - b * b - c * c - d * d, 2 * a * b, 2 * a * c, 2 * a * d]
         rng.shuffle(vec)  # coordinate permutations keep the norm
-        out.append(tuple(vec))
+        out.append((tuple(vec), norm))
     return out
 
 
 SPIN4_SAMPLES, SPIN4_SEED = 200, 7
 
 
-def _verify_spin4_adjoint():
+def _spin4_samples():
+    """The seeded even products: for each, its k = 2 or 4 pairs (w, N)."""
     rng = random.Random(SPIN4_SEED)
-    checks = []
-    ok_space = ok_orth = ok_det = True
-    es = [CliffordElement.e(4, "R", i) for i in (1, 2, 3, 4)]
     for _ in range(SPIN4_SAMPLES):
-        k = rng.choice((2, 4))
-        vecs = _rational_unit_vectors(rng, k)
-        phi = phi_inv = CliffordElement.scalar(4, "R", 1)
-        for v in vecs:
-            elem = CliffordElement(4, "R", {(i + 1,): v[i] for i in range(4)})
-            phi = phi * elem
-            phi_inv = (-elem) * phi_inv       # v^-1 = -v for unit v
-        cols = []
-        for e in es:
-            img = phi * e * phi_inv
-            if not (img - img.grade_part(1)).is_zero():
-                ok_space = False
-                break
-            cols.append([img.coeff((i,)) for i in (1, 2, 3, 4)])
-        if not ok_space:
+        yield _rational_unit_vectors(rng, rng.choice((2, 4)))
+
+
+_E4 = [CliffordElement.e(4, "R", i) for i in (1, 2, 3, 4)]
+
+
+def _spin4_adjoint(pairs):
+    """(s, s * Ad_phi) for phi = v_1 ... v_k with v_j = w_j / N_j, where
+    s = prod N_j^2; None when some (-w_j) w_j != N_j^2 or Ad_phi moves
+    some e_i off R^4.
+
+    Over the integers: psi = w_1 ... w_k = phi * prod N_j, and the integer
+    form of phi^-1 = (-v_k) ... (-v_1) (v^-1 = -v for unit v, checked) is
+    psi' = (-w_k) ... (-w_1), so psi e psi' = s * Ad_phi(e).  The matrix's
+    column i is the image of e_i.  With every product even, psi' is the
+    same without the signs, so only the check sees a wrong inverse.
+    """
+    psi = psi_inv = CliffordElement.scalar(4, "R", 1)
+    s = 1
+    for w, norm in pairs:
+        elem = CliffordElement(4, "R", {(i + 1,): w[i] for i in range(4)})
+        inv = -elem
+        if inv * elem != CliffordElement.scalar(4, "R", norm * norm):
+            return None
+        psi = psi * elem
+        psi_inv = inv * psi_inv
+        s *= norm * norm
+    cols = []
+    for e in _E4:
+        img = psi * e * psi_inv
+        if not (img - img.grade_part(1)).is_zero():
+            return None
+        cols.append([img.coeff((i,)) for i in (1, 2, 3, 4)])
+    return s, [[cols[j][i] for j in range(4)] for i in range(4)]
+
+
+def _verify_spin4_adjoint():
+    ok_space = ok_orth = ok_det = True
+    for pairs in _spin4_samples():
+        found = _spin4_adjoint(pairs)
+        if found is None:
+            ok_space = False
             break
-        # columns of the adjoint matrix: check orthogonality and det 1
-        m = [[cols[j][i] for j in range(4)] for i in range(4)]
-        gram_ok = all(sum(m[i][a] * m[i][b] for i in range(4))
-                      == (1 if a == b else 0)
-                      for a in range(4) for b in range(4))
-        if not gram_ok:
+        # M = s A: A is orthogonal with det 1 iff M^T M = s^2 I, det M = s^4
+        s, m = found
+        if not all(sum(m[i][a] * m[i][b] for i in range(4))
+                   == (s * s if a == b else 0)
+                   for a in range(4) for b in range(4)):
             ok_orth = False
             break
-        if _gauss_jordan(m)[2] != 1:
+        if _int_det(m) != s ** 4:
             ok_det = False
             break
-    checks.append(Check(f"Ad_phi preserves R^4 ({SPIN4_SAMPLES} random even "
-                        f"products)", ok_space))
-    checks.append(Check("Ad_phi preserves the Euclidean inner product",
-                        ok_space and ok_orth))
-    checks.append(Check("Ad_phi has determinant 1", ok_space and ok_orth and ok_det))
-    return VerificationReport("spin4-adjoint", tuple(checks))
+    checks = (
+        Check(f"Ad_phi preserves R^4 ({SPIN4_SAMPLES} random even products)",
+              ok_space),
+        Check("Ad_phi preserves the Euclidean inner product",
+              ok_space and ok_orth),
+        Check("Ad_phi has determinant 1", ok_space and ok_orth and ok_det))
+    return VerificationReport("spin4-adjoint", checks)
 
 
 _SUITES = {

@@ -70,6 +70,20 @@ def _bareiss(a, k, zero, one, step):
     return idx[:k], odd, prevs[k]
 
 
+def _int_step(p, f, xs, ys, prev):
+    """The Bareiss step over Z, where every quotient is exact."""
+    return [(p * x - f * y) // prev for x, y in zip(xs, ys)]
+
+
+def _int_det(rows):
+    """Exact determinant of a square integer matrix."""
+    found = _bareiss([list(r) for r in rows], len(rows), 0, 1, _int_step)
+    if found is None:
+        return 0
+    _, odd, d = found
+    return -d if odd else d
+
+
 def _bareiss_det(rows):
     """Exact determinant of a square matrix of coefficient arrays."""
     found = _bareiss([list(r) for r in rows], len(rows), [], [1],
@@ -206,9 +220,7 @@ def _evaluations(rows, k, start):
     D = sum(sorted(max(map(len, r)) - 1 for r in rows)[-k:])
     for x in range(start, D + 3):
         ints = [[_eval(e, x) if e else 0 for e in r] for r in rows]
-        yield x, _bareiss(ints, k, 0, 1,
-                          lambda p, f, us, vs, prev:
-                          [(p * u - f * v) // prev for u, v in zip(us, vs)])
+        yield x, _bareiss(ints, k, 0, 1, _int_step)
 
 
 def _independent_rows(rows, k):

@@ -319,3 +319,52 @@ def blade_product(b1, b2):
         else:
             out.append(x)
     return sign, tuple(out)
+
+
+# ---- the spin4 adjoint over Fraction coefficients ----
+
+def fraction_unit_vectors(rng, count):
+    """Unit vectors in R^4 as Fraction 4-tuples, with the draws of the
+    library's integer form: (a^2 - b^2 - c^2 - d^2, 2ab, 2ac, 2ad) / |q|^2
+    for a random integer quaternion q, coordinates shuffled."""
+    out = []
+    while len(out) < count:
+        q = [rng.randint(-5, 5) for _ in range(4)]
+        norm = sum(x * x for x in q)
+        if norm == 0:
+            continue
+        a, b, c, d = q
+        vec = [Fraction(a * a - b * b - c * c - d * d, norm),
+               Fraction(2 * a * b, norm), Fraction(2 * a * c, norm),
+               Fraction(2 * a * d, norm)]
+        rng.shuffle(vec)
+        out.append(tuple(vec))
+    return out
+
+
+def _clifford_mul(x, y):
+    """Product of two elements of Cl(R^n) given as {index tuple: coeff}."""
+    out = {}
+    for b1, c1 in x.items():
+        for b2, c2 in y.items():
+            sign, b = blade_product(b1, b2)
+            out[b] = out.get(b, 0) + sign * c1 * c2
+    return {b: c for b, c in out.items() if c}
+
+
+def fraction_adjoint(vecs):
+    """The 4 x 4 Fraction matrix of x -> phi x phi^-1 on R^4 for the product
+    phi = v_1 ... v_k of unit vectors, with phi^-1 = (-v_k) ... (-v_1);
+    column i is the image of e_i.  None when an image leaves R^4."""
+    phi = phi_inv = {(): Fraction(1)}
+    for v in vecs:
+        elem = {(i + 1,): x for i, x in enumerate(v) if x}
+        phi = _clifford_mul(phi, elem)
+        phi_inv = _clifford_mul({b: -c for b, c in elem.items()}, phi_inv)
+    cols = []
+    for i in range(1, 5):
+        img = _clifford_mul(_clifford_mul(phi, {(i,): 1}), phi_inv)
+        if any(len(b) != 1 for b in img):
+            return None
+        cols.append([img.get((j,), 0) for j in range(1, 5)])
+    return [[cols[j][i] for j in range(4)] for i in range(4)]

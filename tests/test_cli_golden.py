@@ -45,6 +45,9 @@ BENCH_COMMANDS = (
      "D2"],
 )
 
+CLIFFORD_SUITES = ("cliffmult", "cliff3", "cliffm1", "cliffiso", "endiso",
+                   "extcliff", "spin4-adjoint")
+
 
 def _commands():
     fixtures = sorted(p.name for p in (ROOT / "fixtures").iterdir())
@@ -71,6 +74,8 @@ def _commands():
     out.extend(["exactseq", f"fixtures/{n}"]
                for n in fixtures if n.endswith(".seq"))
     out.append(["clifford-verify"])
+    out.extend(["clifford-verify", suite] for suite in CLIFFORD_SUITES)
+    out.append(["--output", "structured", "clifford-verify"])
     return out
 
 

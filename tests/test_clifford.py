@@ -8,10 +8,13 @@ from twistalex.clifford import (CliffordElement, DimensionMismatch,
                                 NotSplitting, all_blades, hodge_star, mu_map,
                                 projector, vector_rank, verify_all,
                                 verify_iso, volume_element, HODGE_TABLE_4,
-                                _blade, _blade_mul, _coordinates,
-                                _gauss_jordan, _mask, _mu_generators)
+                                SPIN4_SAMPLES, SPIN4_SEED, _blade, _blade_mul,
+                                _coordinates, _gauss_jordan, _mask,
+                                _mu_generators, _rational_unit_vectors,
+                                _spin4_adjoint, _spin4_samples)
 
-from oracles import blade_product, int_det, rational_rank
+from oracles import (blade_product, fraction_adjoint, fraction_unit_vectors,
+                     int_det, rational_rank)
 
 
 def e(i, n=4, field="C"):
@@ -28,6 +31,23 @@ def test_gaussian_rational_arithmetic():
     assert x * y == GaussianRational(Fraction(5, 2), 0)
     assert (x / y) * y == x
     assert GR_I * GR_I == GaussianRational(-1)
+
+
+def test_gaussian_rational_int_parts():
+    x, y = GaussianRational(1, -2), GaussianRational(-3, 5)
+    for z in (x + y, x - y, x * y, -x, x + 4, 4 - x, 3 * x, x * x):
+        assert type(z.re) is int and type(z.im) is int
+    third = GaussianRational(1) / 3
+    assert (type(third.re), type(third.im)) == (Fraction, Fraction)
+    assert third == GaussianRational(Fraction(1, 3))
+    inv = GR_ONE / GaussianRational(0, 2)
+    assert (type(inv.re), type(inv.im)) == (Fraction, Fraction)
+    assert inv == GaussianRational(0, Fraction(-1, 2))
+    assert GaussianRational(3) == GaussianRational(Fraction(3))
+    assert hash(GaussianRational(3)) == hash(GaussianRational(Fraction(3)))
+    assert repr(x) == "(1-2i)" and repr(GaussianRational(3)) == "3"
+    assert repr(GaussianRational(Fraction(3))) == "3"
+    assert repr(third) == "1/3" and repr(inv) == "(0-1/2i)"
 
 
 def test_product_examples():
@@ -148,7 +168,7 @@ def _realify(rows):
             + [b + a for a, b in zip(re, im)])
 
 
-def test_gauss_jordan_rank_and_det_against_oracles():
+def test_gauss_jordan_rank_against_oracles():
     rng = random.Random(41)
     ints = lambda: GaussianRational(rng.randint(-4, 4))
     gauss = lambda: GaussianRational(Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
@@ -160,13 +180,11 @@ def test_gauss_jordan_rank_and_det_against_oracles():
             if rng.random() < 0.5:
                 rows = [[entry() for _ in range(n)] for _ in range(m)]
                 rows[0][0] = GaussianRational()   # a zero first pivot entry
-            reduced, pivots, det = _gauss_jordan(rows)
+            reduced, pivots = _gauss_jordan(rows)
             assert 2 * len(pivots) == rational_rank(_realify(rows))
             for i, j in enumerate(pivots):
                 assert [r[j] for r in reduced] == [GR_ONE if t == i else 0
                                                    for t in range(m)]
-            if m == n:
-                assert det == int_det(rows)
 
 
 def test_coordinates_round_trip():
@@ -211,17 +229,34 @@ def test_blade_mul_against_sorting_oracle():
                 assert mask == sum(1 << (i - 1) for i in _blade(mask))
 
 
+def _field_native(field, c):
+    """Over R an exact rational, int or Fraction; over C a GaussianRational
+    with int or Fraction parts."""
+    if field == "R":
+        return type(c) in (int, Fraction)
+    return (type(c) is GaussianRational
+            and type(c.re) in (int, Fraction) and type(c.im) in (int, Fraction))
+
+
 def test_coefficients_are_field_native():
     half = Fraction(1, 2)
-    for field, kind in (("R", Fraction), ("C", GaussianRational)):
+    for field in ("R", "C"):
         x = CliffordElement(3, field, {(): half, (1,): 2, (1, 3): -3,
                                        (1, 2, 3): GaussianRational(1)})
         y = CliffordElement.e(3, field, 2) * 5 + x * x
         for z in (x, y, x * y, x + y, x - y, -x, 3 * x, x * half,
                   x.grade_part(2), x.even_part(), x.odd_part(), x.alpha()):
             assert z.terms and all(type(m) is int for m in z.terms)
-            assert all(type(c) is kind and c != 0 for c in z.terms.values())
-        assert type(x.coeff((2, 3))) is kind and x.coeff((2, 3)) == 0
+            assert all(_field_native(field, c) and c != 0
+                       for c in z.terms.values())
+        assert _field_native(field, x.coeff((2, 3))) and x.coeff((2, 3)) == 0
+        # an all-integer element keeps int coefficients (int parts over C)
+        u = CliffordElement(3, field, {(): 2, (1,): -1, (2, 3): 3})
+        v = CliffordElement(3, field, {(1,): 4, (1, 2, 3): -5})
+        for z in (u + v, u - v, u * v, -u, 3 * u):
+            parts = (z.terms.values() if field == "R" else
+                     [p for c in z.terms.values() for p in (c.re, c.im)])
+            assert z.terms and all(type(p) is int for p in parts)
         assert (x - x).is_zero() and (x * 0).is_zero()
     with pytest.raises(ValueError, match="imaginary"):
         CliffordElement(3, "R", {(1,): GR_I})
@@ -250,3 +285,35 @@ def test_mu_map_of_basis_blades_is_the_generator_product():
         for i in blade:
             product = product * gens[i - 1]
         assert mu_map(CliffordElement.blade(4, "C", blade)) == product
+
+
+def _scaled(s, rows):
+    return [[s * x for x in r] for r in rows]
+
+
+def test_spin4_adjoint_against_fraction_oracle():
+    rng = random.Random(SPIN4_SEED)
+    seen = 0
+    for pairs in _spin4_samples():
+        vecs = fraction_unit_vectors(rng, rng.choice((2, 4)))
+        assert vecs == [tuple(Fraction(x, n) for x in w) for w, n in pairs]
+        ref = fraction_adjoint(vecs)
+        s, m = _spin4_adjoint(pairs)
+        assert m == _scaled(s, ref)
+        assert all(sum(ref[i][a] * ref[i][b] for i in range(4))
+                   == (a == b) for a in range(4) for b in range(4))
+        assert int_det(ref) == 1
+        seen += 1
+    assert seen == SPIN4_SAMPLES
+
+
+def test_spin4_adjoint_odd_products_against_fraction_oracle():
+    # every sampled product is even, where phi^-1 and the product of the
+    # un-negated factors agree; odd ones tell the two apart
+    rng, ref_rng = random.Random(5), random.Random(5)
+    for k in (1, 3, 1, 3, 5):
+        pairs = _rational_unit_vectors(rng, k)
+        ref = fraction_adjoint(fraction_unit_vectors(ref_rng, k))
+        s, m = _spin4_adjoint(pairs)
+        assert m == _scaled(s, ref)
+        assert int_det(ref) == -1

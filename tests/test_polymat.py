@@ -9,7 +9,7 @@ from twistalex.grouppres import cyclic_group, enumerate_epimorphisms
 from twistalex.laurent import (LaurentPoly, UnitClass, _divexact, _eval,
                                _int_poly_gcd, _mul, _sub, _trim)
 from twistalex.polymat import (_content_multiple, _gauss_valuation_sum,
-                               _hermite_qpart,
+                               _hermite_qpart, _int_det,
                                _independent_rows,
                                _bareiss_det, _prime_factors, _rows_to_arrays,
                                _arr_to_poly, _scale, laurent_det,
@@ -18,7 +18,7 @@ from twistalex.twistedalex import (TwistData, twisted_alexander,
                                    twisted_jacobian)
 
 from conftest import fixture_text
-from oracles import brute_minor_gcd, cofactor_det, eager_bareiss
+from oracles import brute_minor_gcd, cofactor_det, eager_bareiss, int_det
 
 
 def random_poly(rng, max_terms=3, max_exp=3, max_coeff=4):
@@ -64,6 +64,24 @@ def test_laurent_det_matches_cofactor_oracle():
                               for _ in range(rng.randint(0, 2))})
               for _ in range(n)] for _ in range(n)]
         assert laurent_det(M, 2) == cofactor_det(M, 2)
+
+
+def test_int_det_against_cofactor_oracle():
+    rng = random.Random(41)
+    entry = lambda: rng.randint(-4, 4)
+    assert _int_det([]) == 1
+    for _ in range(120):
+        n = rng.randint(1, 5)
+        # a product n x r times r x n has rank <= r: singular when r < n
+        r = rng.randint(0, n)
+        left = [[entry() for _ in range(r)] for _ in range(n)]
+        right = [[entry() for _ in range(n)] for _ in range(r)]
+        rows = [[sum(left[i][t] * right[t][j] for t in range(r))
+                 for j in range(n)] for i in range(n)]
+        if rng.random() < 0.5:
+            rows = [[entry() for _ in range(n)] for _ in range(n)]
+            rows[0][0] = 0   # a zero first pivot entry
+        assert _int_det(rows) == int_det(rows)
 
 
 def test_max_minor_gcd_matches_oracle_small():
