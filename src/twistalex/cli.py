@@ -139,21 +139,24 @@ def cmd_alexander(args):
         raise CliError(EXIT_PRECONDITION, str(exc)) from None
     except ValueError as exc:
         raise CliError(EXIT_PARSE, str(exc)) from None
-    if G.order == 1:
-        quotients = [trivial_twist(P, phi).alpha]
-    else:
-        quotients = enumerate_epimorphisms(P, G, bound=args.budget,
-                                           dedup_auto=args.dedup_aut)
-        if not quotients:
-            return [f"no epimorphisms onto {G.label}"]
-    return _alexander_lines(P, phi, quotients, args.output)
+    try:
+        if G.order == 1:
+            quotients = [trivial_twist(P, phi).alpha]
+        else:
+            quotients = enumerate_epimorphisms(P, G, bound=args.budget,
+                                               dedup_auto=args.dedup_aut)
+            if not quotients:
+                return [f"no epimorphisms onto {G.label}"]
+        return _alexander_lines(P, phi, quotients, args.output)
+    except BoundExceeded as exc:
+        raise CliError(EXIT_PRECONDITION, str(exc)) from None
 
 
 def cmd_multivariable(args):
     P, _ = _load(args.file, "presentation")
     try:
         tw = multivariable_alexander(P)
-    except (NoValidColumn, UnsupportedRank) as exc:
+    except (NoValidColumn, UnsupportedRank, BoundExceeded) as exc:
         raise CliError(EXIT_PRECONDITION, str(exc)) from None
     rep = tw.value.representative
     if args.output == "structured":
@@ -182,7 +185,10 @@ def cmd_norms(args):
         report = mcmullen_check(delta, w, args.thurston, b1)
     except ValueError as exc:
         raise CliError(EXIT_PRECONDITION, str(exc)) from None
-    single = twisted_alexander(P, trivial_twist(P, phi))
+    try:
+        single = twisted_alexander(P, trivial_twist(P, phi))
+    except BoundExceeded as exc:
+        raise CliError(EXIT_PRECONDITION, str(exc)) from None
     deg = laurent_degree(single.value.representative)
     degprop_ok = (deg is MINUS_INFINITY
                   or deg <= report.alexander_norm + 2 * dv)

@@ -363,13 +363,6 @@ class ExactMatrix:
         return ExactMatrix([[self.rows[i // m][j // m] * other.rows[i % m][j % m]
                              for j in range(n * m)] for i in range(n * m)])
 
-    def column(self, j):
-        return [self.rows[i][j] for i in range(self.size)]
-
-    def apply(self, vec):
-        return [sum((self.rows[i][j] * vec[j] for j in range(self.size)),
-                    GR_ZERO) for i in range(self.size)]
-
     def flatten(self):
         return [x for r in self.rows for x in r]
 
@@ -377,51 +370,25 @@ class ExactMatrix:
         return f"ExactMatrix({[[repr(x) for x in r] for r in self.rows]})"
 
 
-def _gauss_jordan(rows):
-    """Reduced row echelon form over the Gaussian rationals.
-
-    Returns (reduced rows with unit pivots, pivot columns).  Row operations
-    keep the linear relations among the columns, so the pivot columns are
-    the columns outside the span of the columns before them.
-    """
-    rows = [[_coerce(x) for x in r] for r in rows]
-    pivots = []
+def vector_rank(vectors):
+    """Rank over the Gaussian rationals, by forward elimination."""
+    rows = [[_coerce(x) for x in r] for r in vectors]
+    rank = 0
     for col in range(len(rows[0]) if rows else 0):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(rows))
+        piv = next((i for i in range(rank, len(rows))
                     if not rows[i][col].is_zero()), None)
         if piv is None:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = GR_ONE / rows[r][col]   # then reals multiply by one Fraction product
-        pr = rows[r] = [x * inv for x in rows[r]]
-        for row in rows:
-            f = row[col]
-            if row is not pr and not f.is_zero():
-                # pr is zero left of col: those columns held no pivot below
-                # row r, or were cleared by an earlier pivot
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        pr = rows[rank]
+        inv = GR_ONE / pr[col]
+        for row in rows[rank + 1:]:
+            if not row[col].is_zero():
+                # pr is zero left of col, so those columns stay cleared
+                f = row[col] * inv
                 row[col:] = [a - f * b for a, b in zip(row[col:], pr[col:])]
-        pivots.append(col)
-    return rows, pivots
-
-
-def vector_rank(vectors):
-    """Rank over the Gaussian rationals."""
-    return len(_gauss_jordan(vectors)[1])
-
-
-def _coordinates(basis, vec):
-    """Coordinates of vec in the independent vectors `basis`, or None.
-
-    None when vec is off their span (the last column of [basis | vec] holds
-    a pivot) or when the basis is dependent (a basis column has none).
-    """
-    k = len(basis)
-    rows, pivots = _gauss_jordan([[b[i] for b in basis] + [vec[i]]
-                                  for i in range(len(vec))])
-    if pivots != list(range(k)):
-        return None
-    return [rows[i][k] for i in range(k)]
+        rank += 1
+    return rank
 
 
 # ---- the explicit 4x4 complex model --------------------------------------
@@ -590,61 +557,48 @@ def _verify_cliffm1():
     return VerificationReport("cliffm1", tuple(checks))
 
 
-def _matrix_in_basis(m, source, target):
-    """Coordinates in `target` of m v for each v in `source`, concatenated,
-    or None when some image is off the span of `target`."""
-    flat = []
-    for v in source:
-        c = _coordinates(target, m.apply(v))
-        if c is None:
-            return None
-        flat.extend(c)
-    return flat
-
-
-def _plus_minus_bases():
-    pp = mu_map(projector(1, 4))
-    pm = mu_map(projector(-1, 4))
-    bp, bm = ([m.column(j) for j in _gauss_jordan(m.rows)[1]]
-              for m in (pp, pm))
-    return pp, pm, bp, bm
-
-
 def _verify_cliffiso():
     checks = []
-    pp, pm, bp, bm = _plus_minus_bases()
-    checks.append(Check("dim (C^4)^+ = 2", len(bp) == 2))
-    checks.append(Check("dim (C^4)^- = 2", len(bm) == 2))
+    # (C^4)^+- is the image of P+- = mu(pi^+-)
+    pp, pm = (mu_map(projector(sign, 4)) for sign in (1, -1))
+    checks.append(Check("dim (C^4)^+ = 2", vector_rank(pp.rows) == 2))
+    checks.append(Check("dim (C^4)^- = 2", vector_rank(pm.rows) == 2))
     checks.append(Check("pi^+ + pi^- = 1", pp + pm == ExactMatrix.identity(4)))
     checks.append(Check("pi^+ pi^- = 0", pp * pm == ExactMatrix.zero(4)))
     gens = [mu_map(CliffordElement.e(4, "C", i)) for i in (1, 2, 3, 4)]
-    maps_pm = [_matrix_in_basis(m, bp, bm) for m in gens]
-    maps_mp = [_matrix_in_basis(m, bm, bp) for m in gens]
-    swap_ok = None not in maps_pm + maps_mp
+    # f -> f P embeds Hom((C^4)^+-, C^4) in Mat(4, C); f P lands in the
+    # image of the projector Q iff Q f P = f P
+    on_plus, on_minus = [m * pp for m in gens], [m * pm for m in gens]
+    plus_ok = all(pm * m == m for m in on_plus)
+    minus_ok = all(pp * m == m for m in on_minus)
     checks.append(Check("Clifford multiplication swaps (C^4)^+ and (C^4)^-",
-                        swap_ok))
+                        plus_ok and minus_ok))
     checks.append(Check("C^4 -> Hom((C^4)^+, (C^4)^-) is injective (rank 4)",
-                        swap_ok and vector_rank(maps_pm) == 4))
+                        plus_ok and vector_rank(m.flatten()
+                                                for m in on_plus) == 4))
     checks.append(Check("C^4 -> Hom((C^4)^-, (C^4)^+) is injective (rank 4)",
-                        swap_ok and vector_rank(maps_mp) == 4))
+                        minus_ok and vector_rank(m.flatten()
+                                                 for m in on_minus) == 4))
     return VerificationReport("cliffiso", tuple(checks))
 
 
 def _verify_endiso():
     checks = []
-    pp, pm, bp, bm = _plus_minus_bases()
-    for sign, basis, label in ((1, bp, "+"), (-1, bm, "-")):
+    blades = all_blades(4)
+    even = [b for b in blades if len(b) % 2 == 0]
+    for sign, label in ((1, "+"), (-1, "-")):
         proj = projector(sign, 4)
-        even = [b for b in all_blades(4) if len(b) % 2 == 0]
         elems = [proj * CliffordElement(4, "C", {b: 1}) for b in even]
-        blades = all_blades(4)
         dim = vector_rank([x.coefficient_vector(blades) for x in elems])
         checks.append(Check(f"dim Cl_0^{label}(C^4) = 4", dim == 4))
-        mats = [_matrix_in_basis(mu_map(x), basis, basis) for x in elems]
-        closed = None not in mats
+        # as in cliffiso: M restricted to (C^4)^+- is M P, P = mu(pi^+-)
+        p = mu_map(proj)
+        restricted = [mu_map(x) * p for x in elems]
+        closed = all(p * m == m for m in restricted)
         checks.append(Check(f"Cl_0^{label} preserves (C^4)^{label}", closed))
         checks.append(Check(f"Cl_0^{label} -> End((C^4)^{label}) surjective "
-                            f"(rank 4)", closed and vector_rank(mats) == 4))
+                            f"(rank 4)", closed and vector_rank(
+                                m.flatten() for m in restricted) == 4))
     return VerificationReport("endiso", tuple(checks))
 
 

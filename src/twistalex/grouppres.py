@@ -27,6 +27,14 @@ class Incompatible(ValueError):
     """Cover data does not match the quotient it claims to come from."""
 
 
+def _check_same(p, q, message):
+    """Raise Incompatible unless p and q are structurally equal
+    presentations."""
+    if p is not q and (p.generators != q.generators
+                       or p.relators != q.relators):
+        raise Incompatible(message)
+
+
 # ---- words ---------------------------------------------------------------
 
 def free_reduce(word):
@@ -583,11 +591,8 @@ def reidemeister_schreier(P, q):
     The transversal is read off the parent edges of q's coset table, so the
     output is deterministic.
     """
-    if q.presentation is not P:
-        # allow structurally equal presentations
-        if (q.presentation.generators != P.generators
-                or q.presentation.relators != P.relators):
-            raise Incompatible("quotient belongs to a different presentation")
+    _check_same(q.presentation, P,
+                "quotient belongs to a different presentation")
     G = q.group
     order, discovery = q.order, q.position
     trans = {0: ()}

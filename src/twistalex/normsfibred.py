@@ -130,14 +130,19 @@ def group_catalog(budget):
     Cyclic groups of every order, dihedral groups from D2 up (D1 = Z2), and
     S4 (S2, S3 duplicate Z2, D3).  Sorted by (order, label).  The tables are
     all held at once, so their entries are checked against
-    MAX_TABLE_ENTRIES before any is built: budgets up to 125 pass.
+    MAX_TABLE_ENTRIES before any is built, or listed: budgets up to 125
+    pass.
     """
-    makers = [(n, cyclic_group, n) for n in range(2, budget + 1)]
-    makers += [(2 * n, dihedral_group, n) for n in range(2, budget // 2 + 1)]
+    def squares(k):   # 2^2 + ... + k^2
+        return max(0, k * (k + 1) * (2 * k + 1) // 6 - 1)
+
+    check_table_entries(squares(budget) + 4 * squares(budget // 2)
+                        + (24 * 24 if budget >= 24 else 0))
+    makers = [(cyclic_group, n) for n in range(2, budget + 1)]
+    makers += [(dihedral_group, n) for n in range(2, budget // 2 + 1)]
     if budget >= 24:
-        makers.append((24, symmetric_group, 4))
-    check_table_entries(sum(order * order for order, _, _ in makers))
-    return sorted((make(n) for _, make, n in makers),
+        makers.append((symmetric_group, 4))
+    return sorted((make(n) for make, n in makers),
                   key=lambda g: (g.order, g.label))
 
 

@@ -21,8 +21,9 @@ Q[Z_n] = (+)_{d | n} Q[z]/Phi_d(z), each summand once.
 from dataclasses import dataclass
 from functools import cache
 
-from .grouppres import (ClassMap, FiniteQuotient, GroupRingElement,
-                        Incompatible, abelianize, trivial_group)
+from .grouppres import (BoundExceeded, ClassMap, FiniteQuotient,
+                        GroupRingElement, Incompatible, abelianize,
+                        trivial_group, _check_same)
 from .laurent import (LaurentPoly, UnitClass, UnsupportedRank, div_exact,
                       lp_gcd_many, normalize_unit, _arr_to_poly, _cyclotomic)
 from .polymat import laurent_det, laurent_minor_gcd, max_minor_gcd
@@ -32,10 +33,13 @@ class NoValidColumn(ValueError):
     """A forced column with det(twist(g) - I) = 0, or b_1 = 0."""
 
 
-def _check_same(p, q, message):
-    if p is not q and (p.generators != q.generators
-                       or p.relators != q.relators):
-        raise Incompatible(message)
+# Bound on |G| times the Phi-length of the presentation (the sum of |Phi(g)|
+# over the generators and over every relator letter).  Up to a factor of two
+# that product bounds the degree of each Laurent polynomial of the twist: the
+# Jacobian minors, det(twist(g_j) - I) and the H_0 generators t^v - 1.  The
+# arithmetic on them is quadratic in the degree, so a twist near the bound is
+# already slow; one far past it would not fit in memory.
+MAX_TWIST_DEGREE = 10**6
 
 
 @dataclass(frozen=True)
@@ -48,8 +52,15 @@ class TwistData:
     def __post_init__(self):
         if self.phi.is_trivial():
             raise ValueError("Phi must be nontrivial")
-        _check_same(self.phi.presentation, self.alpha.presentation,
+        P = self.alpha.presentation
+        _check_same(self.phi.presentation, P,
                     "Phi and alpha live on different presentations")
+        length = [sum(map(abs, img)) for img in self.phi.images]
+        degree = self.degree * (sum(length) + sum(length[g] for r in P.relators
+                                                  for g, _ in r))
+        if degree > MAX_TWIST_DEGREE:
+            raise BoundExceeded(f"twist degree {degree} exceeds the bound "
+                                f"of {MAX_TWIST_DEGREE}")
 
     @property
     def rank(self):

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 import time
@@ -133,6 +134,11 @@ def test_oversized_power_exit2(capsys, tmp_path):
      "10000000000 group table entries exceed the bound of 1000000"),
     ("fibred", None, ("--phi", "fib", "--thurston", "0", "--budget", "1000"),
      3, "group table entries exceed the bound of 1000000"),
+    ("alexander", None, ("--phi", "0,0,99999999999"), 3,
+     "twist degree 499999999995 exceeds the bound of 1000000"),
+    ("fibred", None, ("--phi", "fib", "--thurston", "0", "--budget",
+                      "99999999999"), 3,
+     "499999999990000000000050000000571 group table entries exceed the bound"),
     ("alexander", "presentation\ngenerators: a b\n"
      "relator: a^49999 b a^-49999 b^-1\n", ("--phi", "0,1"), 2,
      "line 3: relators past the Fox bound sum L(L+1)/2 <= 4000000"),
@@ -320,3 +326,70 @@ def test_roundtrip_sequence():
     _, seq2 = parse_document(text)
     assert seq2.terms == seq.terms and seq2.maps == seq.maps
     assert emit_sequence(seq2) == text
+
+
+# Odd option values for the argv sweep.  Groups stay at order <= 6 and
+# valid fibred budgets at <= 4, so each call is cheap on m.pres too.
+ODD_PHI = ("fib", "x", "ab", "0", "1,0", "", ",", "1,,0", "1.5", "a b")
+ODD_GROUP = ("trivial", "1", "Z1", "Z2", "Z3", "Z6", "D2", "D3", "S3", "S0",
+             "Z0", "D0", "D1", "Z-2", "Zx", "Q8", "S5", "Z99999999999",
+             "D99999999999", "S99999999999", "")
+ODD_INT = ("-1", "0", "1", "2", "3", "x", "1.5", "99999999999")
+ODD_BUDGET = ("-1", "0", "1", "2", "3", "4", "x", "1000", "99999999999")
+
+
+def _odd_phi(rng, ngens):
+    """A class spec: an odd string, or one value per generator with now
+    and then a huge one."""
+    if rng.random() < 0.3:
+        return rng.choice(ODD_PHI)
+    values = [rng.choice((-2, -1, 0, 0, 1, 1, 2)) for _ in range(ngens)]
+    if rng.random() < 0.15:
+        values[rng.randrange(ngens)] = 99999999999
+    return ",".join(map(str, values))
+
+
+def _odd_argvs(per_pair=24):
+    """A fixed sample of argvs: each .pres fixture x alexander,
+    multivariable, norms and fibred, with odd option values."""
+    rng = random.Random(9)
+    options = {"alexander": ("--phi", "--group", "--budget"),
+               "multivariable": ("--phi",),   # no such option
+               "norms": ("--phi", "--thurston"),
+               "fibred": ("--phi", "--thurston", "--b3", "--budget")}
+    values = {"--group": ODD_GROUP, "--thurston": ODD_INT, "--b3": ODD_INT,
+              "--budget": ODD_BUDGET}
+    argvs = set()
+    for path in sorted(FIXTURES.glob("*.pres")):
+        _, (P, classes) = parse_document(path.read_text())
+        for command, flags in options.items():
+            for _ in range(per_pair):
+                argv = (["--output", "structured"] if rng.random() < 0.2
+                        else [])
+                argv += [command, str(path)]
+                for flag in flags:
+                    # a fibred run without --budget would use the default 6
+                    if (rng.random() < 0.15 and not
+                            (command == "fibred" and flag == "--budget")):
+                        continue
+                    if flag == "--phi":
+                        value = (rng.choice(sorted(classes))
+                                 if classes and rng.random() < 0.3
+                                 else _odd_phi(rng, P.ngens))
+                    else:
+                        value = rng.choice(values[flag])
+                    argv += [flag, value]
+                argvs.add(tuple(argv))
+    return sorted(argvs)
+
+
+def test_odd_argv_exits_with_a_documented_code(capsys):
+    argvs = _odd_argvs()
+    assert len(argvs) > 550
+    for argv in argvs:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:   # argparse rejects the option
+            code = exc.code
+        capsys.readouterr()
+        assert code in (0, 2, 3, 4, 5), argv

@@ -9,9 +9,9 @@ from twistalex.clifford import (CliffordElement, DimensionMismatch,
                                 projector, vector_rank, verify_all,
                                 verify_iso, volume_element, HODGE_TABLE_4,
                                 SPIN4_SAMPLES, SPIN4_SEED, _blade, _blade_mul,
-                                _coordinates, _gauss_jordan, _mask,
-                                _mu_generators, _rational_unit_vectors,
-                                _spin4_adjoint, _spin4_samples)
+                                _mask, _mu_blade, _mu_generators,
+                                _rational_unit_vectors, _spin4_adjoint,
+                                _spin4_samples)
 
 from oracles import (blade_product, fraction_adjoint, fraction_unit_vectors,
                      int_det, rational_rank)
@@ -168,7 +168,7 @@ def _realify(rows):
             + [b + a for a, b in zip(re, im)])
 
 
-def test_gauss_jordan_rank_against_oracles():
+def test_vector_rank_against_oracles():
     rng = random.Random(41)
     ints = lambda: GaussianRational(rng.randint(-4, 4))
     gauss = lambda: GaussianRational(Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
@@ -180,31 +180,29 @@ def test_gauss_jordan_rank_against_oracles():
             if rng.random() < 0.5:
                 rows = [[entry() for _ in range(n)] for _ in range(m)]
                 rows[0][0] = GaussianRational()   # a zero first pivot entry
-            reduced, pivots = _gauss_jordan(rows)
-            assert 2 * len(pivots) == rational_rank(_realify(rows))
-            for i, j in enumerate(pivots):
-                assert [r[j] for r in reduced] == [GR_ONE if t == i else 0
-                                                   for t in range(m)]
+            assert 2 * vector_rank(rows) == rational_rank(_realify(rows))
 
 
-def test_coordinates_round_trip():
-    rng = random.Random(43)
-    entry = lambda: GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3))
-    seen = 0
-    while seen < 40:
-        m = [[entry() for _ in range(4)] for _ in range(4)]
-        if int_det(m) == 0:
-            continue
-        seen += 1
-        cols = [[m[i][j] for i in range(4)] for j in range(4)]
-        k = rng.randint(1, 3)
-        coeffs = [entry() for _ in range(k)]
-        vec = [sum((c * col[i] for c, col in zip(coeffs, cols)),
-                   GaussianRational()) for i in range(4)]
-        assert _coordinates(cols[:k], vec) == coeffs
-        off = [x + y for x, y in zip(vec, cols[k])]
-        assert _coordinates(cols[:k], off) is None
-        assert _coordinates(cols[:k] + [vec], vec) is None
+def test_suites_fail_on_a_broken_matrix_model(monkeypatch):
+    # b4 = diag(i, i) turns mu(e4) = I2 (x) b4 into i I4: it still squares
+    # to -I4 but commutes with everything, so the half-spin spaces collapse
+    broken = _mu_generators()[:3] + [ExactMatrix.identity(4) * GR_I]
+    monkeypatch.setattr("twistalex.clifford._mu_generators", lambda: broken)
+    _mu_blade.cache_clear()
+    try:
+        failed = {(r.name, c.description) for name in ("cliffiso", "endiso")
+                  for r in [verify_iso(name)] for c in r.failures()}
+    finally:
+        monkeypatch.undo()
+        _mu_blade.cache_clear()
+    assert {("cliffiso", "Clifford multiplication swaps (C^4)^+ and (C^4)^-"),
+            ("cliffiso", "C^4 -> Hom((C^4)^+, (C^4)^-) is injective (rank 4)"),
+            ("cliffiso", "C^4 -> Hom((C^4)^-, (C^4)^+) is injective (rank 4)"),
+            ("endiso", "Cl_0^+ preserves (C^4)^+"),
+            ("endiso", "Cl_0^+ -> End((C^4)^+) surjective (rank 4)"),
+            ("endiso", "Cl_0^- preserves (C^4)^-"),
+            ("endiso", "Cl_0^- -> End((C^4)^-) surjective (rank 4)")} <= failed
+    assert verify_iso("cliffiso").ok and verify_iso("endiso").ok
 
 
 def test_hodge_sign_is_the_inversion_parity():

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from twistalex.docio import parse_document
 from twistalex.grouppres import (BoundExceeded, ClassMap, FiniteQuotient,
-                                 GroupRingElement, InvalidQuotient,
+                                 GroupRingElement, Incompatible,
+                                 InvalidQuotient,
                                  MAX_TABLE_ENTRIES, Presentation, abelianize,
                                  check_order,
                                  cyclic_group, enumerate_epimorphisms,
@@ -256,6 +257,22 @@ def test_reidemeister_schreier_na_covers():
         cover = reidemeister_schreier(P, q)
         assert cover.presentation.ngens == 5
         assert abelianize(cover.presentation).free_rank >= 2
+
+
+def test_reidemeister_schreier_checks_the_presentation():
+    P = na_presentation()
+    q = enumerate_epimorphisms(P, cyclic_group(3))[0]
+    cover = reidemeister_schreier(P, q)
+    copy = Presentation(P.generators, P.relators)
+    same = reidemeister_schreier(copy, q)
+    assert (same.presentation.generators, same.presentation.relators,
+            same.generator_words, same.transversal) == (
+        cover.presentation.generators, cover.presentation.relators,
+        cover.generator_words, cover.transversal)
+    other = Presentation(P.generators, P.relators[:-1])
+    with pytest.raises(Incompatible,
+                       match="quotient belongs to a different presentation"):
+        reidemeister_schreier(other, q)
 
 
 def test_cover_b1_never_drops_on_fixtures():

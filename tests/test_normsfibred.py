@@ -162,6 +162,11 @@ def test_group_catalog_bounds_its_tables_before_building(monkeypatch):
     monkeypatch.setattr(nf, "cyclic_group", refuse)
     with pytest.raises(BoundExceeded, match="1016698 group table entries"):
         group_catalog(126)
+    # the total is found before the catalog is listed, so a huge budget
+    # is refused at once
+    with pytest.raises(BoundExceeded, match="499999999990000000000050000000571 "
+                       "group table entries"):
+        group_catalog(99999999999)
     with pytest.raises(AssertionError, match="a table was built"):
         group_catalog(125)
 

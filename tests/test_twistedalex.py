@@ -112,6 +112,20 @@ def test_twist_ring_map_against_letter_products():
     assert total == 2699
 
 
+def test_twist_degree_is_bounded_before_any_polynomial():
+    from twistalex.grouppres import BoundExceeded
+    from twistalex.twistedalex import MAX_TWIST_DEGREE
+    # Phi = (v, 1): the generators and a b a^-1 b^-1 give a Phi-length of
+    # 3v + 3, times |G| = 2
+    P = Presentation.from_text(["a", "b"], ["[a,b]"])
+    q = FiniteQuotient(P, cyclic_group(2), (0, 1))
+    v = (MAX_TWIST_DEGREE // 2 - 3) // 3
+    TwistData(ClassMap(P, [(v,), (1,)]), q)
+    with pytest.raises(BoundExceeded, match=f"twist degree {6 * v + 12} "
+                                            f"exceeds the bound"):
+        TwistData(ClassMap(P, [(v + 1,), (1,)]), q)
+
+
 def test_twist_ring_map_incompatible_generator():
     from twistalex.grouppres import Incompatible
     P = Presentation(["a"], [])
