@@ -317,23 +317,32 @@ class ExactMatrix:
         if any(len(r) != self.size for r in self.rows):
             raise ValueError("matrix must be square")
 
+    @staticmethod
+    def _new(rows):
+        """A matrix from square rows of GaussianRational entries, taken as
+        they are."""
+        out = object.__new__(ExactMatrix)
+        out.rows = tuple(map(tuple, rows))
+        out.size = len(out.rows)
+        return out
+
     @classmethod
     def identity(cls, n):
-        return cls([[GR_ONE if i == j else GR_ZERO for j in range(n)]
-                    for i in range(n)])
+        return cls._new([[GR_ONE if i == j else GR_ZERO for j in range(n)]
+                         for i in range(n)])
 
     @classmethod
     def zero(cls, n):
-        return cls([[GR_ZERO] * n for _ in range(n)])
+        return cls._new([[GR_ZERO] * n for _ in range(n)])
 
     def __add__(self, other):
-        return ExactMatrix([[a + b for a, b in zip(r1, r2)]
-                            for r1, r2 in zip(self.rows, other.rows)])
+        return ExactMatrix._new([[a + b for a, b in zip(r1, r2)]
+                                 for r1, r2 in zip(self.rows, other.rows)])
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
             c = _coerce(other)
-            return ExactMatrix([[x * c for x in r] for r in self.rows])
+            return ExactMatrix._new([[x * c for x in r] for r in self.rows])
         # only nonzero entries meet: the mu images are signed monomial
         support = [[(j, b) for j, b in enumerate(r) if not b.is_zero()]
                    for r in other.rows]
@@ -345,12 +354,12 @@ class ExactMatrix:
                     for j, b in bs:
                         acc[j] = acc[j] + a * b
             out.append(acc)
-        return ExactMatrix(out)
+        return ExactMatrix._new(out)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return ExactMatrix([[-x for x in r] for r in self.rows])
+        return ExactMatrix._new([[-x for x in r] for r in self.rows])
 
     def __eq__(self, other):
         return isinstance(other, ExactMatrix) and self.rows == other.rows
@@ -360,8 +369,8 @@ class ExactMatrix:
 
     def kron(self, other):
         n, m = self.size, other.size
-        return ExactMatrix([[self.rows[i // m][j // m] * other.rows[i % m][j % m]
-                             for j in range(n * m)] for i in range(n * m)])
+        return ExactMatrix._new([[self.rows[i // m][j // m] * other.rows[i % m][j % m]
+                                  for j in range(n * m)] for i in range(n * m)])
 
     def flatten(self):
         return [x for r in self.rows for x in r]

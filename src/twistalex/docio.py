@@ -16,7 +16,8 @@ from .grouppres import ClassMap, Presentation, parse_word, render_word
 
 # Bound on max(rows, cols)**2 for every matrix a document declares: boundary
 # blocks, omitted (zero) boundaries and Q.  It bounds the matrix and the
-# square transforms SNF builds for it; 23x the largest bench boundary.
+# square transforms SNF builds for it when they are read; 23x the largest
+# bench boundary.
 MAX_MATRIX_ENTRIES = 10**6
 
 # Bound on the sum over relators of L(L+1)/2 for L letters: the Fox Jacobian
@@ -45,7 +46,11 @@ def _int(tok, lineno):
 
 
 def _ints(text, lineno):
-    return [_int(tok, lineno) for tok in text.split()]
+    try:
+        return list(map(int, text.split()))
+    except ValueError:
+        # the per-token reader names the first bad token
+        return [_int(tok, lineno) for tok in text.split()]
 
 
 def _check_shape(nrows, ncols, what):

@@ -3,9 +3,14 @@
 Smith normal form over Z with unimodular transforms, homology of CW chain
 complexes, and a rank solver for exact sequences of free abelian groups.
 All arithmetic uses Python's arbitrary-precision integers.
+
+The Smith form logs its row and column operations and builds the
+transforms U and V from the logs on first read, so a caller that reads only
+the diagonal (`all_homology`) never pays for them.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class ComplexInvalid(ValueError):
@@ -30,7 +35,7 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows, cols, entries):
-        entries = tuple(int(x) for x in entries)
+        entries = tuple(map(int, entries))
         if rows < 0 or cols < 0 or len(entries) != rows * cols:
             raise ValueError("entry count does not match shape")
         self.rows = rows
@@ -67,8 +72,8 @@ class IntMatrix:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def transpose(self):
-        return IntMatrix(self.cols, self.rows,
-                         [self[i, j] for j in range(self.cols) for i in range(self.rows)])
+        rows = [self.row(i) for i in range(self.rows)]
+        return IntMatrix(self.cols, self.rows, [x for col in zip(*rows) for x in col])
 
     def __mul__(self, other):
         if self.cols != other.rows:
@@ -88,7 +93,7 @@ class IntMatrix:
         return hash((self.rows, self.cols, self.entries))
 
     def is_zero(self):
-        return all(x == 0 for x in self.entries)
+        return not any(self.entries)
 
     def is_diagonal(self):
         return all(self[i, j] == 0
@@ -101,13 +106,26 @@ class IntMatrix:
         return f"IntMatrix({self.to_lists()!r})"
 
 
-@dataclass(frozen=True)
 class SmithDecomposition:
-    """U * M * V = D with U, V unimodular and D in Smith normal form."""
+    """U * M * V = D with U, V unimodular and D in Smith normal form.
 
-    U: IntMatrix
-    D: IntMatrix
-    V: IntMatrix
+    U and V are built on first read, by replaying the elimination's logged
+    row and column operations on the identity.
+    """
+
+    def __init__(self, D, row_ops, col_ops):
+        self.D = D
+        self._row_ops = row_ops
+        self._col_ops = col_ops
+
+    @cached_property
+    def U(self):
+        return _replay(self._row_ops, self.D.rows)
+
+    @cached_property
+    def V(self):
+        # a column operation on V is the same row operation on V^T
+        return _replay(self._col_ops, self.D.cols).transpose()
 
     def elementary_divisors(self):
         return [d for d in self.D.diagonal() if d != 0]
@@ -116,15 +134,38 @@ class SmithDecomposition:
         return len(self.elementary_divisors())
 
 
+def _replay(ops, n):
+    """The n x n identity after the logged row operations.
+
+    (i, j, 0) swaps rows i and j, (i, i, -1) negates row i, and (i, j, c)
+    with i != j adds c times row j to row i.
+    """
+    a = IntMatrix.identity(n).to_lists()
+    for i, j, c in ops:
+        if not c:
+            a[i], a[j] = a[j], a[i]
+        elif i == j:
+            a[i] = [-x for x in a[i]]
+        else:
+            a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+    return IntMatrix(n, n, [x for r in a for x in r])
+
+
 def _min_abs_pivot(a, t, m, n):
+    """The first entry of least absolute value in a[t:][t:], row-major, as
+    (i, j, value); None if that block is zero."""
     best = None
     for i in range(t, m):
-        for j in range(t, n):
-            v = a[i][j]
-            if v != 0 and (best is None or abs(v) < abs(best[2])):
+        tail = a[i][t:]
+        if not any(tail):
+            continue
+        units = [tail.index(u) for u in (1, -1) if u in tail]
+        if units:
+            j = min(units)
+            return i, t + j, tail[j]
+        for j, v in enumerate(tail, start=t):
+            if v and (best is None or abs(v) < abs(best[2])):
                 best = (i, j, v)
-                if abs(v) == 1:
-                    return best
     return best
 
 
@@ -132,33 +173,32 @@ def smith_normal_form(M):
     """Diagonalize M over Z.
 
     The pivot with minimal absolute value is chosen at each stage, which keeps
-    intermediate entries small in practice.
+    intermediate entries small in practice.  Only D is built here; the row
+    and column operations go to two logs that U and V replay when read.
     """
     m, n = M.rows, M.cols
     a = M.to_lists()
-    u = IntMatrix.identity(m).to_lists()
-    v = IntMatrix.identity(n).to_lists()
+    row_ops, col_ops = [], []
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
+        row_ops.append((i, j, 0))
 
     def swap_cols(i, j):
         for row in a:
             row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
+        col_ops.append((i, j, 0))
 
     def add_row(dst, src, c):
         # row_dst += c * row_src
         a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
+        row_ops.append((dst, src, c))
 
     def add_col(dst, src, c):
         for row in a:
-            row[dst] += c * row[src]
-        for row in v:
-            row[dst] += c * row[src]
+            if row[src]:
+                row[dst] += c * row[src]
+        col_ops.append((dst, src, c))
 
     t = 0
     while t < min(m, n):
@@ -211,12 +251,11 @@ def smith_normal_form(M):
             add_row(t, bad, 1)
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
+            row_ops.append((t, t, -1))
         t += 1
 
-    return SmithDecomposition(IntMatrix.from_rows(u) if m else IntMatrix.zero(0, 0),
-                              IntMatrix.from_rows(a) if m else IntMatrix.zero(0, n),
-                              IntMatrix.from_rows(v) if n else IntMatrix.zero(n, n))
+    D = IntMatrix.from_rows(a) if m else IntMatrix.zero(0, n)
+    return SmithDecomposition(D, row_ops, col_ops)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from twistalex import exactalg
 from twistalex.exactalg import (ChainComplex, ComplexInvalid, ExactSequenceData,
                                 HomologyGroup, Inconsistent, IndexOutOfRange,
                                 IntMatrix, MapData, Underdetermined,
@@ -11,8 +12,12 @@ from twistalex.exactalg import (ChainComplex, ComplexInvalid, ExactSequenceData,
 from oracles import brute_homology, int_det, rational_rank
 
 
-def check_snf(M):
+def check_snf(M, v_first=False):
+    """Checks the Smith form of M; U and V are built lazily, so `v_first`
+    picks which of them is read first."""
     s = smith_normal_form(M)
+    if v_first:
+        s.V
     assert s.U * M * s.V == s.D
     assert abs(int_det(s.U.to_lists())) == 1
     assert abs(int_det(s.V.to_lists())) == 1
@@ -43,12 +48,73 @@ def test_snf_zero_matrix():
 
 def test_snf_random_small():
     rng = random.Random(20240)
-    for _ in range(200):
+    for k in range(200):
         m = rng.randint(1, 6)
         n = rng.randint(1, 6)
         M = IntMatrix(m, n, [rng.randint(-9, 9) for _ in range(m * n)])
-        s = check_snf(M)
+        s = check_snf(M, v_first=k % 2 == 1)
         assert s.rank() == rational_rank(M.to_lists())
+
+
+def sparse_random_matrix(rng, max_side):
+    """A random integer matrix with zero rows, zero columns and empty
+    shapes among its cases."""
+    m, n = rng.randint(0, max_side), rng.randint(0, max_side)
+    p = rng.choice((0.0, 0.5, 0.8))
+    a = [[0 if rng.random() < p else rng.randint(-9, 9) for _ in range(n)]
+         for _ in range(m)]
+    for i in rng.sample(range(m), rng.randint(0, m // 2)):
+        a[i] = [0] * n
+    for j in rng.sample(range(n), rng.randint(0, n // 2)):
+        for row in a:
+            row[j] = 0
+    return a
+
+
+def test_snf_transforms_agree_in_either_read_order():
+    rng = random.Random(515)
+    for _ in range(150):
+        M = IntMatrix.from_rows(sparse_random_matrix(rng, 6))
+        if not M.rows:
+            M = IntMatrix.zero(0, rng.randint(0, 4))
+        u_first, v_first = check_snf(M), check_snf(M, v_first=True)
+        assert (u_first.U, u_first.D, u_first.V) == (v_first.U, v_first.D,
+                                                      v_first.V)
+        assert u_first.U is u_first.U and u_first.V is u_first.V
+
+
+def test_min_abs_pivot_is_the_first_least_entry_row_major():
+    rng = random.Random(77)
+    for _ in range(400):
+        a = sparse_random_matrix(rng, 7)
+        m, n = len(a), len(a[0]) if a else rng.randint(0, 3)
+        t = rng.randint(0, min(m, n))
+        nonzero = [(abs(a[i][j]), i, j) for i in range(t, m)
+                   for j in range(t, n) if a[i][j]]
+        if nonzero:
+            _, i, j = min(nonzero)
+            expected = (i, j, a[i][j])
+        else:
+            expected = None
+        assert exactalg._min_abs_pivot(a, t, m, n) == expected
+
+
+def test_all_homology_builds_no_transform(monkeypatch):
+    from twistalex.docio import parse_document
+    from conftest import fixture_text
+    made = []
+    real = exactalg.smith_normal_form
+    monkeypatch.setattr(exactalg, "smith_normal_form",
+                        lambda M: made.append(real(M)) or made[-1])
+
+    def no_replay(ops, n):
+        raise AssertionError("all_homology built a transform")
+    monkeypatch.setattr(exactalg, "_replay", no_replay)
+    C = parse_document(fixture_text("na_x_s1.cplx"))[1]
+    assert " ".join(map(str, all_homology(C))) == "Z Z^3 Z^4 Z^3 Z"
+    assert len(made) == len(C.boundaries)
+    for s in made:
+        assert "U" not in vars(s) and "V" not in vars(s)
 
 
 def na_complex():
