@@ -12,14 +12,13 @@ import sys
 
 from .clifford import UnknownSuite, verify_all, verify_iso
 from .docio import ParseError, parse_document
-from .exactalg import (ComplexInvalid, Inconsistent, IndexOutOfRange,
-                       Underdetermined, all_homology, exact_sequence_solve)
+from .exactalg import (ComplexInvalid, Inconsistent, Underdetermined,
+                       all_homology, exact_sequence_solve)
 from .fourman import MissingData, adjunction_check, evenness_check, \
     lagrangian_square_check
-from .grouppres import (BoundExceeded, ClassMap, abelianize, check_order,
+from .grouppres import (BoundExceeded, ClassMap, check_order,
                         enumerate_epimorphisms, parse_group_spec)
-from .laurent import (MINUS_INFINITY, UnsupportedRank, is_monic,
-                      laurent_degree, render_poly)
+from .laurent import UnsupportedRank, is_monic, laurent_degree, render_poly
 from .normsfibred import (BudgetZero, ZeroClass, class_divisibility,
                           degree_case_analysis, fibred_certificate,
                           mcmullen_check, norm_relation_check)
@@ -81,10 +80,6 @@ def _resolve_phi(P, classes, spec):
     return phi
 
 
-def _fmt_degree(d):
-    return "-oo" if d is MINUS_INFINITY else str(d)
-
-
 def _bool(b):
     return "true" if b else "false"
 
@@ -93,10 +88,7 @@ def _bool(b):
 
 def cmd_homology(args):
     C = _load(args.file, "chain-complex")
-    try:
-        groups = all_homology(C)
-    except IndexOutOfRange as exc:
-        raise CliError(EXIT_PRECONDITION, str(exc)) from None
+    groups = all_homology(C)
     if sum(C.cells) == 0:
         print("warning: empty complex", file=sys.stderr)
     if args.output == "structured":
@@ -115,14 +107,14 @@ def _alexander_lines(P, phi, quotients, output):
             lines.append(f"alpha.group={q.group.label}")
             lines.append(f"alpha.images={images}")
             lines.append(f"delta={render_poly(rep)}")
-            lines.append(f"degree={_fmt_degree(deg)}")
+            lines.append(f"degree={deg}")
             lines.append(f"monic={_bool(is_monic(tw.value))}")
             lines.append(f"raw_minor_gcd={tw.raw_minor_gcd}")
             lines.append(f"h0_correction={tw.h0_correction}")
         else:
             head = f"[{q.group.label}; a = ({images})] " if q.group.order > 1 else ""
             lines.append(f"{head}delta = {render_poly(rep)}, "
-                         f"deg {_fmt_degree(deg)}, "
+                         f"deg {deg}, "
                          f"{'monic' if is_monic(tw.value) else 'not monic'}")
     return lines
 
@@ -169,13 +161,12 @@ def cmd_norms(args):
     phi = _resolve_phi(P, classes, args.phi)
     if args.thurston is None:
         raise CliError(EXIT_PRECONDITION, "norms needs --thurston")
-    ab = abelianize(P)
-    b1 = ab.free_rank
     try:
-        w = phi.h_weights(ab)
+        w = phi.h_weights()
         dv = class_divisibility(phi)
     except (ValueError, ZeroClass) as exc:
         raise CliError(EXIT_PRECONDITION, str(exc)) from None
+    b1 = len(w)
     try:
         multi = multivariable_alexander(P)
     except UnsupportedRank as exc:
@@ -190,8 +181,7 @@ def cmd_norms(args):
     except BoundExceeded as exc:
         raise CliError(EXIT_PRECONDITION, str(exc)) from None
     deg = laurent_degree(single.value.representative)
-    degprop_ok = (deg is MINUS_INFINITY
-                  or deg <= report.alexander_norm + 2 * dv)
+    degprop_ok = deg <= report.alexander_norm + 2 * dv
     lines = [
         f"b1={b1}",
         f"alexander_norm={report.alexander_norm}",
@@ -199,7 +189,7 @@ def cmd_norms(args):
         f"thurston_norm={args.thurston}",
         f"mcmullen_ok={_bool(report.mcmullen_ok)}",
         f"delta_single={single.value}",
-        f"degree={_fmt_degree(deg)}",
+        f"degree={deg}",
         f"degree_case={degree_case_analysis(single.value)}",
         f"degprop_ok={_bool(degprop_ok)}",
     ]
@@ -226,7 +216,7 @@ def cmd_fibred(args):
     for r in cert.records:
         images = ",".join(str(x) for x in r.images)
         lines.append(f"alpha group={r.group_label} images=({images}) "
-                     f"div={r.div} delta={r.poly} deg={_fmt_degree(r.degree)} "
+                     f"div={r.div} delta={r.poly} deg={r.degree} "
                      f"monic={_bool(r.monic)} "
                      f"degree_eq={_bool(r.degree_equation_ok)}")
     lines.append(f"verdict: {cert.verdict}")

@@ -110,7 +110,8 @@ class SmithDecomposition:
     """U * M * V = D with U, V unimodular and D in Smith normal form.
 
     U and V are built on first read, by replaying the elimination's logged
-    row and column operations on the identity.
+    row and column operations on the identity; U_inverse replays the row
+    operations inverted and in reverse order, on each read.
     """
 
     def __init__(self, D, row_ops, col_ops):
@@ -121,6 +122,12 @@ class SmithDecomposition:
     @cached_property
     def U(self):
         return _replay(self._row_ops, self.D.rows)
+
+    @property
+    def U_inverse(self):
+        # each logged operation is its own inverse up to the sign of c
+        return _replay([(i, j, c if i == j else -c)
+                        for i, j, c in reversed(self._row_ops)], self.D.rows)
 
     @cached_property
     def V(self):
@@ -151,7 +158,7 @@ def _replay(ops, n):
     return IntMatrix(n, n, [x for r in a for x in r])
 
 
-def _min_abs_pivot(a, t, m, n):
+def _min_abs_pivot(a, t, m):
     """The first entry of least absolute value in a[t:][t:], row-major, as
     (i, j, value); None if that block is zero."""
     best = None
@@ -202,7 +209,7 @@ def smith_normal_form(M):
 
     t = 0
     while t < min(m, n):
-        piv = _min_abs_pivot(a, t, m, n)
+        piv = _min_abs_pivot(a, t, m)
         if piv is None:
             break
         pi, pj, _ = piv

@@ -7,12 +7,13 @@ Schreier presentations of the corresponding finite covers.
 A word is a tuple of letters (generator_index, +-1).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import permutations
 from math import gcd
 
-from .exactalg import HomologyGroup, IntMatrix, smith_normal_form
+from .exactalg import (HomologyGroup, IntMatrix, SmithDecomposition,
+                       smith_normal_form)
 
 
 class BoundExceeded(ValueError):
@@ -161,10 +162,12 @@ class Presentation:
 
 @dataclass(frozen=True)
 class Abelianization:
-    """H_1 data plus the induced map from generators to Z^free_rank."""
+    """H_1 data plus the induced map from generators to Z^free_rank, and
+    the Smith form it was read from."""
 
     homology: HomologyGroup
     gen_images: tuple  # per generator, coordinates in the free quotient
+    snf: SmithDecomposition = field(compare=False, repr=False)
 
     @property
     def free_rank(self):
@@ -186,7 +189,7 @@ def abelianize(P):
     free_rows = range(r, n)
     U = snf.U
     gen_images = tuple(tuple(U[i, j] for i in free_rows) for j in range(n))
-    return Abelianization(HomologyGroup(n - r, torsion), gen_images)
+    return Abelianization(HomologyGroup(n - r, torsion), gen_images, snf)
 
 
 class ClassMap:
@@ -222,38 +225,24 @@ class ClassMap:
     def is_trivial(self):
         return all(all(x == 0 for x in img) for img in self.images)
 
-    @classmethod
-    def to_abelianization(cls, presentation, ab=None):
-        """The quotient map pi_1 -> H = Z^{b_1} as a ClassMap."""
-        ab = ab or abelianize(presentation)
-        return cls(presentation, ab.gen_images)
-
-    def h_weights(self, ab=None):
+    def h_weights(self):
         """Express a rank-1 class in the coordinates of H = Z^{b_1}.
 
         Returns w with w . q(g) = Phi(g) for every generator, where q is the
-        abelianization quotient map.
+        abelianization quotient map.  With U M V = D the Smith form of the
+        relation matrix M, q reads rows r.. of U (r the rank of D), and
+        Phi . U^-1 . D = Phi . M . V = 0 since Phi kills the relations, so
+        Phi . U^-1 vanishes on its first r entries and w is the rest.
         """
         if self.target_rank != 1:
             raise ValueError("h_weights needs a rank-1 class")
-        ab = ab or abelianize(self.presentation)
+        ab = abelianize(self.presentation)
         b1 = ab.free_rank
         n = self.presentation.ngens
         phi_row = [img[0] for img in self.images]
-        if b1 == 0:
-            if any(phi_row):
-                raise ValueError("nonzero class on a rank-0 abelianization")
-            return ()
-        Q = IntMatrix.from_rows([[ab.gen_images[j][i] for j in range(n)]
-                                 for i in range(b1)])
-        snf = smith_normal_form(Q)
-        if snf.elementary_divisors() != [1] * b1:
-            raise AssertionError("quotient map is not surjective")
-        # Q = U^-1 [I 0] V^-1, so w = (phi . V)[:b1] . U
-        phi_v = [sum(phi_row[k] * snf.V[k, j] for k in range(n)) for j in range(n)]
-        if any(phi_v[b1:]):
-            raise ValueError("class is not well-defined on the abelianization")
-        w = tuple(sum(phi_v[i] * snf.U[i, j] for i in range(b1)) for j in range(b1))
+        u_inv = ab.snf.U_inverse
+        w = tuple(sum(phi_row[k] * u_inv[k, j] for k in range(n))
+                  for j in range(n - b1, n))
         for j in range(n):
             if sum(w[i] * ab.gen_images[j][i] for i in range(b1)) != phi_row[j]:
                 raise AssertionError("h_weights verification failed")

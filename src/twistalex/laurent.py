@@ -388,13 +388,15 @@ def _pseudo_reduce(row, base, c):
     and `base` is only read.  Each step scales the row by the least integer
     that makes its leading coefficient in column c divisible by that of
     base[c], lb // gcd(lead, lb), then subtracts q t^k times base to cancel
-    the leading term, in the columns where base is nonzero only.  Returns
-    `row`.
+    the leading term, at the nonzero coefficients of base only, so a sparse
+    entry such as 1 - t^1000 costs its two terms and not its degree.
+    Returns `row`.
     """
     b = base[c]
     lb = b[-1]
     a = row[c]
-    cols = [(e, f) for e, f in zip(row, base) if f]
+    cols = [(e, len(f), [(i, x) for i, x in enumerate(f) if x])
+            for e, f in zip(row, base) if f]
     while a and len(a) >= len(b):
         s = lb // gcd(a[-1], lb)
         if s != 1:
@@ -402,12 +404,11 @@ def _pseudo_reduce(row, base, c):
                 for i in range(len(e)):
                     e[i] *= s
         q, k = a[-1] // lb, len(a) - len(b)
-        for e, f in cols:
-            if len(e) < k + len(f):
-                e.extend([0] * (k + len(f) - len(e)))
-            for i, x in enumerate(f, k):
-                if x:
-                    e[i] -= q * x
+        for e, top, terms in cols:
+            if len(e) < k + top:
+                e.extend([0] * (k + top - len(e)))
+            for i, x in terms:
+                e[k + i] -= q * x
             _trim(e)
     return row
 
@@ -616,11 +617,11 @@ def var_names(rank):
     return ["t"] if rank == 1 else [f"t{i + 1}" for i in range(rank)]
 
 
-def render_poly(p, names=None):
+def render_poly(p):
     """Canonical text form: terms in descending lexicographic exponent order."""
     if p.is_zero():
         return "0"
-    names = names or var_names(p.rank)
+    names = var_names(p.rank)
     chunks = []
     for e in sorted(p.terms, reverse=True):
         c = p.terms[e]

@@ -294,9 +294,7 @@ def twisted_alexander(P, T, column=None):
         raw = laurent_minor_gcd(rows, rank, ncols=(n - 1) * d)
 
     h0 = _h0_order(T)
-    corrected = None
-    if not raw.is_zero():
-        corrected = div_exact(raw * h0, corr)
+    corrected = div_exact(raw * h0, corr)
     value = corrected if corrected is not None else raw
     return TwistedPoly(value=UnitClass(value),
                        raw_minor_gcd=UnitClass(raw),
@@ -304,7 +302,7 @@ def twisted_alexander(P, T, column=None):
                        h0_correction=UnitClass(corr),
                        deleted_column=j,
                        ring_rank=rank,
-                       correction_exact=raw.is_zero() or corrected is not None)
+                       correction_exact=corrected is not None)
 
 
 def multivariable_alexander(P):
@@ -314,5 +312,5 @@ def multivariable_alexander(P):
         raise NoValidColumn("b_1 = 0: no nontrivial class to twist by")
     if ab.free_rank > 3:
         raise UnsupportedRank(f"b_1 = {ab.free_rank} > 3")
-    phi = ClassMap.to_abelianization(P, ab)
+    phi = ClassMap(P, ab.gen_images)
     return twisted_alexander(P, trivial_twist(P, phi))

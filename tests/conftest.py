@@ -2,7 +2,6 @@ import pathlib
 
 import pytest
 
-from twistalex.grouppres import abelianize
 from twistalex.normsfibred import class_divisibility
 from twistalex.twistedalex import (multivariable_alexander, trivial_twist,
                                    twisted_alexander)
@@ -23,4 +22,4 @@ def norm_relation_inputs(P, phi):
     """The arguments of norm_relation_check for the class phi of P."""
     return (twisted_alexander(P, trivial_twist(P, phi)).value,
             multivariable_alexander(P).value.representative,
-            phi.h_weights(abelianize(P)), class_divisibility(phi))
+            phi.h_weights(), class_divisibility(phi))

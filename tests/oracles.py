@@ -3,13 +3,15 @@
 Everything here is deliberately naive: cofactor-expansion determinants,
 gcds of enumerated minors, fraction-free rank over Q, Seifert-matrix and
 mapping-torus formulas.  None of it shares code paths with the library's
-minor-gcd engine or Smith normal form.
+minor-gcd engine or Smith normal form, except `two_snf_weights`, which
+calls the Smith form on a matrix of its own.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
 
+from twistalex.exactalg import IntMatrix, smith_normal_form
 from twistalex.laurent import LaurentPoly, UnitClass, lp_gcd
 
 
@@ -182,6 +184,31 @@ def brute_homology(cells_k, d_k_rows, d_k1_rows):
                 torsion.append(d)
             prev = ds[i]
     return free, tuple(torsion)
+
+
+# ---- class coordinates in H_1 by a second Smith form ----
+
+def two_snf_weights(phi, ab):
+    """w with w . q(g) = Phi(g) for every generator, for a rank-1 class phi
+    and its presentation's abelianization ab, by a second Smith form.
+
+    Q holds the coordinates q(g) of the generators as columns; its Smith
+    form U Q V = [I 0] gives Q = U^-1 [I 0] V^-1, so w = (Phi . V)[:b1] . U
+    and (Phi . V)[b1:] = 0.
+    """
+    n, b1 = phi.presentation.ngens, ab.free_rank
+    phi_row = [img[0] for img in phi.images]
+    if b1 == 0:
+        assert not any(phi_row)
+        return ()
+    snf = smith_normal_form(IntMatrix.from_rows(
+        [[ab.gen_images[j][i] for j in range(n)] for i in range(b1)]))
+    assert snf.elementary_divisors() == [1] * b1, "q is not surjective"
+    phi_v = [sum(phi_row[k] * snf.V[k, j] for k in range(n))
+             for j in range(n)]
+    assert not any(phi_v[b1:]), "Phi is not defined on H"
+    return tuple(sum(phi_v[i] * snf.U[i, j] for i in range(b1))
+                 for j in range(b1))
 
 
 # ---- epimorphisms by direct search ----

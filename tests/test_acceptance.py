@@ -197,7 +197,7 @@ def test_criterion_06_norm_relation_and_degprop(capsys):
         ab = abelianize(P)
         assert ab.free_rank >= 2
         delta = multivariable_alexander(P).value.representative
-        w = phi.h_weights(ab)
+        w = phi.h_weights()
         tw = twisted_alexander(P, trivial_twist(P, phi))
         ok &= norm_relation_check(tw.value, delta, w, class_divisibility(phi))
         deg = laurent_degree(tw.value.representative)

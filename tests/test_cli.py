@@ -237,6 +237,19 @@ def test_fibred_closed_stdout_exit1():
     assert err == b""
 
 
+def test_large_class_value_finishes():
+    """The Jacobian entries 1 - t^30000 cost their two terms, not their
+    degree, in the Z[t] elimination."""
+    root = FIXTURES.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "twistalex.cli", "alexander", "fixtures/t3.pres",
+         "--phi", "30000,1,0"],
+        cwd=root, env=env, capture_output=True, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == b"delta = t^2 - 2*t + 1, deg 2, monic\n"
+
+
 def test_clifford_verify(capsys):
     code, out, _ = run(capsys, "clifford-verify", "cliffmult")
     assert code == 0

@@ -14,11 +14,13 @@ from oracles import brute_homology, int_det, rational_rank
 
 def check_snf(M, v_first=False):
     """Checks the Smith form of M; U and V are built lazily, so `v_first`
-    picks which of them is read first."""
+    reads V and U^-1 before U."""
     s = smith_normal_form(M)
     if v_first:
-        s.V
+        s.V, s.U_inverse
     assert s.U * M * s.V == s.D
+    identity = IntMatrix.identity(M.rows)
+    assert s.U * s.U_inverse == s.U_inverse * s.U == identity
     assert abs(int_det(s.U.to_lists())) == 1
     assert abs(int_det(s.V.to_lists())) == 1
     assert s.D.is_diagonal()
@@ -96,7 +98,7 @@ def test_min_abs_pivot_is_the_first_least_entry_row_major():
             expected = (i, j, a[i][j])
         else:
             expected = None
-        assert exactalg._min_abs_pivot(a, t, m, n) == expected
+        assert exactalg._min_abs_pivot(a, t, m) == expected
 
 
 def test_all_homology_builds_no_transform(monkeypatch):

@@ -20,7 +20,7 @@ from twistalex.grouppres import (BoundExceeded, ClassMap, FiniteQuotient,
 from twistalex.normsfibred import group_catalog
 
 from conftest import FIXTURES, fixture_text
-from oracles import brute_epimorphisms, first_of_each_kernel
+from oracles import brute_epimorphisms, first_of_each_kernel, two_snf_weights
 
 
 def na_presentation():
@@ -329,10 +329,53 @@ def test_h_weights():
     P = na_presentation()
     ab = abelianize(P)
     phi = ClassMap(P, [(0,), (2,), (3,)])
-    w = phi.h_weights(ab)
+    w = phi.h_weights()
     for j in range(P.ngens):
         assert sum(wi * gi for wi, gi in zip(w, ab.gen_images[j])) \
             == phi.images[j][0]
+
+
+def test_h_weights_on_fixture_classes():
+    total = 0
+    for path in sorted(FIXTURES.glob("*.pres")):
+        _, (P, classes) = parse_document(path.read_text())
+        ab = abelianize(P)
+        for phi in classes.values():
+            assert phi.h_weights() == two_snf_weights(phi, ab)
+            total += 1
+    assert total == 6
+
+
+def test_h_weights_recover_the_drawn_coordinates():
+    """Random presentations (1-5 generators, 0-4 relators of at most 8
+    letters) and a class drawn through H: Phi(g) = w . q(g) for a random w,
+    which h_weights and the two-SNF solve must both give back."""
+    rng = random.Random(1601)
+    b1s = set()
+    for _ in range(2000):
+        n = rng.randint(1, 5)
+        rels = [[(rng.randrange(n), rng.choice((1, -1)))
+                 for _ in range(rng.randint(0, 8))]
+                for _ in range(rng.randint(0, 4))]
+        P = Presentation([f"g{i}" for i in range(n)], rels)
+        ab = abelianize(P)
+        w = tuple(rng.randint(-5, 5) for _ in range(ab.free_rank))
+        phi = ClassMap(P, [(sum(x * y for x, y in zip(w, img)),)
+                           for img in ab.gen_images])
+        assert phi.h_weights() == two_snf_weights(phi, ab) == w
+        b1s.add(ab.free_rank)
+    assert b1s == {0, 1, 2, 3, 4, 5}
+
+
+def test_h_weights_runs_one_smith_form(monkeypatch):
+    import twistalex.grouppres as grouppres
+    calls = []
+    real = grouppres.smith_normal_form
+    monkeypatch.setattr(grouppres, "smith_normal_form",
+                        lambda M: calls.append(M) or real(M))
+    assert ClassMap(na_presentation(), [(0,), (2,), (3,)]).h_weights() \
+        == (2, 3)
+    assert len(calls) == 1
 
 
 def test_render_word():

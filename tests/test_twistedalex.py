@@ -5,14 +5,14 @@ import pytest
 
 from twistalex.docio import parse_document
 from twistalex.grouppres import (ClassMap, FiniteQuotient, Presentation,
-                                 cyclic_group, dihedral_group,
+                                 abelianize, cyclic_group, dihedral_group,
                                  enumerate_epimorphisms, free_reduce,
                                  pullback_class,
                                  reidemeister_schreier, symmetric_group,
                                  trivial_group)
 from twistalex.laurent import (LaurentPoly, UnitClass, laurent_degree,
-                               symmetric_representative, _cyclotomic, _mul,
-                               _prim)
+                               specialize, symmetric_representative,
+                               _cyclotomic, _mul, _prim)
 from twistalex.normsfibred import group_catalog
 from twistalex.polymat import _hermite_qpart, _row_shift, _rows_to_arrays
 from twistalex.twistedalex import (NoValidColumn, TwistData,
@@ -97,7 +97,7 @@ def test_twist_ring_map_against_letter_products():
              (fig8(), ClassMap(fig8(), [(0,), (0,), (1,)])),
              (trefoil(), ClassMap(trefoil(), [(1,), (1,)])),
              (t3, ClassMap(t3, [(1,), (0,), (0,)])),
-             (t3, ClassMap.to_abelianization(t3)))
+             (t3, ClassMap(t3, abelianize(t3).gen_images)))
     total = 0
     for P, phi in cases:
         elements = [x for row in fox_jacobian(P) for x in row]
@@ -363,7 +363,7 @@ def test_h0_order_against_brute_fitting_ideal():
     P = na_presentation()
     # the fibration class, and Phi onto H = Z^2, whose Schreier values are
     # pairs taken once up to sign
-    for phi in (na_fibration_class(P), ClassMap.to_abelianization(P)):
+    for phi in (na_fibration_class(P), ClassMap(P, abelianize(P).gen_images)):
         for G in (cyclic_group(2), cyclic_group(3)):
             for q in enumerate_epimorphisms(P, G):
                 T = TwistData(phi, q)
@@ -472,6 +472,17 @@ def catalog_quotients(P, budget, dedup_auto=False):
                                           dedup_auto=dedup_auto)
 
 
+def distinct_quotients(P, budget):
+    """catalog_quotients, one per (group, kernel) as the fibredness
+    certificate keys its records."""
+    seen = set()
+    for q in catalog_quotients(P, budget):
+        key = (q.group.label, q.kernel_key())
+        if key not in seen:
+            seen.add(key)
+            yield q
+
+
 def dense_rows(P, T, j):
     """The twisted Jacobian from dense twist_ring_map blocks, column j
     deleted: the assembly the sparse rows replace."""
@@ -515,7 +526,7 @@ def test_multivariable_rows_equal_the_dense_twist():
     total = 0
     for name in ("na.pres", "t3.pres", "torus.pres", "zero_alex.pres"):
         P, _ = fixture_class(name)
-        phi = ClassMap.to_abelianization(P)
+        phi = ClassMap(P, abelianize(P).gen_images)
         assert phi.target_rank >= 2
         j = first_column(phi)
         for q in catalog_quotients(P, 4):
@@ -630,3 +641,60 @@ def test_trivial_summand_rank_bounds_the_full_rank():
                     is None
                 deficient[name] = deficient.get(name, 0) + 1
     assert deficient == {"m.pres": 1169, "zero_alex.pres": 215}
+
+
+# ---- oracles on every quotient ----
+
+def test_scaled_class_substitutes_t_to_the_k():
+    """Delta_{k Phi} = Delta_Phi(t^k) up to units: the class k Phi twists
+    every Jacobian entry, det(twist(g_j) - I) and the H_0 generators by
+    t -> t^k.  k = 2, 3 on every distinct quotient up to order 4 (m.pres up
+    to 3) of every fixture class, and k = 1000 on T^3 over the trivial
+    group and Z2, whose entries 1 - t^1000 have two terms."""
+    def check(P, phi, q, ks):
+        base = twisted_alexander(P, TwistData(phi, q)).value.representative
+        for k in ks:
+            scaled = ClassMap(P, [(k * img[0],) for img in phi.images])
+            assert twisted_alexander(P, TwistData(scaled, q)).value \
+                == UnitClass(specialize(base, [k]))
+        return len(ks)
+
+    total = 0
+    for name in FIXTURE_CLASSES:
+        P, phi = fixture_class(name)
+        for q in distinct_quotients(P, 3 if name == "m.pres" else 4):
+            total += check(P, phi, q, (2, 3))
+    P, phi = fixture_class("t3.pres")
+    for q in distinct_quotients(P, 2):
+        total += check(P, phi, q, (1000,))
+    assert total == 338
+
+
+def test_h0_order_is_t_to_the_div_minus_one():
+    """ord H_0 = t^div - 1, div the divisibility of Phi pulled back to
+    ker alpha, on every distinct quotient up to order 6 (m.pres up to 4) of
+    every fixture class."""
+    one = LaurentPoly.one(1)
+    total = 0
+    for name in FIXTURE_CLASSES:
+        P, phi = fixture_class(name)
+        for q in distinct_quotients(P, 4 if name == "m.pres" else 6):
+            _, div = pullback_class(phi, q, reidemeister_schreier(P, q))
+            assert twisted_alexander(P, TwistData(phi, q)).h0_order \
+                == UnitClass(LaurentPoly.monomial(1, (div,)) - one)
+            total += 1
+    assert total == 504
+
+
+def test_zero_untwisted_polynomial_is_zero_on_every_quotient():
+    """The regular representation contains the trivial one (Maschke), so
+    the untwisted Jacobian is a summand of every twisted one and a zero
+    untwisted polynomial stays zero: zero_alex.pres up to order 8, m.pres
+    up to 5, every distinct quotient."""
+    counts = {}
+    for name, budget in (("zero_alex.pres", 8), ("m.pres", 5)):
+        P, phi = fixture_class(name)
+        for q in distinct_quotients(P, budget):
+            assert twisted_alexander(P, TwistData(phi, q)).value.is_zero()
+            counts[name] = counts.get(name, 0) + 1
+    assert counts == {"zero_alex.pres": 59, "m.pres": 367}
