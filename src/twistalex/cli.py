@@ -10,20 +10,8 @@ import argparse
 import os
 import sys
 
-from .clifford import UnknownSuite, verify_all, verify_iso
-from .docio import ParseError, parse_document
-from .exactalg import (ComplexInvalid, Inconsistent, Underdetermined,
-                       all_homology, exact_sequence_solve)
-from .fourman import MissingData, adjunction_check, evenness_check, \
-    lagrangian_square_check
-from .grouppres import (BoundExceeded, ClassMap, check_order,
-                        enumerate_epimorphisms, parse_group_spec)
-from .laurent import UnsupportedRank, is_monic, laurent_degree, render_poly
-from .normsfibred import (BudgetZero, ZeroClass, class_divisibility,
-                          degree_case_analysis, fibred_certificate,
-                          mcmullen_check, norm_relation_check)
-from .twistedalex import (NoValidColumn, TwistData, multivariable_alexander,
-                          trivial_twist, twisted_alexander)
+# Each command imports the modules it runs inside its own body: a job pays
+# to compile every module it imports, and `homology` needs three of ten.
 
 EXIT_OK = 0
 EXIT_STDOUT_CLOSED = 1
@@ -48,6 +36,8 @@ def _read(path):
 
 
 def _load(path, kind):
+    from .docio import ParseError, parse_document
+    from .exactalg import ComplexInvalid
     try:
         tag, value = parse_document(_read(path))
     except ParseError as exc:
@@ -60,6 +50,7 @@ def _load(path, kind):
 
 
 def _resolve_phi(P, classes, spec):
+    from .grouppres import ClassMap
     if spec is None:
         raise CliError(EXIT_PRECONDITION, "a class is required (--phi)")
     if spec in classes:
@@ -87,6 +78,7 @@ def _bool(b):
 # ---- commands -------------------------------------------------------------
 
 def cmd_homology(args):
+    from .exactalg import all_homology
     C = _load(args.file, "chain-complex")
     groups = all_homology(C)
     if sum(C.cells) == 0:
@@ -97,6 +89,8 @@ def cmd_homology(args):
 
 
 def _alexander_lines(P, phi, quotients, output):
+    from .laurent import is_monic, laurent_degree, render_poly
+    from .twistedalex import TwistData, twisted_alexander
     lines = []
     for q in quotients:
         tw = twisted_alexander(P, TwistData(phi, q))
@@ -120,6 +114,9 @@ def _alexander_lines(P, phi, quotients, output):
 
 
 def cmd_alexander(args):
+    from .grouppres import (BoundExceeded, check_order, enumerate_epimorphisms,
+                            parse_group_spec)
+    from .twistedalex import trivial_twist
     P, classes = _load(args.file, "presentation")
     phi = _resolve_phi(P, classes, args.phi)
     try:
@@ -145,6 +142,9 @@ def cmd_alexander(args):
 
 
 def cmd_multivariable(args):
+    from .grouppres import BoundExceeded
+    from .laurent import UnsupportedRank, render_poly
+    from .twistedalex import NoValidColumn, multivariable_alexander
     P, _ = _load(args.file, "presentation")
     try:
         tw = multivariable_alexander(P)
@@ -157,6 +157,13 @@ def cmd_multivariable(args):
 
 
 def cmd_norms(args):
+    from .grouppres import BoundExceeded
+    from .laurent import UnsupportedRank, laurent_degree
+    from .normsfibred import (ZeroClass, class_divisibility,
+                              degree_case_analysis, mcmullen_check,
+                              norm_relation_check)
+    from .twistedalex import (multivariable_alexander, trivial_twist,
+                              twisted_alexander)
     P, classes = _load(args.file, "presentation")
     phi = _resolve_phi(P, classes, args.phi)
     if args.thurston is None:
@@ -200,6 +207,7 @@ def cmd_norms(args):
 
 
 def cmd_fibred(args):
+    from .normsfibred import BudgetZero, fibred_certificate
     P, classes = _load(args.file, "presentation")
     phi = _resolve_phi(P, classes, args.phi)
     if args.thurston is None:
@@ -224,6 +232,7 @@ def cmd_fibred(args):
 
 
 def cmd_clifford_verify(args):
+    from .clifford import UnknownSuite, verify_all, verify_iso
     try:
         suites = verify_all() if args.suite == "all" else [verify_iso(args.suite)]
     except UnknownSuite as exc:
@@ -243,6 +252,8 @@ def cmd_clifford_verify(args):
 
 
 def cmd_formcheck(args):
+    from .fourman import (MissingData, adjunction_check, evenness_check,
+                          lagrangian_square_check)
     form = _load(args.file, "form")
     lines = []
     try:
@@ -265,6 +276,7 @@ def cmd_formcheck(args):
 
 
 def cmd_exactseq(args):
+    from .exactalg import Inconsistent, Underdetermined, exact_sequence_solve
     seq = _load(args.file, "exact-sequence")
     try:
         ranks = exact_sequence_solve(seq)

@@ -11,8 +11,9 @@ from itertools import islice
 
 from .exactalg import (ChainComplex, ComplexInvalid, ExactSequenceData,
                        IntMatrix, MapData)
-from .fourman import FormData, SurfaceEntry
-from .grouppres import ClassMap, Presentation, parse_word, render_word
+
+# grouppres and fourman are imported by the functions that read them, so a
+# chain-complex document loads exactalg alone.
 
 # Bound on max(rows, cols)**2 for every matrix a document declares: boundary
 # blocks, omitted (zero) boundaries and Q.  It bounds the matrix and the
@@ -131,6 +132,7 @@ def emit_complex(C):
 # ---- presentations ---------------------------------------------------------
 
 def _parse_presentation(lines):
+    from .grouppres import ClassMap, Presentation, parse_word
     gens = None
     relators = []
     fox_letters = 0
@@ -177,6 +179,7 @@ def _parse_presentation(lines):
 
 
 def emit_presentation(P, classes=None):
+    from .grouppres import render_word
     out = ["presentation", "generators: " + " ".join(P.generators)]
     for r in P.relators:
         out.append("relator: " + render_word(r, P.generators))
@@ -189,6 +192,7 @@ def emit_presentation(P, classes=None):
 # ---- intersection forms -----------------------------------------------------
 
 def _parse_form(lines):
+    from .fourman import FormData, SurfaceEntry
     labels = Q = K = None
     surfaces = []
     for lineno, line in lines:

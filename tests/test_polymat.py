@@ -153,6 +153,10 @@ def test_multivariable_minor_gcd():
         assert UnitClass(laurent_minor_gcd(M, 2)) == brute_minor_gcd(M, 2)
 
 
+def _sympy_array(poly):
+    return [] if poly.is_zero else [int(c) for c in poly.all_coeffs()[::-1]]
+
+
 def test_int_poly_gcd_against_sympy():
     # exact agreement, sign and content included, with sympy's gcd over ZZ[t]
     sympy = pytest.importorskip("sympy")
@@ -166,7 +170,7 @@ def test_int_poly_gcd_against_sympy():
     def sympy_gcd(a, b):
         g = sympy.gcd(sympy.Poly(a[::-1] or [0], t, domain="ZZ"),
                       sympy.Poly(b[::-1] or [0], t, domain="ZZ"))
-        return [] if g.is_zero else [int(c) for c in g.all_coeffs()[::-1]]
+        return _sympy_array(g)
 
     rng = random.Random(71)
     for trial in range(200):
@@ -177,6 +181,62 @@ def test_int_poly_gcd_against_sympy():
         b = _mul(common, random_array(rng))
         assert _int_poly_gcd(a, b) == sympy_gcd(a, b)
         assert _int_poly_gcd(b, a) == sympy_gcd(a, b)
+
+
+def _sparse_entry(rng):
+    """0, +-1, +-t^k or 1 - t^k with 1 <= k <= 6, as a Z[t] array."""
+    kind, k = rng.randrange(5), rng.randint(1, 6)
+    if kind < 2:
+        return []
+    if kind == 2:
+        return [rng.choice((1, -1))]
+    if kind == 3:
+        return [0] * k + [rng.choice((1, -1))]
+    return [1] + [0] * (k - 1) + [-1]
+
+
+def _sympy_det(sympy, t, rows):
+    """sympy's determinant of a square matrix of Z[t] arrays, as a Poly."""
+    expr = sympy.Matrix([[sum(c * t**i for i, c in enumerate(e)) for e in row]
+                         for row in rows]).det()
+    return sympy.Poly(sympy.expand(expr), t, domain="ZZ")
+
+
+def test_laurent_det_against_sympy():
+    # rank 1 is the _bareiss_det array path; the determinant is exact
+    sympy = pytest.importorskip("sympy")
+    t = sympy.symbols("t")
+    rng = random.Random(97)
+    for _ in range(80):
+        n = rng.randint(1, 4)
+        rows = [[_sparse_entry(rng) for _ in range(n)] for _ in range(n)]
+        M = [[_arr_to_poly(e) for e in row] for row in rows]
+        expected = _sympy_array(_sympy_det(sympy, t, rows))
+        assert laurent_det(M, 1) == _arr_to_poly(expected)
+
+
+@pytest.mark.parametrize("enum_bound", [polymat.ENUM_BOUND, 0],
+                         ids=["enumeration", "hermite"])
+def test_max_minor_gcd_against_sympy(monkeypatch, enum_bound):
+    # the gcd of all maximal minors over Z[t], content included, up to the
+    # sign and the power of t that max_minor_gcd leaves to its caller
+    sympy = pytest.importorskip("sympy")
+    t = sympy.symbols("t")
+    monkeypatch.setattr(polymat, "ENUM_BOUND", enum_bound)
+
+    def normal(a):
+        a = a[next((i for i, c in enumerate(a) if c), len(a)):]
+        return _scale(a, -1) if a and a[-1] < 0 else a
+
+    rng = random.Random(101)
+    for _ in range(60):
+        k = rng.randint(1, 4)
+        rows = [[_sparse_entry(rng) for _ in range(k)]
+                for _ in range(rng.randint(k, 5))]
+        g = sympy.Poly(0, t, domain="ZZ")
+        for idx in combinations(range(len(rows)), k):
+            g = sympy.gcd(g, _sympy_det(sympy, t, [rows[i] for i in idx]))
+        assert normal(max_minor_gcd(rows, k)) == normal(_sympy_array(g))
 
 
 def test_prime_factors():

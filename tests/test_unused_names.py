@@ -1,9 +1,9 @@
 """Every parameter and every import in the package is read.
 
 A parameter of a non-dunder function that its body never reads, or a name
-that a module imports and never reads, is dead code that callers still have
-to know about.  `__init__.py` is exempt from the import rule: its imports
-are the package's re-exports.
+that an import binds and its scope never reads, is dead code that callers
+still have to know about.  The scope of a module-level import is the
+module; an import inside a function is read only if that function reads it.
 """
 
 import ast
@@ -38,24 +38,43 @@ def unread_parameters(tree):
     return out
 
 
+def _scoped_imports(node, scope):
+    """(innermost enclosing function or the module, import statement)."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.Import, ast.ImportFrom)):
+            yield scope, child
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _scoped_imports(child, child)
+        else:
+            yield from _scoped_imports(child, scope)
+
+
 def unread_imports(tree):
-    """The names an import statement binds and the module never reads."""
-    read = _reads([tree])
-    return [alias.asname or alias.name.partition(".")[0]
-            for node in ast.walk(tree)
-            if isinstance(node, (ast.Import, ast.ImportFrom))
-            for alias in node.names
-            if (alias.asname or alias.name.partition(".")[0]) not in read]
+    """The names an import statement binds and its scope never reads."""
+    out = []
+    for scope, node in _scoped_imports(tree, tree):
+        read = _reads([scope])
+        out += [name for alias in node.names
+                if (name := alias.asname or alias.name.partition(".")[0])
+                not in read]
+    return out
 
 
 def test_scanners_find_unread_names():
-    tree = ast.parse("import os\nfrom math import gcd, lcm\n"
+    tree = ast.parse("import os\nfrom .exactalg import homology\n"
+                     "from math import gcd, lcm\n"
                      "def f(a, b, *c, d, **e):\n"
                      "    def g(x):\n        return a + lcm(x)\n"
                      "    return g\n"
-                     "def __eq__(self, other):\n    return True\n")
+                     "def __eq__(self, other):\n    return True\n"
+                     "def h():\n    from math import floor, ceil\n"
+                     "    def k():\n        return ceil(1.5)\n"
+                     "    return k\n"
+                     "def m():\n    return floor(1.5)\n")
     assert unread_parameters(tree) == ["f(b)", "f(c)", "f(d)", "f(e)"]
-    assert unread_imports(tree) == ["os", "gcd"]
+    # a re-export is an unread import (no module is exempt), and floor is
+    # read by m, not by h, whose import binds it
+    assert unread_imports(tree) == ["os", "homology", "gcd", "floor"]
 
 
 def test_every_parameter_is_read():
@@ -64,6 +83,5 @@ def test_every_parameter_is_read():
 
 
 def test_every_import_is_read():
-    found = {name: unread_imports(tree) for name, tree in _trees()
-             if name != "__init__.py"}
+    found = {name: unread_imports(tree) for name, tree in _trees()}
     assert {name: v for name, v in found.items() if v} == {}
