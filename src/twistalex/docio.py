@@ -61,18 +61,20 @@ def _check_shape(nrows, ncols, what):
 
 
 def _block(lines, nrows, ncols, what):
-    """The next nrows lines of `lines` as an nrows x ncols IntMatrix."""
+    """The next nrows lines of `lines` as an nrows x ncols IntMatrix, read
+    into each row's nonzeros: "0" is skipped, other tokens go through int()."""
     _check_shape(nrows, ncols, what)
     rows = list(islice(lines, nrows))
     if len(rows) < nrows:
         raise ParseError(f"{what}: missing rows")
-    entries = []
+    nz = []
     for lineno, line in rows:
-        row = _ints(line, lineno)
-        if len(row) != ncols:
+        toks = line.split()
+        row = {j: _int(tok, lineno) for j, tok in enumerate(toks) if tok != "0"}
+        if len(toks) != ncols:
             raise ParseError(f"line {lineno}: expected {ncols} entries")
-        entries.extend(row)
-    return IntMatrix(nrows, ncols, entries)
+        nz.append({j: x for j, x in row.items() if x})
+    return IntMatrix.from_sparse(ncols, nz)
 
 
 def parse_document(text):

@@ -4,13 +4,17 @@ Smith normal form over Z with unimodular transforms, homology of CW chain
 complexes, and a rank solver for exact sequences of free abelian groups.
 All arithmetic uses Python's arbitrary-precision integers.
 
-The Smith form logs its row and column operations and builds the
+`IntMatrix` stores the nonzeros of each row, keyed by column, so parsing,
+the d o d check and the Smith form cost the nonzeros, not the entries.  The
+Smith form pivots on the nonzero at or after (t, t) that minimizes
+(|value|, row, column), logs its row and column operations and builds the
 transforms U and V from the logs on first read, so a caller that reads only
 the diagonal (`all_homology`) never pays for them.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, repeat
 
 
 class ComplexInvalid(ValueError):
@@ -30,17 +34,24 @@ class Inconsistent(ValueError):
 
 
 class IntMatrix:
-    """Immutable integer matrix, entries stored row-major."""
+    """Immutable integer matrix: one {column: nonzero value} dict per row."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "_nz")
 
     def __init__(self, rows, cols, entries):
-        entries = tuple(map(int, entries))
+        entries = list(map(int, entries))
         if rows < 0 or cols < 0 or len(entries) != rows * cols:
             raise ValueError("entry count does not match shape")
-        self.rows = rows
-        self.cols = cols
-        self.entries = entries
+        self.rows, self.cols = rows, cols
+        self._nz = tuple({j: x for j, x in enumerate(entries[i * cols:(i + 1) * cols])
+                          if x} for i in range(rows))
+
+    @classmethod
+    def from_sparse(cls, cols, nz):
+        """Row i is nz[i], a {column: nonzero value} dict, taken over uncopied."""
+        M = cls.__new__(cls)
+        M.rows, M.cols, M._nz = len(nz), cols, tuple(nz)
+        return M
 
     @classmethod
     def from_rows(cls, rows_data):
@@ -53,54 +64,62 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n):
-        return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
+        return cls.from_sparse(n, [{i: 1} for i in range(n)])
 
     @classmethod
     def zero(cls, rows, cols):
-        return cls(rows, cols, [0] * (rows * cols))
+        return cls.from_sparse(cols, [{} for _ in range(rows)])
+
+    @property
+    def entries(self):
+        return tuple(chain.from_iterable(map(self.row, range(self.rows))))
 
     def __getitem__(self, ij):
         i, j = ij
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(ij)
-        return self.entries[i * self.cols + j]
+        return self._nz[i].get(j, 0)
 
     def row(self, i):
-        return self.entries[i * self.cols:(i + 1) * self.cols]
+        return tuple(map(self._nz[i].get, range(self.cols), repeat(0)))
 
     def to_lists(self):
         return [list(self.row(i)) for i in range(self.rows)]
 
     def transpose(self):
-        rows = [self.row(i) for i in range(self.rows)]
-        return IntMatrix(self.cols, self.rows, [x for col in zip(*rows) for x in col])
+        cols = [{} for _ in range(self.cols)]
+        for i, r in enumerate(self._nz):
+            for j, x in r.items():
+                cols[j][i] = x
+        return IntMatrix.from_sparse(self.rows, cols)
 
     def __mul__(self, other):
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
-        b, out = other.to_lists(), [[0] * other.cols for _ in range(self.rows)]
-        for i in range(self.rows):
-            for x, row in zip(self.row(i), b):
-                if x:
-                    out[i] = [s + x * y for s, y in zip(out[i], row)]
-        return IntMatrix(self.rows, other.cols, [v for r in out for v in r])
+        out = []
+        for r in self._nz:
+            acc = {}
+            for k, x in r.items():
+                for j, y in other._nz[k].items():
+                    acc[j] = acc.get(j, 0) + x * y
+            out.append({j: v for j, v in acc.items() if v})
+        return IntMatrix.from_sparse(other.cols, out)
 
     def __eq__(self, other):
         return (isinstance(other, IntMatrix) and self.rows == other.rows
-                and self.cols == other.cols and self.entries == other.entries)
+                and self.cols == other.cols and self._nz == other._nz)
 
     def __hash__(self):
         return hash((self.rows, self.cols, self.entries))
 
     def is_zero(self):
-        return not any(self.entries)
+        return not any(self._nz)
 
     def is_diagonal(self):
-        return all(self[i, j] == 0
-                   for i in range(self.rows) for j in range(self.cols) if i != j)
+        return all(j == i for i, r in enumerate(self._nz) for j in r)
 
     def diagonal(self):
-        return [self[i, i] for i in range(min(self.rows, self.cols))]
+        return [self._nz[i].get(i, 0) for i in range(min(self.rows, self.cols))]
 
     def __repr__(self):
         return f"IntMatrix({self.to_lists()!r})"
@@ -147,33 +166,38 @@ def _replay(ops, n):
     (i, j, 0) swaps rows i and j, (i, i, -1) negates row i, and (i, j, c)
     with i != j adds c times row j to row i.
     """
-    a = IntMatrix.identity(n).to_lists()
+    a = [{i: 1} for i in range(n)]
     for i, j, c in ops:
         if not c:
             a[i], a[j] = a[j], a[i]
         elif i == j:
-            a[i] = [-x for x in a[i]]
+            a[i] = {k: -x for k, x in a[i].items()}
         else:
-            a[i] = [x + c * y for x, y in zip(a[i], a[j])]
-    return IntMatrix(n, n, [x for r in a for x in r])
+            _add_row(a[i], a[j], c)
+    return IntMatrix.from_sparse(n, a)
 
 
-def _min_abs_pivot(a, t, m):
-    """The first entry of least absolute value in a[t:][t:], row-major, as
-    (i, j, value); None if that block is zero."""
+def _add_row(r, s, c):
+    """r += c * s, in place, on rows of nonzeros."""
+    for k, y in s.items():
+        r[k] = v = r.get(k, 0) + c * y
+        if not v:
+            del r[k]
+
+
+def _min_abs_pivot(a, logical, t, m):
+    """The pivot (i, j, value) minimizing (|value|, i, j) over the nonzeros
+    at or after (t, t), or None; `a` holds each row's nonzeros by physical
+    column k, whose logical column is logical[k].  A unit ends the search."""
     best = None
     for i in range(t, m):
-        tail = a[i][t:]
-        if not any(tail):
-            continue
-        units = [tail.index(u) for u in (1, -1) if u in tail]
-        if units:
-            j = min(units)
-            return i, t + j, tail[j]
-        for j, v in enumerate(tail, start=t):
-            if v and (best is None or abs(v) < abs(best[2])):
-                best = (i, j, v)
-    return best
+        for k, v in a[i].items():
+            j = logical[k]
+            if j >= t and (best is None or (abs(v), i, j, v) < best):
+                best = (abs(v), i, j, v)
+        if best is not None and best[0] == 1:
+            break
+    return best[1:] if best else None
 
 
 def smith_normal_form(M):
@@ -182,9 +206,12 @@ def smith_normal_form(M):
     The pivot with minimal absolute value is chosen at each stage, which keeps
     intermediate entries small in practice.  Only D is built here; the row
     and column operations go to two logs that U and V replay when read.
+    Rows hold their nonzeros by physical column, and `perm` maps logical
+    columns to physical ones, so a column swap costs two list entries.
     """
     m, n = M.rows, M.cols
-    a = M.to_lists()
+    a = [dict(r) for r in M._nz]
+    perm, logical = list(range(n)), list(range(n))
     row_ops, col_ops = [], []
 
     def swap_rows(i, j):
@@ -192,24 +219,26 @@ def smith_normal_form(M):
         row_ops.append((i, j, 0))
 
     def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
+        perm[i], perm[j] = perm[j], perm[i]
+        logical[perm[i]], logical[perm[j]] = i, j
         col_ops.append((i, j, 0))
 
     def add_row(dst, src, c):
-        # row_dst += c * row_src
-        a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
+        _add_row(a[dst], a[src], c)
         row_ops.append((dst, src, c))
 
-    def add_col(dst, src, c):
-        for row in a:
-            if row[src]:
-                row[dst] += c * row[src]
+    def add_col(dst, src, c, holders):
+        # column_dst += c * column_src, in the rows `holders` that hold src
+        pd, ps = perm[dst], perm[src]
+        for r in holders:
+            r[pd] = v = r.get(pd, 0) + c * r[ps]
+            if not v:
+                del r[pd]
         col_ops.append((dst, src, c))
 
     t = 0
     while t < min(m, n):
-        piv = _min_abs_pivot(a, t, m)
+        piv = _min_abs_pivot(a, logical, t, m)
         if piv is None:
             break
         pi, pj, _ = piv
@@ -220,48 +249,47 @@ def smith_normal_form(M):
         while True:
             # clear column t below the pivot
             moved = False
-            for i in range(t + 1, m):
-                if a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    if q:
-                        add_row(i, t, -q)
-                    if a[i][t] != 0:
-                        # remainder is strictly smaller: promote it to pivot
-                        swap_rows(t, i)
-                        moved = True
+            pt = perm[t]
+            for i in [i for i in range(t + 1, m) if pt in a[i]]:
+                q = a[i][pt] // a[t][pt]
+                if q:
+                    add_row(i, t, -q)
+                if pt in a[i]:
+                    # remainder is strictly smaller: promote it to pivot
+                    swap_rows(t, i)
+                    moved = True
             if moved:
                 continue
-            for j in range(t + 1, n):
-                if a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    if q:
-                        add_col(j, t, -q)
-                    if a[t][j] != 0:
-                        swap_cols(t, j)
-                        moved = True
+            # clear row t in logical column order (step j changes only columns
+            # t and j); column t is zero below the pivot until a swap
+            holders = [a[t]]
+            for j in sorted(logical[k] for k in a[t] if logical[k] > t):
+                q = a[t][perm[j]] // a[t][perm[t]]
+                if q:
+                    add_col(j, t, -q, holders)
+                if perm[j] in a[t]:
+                    swap_cols(t, j)
+                    holders = [r for r in a[t:] if perm[t] in r]
+                    moved = True
             if moved:
                 continue
             # row and column t are clear; enforce divisibility of the rest,
             # which a unit pivot has already
-            if a[t][t] in (1, -1):
+            p = a[t][perm[t]]
+            if p in (1, -1):
                 break
-            bad = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if a[i][j] % a[t][t] != 0:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
+            bad = next((i for i in range(t + 1, m)
+                        if any(v % p for v in a[i].values())), None)
             if bad is None:
                 break
             add_row(t, bad, 1)
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
+        if a[t][perm[t]] < 0:
+            a[t] = {k: -v for k, v in a[t].items()}
             row_ops.append((t, t, -1))
         t += 1
 
-    D = IntMatrix.from_rows(a) if m else IntMatrix.zero(0, n)
+    D = IntMatrix.from_sparse(n, [{logical[k]: v for k, v in r.items()}
+                                  for r in a])
     return SmithDecomposition(D, row_ops, col_ops)
 
 

@@ -4,7 +4,9 @@ Everything here is deliberately naive: cofactor-expansion determinants,
 gcds of enumerated minors, fraction-free rank over Q, Seifert-matrix and
 mapping-torus formulas.  None of it shares code paths with the library's
 minor-gcd engine or Smith normal form, except `two_snf_weights`, which
-calls the Smith form on a matrix of its own.
+calls the Smith form on a matrix of its own.  `dense_smith_normal_form` is
+the library's elimination as it stood on dense rows, kept to check that the
+sparse one logs the same operations.
 """
 
 from fractions import Fraction
@@ -185,6 +187,111 @@ def brute_homology(cells_k, d_k_rows, d_k1_rows):
             prev = ds[i]
     return free, tuple(torsion)
 
+
+
+# ---- the dense Smith normal form ----
+
+def dense_min_abs_pivot(a, t, m):
+    """The first entry of least absolute value in a[t:][t:], row-major, as
+    (i, j, value); None if that block is zero."""
+    best = None
+    for i in range(t, m):
+        tail = a[i][t:]
+        if not any(tail):
+            continue
+        units = [tail.index(u) for u in (1, -1) if u in tail]
+        if units:
+            j = min(units)
+            return i, t + j, tail[j]
+        for j, v in enumerate(tail, start=t):
+            if v and (best is None or abs(v) < abs(best[2])):
+                best = (i, j, v)
+    return best
+
+
+def dense_smith_normal_form(rows, ncols):
+    """(diagonal of D, row operations, column operations) of the Smith form
+    of a list-of-lists matrix, eliminating on dense rows.
+
+    The elimination the library ran before it stored rows sparsely: the
+    same pivot rule, the same operations in the same order, logged as
+    (i, j, 0) for a swap, (i, i, -1) for a negation and (i, j, c) for
+    adding c times row (column) j to row (column) i.
+    """
+    a = [list(r) for r in rows]
+    m, n = len(a), ncols
+    row_ops, col_ops = [], []
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        row_ops.append((i, j, 0))
+
+    def swap_cols(i, j):
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+        col_ops.append((i, j, 0))
+
+    def add_row(dst, src, c):
+        a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
+        row_ops.append((dst, src, c))
+
+    def add_col(dst, src, c):
+        for row in a:
+            if row[src]:
+                row[dst] += c * row[src]
+        col_ops.append((dst, src, c))
+
+    t = 0
+    while t < min(m, n):
+        piv = dense_min_abs_pivot(a, t, m)
+        if piv is None:
+            break
+        pi, pj, _ = piv
+        if pi != t:
+            swap_rows(pi, t)
+        if pj != t:
+            swap_cols(pj, t)
+        while True:
+            moved = False
+            for i in range(t + 1, m):
+                if a[i][t] != 0:
+                    q = a[i][t] // a[t][t]
+                    if q:
+                        add_row(i, t, -q)
+                    if a[i][t] != 0:
+                        swap_rows(t, i)
+                        moved = True
+            if moved:
+                continue
+            for j in range(t + 1, n):
+                if a[t][j] != 0:
+                    q = a[t][j] // a[t][t]
+                    if q:
+                        add_col(j, t, -q)
+                    if a[t][j] != 0:
+                        swap_cols(t, j)
+                        moved = True
+            if moved:
+                continue
+            if a[t][t] in (1, -1):
+                break
+            bad = None
+            for i in range(t + 1, m):
+                for j in range(t + 1, n):
+                    if a[i][j] % a[t][t] != 0:
+                        bad = i
+                        break
+                if bad is not None:
+                    break
+            if bad is None:
+                break
+            add_row(t, bad, 1)
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
+            row_ops.append((t, t, -1))
+        t += 1
+
+    return [a[i][i] for i in range(min(m, n))], row_ops, col_ops
 
 # ---- class coordinates in H_1 by a second Smith form ----
 

@@ -131,6 +131,10 @@ def test_oversized_power_exit2(capsys, tmp_path):
      "doc: line 4: expected an integer, got '7x'\n"),
     ("homology", "chain-complex\ncells: 2 2\nboundary 1:\n1 0\n0 1.5 x\n",
      (), 2, "doc: line 5: expected an integer, got '1.5'\n"),
+    ("homology", "chain-complex\ncells: 1 3\nboundary 1:\n-0 00 1x\n", (), 2,
+     "doc: line 4: expected an integer, got '1x'\n"),
+    ("homology", "chain-complex\ncells: 1 3\nboundary 1:\n+0 1 2 3\n", (), 2,
+     "doc: line 4: expected 3 entries\n"),
     ("alexander", None, ("--phi", "fib", "--group", "Z100000"), 3,
      "|G| = 100000 exceeds bound 12"),
     ("alexander", None, ("--phi", "fib", "--group", "Z100000", "--budget",

@@ -1,9 +1,13 @@
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistalex.docio import MAX_MATRIX_ENTRIES, ParseError, parse_document
-from twistalex.exactalg import ComplexInvalid
+from twistalex.exactalg import ComplexInvalid, all_homology
 
 from conftest import FIXTURES, fixture_text
 
@@ -59,6 +63,45 @@ def test_matrix_bound_rejects_before_allocating(text):
 def test_matrix_bound_admits_its_edge():
     _, C = parse_document("chain-complex\ncells: 1000 1000\n")
     assert C.boundary(1).rows == C.boundary(1).cols == 1000
+
+
+OMITTED_BOUNDARIES = "chain-complex\ncells:" + " 1000" * 40 + "\n"
+
+# A fresh interpreter prints its own peak RSS (ru_maxrss, KiB on Linux)
+# after running the CLI on the document named by argv[1].
+PEAK_RSS_SCRIPT = """
+import contextlib, io, resource, sys
+import twistalex.cli as cli
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    assert cli.main(["homology", sys.argv[1]]) == 0
+print(out.getvalue().split()[0], resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_omitted_boundaries_stay_sparse(tmp_path):
+    """Forty omitted 1000 x 1000 boundaries are zero matrices of empty rows:
+    the d o d checks and the Smith forms cost the rows, not the entries."""
+    doc = tmp_path / "zeros.cplx"
+    doc.write_text(OMITTED_BOUNDARIES)
+    env = dict(os.environ, PYTHONPATH=str(FIXTURES.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", PEAK_RSS_SCRIPT, str(doc)],
+                          env=env, capture_output=True, text=True, timeout=5)
+    assert proc.returncode == 0, proc.stderr
+    first, peak_kib = proc.stdout.split()
+    assert first == "H0=Z^1000"
+    assert int(peak_kib) < 100 * 1024
+
+
+def test_block_reads_tokens_as_int_does():
+    spelled = ("chain-complex\ncells: 1 2 1\nboundary 1:\n-0 +0\n"
+               "boundary 2:\n+3\n00\n")
+    plain = "chain-complex\ncells: 1 2 1\nboundary 1:\n0 0\nboundary 2:\n3\n0\n"
+    a, b = parse_document(spelled)[1], parse_document(plain)[1]
+    assert a.boundaries == b.boundaries
+    assert a.boundary(2).to_lists() == [[int("+3")], [int("00")]]
+    assert list(map(str, all_homology(a))) == list(map(str, all_homology(b))) \
+        == ["Z", "Z+Z/3", "0"]
 
 
 @pytest.mark.parametrize("text", [

@@ -9,7 +9,10 @@ from twistalex.exactalg import (ChainComplex, ComplexInvalid, ExactSequenceData,
                                 all_homology, exact_sequence_solve, homology,
                                 smith_normal_form)
 
-from oracles import brute_homology, int_det, rational_rank
+from oracles import (brute_homology, dense_smith_normal_form, int_det,
+                     rational_rank)
+
+CPLX_FIXTURES = ("na.cplx", "na_x_s1.cplx", "na_minus_nu.cplx", "empty.cplx")
 
 
 def check_snf(M, v_first=False):
@@ -86,11 +89,18 @@ def test_snf_transforms_agree_in_either_read_order():
 
 
 def test_min_abs_pivot_is_the_first_least_entry_row_major():
+    """The sparse pivot search, on rows keyed by a random physical column
+    order and filled in random order, picks the nonzero at or after (t, t)
+    minimizing (|v|, i, j) in logical columns."""
     rng = random.Random(77)
     for _ in range(400):
         a = sparse_random_matrix(rng, 7)
         m, n = len(a), len(a[0]) if a else rng.randint(0, 3)
         t = rng.randint(0, min(m, n))
+        perm = rng.sample(range(n), n)
+        logical = [perm.index(k) for k in range(n)]
+        rows = [dict(rng.sample([(perm[j], v) for j, v in enumerate(r) if v],
+                                sum(map(bool, r)))) for r in a]
         nonzero = [(abs(a[i][j]), i, j) for i in range(t, m)
                    for j in range(t, n) if a[i][j]]
         if nonzero:
@@ -98,7 +108,54 @@ def test_min_abs_pivot_is_the_first_least_entry_row_major():
             expected = (i, j, a[i][j])
         else:
             expected = None
-        assert exactalg._min_abs_pivot(a, t, m) == expected
+        assert exactalg._min_abs_pivot(rows, logical, t, m) == expected
+
+
+def boundary_like_matrix(rng, max_side):
+    """A random matrix with at most four entries +-1 per column, the shape
+    of a cellular boundary, and its column count."""
+    m, n = rng.randint(0, max_side), rng.randint(0, max_side)
+    a = [[0] * n for _ in range(m)]
+    for j in range(n):
+        for i in rng.sample(range(m), min(m, rng.randint(0, 4))):
+            a[i][j] = rng.choice((1, -1))
+    return a, n
+
+
+def snf_cases():
+    """(rows, ncols, checked) for the oracle comparison; `checked` cases
+    are small enough for check_snf's cofactor determinants."""
+    from twistalex.docio import parse_document
+    from conftest import fixture_text
+    rng = random.Random(1818)
+    for k in range(300):
+        a = sparse_random_matrix(rng, 7)
+        n = len(a[0]) if a else k % 4
+        yield a, n, max(len(a), n) <= 6
+    yield [], 5, True
+    yield [[]] * 4, 0, True
+    for _ in range(150):
+        m, n = rng.randint(1, 8), rng.randint(1, 8)
+        yield ([[rng.randint(-12, 12) for _ in range(n)] for _ in range(m)],
+               n, max(m, n) <= 6)
+    for _ in range(40):
+        yield *boundary_like_matrix(rng, 60), False
+    for name in CPLX_FIXTURES:
+        for d in parse_document(fixture_text(name))[1].boundaries:
+            yield d.to_lists(), d.cols, False
+
+
+def test_snf_logs_the_dense_oracles_operations():
+    for rows, ncols, checked in snf_cases():
+        M = IntMatrix(len(rows), ncols, [x for r in rows for x in r])
+        s = check_snf(M) if checked else smith_normal_form(M)
+        diagonal, row_ops, col_ops = dense_smith_normal_form(rows, ncols)
+        assert (s.D.diagonal(), s._row_ops, s._col_ops) == (diagonal, row_ops,
+                                                            col_ops)
+        assert s.D.is_diagonal()
+        if not checked:
+            assert s.U * M * s.V == s.D
+            assert s.U * s.U_inverse == IntMatrix.identity(M.rows)
 
 
 def test_all_homology_builds_no_transform(monkeypatch):
@@ -174,7 +231,7 @@ def test_euler_characteristic_matches_ranks():
     from twistalex.docio import parse_document
     from conftest import fixture_text
     complexes = [na_complex()]
-    for name in ("na.cplx", "na_x_s1.cplx", "na_minus_nu.cplx", "empty.cplx"):
+    for name in CPLX_FIXTURES:
         complexes.append(parse_document(fixture_text(name))[1])
     for C in complexes:
         chi = C.euler_characteristic()
@@ -256,13 +313,35 @@ def test_all_homology_one_smith_form_per_boundary(monkeypatch):
 
 
 def test_sparse_product_against_dense_sum():
+    """Products of sparse factors, with zero rows on either side, zero-width
+    shapes and entries that cancel, against the dense sum; a cancelled entry
+    is not stored, so the product equals the dense-built matrix."""
     rng = random.Random(31)
-    for _ in range(80):
-        m, k, n = (rng.randint(0, 5) for _ in range(3))
-        a = [[rng.choice((0, 0, 0, rng.randint(-9, 9))) for _ in range(k)]
+    shapes = [(0, 3, 2), (2, 0, 3), (3, 2, 0), (0, 0, 0)]
+    shapes += [tuple(rng.randint(0, 6) for _ in range(3)) for _ in range(150)]
+    for m, k, n in shapes:
+        a = [[rng.choice((0, 0, 0, rng.randint(-3, 3))) for _ in range(k)]
              for _ in range(m)]
-        b = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(k)]
+        b = [[0] * n if rng.random() < 0.3 else
+             [rng.choice((0, rng.randint(-3, 3))) for _ in range(n)]
+             for _ in range(k)]
         dense = [sum(a[i][t] * b[t][j] for t in range(k))
                  for i in range(m) for j in range(n)]
         prod = IntMatrix(m, k, sum(a, [])) * IntMatrix(k, n, sum(b, []))
         assert (prod.rows, prod.cols, list(prod.entries)) == (m, n, dense)
+        assert prod == IntMatrix(m, n, dense)
+        assert prod.is_zero() == (not any(dense))
+    # one entry cancels, the other does not
+    prod = IntMatrix.from_rows([[1, 1]]) * IntMatrix.from_rows([[1, 2],
+                                                                [-1, 3]])
+    assert prod.to_lists() == [[0, 5]] and prod == IntMatrix.from_rows([[0, 5]])
+    # the d o d check: a product that cancels entry by entry passes, one that
+    # leaves an entry fails with the degree in the message
+    zero, d2 = IntMatrix.zero(1, 1), IntMatrix.from_rows([[1, 1]])
+    C = ChainComplex([1, 1, 2, 2], [zero, d2, IntMatrix.from_rows([[1, 2],
+                                                                   [-1, -2]])])
+    assert [str(h) for h in all_homology(C)] == ["Z", "0", "0", "Z"]
+    with pytest.raises(ComplexInvalid) as err:
+        ChainComplex([1, 1, 2, 2], [zero, d2, IntMatrix.from_rows([[1, 2],
+                                                                   [-1, 3]])])
+    assert str(err.value) == "d_2 o d_3 != 0"
