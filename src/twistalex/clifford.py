@@ -13,10 +13,10 @@ even products of unit vectors.
 
 import functools
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
-from .polymat import _int_det
+from .bareiss import _int_det
 
 
 class DimensionMismatch(ValueError):
@@ -108,19 +108,25 @@ GR_ONE = GaussianRational(1)
 GR_I = GaussianRational(0, 1)
 
 
-def _blade_mul(a, b):
-    """Product of two blade bitmasks; returns (sign, a ^ b).
+def _prefix_parity(b, n):
+    """The inclusive prefix parity of a blade bitmask b of Cl(K^n): bit i is
+    the parity of #{j in b : j <= i}, for i < n.
 
-    The sign counts one transposition per pair i in a, j in b with i > j
-    (the bits of a shifted right by k >= 1 that meet b), and one -1 per
-    shared index (e_i e_i = -1).
+    e_a e_b = (-1)^popcount(a & q(b)) e_(a ^ b): the AND counts, for each i
+    in a, the j in b with j < i (one transposition each) and j = i (e_i e_i
+    = -1).
     """
-    swaps = (a & b).bit_count()
-    x = a >> 1
-    while x:
-        swaps += (x & b).bit_count()
-        x >>= 1
-    return (-1 if swaps & 1 else 1), a ^ b
+    k = 1
+    while k < n:
+        b ^= b << k
+        k <<= 1
+    return b & ((1 << n) - 1)
+
+
+def _blade_mul(a, b):
+    """Product of two blade bitmasks; returns (sign, a ^ b)."""
+    odd = (a & _prefix_parity(b, a.bit_length())).bit_count() & 1
+    return (-1 if odd else 1), a ^ b
 
 
 def _mask(blade, n):
@@ -229,11 +235,17 @@ class CliffordElement:
             c0 = _coefficient(self.field, other)
             return self._nonzero({m: c * c0 for m, c in self.terms.items()})
         self._check(other)
+        # q(b) once per right-hand blade; the sign of e_a e_b is the parity
+        # of a & q(b)
+        right = [(b, _prefix_parity(b, self.n), cb)
+                 for b, cb in other.terms.items()]
         out = {}
         for a, ca in self.terms.items():
-            for b, cb in other.terms.items():
-                s, m = _blade_mul(a, b)
-                c = ca * cb if s > 0 else -(ca * cb)
+            for b, q, cb in right:
+                c = ca * cb
+                if (a & q).bit_count() & 1:
+                    c = -c
+                m = a ^ b
                 out[m] = out[m] + c if m in out else c
         return self._nonzero(out)
 
@@ -444,16 +456,11 @@ def hodge_star(blade, n=4):
 
 # ---- verification suites ----------------------------------------------------
 
-@dataclass(frozen=True)
-class Check:
-    description: str
-    ok: bool
+Check = namedtuple("Check", "description ok")
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    name: str
-    checks: tuple
+class VerificationReport(namedtuple("VerificationReport", "name checks")):
+    __slots__ = ()
 
     @property
     def ok(self):
@@ -706,19 +713,19 @@ def _spin4_adjoint(pairs):
     psi = psi_inv = CliffordElement.scalar(4, "R", 1)
     s = 1
     for w, norm in pairs:
-        elem = CliffordElement(4, "R", {(i + 1,): w[i] for i in range(4)})
+        elem = psi._new({1 << i: w[i] for i in range(4) if w[i]})
         inv = -elem
-        if inv * elem != CliffordElement.scalar(4, "R", norm * norm):
+        if (inv * elem).terms != {0: norm * norm}:
             return None
         psi = psi * elem
         psi_inv = inv * psi_inv
         s *= norm * norm
     cols = []
     for e in _E4:
-        img = psi * e * psi_inv
-        if not (img - img.grade_part(1)).is_zero():
+        terms = (psi * e * psi_inv).terms
+        if any(m.bit_count() != 1 for m in terms):
             return None
-        cols.append([img.coeff((i,)) for i in (1, 2, 3, 4)])
+        cols.append([terms.get(1 << i, 0) for i in range(4)])
     return s, [[cols[j][i] for j in range(4)] for i in range(4)]
 
 

@@ -21,6 +21,12 @@ from .exactalg import (ChainComplex, ComplexInvalid, ExactSequenceData,
 # bench boundary.
 MAX_MATRIX_ENTRIES = 10**6
 
+# Bound on the sum of a cells: line.  Each dimension costs its rows even
+# when its boundary is omitted (a zero matrix of empty rows, a d o d check
+# and a Smith form).  The bench's product complexes have a few hundred
+# cells, and forty omitted 1000-cell boundaries stay under it.
+MAX_CELLS = 10**5
+
 # Bound on the sum over relators of L(L+1)/2 for L letters: the Fox Jacobian
 # keeps one prefix per letter.  alexander, norms and fibred peak at 78 MB RSS
 # on a^1412 b a^-1412 b^-1, the longest single relator the bound accepts.
@@ -100,6 +106,12 @@ def _parse_complex(lines):
             cells = _ints(value, lineno)
             if any(c < 0 for c in cells):
                 raise ComplexInvalid("negative cell count")
+            # every boundary, given or omitted, is bounded before any is read
+            for k in range(1, len(cells)):
+                _check_shape(cells[k - 1], cells[k], f"boundary {k}")
+            if sum(cells) > MAX_CELLS:
+                raise ParseError(f"line {lineno}: {sum(cells)} cells are past "
+                                 f"the bound sum(cells) <= {MAX_CELLS}")
         elif key.startswith("boundary"):
             words = line.rstrip(":").split()
             if len(words) < 2:
@@ -116,7 +128,6 @@ def _parse_complex(lines):
         raise ParseError("chain-complex needs a cells: line")
     for k in range(1, len(cells)):
         if k not in boundaries:
-            _check_shape(cells[k - 1], cells[k], f"boundary {k}")
             boundaries[k] = IntMatrix.zero(cells[k - 1], cells[k])
     return ChainComplex(cells, [boundaries[k] for k in range(1, len(cells))])
 

@@ -185,12 +185,13 @@ def _add_row(r, s, c):
             del r[k]
 
 
-def _min_abs_pivot(a, logical, t, m):
+def _min_abs_pivot(a, logical, t, live):
     """The pivot (i, j, value) minimizing (|value|, i, j) over the nonzeros
     at or after (t, t), or None; `a` holds each row's nonzeros by physical
-    column k, whose logical column is logical[k].  A unit ends the search."""
+    column k, whose logical column is logical[k], and `live` lists the
+    nonzero rows from t on in increasing order.  A unit ends the search."""
     best = None
-    for i in range(t, m):
+    for i in live:
         for k, v in a[i].items():
             j = logical[k]
             if j >= t and (best is None or (abs(v), i, j, v) < best):
@@ -208,6 +209,10 @@ def smith_normal_form(M):
     and column operations go to two logs that U and V replay when read.
     Rows hold their nonzeros by physical column, and `perm` maps logical
     columns to physical ones, so a column swap costs two list entries.
+    A zero row stays zero: a row addition only reaches row t or a row with
+    an entry in the pivot column, and a column operation only touches
+    nonzeros.  So `live`, the nonzero rows from t on, is all that the
+    searches visit.
     """
     m, n = M.rows, M.cols
     a = [dict(r) for r in M._nz]
@@ -236,9 +241,10 @@ def smith_normal_form(M):
                 del r[pd]
         col_ops.append((dst, src, c))
 
+    live = [i for i in range(m) if a[i]]
     t = 0
     while t < min(m, n):
-        piv = _min_abs_pivot(a, logical, t, m)
+        piv = _min_abs_pivot(a, logical, t, live)
         if piv is None:
             break
         pi, pj, _ = piv
@@ -250,7 +256,7 @@ def smith_normal_form(M):
             # clear column t below the pivot
             moved = False
             pt = perm[t]
-            for i in [i for i in range(t + 1, m) if pt in a[i]]:
+            for i in [i for i in live if i > t and pt in a[i]]:
                 q = a[i][pt] // a[t][pt]
                 if q:
                     add_row(i, t, -q)
@@ -278,14 +284,17 @@ def smith_normal_form(M):
             p = a[t][perm[t]]
             if p in (1, -1):
                 break
-            bad = next((i for i in range(t + 1, m)
-                        if any(v % p for v in a[i].values())), None)
+            bad = next((i for i in live
+                        if i > t and any(v % p for v in a[i].values())), None)
             if bad is None:
                 break
             add_row(t, bad, 1)
         if a[t][perm[t]] < 0:
             a[t] = {k: -v for k, v in a[t].items()}
             row_ops.append((t, t, -1))
+        # drop row t, the rows this stage emptied and the pivot's old row
+        # if the swap filled it with a zero row t
+        live = [i for i in live if i > t and a[i]]
         t += 1
 
     D = IntMatrix.from_sparse(n, [{logical[k]: v for k, v in r.items()}

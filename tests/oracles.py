@@ -455,6 +455,18 @@ def blade_product(b1, b2):
     return sign, tuple(out)
 
 
+def shift_loop_sign(a, b):
+    """The sign of e_a e_b for blade bitmasks a, b: one transposition per
+    pair i in a, j in b with i > j (the bits of a shifted right by k >= 1
+    that meet b), and one -1 per shared index (e_i e_i = -1)."""
+    swaps = (a & b).bit_count()
+    x = a >> 1
+    while x:
+        swaps += (x & b).bit_count()
+        x >>= 1
+    return -1 if swaps & 1 else 1
+
+
 # ---- the spin4 adjoint over Fraction coefficients ----
 
 def fraction_unit_vectors(rng, count):
@@ -477,13 +489,13 @@ def fraction_unit_vectors(rng, count):
 
 
 def _clifford_mul(x, y):
-    """Product of two elements of Cl(R^n) given as {index tuple: coeff}."""
+    """Product of two elements of Cl(K^n) given as {index tuple: coeff}."""
     out = {}
     for b1, c1 in x.items():
         for b2, c2 in y.items():
             sign, b = blade_product(b1, b2)
             out[b] = out.get(b, 0) + sign * c1 * c2
-    return {b: c for b, c in out.items() if c}
+    return {b: c for b, c in out.items() if c != 0}
 
 
 def fraction_adjoint(vecs):

@@ -127,6 +127,8 @@ def test_oversized_power_exit2(capsys, tmp_path):
     ("alexander", "presentation\n:\ngenerators: a\n", ("--phi", "1"), 2,
      "unexpected ':'"),
     ("homology", "chain-complex\ncells: 100000 100000\n", (), 2, "1000000"),
+    ("homology", "chain-complex\ncells:" + " 1000" * 400 + "\n", (), 2,
+     "line 2: 400000 cells are past the bound sum(cells) <= 100000"),
     ("homology", "chain-complex\ncells: 1 3\nboundary 1:\n0 7x 1\n", (), 2,
      "doc: line 4: expected an integer, got '7x'\n"),
     ("homology", "chain-complex\ncells: 2 2\nboundary 1:\n1 0\n0 1.5 x\n",

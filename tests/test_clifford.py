@@ -10,11 +10,11 @@ from twistalex.clifford import (CliffordElement, DimensionMismatch,
                                 verify_iso, volume_element, HODGE_TABLE_4,
                                 SPIN4_SAMPLES, SPIN4_SEED, _blade, _blade_mul,
                                 _mask, _mu_blade, _mu_generators,
-                                _rational_unit_vectors, _spin4_adjoint,
-                                _spin4_samples)
+                                _prefix_parity, _rational_unit_vectors,
+                                _spin4_adjoint, _spin4_samples)
 
 from oracles import (blade_product, fraction_adjoint, fraction_unit_vectors,
-                     int_det, rational_rank)
+                     int_det, rational_rank, shift_loop_sign, _clifford_mul)
 
 
 def e(i, n=4, field="C"):
@@ -217,7 +217,7 @@ def test_hodge_sign_is_the_inversion_parity():
 
 
 def test_blade_mul_against_sorting_oracle():
-    for n in range(1, 6):
+    for n in range(1, 9):
         blades = all_blades(n)
         assert len(set(blades)) == 2 ** n
         for b1 in blades:
@@ -225,6 +225,81 @@ def test_blade_mul_against_sorting_oracle():
                 sign, mask = _blade_mul(_mask(b1, n), _mask(b2, n))
                 assert (sign, _blade(mask)) == blade_product(b1, b2)
                 assert mask == sum(1 << (i - 1) for i in _blade(mask))
+
+
+def test_prefix_parity_against_shift_loop_oracle():
+    for n in range(1, 9):
+        for b in range(1 << n):
+            q = _prefix_parity(b, n)
+            assert q == sum(1 << i for i in range(n)
+                            if (b & ((2 << i) - 1)).bit_count() & 1)
+            for a in range(1 << n):
+                sign = -1 if (a & q).bit_count() & 1 else 1
+                assert sign == shift_loop_sign(a, b), (n, a, b)
+
+
+def _index_terms(x):
+    return {_blade(m): c for m, c in x.terms.items()}
+
+
+def _random_element(rng, n, field, coeff, size):
+    blades = all_blades(n)
+    return CliffordElement(n, field, {rng.choice(blades): coeff()
+                                      for _ in range(size)})
+
+
+def test_product_against_term_by_term_oracle():
+    rng = random.Random(19)
+    coefficients = (
+        ("R", lambda: rng.randint(-4, 4)),
+        ("R", lambda: Fraction(rng.randint(-4, 4), rng.randint(1, 3))),
+        ("C", lambda: GaussianRational(Fraction(rng.randint(-3, 3),
+                                                rng.randint(1, 2)),
+                                       rng.randint(-3, 3))),
+    )
+    zeros = 0
+    for n in range(1, 9):
+        omega = tuple(range(1, n + 1))
+        for field, coeff in coefficients:
+            pairs = []
+            for _ in range(12):
+                x = _random_element(rng, n, field, coeff, rng.randint(1, 6))
+                y = _random_element(rng, n, field, coeff, rng.randint(1, 6))
+                pairs += [(x, y), (y, x), (x, x.alpha())]
+            # a vector squares to a scalar: its cross terms cancel
+            v = CliffordElement(n, field, {(i,): coeff()
+                                           for i in range(1, n + 1)})
+            assert set((v * v).terms) <= {0}
+            pairs.append((v, v))
+            # (1 + omega)(1 - omega) = 1 - omega^2 = 0 when omega^2 = 1
+            if n % 4 in (0, 3):
+                pairs.append((CliffordElement(n, field, {(): 1, omega: 1}),
+                              CliffordElement(n, field, {(): 1, omega: -1})))
+            for x, y in pairs:
+                got = _index_terms(x * y)
+                assert got == _clifford_mul(_index_terms(x), _index_terms(y))
+                zeros += not got
+    # every term cancels in the omega products (n = 3, 4, 7, 8, three
+    # coefficient kinds each), and in (e1 + i e2)^2
+    assert zeros >= 12
+    v = CliffordElement(2, "C", {(1,): 1, (2,): GR_I})
+    assert (v * v).is_zero()
+
+
+def test_suites_fail_on_an_exclusive_prefix_parity(monkeypatch):
+    # the exclusive prefix drops the j = i term of the sign, so e_i e_i = +1
+    monkeypatch.setattr("twistalex.clifford._prefix_parity",
+                        lambda b, n: _prefix_parity(b, n) ^ b)
+    _mu_blade.cache_clear()
+    try:
+        failures = {name: verify_iso(name).failures()
+                    for name in ("cliffmult", "spin4-adjoint")}
+    finally:
+        monkeypatch.undo()
+        _mu_blade.cache_clear()
+    assert all(failures.values()), failures
+    reports = verify_all()
+    assert len(reports) == 7 and all(r.ok for r in reports)
 
 
 def _field_native(field, c):

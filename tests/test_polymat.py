@@ -4,13 +4,13 @@ from itertools import combinations
 import pytest
 
 from twistalex import polymat
+from twistalex.bareiss import _int_det
 from twistalex.docio import parse_document
 from twistalex.grouppres import cyclic_group, enumerate_epimorphisms
 from twistalex.laurent import (LaurentPoly, UnitClass, _divexact, _eval,
                                _int_poly_gcd, _mul, _sub, _trim)
 from twistalex.polymat import (_content_multiple, _gauss_valuation_sum,
-                               _hermite_qpart, _int_det,
-                               _independent_rows,
+                               _hermite_qpart, _independent_rows,
                                _bareiss_det, _prime_factors, _rows_to_arrays,
                                _arr_to_poly, _scale, laurent_det,
                                laurent_minor_gcd, max_minor_gcd)
