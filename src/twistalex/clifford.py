@@ -78,8 +78,8 @@ class GaussianRational:
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
 
-    def is_zero(self):
-        return self.re == 0 and self.im == 0
+    def __bool__(self):
+        return bool(self.re or self.im)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
@@ -88,7 +88,8 @@ class GaussianRational:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value hashes as its real part, as it compares equal to it
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __repr__(self):
         if self.im == 0:
@@ -176,8 +177,7 @@ class CliffordElement:
             m = _mask(blade, n)
             c = _coefficient(field, c)
             out[m] = out[m] + c if m in out else c
-        zero = _ZERO[field]
-        self.terms = {m: c for m, c in out.items() if c != zero}
+        self.terms = {m: c for m, c in out.items() if c}
 
     def _new(self, terms):
         """An element of self's algebra; `terms` holds no zero coefficient."""
@@ -187,8 +187,7 @@ class CliffordElement:
 
     def _nonzero(self, terms):
         """An element of self's algebra from terms that may hold zeros."""
-        zero = _ZERO[self.field]
-        return self._new({m: c for m, c in terms.items() if c != zero})
+        return self._new({m: c for m, c in terms.items() if c})
 
     @classmethod
     def zero(cls, n, field):
@@ -304,16 +303,21 @@ def volume_element(n, field):
     return CliffordElement(n, "C", {blade: pref})
 
 
-def projector(sign, n, field="C"):
-    """pi^{+-} = (1 +- omega)/2, defined when omega^2 = 1."""
+def _doubled_projector(sign, n, field):
+    """2 pi^{+-} = 1 +- omega, defined when omega^2 = 1.  The suites state
+    their identities with it, so they stay on integer coefficients."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     w = volume_element(n, field)
     one = CliffordElement.scalar(n, field, 1)
     if w * w != one:
         raise NotSplitting(f"omega^2 != 1 in Cl({field}^{n})")
-    half = Fraction(1, 2)
-    return (one + (w if sign > 0 else -w)) * half
+    return one + (w if sign > 0 else -w)
+
+
+def projector(sign, n, field="C"):
+    """pi^{+-} = (1 +- omega)/2, half of `_doubled_projector`."""
+    return _doubled_projector(sign, n, field) * Fraction(1, 2)
 
 
 # ---- exact matrices ------------------------------------------------------
@@ -356,13 +360,12 @@ class ExactMatrix:
             c = _coerce(other)
             return ExactMatrix._new([[x * c for x in r] for r in self.rows])
         # only nonzero entries meet: the mu images are signed monomial
-        support = [[(j, b) for j, b in enumerate(r) if not b.is_zero()]
-                   for r in other.rows]
+        support = [[(j, b) for j, b in enumerate(r) if b] for r in other.rows]
         out = []
         for r in self.rows:
             acc = [GR_ZERO] * self.size
             for a, bs in zip(r, support):
-                if not a.is_zero():
+                if a:
                     for j, b in bs:
                         acc[j] = acc[j] + a * b
             out.append(acc)
@@ -396,15 +399,14 @@ def vector_rank(vectors):
     rows = [[_coerce(x) for x in r] for r in vectors]
     rank = 0
     for col in range(len(rows[0]) if rows else 0):
-        piv = next((i for i in range(rank, len(rows))
-                    if not rows[i][col].is_zero()), None)
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
         pr = rows[rank]
         inv = GR_ONE / pr[col]
         for row in rows[rank + 1:]:
-            if not row[col].is_zero():
+            if row[col]:
                 # pr is zero left of col, so those columns stay cleared
                 f = row[col] * inv
                 row[col:] = [a - f * b for a, b in zip(row[col:], pr[col:])]
@@ -427,21 +429,25 @@ def _mu_generators():
 
 @functools.cache
 def _mu_blade(mask):
-    """mu of a basis blade of Cl(C^4): its generator images in index order."""
+    """mu of a basis blade of Cl(C^4), its generator images multiplied in
+    index order, as the 4 entries (i, j, value) of a signed monomial matrix."""
     if not mask:
-        return ExactMatrix.identity(4)
+        return tuple((i, i, GR_ONE) for i in range(4))
     top = mask.bit_length() - 1
-    return _mu_blade(mask ^ (1 << top)) * _mu_generators()[top]
+    gen = _mu_generators()[top].rows
+    return tuple((i, k, a * b) for i, j, a in _mu_blade(mask ^ (1 << top))
+                 for k, b in enumerate(gen[j]) if b)
 
 
 def mu_map(x):
     """The algebra isomorphism Cl(C^4) -> Mat(C, 4) on an element."""
     if x.n != 4 or x.field != "C":
         raise DimensionMismatch("mu is defined on Cl(C^4)")
-    out = ExactMatrix.zero(4)
+    out = [[GR_ZERO] * 4 for _ in range(4)]
     for mask, c in x.terms.items():
-        out = out + _mu_blade(mask) * c
-    return out
+        for i, j, v in _mu_blade(mask):
+            out[i][j] = out[i][j] + v * c
+    return ExactMatrix._new(out)
 
 
 # ---- Hodge star ------------------------------------------------------------
@@ -475,11 +481,8 @@ def _verify_cliffmult():
     blades = all_blades(4)
     basis = [CliffordElement(4, "C", {b: 1}) for b in blades]
     images = [mu_map(x) for x in basis]
-    hom_ok = True
-    for x, mx in zip(basis, images):
-        for y, my in zip(basis, images):
-            if mu_map(x * y) != mx * my:
-                hom_ok = False
+    hom_ok = all(mu_map(x * y) == mx * my for x, mx in zip(basis, images)
+                 for y, my in zip(basis, images))
     checks.append(Check("mu(xy) = mu(x)mu(y) on all 256 basis pairs", hom_ok))
     checks.append(Check("mu has rank 16 on the 16 basis blades",
                         vector_rank([m.flatten() for m in images]) == 16))
@@ -491,13 +494,15 @@ def _verify_cliffmult():
 
 
 def _quaternion_images():
-    half = Fraction(1, 2)
+    """The unhalved images of 1, i, j, k in each summand: u = 2*1 = 1 +- omega,
+    2i, 2j and 4k; so q^2 = -1 reads (2i)^2 = (2j)^2 = -2u and
+    (4k)^2 = -8u."""
     e = lambda *idx: CliffordElement.blade(3, "R", idx)
     sides = []
     for sign in (1, -1):
-        side = {"1": projector(sign, 3, "R"),
-                "i": (e(1, 2) - e(3) * sign) * half,
-                "j": (e(2, 3) - e(1) * sign) * half}
+        side = {"1": _doubled_projector(sign, 3, "R"),
+                "i": e(1, 2) - e(3) * sign,
+                "j": e(2, 3) - e(1) * sign}
         side["k"] = side["i"] * side["j"]
         sides.append(side)
     return sides
@@ -508,13 +513,14 @@ def _verify_cliff3():
     plus, minus = _quaternion_images()
     for label, side in (("H+", plus), ("H-", minus)):
         unit = side["1"]
-        checks.append(Check(f"{label}: unit idempotent", unit * unit == unit))
-        for q in "ijk":
+        checks.append(Check(f"{label}: unit idempotent",
+                            unit * unit == unit * 2))
+        for q, square in (("i", -2), ("j", -2), ("k", -8)):
+            x = side[q]
             checks.append(Check(f"{label}: {q}^2 = -1",
-                                side[q] * side[q] == -unit))
+                                x * x == unit * square))
             checks.append(Check(f"{label}: 1*{q} = {q}",
-                                unit * side[q] == side[q]
-                                and side[q] * unit == side[q]))
+                                unit * x == x * 2 and x * unit == x * 2))
         checks.append(Check(f"{label}: ij = k, ji = -k",
                             side["i"] * side["j"] == side["k"]
                             and side["j"] * side["i"] == -side["k"]))
@@ -529,26 +535,35 @@ def _verify_cliff3():
                         vector_rank(vecs) == 8))
     w = volume_element(3, "R")
     checks.append(Check("H+ lands in the pi^+ summand",
-                        all(projector(1, 3, "R") * plus[q] == plus[q]
+                        all(plus["1"] * plus[q] == plus[q] * 2
                             for q in "1ijk")))
     checks.append(Check("omega^2 = 1 in Cl(R^3)",
                         w * w == CliffordElement.scalar(3, "R", 1)))
     return VerificationReport("cliff3", tuple(checks))
 
 
-def _verify_cliffm1():
-    checks = []
-    for n, field in ((4, "R"), (3, "R"), (4, "C")):
-        def f(x, n=n, field=field):
-            # extend e_i -> e_i e_n multiplicatively over blades
-            out = CliffordElement.zero(n, field)
-            for mask, c in x.terms.items():
-                img = CliffordElement.scalar(n, field, 1)
-                for i in _blade(mask):
-                    img = img * CliffordElement.blade(n, field, (i, n))
-                out = out + img * c
-            return out
+def _even_embedding(n, field):
+    """f: Cl(K^(n-1)) -> Cl(K^n), e_i -> e_i e_n extended multiplicatively.
+    The image of each basis blade is built once, as the product of its
+    generator images in ascending index order; f extends them linearly."""
+    images = [CliffordElement.scalar(n, field, 1)]   # indexed by blade mask
+    for i in range(1, n):
+        g = CliffordElement.blade(n, field, (i, n))
+        images += [img * g for img in images]   # the masks with top bit i - 1
 
+    def f(x):
+        out = {}
+        for mask, c in x.terms.items():
+            for m, d in images[mask].terms.items():
+                out[m] = out[m] + c * d if m in out else c * d
+        return images[0]._nonzero(out)
+    return f
+
+
+def _verify_cliffm1():
+    checks, maps = [], {}
+    for n, field in ((4, "R"), (3, "R"), (4, "C")):
+        f = maps[n, field] = _even_embedding(n, field)
         m = n - 1
         blades = all_blades(m)
         basis = [CliffordElement(m, field, {b: 1}) for b in blades]
@@ -563,30 +578,27 @@ def _verify_cliffm1():
         checks.append(Check(f"image lies in the even part Cl_0({field}^{n})",
                             even_ok))
     # the map matches the two volume elements in the 3 -> 4 real case
-    w3 = volume_element(3, "R")
-    img = CliffordElement.scalar(4, "R", 1)
-    for i in (1, 2, 3):
-        img = img * CliffordElement.blade(4, "R", (i, 4))
-    w3_img = img * w3.coeff((1, 2, 3))
     checks.append(Check("omega of Cl(R^3) maps to omega of Cl(R^4)",
-                        w3_img == volume_element(4, "R")))
+                        maps[4, "R"](volume_element(3, "R"))
+                        == volume_element(4, "R")))
     return VerificationReport("cliffm1", tuple(checks))
 
 
 def _verify_cliffiso():
     checks = []
-    # (C^4)^+- is the image of P+- = mu(pi^+-)
-    pp, pm = (mu_map(projector(sign, 4)) for sign in (1, -1))
+    # (C^4)^+- is the image of P+- = mu(1 +- omega) = 2 mu(pi^+-)
+    pp, pm = (mu_map(_doubled_projector(sign, 4, "C")) for sign in (1, -1))
     checks.append(Check("dim (C^4)^+ = 2", vector_rank(pp.rows) == 2))
     checks.append(Check("dim (C^4)^- = 2", vector_rank(pm.rows) == 2))
-    checks.append(Check("pi^+ + pi^- = 1", pp + pm == ExactMatrix.identity(4)))
+    checks.append(Check("pi^+ + pi^- = 1",
+                        pp + pm == ExactMatrix.identity(4) * 2))
     checks.append(Check("pi^+ pi^- = 0", pp * pm == ExactMatrix.zero(4)))
     gens = [mu_map(CliffordElement.e(4, "C", i)) for i in (1, 2, 3, 4)]
     # f -> f P embeds Hom((C^4)^+-, C^4) in Mat(4, C); f P lands in the
-    # image of the projector Q iff Q f P = f P
+    # image of the projector Q iff Q f P = 2 f P
     on_plus, on_minus = [m * pp for m in gens], [m * pm for m in gens]
-    plus_ok = all(pm * m == m for m in on_plus)
-    minus_ok = all(pp * m == m for m in on_minus)
+    plus_ok = all(pm * m == m * 2 for m in on_plus)
+    minus_ok = all(pp * m == m * 2 for m in on_minus)
     checks.append(Check("Clifford multiplication swaps (C^4)^+ and (C^4)^-",
                         plus_ok and minus_ok))
     checks.append(Check("C^4 -> Hom((C^4)^+, (C^4)^-) is injective (rank 4)",
@@ -603,14 +615,14 @@ def _verify_endiso():
     blades = all_blades(4)
     even = [b for b in blades if len(b) % 2 == 0]
     for sign, label in ((1, "+"), (-1, "-")):
-        proj = projector(sign, 4)
+        proj = _doubled_projector(sign, 4, "C")
         elems = [proj * CliffordElement(4, "C", {b: 1}) for b in even]
         dim = vector_rank([x.coefficient_vector(blades) for x in elems])
         checks.append(Check(f"dim Cl_0^{label}(C^4) = 4", dim == 4))
-        # as in cliffiso: M restricted to (C^4)^+- is M P, P = mu(pi^+-)
+        # as in cliffiso: M restricted to (C^4)^+- is M P, P = mu(1 +- omega)
         p = mu_map(proj)
         restricted = [mu_map(x) * p for x in elems]
-        closed = all(p * m == m for m in restricted)
+        closed = all(p * m == m * 2 for m in restricted)
         checks.append(Check(f"Cl_0^{label} preserves (C^4)^{label}", closed))
         checks.append(Check(f"Cl_0^{label} -> End((C^4)^{label}) surjective "
                             f"(rank 4)", closed and vector_rank(
@@ -635,12 +647,8 @@ def _verify_extcliff():
         checks.append(Check(f"*(e{blade[0]}^e{blade[1]}) = "
                             f"{'-' if sign < 0 else ''}e{comp[0]}^e{comp[1]}",
                             (s, c) == (sign, comp)))
-    invol = True
-    for b, _, _ in HODGE_TABLE_4:
-        s1, c = hodge_star(b, 4)
-        s2, b2 = hodge_star(c, 4)
-        if b2 != b or s1 * s2 != 1:
-            invol = False
+    invol = all(hodge_star(c, 4) == (s, b) for b, _, _ in HODGE_TABLE_4
+                for s, c in [hodge_star(b, 4)])
     checks.append(Check("** = id on Lambda^2(R^4)", invol))
     # eigenspace split of Lambda^2 under the star
     two_blades = [b for b in all_blades(4) if len(b) == 2]
@@ -653,12 +661,13 @@ def _verify_extcliff():
         minus_vecs.append((x - star).coefficient_vector(two_blades))
     checks.append(Check("dim Lambda^+ = 3", vector_rank(plus_vecs) == 3))
     checks.append(Check("dim Lambda^- = 3", vector_rank(minus_vecs) == 3))
-    # the stated basis of (Cl_0(R^4) (x) C)^+ is fixed by pi^+ and independent
-    pi_plus = projector(1, 4)
+    # the stated basis of (Cl_0(R^4) (x) C)^+ is fixed by pi^+ and
+    # independent; with 2 pi^+ = 1 + omega in place of pi^+, 2 pi^+ x = 2x
+    pi_plus = _doubled_projector(1, 4, "C")
     e = lambda *idx: CliffordElement.blade(4, "C", idx)
     basis = [pi_plus,
              e(1, 2) + e(3, 4), e(1, 3) - e(2, 4), e(1, 4) + e(2, 3)]
-    fixed = all(pi_plus * x == x for x in basis)
+    fixed = all(pi_plus * x == x * 2 for x in basis)
     checks.append(Check("pi^+ fixes {pi^+, e1e2+e3e4, e1e3-e2e4, e1e4+e2e3}",
                         fixed))
     blades = all_blades(4)
@@ -736,11 +745,13 @@ def _verify_spin4_adjoint():
         if found is None:
             ok_space = False
             break
-        # M = s A: A is orthogonal with det 1 iff M^T M = s^2 I, det M = s^4
+        # M = s A: A is orthogonal with det 1 iff M^T M = s^2 I, det M = s^4;
+        # M^T M is the Gram matrix of M's columns
         s, m = found
-        if not all(sum(m[i][a] * m[i][b] for i in range(4))
+        cols = list(zip(*m))
+        if not all(sum(x * y for x, y in zip(cols[a], cols[b]))
                    == (s * s if a == b else 0)
-                   for a in range(4) for b in range(4)):
+                   for a in range(4) for b in range(a, 4)):
             ok_orth = False
             break
         if _int_det(m) != s ** 4:

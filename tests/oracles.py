@@ -6,13 +6,16 @@ mapping-torus formulas.  None of it shares code paths with the library's
 minor-gcd engine or Smith normal form, except `two_snf_weights`, which
 calls the Smith form on a matrix of its own.  `dense_smith_normal_form` is
 the library's elimination as it stood on dense rows, kept to check that the
-sparse one logs the same operations.
+sparse one logs the same operations; `per_index_even_embedding` is the
+cliffm1 map as it stood, one blade product per index, kept to check the
+images that the library builds once.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
 
+from twistalex.clifford import CliffordElement
 from twistalex.exactalg import IntMatrix, smith_normal_form
 from twistalex.laurent import LaurentPoly, UnitClass, lp_gcd
 
@@ -465,6 +468,22 @@ def shift_loop_sign(a, b):
         swaps += (x & b).bit_count()
         x >>= 1
     return -1 if swaps & 1 else 1
+
+
+# ---- the cliffm1 map, one generator product per index ----
+
+def per_index_even_embedding(x, n, field):
+    """f(x) for f: Cl(K^(n-1)) -> Cl(K^n), e_i -> e_i e_n, rebuilt for each
+    term of x as a chain of CliffordElement.blade(n, field, (i, n)) products,
+    one per index of its blade in ascending order."""
+    out = CliffordElement.zero(n, field)
+    for mask, c in x.terms.items():
+        img = CliffordElement.scalar(n, field, 1)
+        for i in range(1, n):
+            if mask >> (i - 1) & 1:
+                img = img * CliffordElement.blade(n, field, (i, n))
+        out = out + img * c
+    return out
 
 
 # ---- the spin4 adjoint over Fraction coefficients ----

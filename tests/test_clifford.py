@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,13 +9,16 @@ from twistalex.clifford import (CliffordElement, DimensionMismatch,
                                 NotSplitting, all_blades, hodge_star, mu_map,
                                 projector, vector_rank, verify_all,
                                 verify_iso, volume_element, HODGE_TABLE_4,
-                                SPIN4_SAMPLES, SPIN4_SEED, _blade, _blade_mul,
-                                _mask, _mu_blade, _mu_generators,
-                                _prefix_parity, _rational_unit_vectors,
-                                _spin4_adjoint, _spin4_samples)
+                                SPIN4_SAMPLES, SPIN4_SEED, _SUITES, _blade,
+                                _blade_mul, _doubled_projector,
+                                _even_embedding, _mask, _mu_blade,
+                                _mu_generators, _prefix_parity,
+                                _rational_unit_vectors, _spin4_adjoint,
+                                _spin4_samples)
 
 from oracles import (blade_product, fraction_adjoint, fraction_unit_vectors,
-                     int_det, rational_rank, shift_loop_sign, _clifford_mul)
+                     int_det, per_index_even_embedding, rational_rank,
+                     shift_loop_sign, _clifford_mul)
 
 
 def e(i, n=4, field="C"):
@@ -45,6 +49,13 @@ def test_gaussian_rational_int_parts():
     assert inv == GaussianRational(0, Fraction(-1, 2))
     assert GaussianRational(3) == GaussianRational(Fraction(3))
     assert hash(GaussianRational(3)) == hash(GaussianRational(Fraction(3)))
+    # a real value equals its real part, so it hashes as it does
+    assert GaussianRational(3) == 3 and hash(GaussianRational(3)) == hash(3)
+    assert len({GaussianRational(3), 3}) == 1
+    assert hash(third) == hash(Fraction(1, 3))
+    assert len({third, Fraction(1, 3)}) == 1
+    assert len({x, GaussianRational(1, -2), 1}) == 2
+    assert not GaussianRational() and GR_I and GaussianRational(Fraction(1, 2))
     assert repr(x) == "(1-2i)" and repr(GaussianRational(3)) == "3"
     assert repr(GaussianRational(Fraction(3))) == "3"
     assert repr(third) == "1/3" and repr(inv) == "(0-1/2i)"
@@ -108,6 +119,19 @@ def test_projector_examples():
     # omega^2 = -1 in Cl(R^2): no splitting there
     with pytest.raises(NotSplitting):
         projector(1, 2, "R")
+    with pytest.raises(NotSplitting):
+        _doubled_projector(1, 2, "R")
+    # 2 pi^+- = 1 +- omega, with integer coefficients
+    for n, field in ((4, "C"), (3, "R")):
+        for sign in (1, -1):
+            doubled = _doubled_projector(sign, n, field)
+            assert doubled == projector(sign, n, field) * 2
+            assert doubled == (CliffordElement.scalar(n, field, 1)
+                               + volume_element(n, field) * sign)
+            assert doubled * doubled == doubled * 2
+            parts = (doubled.terms.values() if field == "R" else
+                     [p for c in doubled.terms.values() for p in (c.re, c.im)])
+            assert all(type(p) is int for p in parts)
 
 
 def test_mu_map_examples():
@@ -203,6 +227,118 @@ def test_suites_fail_on_a_broken_matrix_model(monkeypatch):
             ("endiso", "Cl_0^- preserves (C^4)^-"),
             ("endiso", "Cl_0^- -> End((C^4)^-) surjective (rank 4)")} <= failed
     assert verify_iso("cliffiso").ok and verify_iso("endiso").ok
+
+
+# the checks whose right-hand side picks up a power of 2 once the suites use
+# 2 pi^+- = 1 +- omega in place of pi^+-
+DOUBLED_CHECKS = {
+    "cliff3": {f"{h}: {c}" for h in ("H+", "H-")
+               for c in ("unit idempotent", "i^2 = -1", "j^2 = -1",
+                         "k^2 = -1", "1*i = i", "1*j = j", "1*k = k")}
+              | {"H+ lands in the pi^+ summand"},
+    "cliffiso": {"pi^+ + pi^- = 1",
+                 "Clifford multiplication swaps (C^4)^+ and (C^4)^-",
+                 "C^4 -> Hom((C^4)^+, (C^4)^-) is injective (rank 4)",
+                 "C^4 -> Hom((C^4)^-, (C^4)^+) is injective (rank 4)"},
+    "endiso": {f"Cl_0^{s} preserves (C^4)^{s}" for s in "+-"}
+              | {f"Cl_0^{s} -> End((C^4)^{s}) surjective (rank 4)"
+                 for s in "+-"},
+    "extcliff": {"pi^+ fixes {pi^+, e1e2+e3e4, e1e3-e2e4, e1e4+e2e3}"},
+}
+
+
+def test_doubled_checks_fail_on_wrong_doubled_projectors(monkeypatch):
+    wrong = {
+        "2*1": lambda sign, n, field: CliffordElement.scalar(n, field, 2),
+        "omega": lambda sign, n, field: volume_element(n, field),
+        "1 +- 2 omega": lambda sign, n, field: (
+            CliffordElement.scalar(n, field, 1)
+            + volume_element(n, field) * (2 * sign)),
+    }
+    failed = {}
+    for label, doubled in wrong.items():
+        monkeypatch.setattr("twistalex.clifford._doubled_projector", doubled)
+        try:
+            failed[label] = {(name, c.description) for name in DOUBLED_CHECKS
+                             for c in verify_iso(name).failures()}
+        finally:
+            monkeypatch.undo()
+    expected = {(name, d) for name, ds in DOUBLED_CHECKS.items() for d in ds}
+    assert expected <= set().union(*failed.values()), expected - set().union(
+        *failed.values())
+    # no one wrong value covers them all: 2*1 leaves u^2 = 2u standing
+    assert ("cliff3", "H+: unit idempotent") not in failed["2*1"]
+    assert all(verify_iso(name).ok for name in DOUBLED_CHECKS)
+
+
+def test_suites_make_no_fraction_outside_vector_rank(monkeypatch):
+    # every suite runs on integers; vector_rank's pivot inverses are the one
+    # place a Fraction may appear
+    made, paused = [0], [False]
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made[0] += not paused[0]
+        return new(cls, *args, **kwargs)
+
+    def uncounted_rank(vectors):
+        paused[0] = True
+        try:
+            return vector_rank(vectors)
+        finally:
+            paused[0] = False
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    monkeypatch.setattr("twistalex.clifford.vector_rank", uncounted_rank)
+    counts = {}
+    for name in _SUITES:
+        made[0] = 0
+        assert verify_iso(name).ok
+        counts[name] = made[0]
+    made[0] = 0
+    projector(1, 4)   # the counter sees the halving
+    halving = made[0]
+    monkeypatch.undo()
+    assert counts == dict.fromkeys(_SUITES, 0)
+    assert halving > 0
+
+
+def test_even_embedding_against_per_index_oracle():
+    rng = random.Random(23)
+    coefficients = {
+        "R": lambda: Fraction(rng.randint(-4, 4), rng.randint(1, 2)),
+        "C": lambda: GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3)),
+    }
+    for n, field in ((4, "R"), (3, "R"), (4, "C")):
+        f = _even_embedding(n, field)
+        xs = [CliffordElement(n - 1, field, {b: 1}) for b in all_blades(n - 1)]
+        xs += [_random_element(rng, n - 1, field, coefficients[field],
+                               rng.randint(1, 2 ** (n - 1)))
+               for _ in range(30)]
+        xs.append(CliffordElement.zero(n - 1, field))
+        for x in xs:
+            assert f(x) == per_index_even_embedding(x, n, field)
+        # the images of the vectors are the e_i e_n
+        for i in range(1, n):
+            assert (f(CliffordElement.e(n - 1, field, i))
+                    == CliffordElement.blade(n, field, (i, n)))
+
+
+def test_vector_rank_growth_on_a_dense_gaussian_integer_matrix():
+    # forward elimination over Q(i) keeps its entries small; a division-free
+    # elimination swells them (a dense 24 x 24 ran past 300 s that way)
+    rng = random.Random(29)
+    entry = lambda: GaussianRational(rng.randint(-9, 9), rng.randint(-9, 9))
+    rows = [[entry() for _ in range(32)] for _ in range(32)]
+    # the last 8 rows are combinations of earlier ones, so the rank is 24
+    for i in range(24, 32):
+        c = entry()
+        rows[i] = [a + c * b for a, b in zip(rows[i - 24], rows[i - 23])]
+    start = time.perf_counter()
+    rank = vector_rank(rows)
+    elapsed = time.perf_counter() - start
+    assert 2 * rank == rational_rank(_realify(rows)) == 48
+    assert elapsed < 4, elapsed
 
 
 def test_hodge_sign_is_the_inversion_parity():
