@@ -1,9 +1,9 @@
 """The one fraction-free (Bareiss) elimination, over any exact ring.
 
-`polymat` runs it on Z[t] coefficient arrays, Laurent polynomials and
-integer evaluations; `clifford` takes an integer determinant from it.  It
-imports nothing, so a job that needs only the integer determinant does not
-load the Laurent stack.
+`polymat` runs it on Z[t] coefficient arrays, packed ones for several
+variables, and on integer evaluations; `clifford` takes an integer
+determinant from it.  It imports nothing, so a job that needs only the
+integer determinant does not load the Laurent stack.
 """
 
 

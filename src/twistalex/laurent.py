@@ -6,16 +6,17 @@ Unit normalization fixes the +-t^n ambiguity of Alexander-type invariants:
 the canonical representative of a class has minimum exponent 0 in every
 variable and positive coefficient on its lexicographically greatest term.
 
-Single-variable work also has a dense form, the coefficient arrays of
-Z[t]: this module holds their one set of helpers (arithmetic, content and
-primitive part, exact division, evaluation, conversion to and from
-LaurentPoly, and the pseudo-remainder row operation), which the rank-1 gcd
-here and the eliminations in polymat share.
+Eliminations also have a dense form, the coefficient arrays of Z[t], into
+which a matrix of any rank is Kronecker-packed: this module holds their one
+set of helpers (arithmetic, content and primitive part, exact division,
+evaluation, packing and unpacking, and the pseudo-remainder row operation),
+which the rank-1 gcd here and the eliminations in polymat share.
 """
 
 from dataclasses import dataclass
 from functools import cache
 from math import gcd
+from operator import mul, sub
 
 
 class RankMismatch(ValueError):
@@ -282,21 +283,55 @@ def divides(g, f):
 # An element of Z[t] as a list of ints, lowest degree first; [] is zero and
 # a nonzero array ends in a nonzero entry.  The single-variable gcd below and
 # every elimination in polymat run on arrays; LaurentPoly values cross over
-# through _to_array and _arr_to_poly.
+# through _pack and _arr_to_poly.
 
-def _to_array(p, lo):
-    """The array of t^-lo * p, for a rank-1 p with no exponent below lo."""
-    if not p.terms:
-        return []
-    a = [0] * (max(p.terms)[0] - lo + 1)
-    for (k,), c in p.terms.items():
-        a[k - lo] = c
-    return a
+def _pack(M, rank):
+    """Rows of Z[t] arrays for a matrix over Z[t1^{+-1}, ..., tr^{+-1}].
+
+    Row r is multiplied by t^-lo_r, lo_r[i] = min(0, the least exponent of
+    t_i in the row), then t_i -> t^S_i: S_1 = 1, S_(i+1) = S_i B_i, with B_i
+    1 + the sum of the rows' spans in t_i.  Returns the rows, S and the sum
+    of the lo_r.  Packing is a ring map, so exact divisions stay exact, and
+    it is one to one below B_i in each t_i, where every minor of the
+    shifted rows lies.
+    """
+    los, spans = [], [0] * rank
+    for row in M:
+        cols = list(zip(*(e for p in row for e in p.terms))) or [(0,)] * rank
+        lo = [min(0, *c) for c in cols]
+        spans = [s + max(c) - x for s, c, x in zip(spans, cols, lo)]
+        los.append(lo)
+    strides = [1]
+    for span in spans[:-1]:
+        strides.append(strides[-1] * (span + 1))
+    rows = []
+    for row, lo in zip(M, los):
+        base = sum(map(mul, lo, strides))
+        out = []
+        for p in row:
+            a = []
+            if p.terms:
+                keys = [sum(map(mul, e, strides)) - base for e in p.terms]
+                a = [0] * (max(keys) + 1)
+                for k, c in zip(keys, p.terms.values()):
+                    a[k] = c
+            out.append(a)
+        rows.append(out)
+    return rows, strides, [sum(c) for c in zip([0] * rank, *los)]
 
 
-def _arr_to_poly(a, lo=0):
-    """The rank-1 LaurentPoly t^lo * a."""
-    return LaurentPoly(1, {(lo + i,): c for i, c in enumerate(a) if c})
+def _arr_to_poly(a, shift=(0,), strides=(1,)):
+    """The LaurentPoly t^shift * q for the array a of q packed by strides
+    (see _pack); with the defaults, the rank-1 LaurentPoly a."""
+    terms = {}
+    for n, c in enumerate(a):
+        if c:
+            exps = []
+            for s in reversed(strides):
+                e, n = divmod(n, s)
+                exps.append(e)
+            terms[tuple(e + x for e, x in zip(reversed(exps), shift))] = c
+    return LaurentPoly(len(strides), terms)
 
 
 def _trim(a):
@@ -306,18 +341,19 @@ def _trim(a):
 
 
 def _sub(a, b):
-    n = max(len(a), len(b))
-    return _trim([(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)
-                  for i in range(n)])
+    out = a + [0] * (len(b) - len(a))
+    out[:len(b)] = map(sub, out, b)
+    return _trim(out)
 
 
 def _mul(a, b):
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
+    terms = [(j, y) for j, y in enumerate(b) if y]
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b):
+            for j, y in terms:
                 out[i + j] += x * y
     return _trim(out)
 
@@ -349,13 +385,14 @@ def _divexact(a, b):
     r = list(a)
     q = [0] * (len(a) - len(b) + 1)
     lb = b[-1]
+    terms = [(i, y) for i, y in enumerate(b) if y]
     while r and len(r) >= len(b):
         if r[-1] % lb:
             return None
         c = r[-1] // lb
         off = len(r) - len(b)
         q[off] = c
-        for i, y in enumerate(b):
+        for i, y in terms:
             r[off + i] -= c * y
         _trim(r)
     return q if not r else None
@@ -479,8 +516,7 @@ def _gcd_poly(a, b):
     if a.rank == 0:
         return LaurentPoly.const(0, gcd(a.coeff(()), b.coeff(())))
     if a.rank == 1:
-        return _arr_to_poly(_int_poly_gcd(_to_array(a, a.min_exp(0)),
-                                          _to_array(b, b.min_exp(0))))
+        return _arr_to_poly(_int_poly_gcd(*_pack([[a, b]], 1)[0][0]))
     # recurse on the last variable: gcd = gcd(contents) * gcd(primitive parts)
     pa, pb = _split_last(a), _split_last(b)
     cont_a = lp_gcd_many(pa.values(), a.rank - 1).representative

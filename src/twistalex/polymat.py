@@ -8,19 +8,20 @@ whole matrix or of the blocks of a rational block decomposition of it.
 The primes that can divide the integer content come from integer
 evaluations: Bareiss elimination of the integer matrices M(2), M(3), ...;
 a Gauss-valuation elimination per candidate prime gives its exact exponent.
-Everything here works with the Z[t] coefficient arrays of the laurent
-module, which defines their arithmetic; LaurentPoly values cross the
-boundary only on the way in and out.
+A determinant of any rank is one Bareiss elimination on the rows that
+laurent._pack packs into Z[t].  Everything here works with the arrays of
+the laurent module, which defines their arithmetic; LaurentPoly values
+cross the boundary only on the way in and out.
 """
 
 from itertools import combinations
 from math import comb, gcd, isqrt
 
 from .bareiss import _bareiss, _int_step
-from .laurent import (LaurentPoly, UnsupportedRank, div_exact, lp_gcd_many,
-                      normalize_unit, _arr_to_poly, _divexact, _eval,
-                      _int_poly_content, _int_poly_gcd, _mul, _prim,
-                      _pseudo_reduce, _scale, _strip_content, _sub, _to_array)
+from .laurent import (UnsupportedRank, lp_gcd_many, normalize_unit,
+                      _arr_to_poly, _divexact, _eval, _int_poly_content,
+                      _int_poly_gcd, _mul, _pack, _prim, _pseudo_reduce,
+                      _scale, _strip_content, _sub)
 
 ENUM_BOUND = 400
 
@@ -39,44 +40,12 @@ def _bareiss_det(rows):
     return _scale(d, -1) if odd else d
 
 
-# ---- conversions --------------------------------------------------------
-
-def _row_shift(row):
-    """The power of t that makes a single-variable Laurent row polynomial."""
-    return min([0] + [e.min_exp(0) for e in row if not e.is_zero()])
-
-
-def _rows_to_arrays(M):
-    """Row-normalize a single-variable Laurent matrix into Z[t] arrays.
-
-    Each row is multiplied by a power of t (a unit), which scales all maximal
-    minors by a common unit and is therefore harmless for gcd purposes.
-    """
-    return [[_to_array(e, lo) for e in row]
-            for row, lo in zip(M, map(_row_shift, M))]
-
-
 # ---- general determinant -------------------------------------------------
 
-def _laurent_step(p, f, xs, ys, prev):
-    out = [div_exact(x * p - f * y, prev) for x, y in zip(xs, ys)]
-    if None in out:
-        raise AssertionError("Bareiss division failed")
-    return out
-
-
 def laurent_det(M, rank):
-    """Exact determinant of a square matrix of LaurentPoly entries."""
-    if rank == 1:
-        return _arr_to_poly(_bareiss_det(_rows_to_arrays(M)),
-                            sum(map(_row_shift, M)))
-    zero = LaurentPoly.zero(rank)
-    found = _bareiss([list(r) for r in M], len(M), zero, LaurentPoly.one(rank),
-                     _laurent_step)
-    if found is None:
-        return zero
-    _, odd, d = found
-    return -d if odd else d
+    """Exact determinant of a square LaurentPoly matrix, packed by _pack."""
+    rows, strides, shift = _pack(M, rank)
+    return _arr_to_poly(_bareiss_det(rows), shift, strides)
 
 
 # ---- integer factorization helpers (for the content part) ----------------
@@ -339,12 +308,7 @@ def laurent_minor_gcd(M, rank, ncols=None):
     if k is None:
         raise ValueError("column count of an empty matrix is ambiguous")
     if rank == 1:
-        return normalize_unit(_arr_to_poly(max_minor_gcd(_rows_to_arrays(M),
-                                                         k)))
-    if k == 0:
-        return LaurentPoly.one(rank)
-    if len(M) < k:
-        return LaurentPoly.zero(rank)
+        return normalize_unit(_arr_to_poly(max_minor_gcd(_pack(M, 1)[0], k)))
     if comb(len(M), k) > 20000:
         raise UnsupportedRank("multivariable minor enumeration too large")
     dets = (laurent_det([M[i] for i in subset], rank)

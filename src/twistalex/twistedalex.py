@@ -163,8 +163,8 @@ def _twisted_rows(terms, rep, nrels, nblocks, rank):
 
     The term c*w of Jacobian entry (r, b) adds c*v*t^Phi(w) to cell
     (r*m + i, b*m + y) for each (i, v) in rep[alpha(w)][y].  Rank 1 gives
-    Z[t] arrays, each row shifted by its lowest power of t as
-    polymat._row_shift does; a higher rank gives LaurentPoly entries.
+    Z[t] arrays, each row shifted as laurent._pack shifts it; a higher rank
+    gives LaurentPoly entries.
     """
     m = len(rep[0])
     acc = {}    # (row, column, Phi(w)) -> coefficient

@@ -8,7 +8,10 @@ calls the Smith form on a matrix of its own.  `dense_smith_normal_form` is
 the library's elimination as it stood on dense rows, kept to check that the
 sparse one logs the same operations; `per_index_even_embedding` is the
 cliffm1 map as it stood, one blade product per index, kept to check the
-images that the library builds once.
+images that the library builds once; `laurent_step` is the Bareiss step
+on LaurentPoly entries that the library ran before it packed its rows into
+Z[t], and `laurent_bareiss_det` runs it, kept to check the packed
+determinant.
 """
 
 from fractions import Fraction
@@ -17,7 +20,7 @@ from math import gcd
 
 from twistalex.clifford import CliffordElement
 from twistalex.exactalg import IntMatrix, smith_normal_form
-from twistalex.laurent import LaurentPoly, UnitClass, lp_gcd
+from twistalex.laurent import LaurentPoly, UnitClass, div_exact, lp_gcd
 
 
 # ---- polynomial determinants by cofactor expansion ----
@@ -101,6 +104,26 @@ def eager_bareiss(a, k, zero, one, step):
             r[c + 1:] = step(p, r[c], r[c + 1:], tail, prev)
         prev = p
     return idx[:k], odd, prev
+
+
+def laurent_step(p, f, xs, ys, prev):
+    """The Bareiss step on LaurentPoly entries, one div_exact per entry."""
+    out = [div_exact(x * p - f * y, prev) for x, y in zip(xs, ys)]
+    if None in out:
+        raise AssertionError("Bareiss division failed")
+    return out
+
+
+def laurent_bareiss_det(M, rank):
+    """Determinant by Bareiss elimination on the LaurentPoly entries
+    themselves, with no packing."""
+    zero = LaurentPoly.zero(rank)
+    found = eager_bareiss([list(r) for r in M], len(M), zero,
+                          LaurentPoly.one(rank), laurent_step)
+    if found is None:
+        return zero
+    _, odd, d = found
+    return -d if odd else d
 
 
 # ---- classical Alexander polynomial formulas ----

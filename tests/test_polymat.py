@@ -8,17 +8,18 @@ from twistalex.bareiss import _int_det
 from twistalex.docio import parse_document
 from twistalex.grouppres import cyclic_group, enumerate_epimorphisms
 from twistalex.laurent import (LaurentPoly, UnitClass, _divexact, _eval,
-                               _int_poly_gcd, _mul, _sub, _trim)
+                               _int_poly_gcd, _mul, _pack, _sub, _trim)
 from twistalex.polymat import (_content_multiple, _gauss_valuation_sum,
                                _hermite_qpart, _independent_rows,
-                               _bareiss_det, _prime_factors, _rows_to_arrays,
+                               _bareiss_det, _prime_factors,
                                _arr_to_poly, _scale, laurent_det,
                                laurent_minor_gcd, max_minor_gcd)
 from twistalex.twistedalex import (TwistData, twisted_alexander,
                                    twisted_jacobian)
 
 from conftest import fixture_text
-from oracles import brute_minor_gcd, cofactor_det, eager_bareiss, int_det
+from oracles import (brute_minor_gcd, cofactor_det, eager_bareiss, int_det,
+                     laurent_bareiss_det, laurent_step)
 
 
 def random_poly(rng, max_terms=3, max_exp=3, max_coeff=4):
@@ -31,13 +32,20 @@ def random_matrix(rng, m, k, **kw):
     return [[random_poly(rng, **kw) for _ in range(k)] for _ in range(m)]
 
 
+def random_laurent(rng, rank, max_terms=2, max_exp=2, max_coeff=3):
+    return LaurentPoly(rank, {tuple(rng.randint(-max_exp, max_exp)
+                                    for _ in range(rank)):
+                              rng.randint(-max_coeff, max_coeff)
+                              for _ in range(rng.randint(0, max_terms))})
+
+
 def hermite_path_gcd(M):
     """The Hermite route with the content read off the exact pivot minor.
 
     An oracle for the production route, which finds the content primes from
     integer evaluations instead.
     """
-    rows = _rows_to_arrays(M)
+    rows = _pack(M, 1)[0]
     k = len(M[0])
     qpart = _hermite_qpart(rows, k)
     if qpart is None:
@@ -64,6 +72,40 @@ def test_laurent_det_matches_cofactor_oracle():
                               for _ in range(rng.randint(0, 2))})
               for _ in range(n)] for _ in range(n)]
         assert laurent_det(M, 2) == cofactor_det(M, 2)
+    # ranks 2 and 3 up to 4 x 4, exponents from -2 to 2; one trial in three
+    # has a zero row, one a row that is a multiple of another; the
+    # unpacked elimination is a second reference
+    zero_dets = 0
+    for rank in (2, 3):
+        for trial in range(45):
+            n = rng.randint(1, 4)
+            M = [[random_laurent(rng, rank) for _ in range(n)]
+                 for _ in range(n)]
+            i, j = rng.randrange(n), rng.randrange(n)
+            if trial % 3 == 1:
+                M[i] = [LaurentPoly.zero(rank)] * n
+            elif trial % 3 == 2 and i != j:
+                c = random_laurent(rng, rank, max_terms=3)
+                M[i] = [c * e for e in M[j]]
+            expected = cofactor_det(M, rank)
+            assert laurent_det(M, rank) == expected
+            assert laurent_bareiss_det(M, rank) == expected
+            zero_dets += expected.is_zero()
+    assert 30 <= zero_dets < 80
+    # a diagonal of 1 + t1^a t2^b t3^c, a row shifted by t^-(1,1,1): the
+    # determinant's top term reaches the sum of the rows' spans in every
+    # variable, where one stride less would alias it with another term
+    # (t1's exponents are powers of 2, so the 2^n terms stay distinct)
+    for n in (1, 3, 4):
+        exps = [(1, 2, 3), (2, 0, 1), (4, 3, 0), (8, 1, 2)][:n]
+        M = [[LaurentPoly(3, {(0, 0, 0): 1, e: 1}) if i == j
+              else LaurentPoly.zero(3) for j in range(n)]
+             for i, e in enumerate(exps)]
+        M[0] = [e.shift((-1, -1, -1)) for e in M[0]]
+        top = tuple(sum(e[v] for e in exps) - 1 for v in range(3))
+        det = laurent_det(M, 3)
+        assert det == cofactor_det(M, 3) == laurent_bareiss_det(M, 3)
+        assert det.coeff(top) == 1 and len(det.terms) == 2 ** n
 
 
 def test_int_det_against_cofactor_oracle():
@@ -202,8 +244,35 @@ def _sympy_det(sympy, t, rows):
     return sympy.Poly(sympy.expand(expr), t, domain="ZZ")
 
 
+def _sparse_laurent(rng, rank):
+    """0, +-1, +-t^e or 1 - t^e, e with entries from -2 to 3."""
+    kind = rng.randrange(5)
+    e = tuple(rng.randint(-2, 3) for _ in range(rank))
+    if kind < 2:
+        return LaurentPoly.zero(rank)
+    if kind == 2:
+        return LaurentPoly.const(rank, rng.choice((1, -1)))
+    if kind == 3:
+        return LaurentPoly.monomial(rank, e, rng.choice((1, -1)))
+    return LaurentPoly.one(rank) - LaurentPoly.monomial(rank, e)
+
+
+def _sympy_laurent_det(sympy, ts, M):
+    """sympy's determinant of a square LaurentPoly matrix, taken on the
+    rows times (t1 ... tr)^2, which makes them polynomial."""
+    def entry(p):
+        return sum(c * sympy.Mul(*(t**(k + 2) for t, k in zip(ts, e)))
+                   for e, c in p.terms.items())
+
+    det = sympy.Matrix([[entry(p) for p in row] for row in M]).det()
+    poly = sympy.Poly(sympy.expand(det), *ts, domain="ZZ")
+    return LaurentPoly(len(ts), {tuple(k - 2 * len(M) for k in e): int(c)
+                                 for e, c in poly.terms()})
+
+
 def test_laurent_det_against_sympy():
-    # rank 1 is the _bareiss_det array path; the determinant is exact
+    # rank 1 on Z[t] arrays, ranks 2 and 3 with negative exponents; the
+    # determinant is exact
     sympy = pytest.importorskip("sympy")
     t = sympy.symbols("t")
     rng = random.Random(97)
@@ -213,6 +282,17 @@ def test_laurent_det_against_sympy():
         M = [[_arr_to_poly(e) for e in row] for row in rows]
         expected = _sympy_array(_sympy_det(sympy, t, rows))
         assert laurent_det(M, 1) == _arr_to_poly(expected)
+    for rank in (2, 3):
+        ts = sympy.symbols(f"t1:{rank + 1}")
+        nonzero = 0
+        for _ in range(40):
+            n = rng.randint(1, 4)
+            M = [[_sparse_laurent(rng, rank) for _ in range(n)]
+                 for _ in range(n)]
+            det = laurent_det(M, rank)
+            assert det == _sympy_laurent_det(sympy, ts, M)
+            nonzero += not det.is_zero()
+        assert nonzero >= 20
 
 
 @pytest.mark.parametrize("enum_bound", [polymat.ENUM_BOUND, 0],
@@ -309,7 +389,7 @@ def test_production_route_fixed_divisor_of_the_qpart(hermite_route,
     assert UnitClass(laurent_minor_gcd(M, 1)) == UnitClass(content * q)
     assert set(hermite_route) == ({(7, 1)} if content == 7 else set())
 
-    rows = _rows_to_arrays(M)
+    rows = _pack(M, 1)[0]
     idx, x, minor = _independent_rows(rows, 2)
     pivot_rows = [rows[i] for i in idx]
     # the points up to x, which _independent_rows has been through
@@ -352,7 +432,7 @@ def test_independent_rows_against_brute_rank():
                             random_matrix(rng, k - 1, k))
         else:
             M = random_matrix(rng, m, k, max_terms=2)
-        rows = _rows_to_arrays(M)
+        rows = _pack(M, 1)[0]
         found = _independent_rows(rows, k)
         deficient = all(cofactor_det([M[i] for i in s], 1).is_zero()
                         for s in combinations(range(m), k))
@@ -451,7 +531,7 @@ def test_lazy_bareiss_against_eager_oracle():
     rings = [
         (int_entry, 0, 1, _int_step, lambda x, c: x * c, 7, 300),
         (array_entry, [], [1], _array_step, _mul, 6, 150),
-        (rank2_entry, rank2_zero, rank2_one, polymat._laurent_step,
+        (rank2_entry, rank2_zero, rank2_one, laurent_step,
          lambda x, c: x * c, 3, 40),
     ]
     outcomes = set()

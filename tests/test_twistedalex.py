@@ -12,9 +12,9 @@ from twistalex.grouppres import (ClassMap, FiniteQuotient, Presentation,
                                  trivial_group)
 from twistalex.laurent import (LaurentPoly, UnitClass, laurent_degree,
                                specialize, symmetric_representative,
-                               _cyclotomic, _mul, _prim)
+                               _cyclotomic, _mul, _pack, _prim)
 from twistalex.normsfibred import group_catalog
-from twistalex.polymat import _hermite_qpart, _row_shift, _rows_to_arrays
+from twistalex.polymat import _hermite_qpart
 from twistalex.twistedalex import (NoValidColumn, TwistData,
                                    multivariable_alexander, trivial_twist,
                                    twist_ring_map, twisted_alexander,
@@ -299,6 +299,9 @@ def test_multivariable_examples():
     assert str(multivariable_alexander(t2).value) == "1"
     na = na_presentation()
     assert str(multivariable_alexander(na).value) == "1"
+    # the T(2,4) torus link
+    t24 = Presentation.from_text(["x", "y"], ["x y x y x^-1 y^-1 x^-1 y^-1"])
+    assert str(multivariable_alexander(t24).value) == "t1*t2 + 1"
     with pytest.raises(NoValidColumn):
         multivariable_alexander(Presentation.from_text(["a"], ["a^3"]))
 
@@ -504,7 +507,7 @@ def test_sparse_rows_equal_the_dense_twist():
     """Array for array, on every fixture and catalog quotient up to order 8
     (m.pres up to 5), and with the class negated up to order 6 (m.pres up
     to 3): the negated classes give Fox terms with Phi < 0, whose rows are
-    shifted as _rows_to_arrays shifts them."""
+    shifted as _pack shifts them."""
     total = shifted = 0
     for name in FIXTURE_CLASSES:
         P, phi = fixture_class(name)
@@ -516,8 +519,8 @@ def test_sparse_rows_equal_the_dense_twist():
                 T = TwistData(cls, q)
                 rows, _ = twisted_jacobian(P, T, j)
                 dense = dense_rows(P, T, j)
-                assert rows == _rows_to_arrays(dense)
-                shifted += sum(1 for row in dense if _row_shift(row))
+                assert rows == _pack(dense, 1)[0]
+                shifted += sum(1 for row in dense if _pack([row], 1)[2][0])
                 total += 1
     assert (total, shifted) == (3852, 7304)
 
