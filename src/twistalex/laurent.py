@@ -16,7 +16,11 @@ which the rank-1 gcd here and the eliminations in polymat share.
 from dataclasses import dataclass
 from functools import cache
 from math import gcd
-from operator import mul, sub
+from operator import gt, le, mul, sub
+
+# Bound on the length of a Kronecker-packed box (_strides), about 80 MB as
+# an array; above every rank-1 length within twistedalex.MAX_TWIST_DEGREE.
+MAX_PACKED_LENGTH = 10**7
 
 
 class RankMismatch(ValueError):
@@ -246,36 +250,29 @@ class UnitClass:
 # ---- exact division ---------------------------------------------------
 
 def div_exact(f, g):
-    """f / g in the Laurent ring, or None when g does not divide f."""
+    """f / g in the Laurent ring, or None when g does not divide f.
+
+    Packed over f's box and divided by _divexact.  A true quotient lies in
+    [lo_f - lo_g, hi_f - hi_g], and one there is true: g*q lies in f's box,
+    where packing is one to one.  Unpacking never goes below lo_f - lo_g."""
     if f.rank != g.rank:
         raise RankMismatch("division across rings")
     if g.is_zero():
         return None
     if f.is_zero():
         return LaurentPoly.zero(f.rank)
-    lo = tuple(f.min_exp(i) - g.min_exp(i) for i in range(f.rank))
-    hi = tuple(f.max_exp(i) - g.max_exp(i) for i in range(f.rank))
-    if any(a > b for a, b in zip(lo, hi)):
+    fcols, gcols = list(zip(*f.terms)), list(zip(*g.terms))
+    lo_f, lo_g = [min(c) for c in fcols], [min(c) for c in gcols]
+    hi = [max(a) - max(b) for a, b in zip(fcols, gcols)]
+    shift = list(map(sub, lo_f, lo_g))
+    if any(map(gt, shift, hi)):
         return None
-    ge, gc = g.leading()
-    r = f
-    q = {}
-    while not r.is_zero():
-        re, rc = r.leading()
-        if rc % gc:
-            return None
-        e = tuple(a - b for a, b in zip(re, ge))
-        # every quotient exponent is boxed by the support of f and g
-        if any(x < a or x > b for x, a, b in zip(e, lo, hi)):
-            return None
-        c = rc // gc
-        q[e] = c
-        r = r - g.shift(e) * c
-    return LaurentPoly(f.rank, q)
-
-
-def divides(g, f):
-    return div_exact(f, g) is not None
+    strides = _strides([max(c) - x for c, x in zip(fcols, lo_f)])
+    q = _divexact(_packed(f, strides, lo_f), _packed(g, strides, lo_g))
+    if q is None:
+        return None
+    q = _arr_to_poly(q, shift, strides)
+    return q if all(map(le, map(max, zip(*q.terms)), hi)) else None
 
 
 # ---- coefficient arrays ------------------------------------------------
@@ -285,14 +282,39 @@ def divides(g, f):
 # every elimination in polymat run on arrays; LaurentPoly values cross over
 # through _pack and _arr_to_poly.
 
+def _strides(spans):
+    """Kronecker strides S_1 = 1, S_(i+1) = S_i (span_i + 1) for the box
+    [0, span_i] in each t_i, refused with UnsupportedRank before anything
+    is allocated when it holds more than MAX_PACKED_LENGTH coefficients."""
+    strides = [1]
+    for span in spans:
+        strides.append(strides[-1] * (span + 1))
+    size = strides.pop()
+    if size > MAX_PACKED_LENGTH:
+        raise UnsupportedRank(f"packed polynomial box of {size} coefficients "
+                              f"exceeds the bound of {MAX_PACKED_LENGTH}")
+    return strides
+
+
+def _packed(p, strides, lo):
+    """The array of t^-lo * p under t_i -> t^S_i, for p nonzero with
+    exponents at least lo."""
+    base = sum(map(mul, lo, strides))
+    keys = [sum(map(mul, e, strides)) - base for e in p.terms]
+    a = [0] * (max(keys) + 1)
+    for k, c in zip(keys, p.terms.values()):
+        a[k] = c
+    return a
+
+
 def _pack(M, rank):
     """Rows of Z[t] arrays for a matrix over Z[t1^{+-1}, ..., tr^{+-1}].
 
     Row r is multiplied by t^-lo_r, lo_r[i] = min(0, the least exponent of
-    t_i in the row), then t_i -> t^S_i: S_1 = 1, S_(i+1) = S_i B_i, with B_i
-    1 + the sum of the rows' spans in t_i.  Returns the rows, S and the sum
-    of the lo_r.  Packing is a ring map, so exact divisions stay exact, and
-    it is one to one below B_i in each t_i, where every minor of the
+    t_i in the row), then t_i -> t^S_i with the strides of the box whose
+    span in t_i is the sum of the rows' spans in t_i.  Returns the rows, S
+    and the sum of the lo_r.  Packing is a ring map, so exact divisions
+    stay exact, and it is one to one on that box, where every minor of the
     shifted rows lies.
     """
     los, spans = [], [0] * rank
@@ -301,22 +323,9 @@ def _pack(M, rank):
         lo = [min(0, *c) for c in cols]
         spans = [s + max(c) - x for s, c, x in zip(spans, cols, lo)]
         los.append(lo)
-    strides = [1]
-    for span in spans[:-1]:
-        strides.append(strides[-1] * (span + 1))
-    rows = []
-    for row, lo in zip(M, los):
-        base = sum(map(mul, lo, strides))
-        out = []
-        for p in row:
-            a = []
-            if p.terms:
-                keys = [sum(map(mul, e, strides)) - base for e in p.terms]
-                a = [0] * (max(keys) + 1)
-                for k, c in zip(keys, p.terms.values()):
-                    a[k] = c
-            out.append(a)
-        rows.append(out)
+    strides = _strides(spans)
+    rows = [[_packed(p, strides, lo) if p.terms else [] for p in row]
+            for row, lo in zip(M, los)]
     return rows, strides, [sum(c) for c in zip([0] * rank, *los)]
 
 
@@ -375,27 +384,25 @@ def _prim(a):
 
 
 def _divexact(a, b):
-    """a / b in Z[t], or None when not exactly divisible."""
-    if not b:
-        return None
-    if not a:
-        return []
-    if len(a) < len(b):
-        return None
+    """a / b in Z[t] for b nonzero, or None when not exactly divisible: one
+    descending pass that clears each position of a at or above b's degree."""
+    top = len(b) - 1
+    if len(a) <= top:
+        return None if a else []
     r = list(a)
-    q = [0] * (len(a) - len(b) + 1)
+    q = [0] * (len(a) - top)
     lb = b[-1]
-    terms = [(i, y) for i, y in enumerate(b) if y]
-    while r and len(r) >= len(b):
-        if r[-1] % lb:
-            return None
-        c = r[-1] // lb
-        off = len(r) - len(b)
-        q[off] = c
-        for i, y in terms:
-            r[off + i] -= c * y
-        _trim(r)
-    return q if not r else None
+    terms = [(i, y) for i, y in enumerate(b[:-1]) if y]
+    for off in range(len(q) - 1, -1, -1):
+        c = r[off + top]
+        if c:
+            if c % lb:
+                return None
+            c //= lb
+            q[off] = c
+            for i, y in terms:
+                r[off + i] -= c * y
+    return None if any(r[:top]) else q
 
 
 @cache
@@ -507,6 +514,12 @@ def _join_last(rank, parts):
     return LaurentPoly(rank, terms)
 
 
+def _content_split(parts, rank):
+    """Gcd of a map's rank-`rank` coefficients, and the map divided by it."""
+    cont = lp_gcd_many(parts.values(), rank).representative
+    return cont, {d: div_exact(c, cont) for d, c in parts.items()}
+
+
 def _gcd_poly(a, b):
     """A gcd of a and b in Z[t1^{+-1},...], not normalized."""
     if a.is_zero():
@@ -518,43 +531,31 @@ def _gcd_poly(a, b):
     if a.rank == 1:
         return _arr_to_poly(_int_poly_gcd(*_pack([[a, b]], 1)[0][0]))
     # recurse on the last variable: gcd = gcd(contents) * gcd(primitive parts)
-    pa, pb = _split_last(a), _split_last(b)
-    cont_a = lp_gcd_many(pa.values(), a.rank - 1).representative
-    cont_b = lp_gcd_many(pb.values(), a.rank - 1).representative
-    cont = _gcd_poly(cont_a, cont_b)
-    ppa = {d: div_exact(c, cont_a) for d, c in pa.items()}
-    ppb = {d: div_exact(c, cont_b) for d, c in pb.items()}
+    cont_a, ppa = _content_split(_split_last(a), a.rank - 1)
+    cont_b, ppb = _content_split(_split_last(b), a.rank - 1)
     pp = _pp_gcd_last(a.rank, ppa, ppb)
-    return _join_last(a.rank, {0: cont}) * pp
+    return _join_last(a.rank, {0: _gcd_poly(cont_a, cont_b)}) * pp
 
 
 def _pp_gcd_last(rank, fa, fb):
     """Gcd of primitive (in t_last) polynomials via a primitive PRS."""
     def normalize(parts):
-        if not parts:
-            return {}
         lo = min(parts)
         return {d - lo: c for d, c in parts.items()}
-
-    def prim(parts):
-        if not parts:
-            return {}
-        cont = lp_gcd_many(parts.values(), rank - 1).representative
-        return {d: div_exact(c, cont) for d, c in parts.items()}
 
     a, b = normalize(fa), normalize(fb)
     while b:
         if max(a, default=0) < max(b, default=0):
             a, b = b, a
             continue
-        # pseudo-remainder of a by b in the last variable
+        # pseudo-remainder of a by b in the last variable: r[top] * lb / lb
         db = max(b)
         lb = b[db]
         r = dict(a)
         while r and max(r) >= db:
-            r = {d: c * lb for d, c in r.items()}
             top = max(r)
-            q = div_exact(r[top], lb)
+            q = r[top]
+            r = {d: c * lb for d, c in r.items()}
             for d, c in b.items():
                 sd = top - db + d
                 new = r.get(sd, LaurentPoly.zero(rank - 1)) - q * c
@@ -562,8 +563,8 @@ def _pp_gcd_last(rank, fa, fb):
                     r.pop(sd, None)
                 else:
                     r[sd] = new
-        a, b = b, prim(normalize(r)) if r else {}
-    return _join_last(rank, prim(a))
+        a, b = b, _content_split(normalize(r), rank - 1)[1] if r else {}
+    return _join_last(rank, _content_split(a, rank - 1)[1])
 
 
 def lp_gcd(a, b):

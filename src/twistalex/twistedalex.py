@@ -255,7 +255,6 @@ class TwistedPoly:
     h0_order: UnitClass
     h0_correction: UnitClass
     deleted_column: int
-    ring_rank: int
     correction_exact: bool = True
 
     def __str__(self):
@@ -301,7 +300,6 @@ def twisted_alexander(P, T, column=None):
                        h0_order=UnitClass(h0),
                        h0_correction=UnitClass(corr),
                        deleted_column=j,
-                       ring_rank=rank,
                        correction_exact=corrected is not None)
 
 

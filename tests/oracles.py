@@ -11,7 +11,8 @@ cliffm1 map as it stood, one blade product per index, kept to check the
 images that the library builds once; `laurent_step` is the Bareiss step
 on LaurentPoly entries that the library ran before it packed its rows into
 Z[t], and `laurent_bareiss_det` runs it, kept to check the packed
-determinant.
+determinant; `term_div_exact` is the term-by-term Laurent division the
+library ran before it packed its operands, kept to check the packed one.
 """
 
 from fractions import Fraction
@@ -20,7 +21,7 @@ from math import gcd
 
 from twistalex.clifford import CliffordElement
 from twistalex.exactalg import IntMatrix, smith_normal_form
-from twistalex.laurent import LaurentPoly, UnitClass, div_exact, lp_gcd
+from twistalex.laurent import LaurentPoly, RankMismatch, UnitClass, lp_gcd
 
 
 # ---- polynomial determinants by cofactor expansion ----
@@ -106,9 +107,39 @@ def eager_bareiss(a, k, zero, one, step):
     return idx[:k], odd, prev
 
 
+def term_div_exact(f, g):
+    """f / g in the Laurent ring, or None: long division on LaurentPoly
+    terms, leading term first, inside the box of the possible quotient."""
+    if f.rank != g.rank:
+        raise RankMismatch("division across rings")
+    if g.is_zero():
+        return None
+    if f.is_zero():
+        return LaurentPoly.zero(f.rank)
+    lo = tuple(f.min_exp(i) - g.min_exp(i) for i in range(f.rank))
+    hi = tuple(f.max_exp(i) - g.max_exp(i) for i in range(f.rank))
+    if any(a > b for a, b in zip(lo, hi)):
+        return None
+    ge, gc = g.leading()
+    r = f
+    q = {}
+    while not r.is_zero():
+        re, rc = r.leading()
+        if rc % gc:
+            return None
+        e = tuple(a - b for a, b in zip(re, ge))
+        if any(x < a or x > b for x, a, b in zip(e, lo, hi)):
+            return None
+        c = rc // gc
+        q[e] = c
+        r = r - g.shift(e) * c
+    return LaurentPoly(f.rank, q)
+
+
 def laurent_step(p, f, xs, ys, prev):
-    """The Bareiss step on LaurentPoly entries, one div_exact per entry."""
-    out = [div_exact(x * p - f * y, prev) for x, y in zip(xs, ys)]
+    """The Bareiss step on LaurentPoly entries, one term_div_exact per
+    entry."""
+    out = [term_div_exact(x * p - f * y, prev) for x, y in zip(xs, ys)]
     if None in out:
         raise AssertionError("Bareiss division failed")
     return out

@@ -243,17 +243,61 @@ def test_fibred_closed_stdout_exit1():
     assert err == b""
 
 
+LARGE_CLASS_VALUES = [
+    (("--phi", "30000,1,0"), b"delta = t^2 - 2*t + 1, deg 2, monic\n"),
+    (("--phi", "3000,1,0", "--group", "Z2"),
+     b"[Z2; a = (0,0,1)] delta = t^2 - 2*t + 1, deg 2, monic\n"
+     b"[Z2; a = (0,1,0)] delta = t^4 - 2*t^2 + 1, deg 4, monic\n"
+     b"[Z2; a = (0,1,1)] delta = t^2 - 2*t + 1, deg 2, monic\n"
+     b"[Z2; a = (1,0,0)] delta = t^2 - 2*t + 1, deg 2, monic\n"
+     b"[Z2; a = (1,0,1)] delta = t^2 - 2*t + 1, deg 2, monic\n"
+     b"[Z2; a = (1,1,0)] delta = t^2 - 2*t + 1, deg 2, monic\n"
+     b"[Z2; a = (1,1,1)] delta = t^2 - 2*t + 1, deg 2, monic\n"),
+]
+
+
 def test_large_class_value_finishes():
     """The Jacobian entries 1 - t^30000 cost their two terms, not their
-    degree, in the Z[t] elimination."""
+    degree, in the Z[t] elimination; over Z2 the gcd check and the H_0
+    correction divide polynomials of degree in the thousands."""
     root = FIXTURES.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-m", "twistalex.cli", "alexander", "fixtures/t3.pres",
-         "--phi", "30000,1,0"],
-        cwd=root, env=env, capture_output=True, timeout=10)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == b"delta = t^2 - 2*t + 1, deg 2, monic\n"
+    for extra, expected in LARGE_CLASS_VALUES:
+        proc = subprocess.run(
+            [sys.executable, "-m", "twistalex.cli", "alexander",
+             "fixtures/t3.pres", *extra],
+            cwd=root, env=env, capture_output=True, timeout=10)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == expected
+
+
+PEAK_RSS_CLI = """
+import resource, sys
+from twistalex import cli
+code = cli.main(sys.argv[1:])
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_packed_box_past_the_bound_is_refused(tmp_path):
+    """The minors of x = a^400 b^400 c^400 over Z^3 would pack into about
+    400^3 coefficients: the box is refused before anything that size is
+    allocated, with exit 3 for multivariable and 4 for norms."""
+    doc = tmp_path / "k400.pres"
+    doc.write_text("presentation\ngenerators: a b c x\nrelator: [a,b]\n"
+                   "relator: [a,c]\nrelator: [b,c]\n"
+                   "relator: x^-1 a^400 b^400 c^400\n")
+    env = dict(os.environ, PYTHONPATH=str(FIXTURES.parent / "src"))
+    norms = ["norms", doc, "--phi", "1,0,0,400", "--thurston", "0"]
+    for argv, code in [(["multivariable", doc], "3"), (norms, "4")]:
+        proc = subprocess.run([sys.executable, "-c", PEAK_RSS_CLI, *argv],
+                              env=env, capture_output=True, text=True,
+                              timeout=5)
+        got, peak_kib = proc.stdout.split()
+        assert got == code
+        assert proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith("error: packed polynomial box of ")
+        assert int(peak_kib) < 100 * 1024
 
 
 def test_clifford_verify(capsys):

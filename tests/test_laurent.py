@@ -5,13 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistalex.laurent import (MINUS_INFINITY, LaurentPoly, NotSymmetrizable,
-                               RankMismatch, UnitClass, div_exact, divides,
-                               is_monic, laurent_degree, lp_gcd,
-                               normalize_unit, parse_poly, render_poly,
-                               specialize, symmetric_representative,
-                               _cyclotomic, _mul, _pseudo_reduce)
+                               RankMismatch, UnitClass, div_exact, is_monic,
+                               laurent_degree, lp_gcd, normalize_unit,
+                               parse_poly, render_poly, specialize,
+                               symmetric_representative, _cyclotomic,
+                               _divexact, _mul, _packed, _pseudo_reduce)
 
-from oracles import dense_pseudo_reduce
+from oracles import dense_pseudo_reduce, term_div_exact
 
 
 def t(rank=1, i=0):
@@ -90,7 +90,7 @@ def test_gcd_examples():
 def test_gcd_divides_and_scales(a, b, c):
     g = lp_gcd(a, b).representative
     if not g.is_zero():
-        assert divides(g, a) and divides(g, b)
+        assert div_exact(a, g) is not None and div_exact(b, g) is not None
     if not c.is_zero():
         lhs = lp_gcd(a * c, b * c).representative
         rhs = (lp_gcd(a, b).representative * c)
@@ -129,6 +129,100 @@ def test_div_exact():
     assert q == t() - one()
     assert div_exact(t() ** 2 - one(), t() + 2 * one()) is None
     assert div_exact(2 * t(), 4 * t()) is None  # not integral
+
+
+def _random_poly(rng, rank, max_terms, lo=-3, hi=3):
+    return LaurentPoly(rank, {tuple(rng.randint(lo, hi) for _ in range(rank)):
+                              rng.randint(-4, 4)
+                              for _ in range(rng.randint(1, max_terms))})
+
+
+def test_div_exact_against_term_oracle():
+    """The packed division agrees with long division on LaurentPoly terms:
+    on products g*q, on products with one stray term, on random pairs and
+    on f = 0, with exponents of both signs."""
+    rng = random.Random(29)
+    divisible = refused = 0
+    for rank in (1, 2, 3):
+        for trial in range(400):
+            g = _random_poly(rng, rank, 4)
+            if g.is_zero():
+                continue
+            q = _random_poly(rng, rank, 5)
+            f = [g * q, g * q + _random_poly(rng, rank, 1, -5, 5),
+                 _random_poly(rng, rank, 6), LaurentPoly.zero(rank)][trial % 4]
+            got = div_exact(f, g)
+            assert got == term_div_exact(f, g)
+            if got is None:
+                refused += 1
+            else:
+                assert got * g == f
+                divisible += 1
+    assert divisible > 500 and refused > 300
+
+
+def test_div_exact_edge_cases():
+    t1, t2, t3 = t(3, 0), t(3, 1), t(3, 2)
+    x = t1 ** 3 * t2.shift((0, -4, 2))
+    cases = [
+        # long gaps between the nonzero coefficients
+        (t() ** 997 - one(), t() - one()),
+        (t() ** 997 - one(), t() ** 2 - one()),
+        (x ** 25 - one(3), x - one(3)),
+        (x ** 25 - one(3), x ** 7 - one(3)),
+        ((t1 ** 40 - t3 ** 40) * (t2 - one(3)), t1 - t3),
+        # g wider than f in one variable, or g = 0
+        ((t1 + one(3)) * (t2 + one(3)), t3 ** 2 - one(3)),
+        (t2 ** 5 - one(3), t2 ** 6 - one(3)),
+        (t1 - one(3), LaurentPoly.zero(3)),
+        # units and constants
+        (LaurentPoly.const(3, 6) * t1.shift((0, -2, 5)), -t2),
+        (LaurentPoly.const(2, 7), LaurentPoly.const(2, 2)),
+    ]
+    expected = [True, False, True, False, True, False, False, False, True,
+                False]
+    for (f, g), divisible in zip(cases, expected):
+        got = div_exact(f, g)
+        assert got == term_div_exact(f, g)
+        assert (got is not None) == divisible
+        if divisible:
+            assert got * g == f
+
+
+def test_div_exact_refuses_a_packed_quotient_outside_the_box():
+    """f's box has spans (2, 1), so the strides are (1, 3), and the packed
+    arrays of f and g divide exactly, but the quotient unpacks to
+    1 - t1 + 2 t1^2, outside the box t1^0 of a true quotient."""
+    t1, t2 = t(2, 0), t(2, 1)
+    f = -(t1 ** 2).shift((0, -1)) - 2 * one(2) - one(2).shift((0, -1))
+    g = -t1 ** 2 - t1
+    pf, pg = _packed(f, [1, 3], [0, -1]), _packed(g, [1, 3], [1, 0])
+    assert (pf, pg) == ([-1, 0, -1, -2], [-1, -1])
+    assert _divexact(pf, pg) == [1, -1, 2]
+    assert div_exact(f, g) is None
+    assert term_div_exact(f, g) is None
+
+
+def test_div_exact_makes_no_laurent_arithmetic(monkeypatch):
+    """The division runs on packed arrays: no LaurentPoly sum, difference,
+    product or shift, whatever the rank."""
+    rng = random.Random(3)
+    pairs = []
+    for rank in (1, 2, 3):
+        for _ in range(20):
+            g = _random_poly(rng, rank, 3)
+            if not g.is_zero():
+                pairs += [(g * _random_poly(rng, rank, 4), g),
+                          (_random_poly(rng, rank, 5), g)]
+    calls = []
+    for name in ("__add__", "__sub__", "__mul__", "shift"):
+        def counted(self, *args, _f=getattr(LaurentPoly, name)):
+            calls.append(_f)
+            return _f(self, *args)
+        monkeypatch.setattr(LaurentPoly, name, counted)
+    for f, g in pairs:
+        div_exact(f, g)
+    assert calls == []
 
 
 def test_cyclotomic_product_is_z_to_the_n_minus_one():
