@@ -242,48 +242,60 @@ def _gauss_valuation_sum(rows, k, p):
     return total
 
 
-def max_minor_gcd(rows, k, summands=()):
+def summand_qpart(blocks, k):
+    """The Q[t] part of a maximal-minor gcd from the rational summands.
+
+    `blocks` yields (rows_s, k_s) such that the k-column matrix in question
+    is equivalent over Q[t^+-1], by invertible row and column changes, to a
+    block-diagonal matrix with each rows_s as a block of k_s columns: the
+    twisted Jacobian in rational summands of the regular representation.  A
+    k x k minor of a block matrix is nonzero only if it takes k_s rows from
+    every block, and is then the product of their minors.  So:
+
+    - at the first block of rank < k_s the gcd is 0: returns [] and reads no
+      further block;
+    - if every block has full rank and the k_s add up to k, returns the
+      primitive product of the blocks' Hermite pivot products, its power of
+      t removed (the row shifts of the blocks and of the full matrix
+      differ); it divides the gcd in Z[t], which is all max_minor_gcd's
+      content steps need;
+    - otherwise None: the blocks do not split the whole matrix.
+    """
+    prod, width = [1], 0
+    for block, k_s in blocks:
+        part = _hermite_qpart(block, k_s)
+        if part is None:
+            return []
+        prod = _mul(prod, part)
+        width += k_s
+    if width != k:
+        return None
+    return _prim(prod[next(i for i, c in enumerate(prod) if c):])
+
+
+def max_minor_gcd(rows, k, qpart=None):
     """Gcd of the k x k minors of a k-column matrix of Z[t] arrays.
 
     Returns an array, [] when the rank is below k (fewer rows than columns
     included) and [1] when k = 0; the gcd is exact up to a power of t,
-    which the caller normalizes away.  `summands` is a list of (rows_s,
-    k_s) such that `rows` is equivalent over Q[t^+-1], by invertible row
-    and column changes, to a block-diagonal matrix with each rows_s as a
-    block of k_s columns: the twisted Jacobian in rational summands of the
-    regular representation.  A k x k minor of a block matrix is nonzero
-    only if it takes k_s rows from every block, and is then the product of
-    their minors; so, in this order:
+    which the caller normalizes away.  `qpart`, when given, is the gcd's
+    Q[t] part from summand_qpart, whose blocks have all been read and have
+    full rank.  In this order:
 
-    - a summand of rank < k_s gives [] before any other path;
     - a matrix with at most ENUM_BOUND maximal minors enumerates them;
-    - summands whose column counts add up to k give the Q[t] part as the
-      primitive product of their pivot products, its power of t removed
-      (the row shifts of the blocks and of `rows` differ); it then divides
-      the gcd in Z[t], which is all the content steps need;
-    - otherwise the Q[t] part is the Hermite pivot product of `rows`.
-
-    The integer content comes from `rows` itself, whatever the path: a
-    rational change of basis says nothing about the primes dividing |G|.
+    - the Q[t] part is `qpart`, or else the Hermite pivot product of
+      `rows`;
+    - the integer content comes from `rows` itself, whatever the Q[t]
+      part: a rational change of basis says nothing about the primes
+      dividing |G|.
     """
     if k == 0:
         return [1]
     if len(rows) < k:
         return []
-    parts = []
-    for block, k_s in summands:
-        part = _hermite_qpart(block, k_s)
-        if part is None:
-            return []
-        parts.append(part)
     if comb(len(rows), k) <= ENUM_BOUND:
         return _enum_minor_gcd_arrays(rows, k)
-    if sum(k_s for _, k_s in summands) == k:
-        qpart = [1]
-        for part in parts:
-            qpart = _mul(qpart, part)
-        qpart = _prim(qpart[next(i for i, c in enumerate(qpart) if c):])
-    else:
+    if qpart is None:
         qpart = _hermite_qpart(rows, k)
         if qpart is None:
             return []

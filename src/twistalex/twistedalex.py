@@ -10,12 +10,18 @@ Phi(g) != 0.  The headline value corrects the raw minor gcd by the order of
 the twisted H_0, which matches the module-order definition on every oracle
 family; both are exposed.
 
-The Jacobian is assembled once per quotient as sparse cells, straight from
-the Fox terms, alpha and Phi, in any integer representation of G given by
-its sparse columns.  Over Q the regular representation splits into
-rational summands (Maschke), and the minor gcd splits with it: the trivial
-summand is one for every G, and for G = Z_n the split is complete,
-Q[Z_n] = (+)_{d | n} Q[z]/Phi_d(z), each summand once.
+The Jacobian is assembled as sparse cells, straight from the Fox terms,
+alpha and Phi, in any integer representation of G given by its sparse
+columns.  Over Q the regular representation splits into rational summands
+(Maschke), and the minor gcd splits with it: the trivial summand is one for
+every G, and for G = Z_n the split is complete,
+Q[Z_n] = (+)_{d | n} Q[z]/Phi_d(z), each summand once.  For rank 1 the
+summands are assembled one at a time from one list of Fox terms, trivial
+first, and the first of rank below its width makes the gcd 0 before any
+later one is assembled.  The rows in the regular representation, which the
+integer content is read from, are assembled only when every summand has
+full rank, or when G is trivial and there are none; rank >= 2 assembles
+them alone.
 """
 
 from dataclasses import dataclass
@@ -26,7 +32,8 @@ from .grouppres import (BoundExceeded, ClassMap, FiniteQuotient,
                         trivial_group, _check_same)
 from .laurent import (LaurentPoly, UnitClass, UnsupportedRank, div_exact,
                       lp_gcd_many, normalize_unit, _arr_to_poly, _cyclotomic)
-from .polymat import laurent_det, laurent_minor_gcd, max_minor_gcd
+from .polymat import (laurent_det, laurent_minor_gcd, max_minor_gcd,
+                      summand_qpart)
 
 
 class NoValidColumn(ValueError):
@@ -200,26 +207,6 @@ def _twisted_rows(terms, rep, nrels, nblocks, rank):
     return rows
 
 
-def twisted_jacobian(P, T, j):
-    """The twisted Jacobian with generator column j deleted, and its summands.
-
-    Returns (rows, summands): the rows in the regular representation, and
-    for rank 1 the (rows_s, k_s) of each rational summand from
-    _summand_reps, in the form polymat.max_minor_gcd takes them.
-    """
-    _check_same(P, T.phi.presentation,
-                "the twist lives on a different presentation")
-    terms = _jacobian_terms(P, T, j)
-    nrels, nblocks = len(P.relators), P.ngens - 1
-    G = T.alpha.group
-    rows = _twisted_rows(terms, _regular_rep(G), nrels, nblocks, T.rank)
-    if T.rank > 1:
-        return rows, []
-    return rows, [(_twisted_rows(terms, rep, nrels, nblocks, 1),
-                   nblocks * len(rep[0]))
-                  for rep in _summand_reps(G)]
-
-
 def _h0_order(T):
     """Order of the twisted H_0: gcd of t^v - 1 over Phi(ker alpha) generators.
 
@@ -285,12 +272,23 @@ def twisted_alexander(P, T, column=None):
     g_minus_1 = GroupRingElement({((j, 1),): 1, (): -1})
     corr = laurent_det(twist_ring_map(g_minus_1, T), rank)
 
-    rows, summands = twisted_jacobian(P, T, j)
+    _check_same(P, T.phi.presentation,
+                "the twist lives on a different presentation")
+    terms = _jacobian_terms(P, T, j)
+    nrels, nblocks = len(P.relators), n - 1
+    G, k = T.alpha.group, nblocks * d
     if rank == 1:
-        raw = normalize_unit(_arr_to_poly(max_minor_gcd(rows, (n - 1) * d,
-                                                        summands)))
+        # a generator: summand_qpart stops reading it at the first block of
+        # rank below its width
+        qpart = summand_qpart(((_twisted_rows(terms, rep, nrels, nblocks, 1),
+                                nblocks * len(rep[0]))
+                               for rep in _summand_reps(G)), k)
+        found = [] if qpart == [] else max_minor_gcd(
+            _twisted_rows(terms, _regular_rep(G), nrels, nblocks, 1), k, qpart)
+        raw = normalize_unit(_arr_to_poly(found))
     else:
-        raw = laurent_minor_gcd(rows, rank, ncols=(n - 1) * d)
+        rows = _twisted_rows(terms, _regular_rep(G), nrels, nblocks, rank)
+        raw = laurent_minor_gcd(rows, rank, ncols=k)
 
     h0 = _h0_order(T)
     corrected = div_exact(raw * h0, corr)

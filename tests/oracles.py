@@ -12,7 +12,10 @@ images that the library builds once; `laurent_step` is the Bareiss step
 on LaurentPoly entries that the library ran before it packed its rows into
 Z[t], and `laurent_bareiss_det` runs it, kept to check the packed
 determinant; `term_div_exact` is the term-by-term Laurent division the
-library ran before it packed its operands, kept to check the packed one.
+library ran before it packed its operands, kept to check the packed one;
+`twisted_jacobian` is the library's assembly of the regular rows and every
+summand block at once, as it ran before it assembled the summands one at a
+time, kept to check the lazy minor gcd against the full-matrix one.
 """
 
 from fractions import Fraction
@@ -22,6 +25,8 @@ from math import gcd
 from twistalex.clifford import CliffordElement
 from twistalex.exactalg import IntMatrix, smith_normal_form
 from twistalex.laurent import LaurentPoly, RankMismatch, UnitClass, lp_gcd
+from twistalex.twistedalex import (_jacobian_terms, _regular_rep,
+                                   _summand_reps, _twisted_rows)
 
 
 # ---- polynomial determinants by cofactor expansion ----
@@ -484,6 +489,28 @@ def twist_by_letters(x, T):
                 for e, v in m[i][j].items():
                     total[i][j][e] = total[i][j].get(e, 0) + c * v
     return [[LaurentPoly(rank, entry) for entry in row] for row in total]
+
+
+# ---- the eager twisted Jacobian ----
+
+def twisted_jacobian(P, T, j):
+    """The twisted Jacobian with generator column j deleted, and its summands.
+
+    Returns (rows, summands): the rows in the regular representation, and
+    for rank 1 the (rows_s, k_s) of every rational summand from
+    _summand_reps, all assembled at once, as the library did before it
+    assembled the summands one at a time and stopped at the first of rank
+    below its width.
+    """
+    terms = _jacobian_terms(P, T, j)
+    nrels, nblocks = len(P.relators), P.ngens - 1
+    G = T.alpha.group
+    rows = _twisted_rows(terms, _regular_rep(G), nrels, nblocks, T.rank)
+    if T.rank > 1:
+        return rows, []
+    return rows, [(_twisted_rows(terms, rep, nrels, nblocks, 1),
+                   nblocks * len(rep[0]))
+                  for rep in _summand_reps(G)]
 
 
 # ---- Clifford blade products by sorting the index word ----

@@ -13,13 +13,13 @@ from twistalex.polymat import (_content_multiple, _gauss_valuation_sum,
                                _hermite_qpart, _independent_rows,
                                _bareiss_det, _prime_factors,
                                _arr_to_poly, _scale, laurent_det,
-                               laurent_minor_gcd, max_minor_gcd)
-from twistalex.twistedalex import (TwistData, twisted_alexander,
-                                   twisted_jacobian)
+                               laurent_minor_gcd, max_minor_gcd,
+                               summand_qpart)
+from twistalex.twistedalex import TwistData, twisted_alexander
 
 from conftest import fixture_text
 from oracles import (brute_minor_gcd, cofactor_det, eager_bareiss, int_det,
-                     laurent_bareiss_det, laurent_step)
+                     laurent_bareiss_det, laurent_step, twisted_jacobian)
 
 
 def random_poly(rng, max_terms=3, max_exp=3, max_coeff=4):
@@ -577,8 +577,13 @@ def test_rank_deficient_summand_comes_first(monkeypatch):
 
     for name in ("_enum_minor_gcd_arrays", "_independent_rows"):
         monkeypatch.setattr(polymat, name, refuse)
-    # a zero block of width 1 says rank < k whatever the rows
-    assert max_minor_gcd([[[1]], [[2]]], 1, [([[[]]], 1)]) == []
+
+    def blocks():
+        # a zero block of width 1 says rank < k whatever the rows
+        yield [[[]]], 1
+        raise AssertionError("a block after the rank-deficient one was read")
+
+    assert summand_qpart(blocks(), 2) == []
 
 
 def test_covering_summands_replace_the_full_hermite(monkeypatch):
@@ -592,7 +597,7 @@ def test_covering_summands_replace_the_full_hermite(monkeypatch):
         return real(rows, k)
 
     monkeypatch.setattr(polymat, "_hermite_qpart", recording)
-    split = max_minor_gcd(rows, k, summands)
+    split = max_minor_gcd(rows, k, summand_qpart(summands, k))
     # d = 1, 2, 3, 4, 6, 12: phi(d) columns per generator block, two blocks
     assert widths == [2, 2, 4, 4, 4, 8]
     widths.clear()
@@ -602,7 +607,9 @@ def test_covering_summands_replace_the_full_hermite(monkeypatch):
         _arr_to_poly(full))
     # the trivial summand alone does not cover k: the full Hermite runs
     widths.clear()
-    assert max_minor_gcd(rows, k, summands[:1]) == full
+    qpart = summand_qpart(summands[:1], k)
+    assert qpart is None
+    assert max_minor_gcd(rows, k, qpart) == full
     assert widths == [2, k]
 
 

@@ -1,5 +1,5 @@
 import random
-from math import gcd
+from math import comb, gcd
 
 import pytest
 
@@ -12,18 +12,18 @@ from twistalex.grouppres import (ClassMap, FiniteQuotient, Presentation,
                                  trivial_group)
 from twistalex.laurent import (LaurentPoly, UnitClass, laurent_degree,
                                specialize, symmetric_representative,
-                               _cyclotomic, _mul, _pack, _prim)
+                               _arr_to_poly, _cyclotomic, _mul, _pack, _prim)
 from twistalex.normsfibred import group_catalog
-from twistalex.polymat import _hermite_qpart
+from twistalex import polymat, twistedalex
+from twistalex.polymat import _hermite_qpart, max_minor_gcd
 from twistalex.twistedalex import (NoValidColumn, TwistData,
                                    multivariable_alexander, trivial_twist,
                                    twist_ring_map, twisted_alexander,
-                                   twisted_jacobian, _regular_rep,
-                                   _summand_reps)
+                                   _regular_rep, _summand_reps)
 
 from conftest import fixture_text
 from oracles import (mapping_torus_alexander, seifert_alexander,
-                     twist_by_letters)
+                     twist_by_letters, twisted_jacobian)
 
 
 def na_presentation():
@@ -644,6 +644,73 @@ def test_trivial_summand_rank_bounds_the_full_rank():
                     is None
                 deficient[name] = deficient.get(name, 0) + 1
     assert deficient == {"m.pres": 1169, "zero_alex.pres": 215}
+
+
+def test_summands_are_assembled_up_to_the_first_deficient_one(monkeypatch):
+    """The representations twisted_alexander assembles the Jacobian in, by
+    dimension, and the calls of _independent_rows, per catalog quotient:
+    on m.pres up to order 5, whose trivial summand has rank below its width
+    on every quotient, one block of dimension 1 per quotient with |G| > 1
+    and no regular rows; on na.pres up to order 8, whose summands all have
+    full rank, every summand and then the regular rows, whose row search
+    runs where the minors are too many to enumerate.  The trivial quotient
+    has no summands: its regular rows are assembled alone."""
+    built, searched = [], []
+    real_rows = twistedalex._twisted_rows
+    real_search = polymat._independent_rows
+
+    def rows(terms, rep, *args):
+        built.append(len(rep[0]))
+        return real_rows(terms, rep, *args)
+
+    def search(*args):
+        searched.append(args)
+        return real_search(*args)
+
+    monkeypatch.setattr(twistedalex, "_twisted_rows", rows)
+    monkeypatch.setattr(polymat, "_independent_rows", search)
+    counts = {}
+    for name, budget in (("m.pres", 5), ("na.pres", 8)):
+        P, phi = fixture_class(name)
+        for q in catalog_quotients(P, budget):
+            built.clear()
+            searched.clear()
+            twisted_alexander(P, TwistData(phi, q))
+            n = q.group.order
+            summands = [len(rep[0]) for rep in _summand_reps(q.group)]
+            # the trivial quotient's regular rows have dimension 1 too
+            assert built == ([1] if name == "m.pres" else summands + [n])
+            enumerated = comb(len(P.relators) * n,
+                              (P.ngens - 1) * n) <= polymat.ENUM_BOUND
+            expected = 0 if name == "m.pres" or enumerated else 1
+            assert len(searched) == expected
+            key = (name, expected)
+            counts[key] = counts.get(key, 0) + 1
+    assert counts == {("m.pres", 0): 1170, ("na.pres", 0): 12,
+                      ("na.pres", 1): 186}
+
+
+def test_lazy_raw_gcd_equals_the_full_hermite():
+    """twisted_alexander's raw minor gcd, summand by summand, against
+    max_minor_gcd on the eagerly assembled regular rows with no Q[t] part
+    given (their own Hermite pivot product, or the enumeration): every
+    catalog quotient up to order 8 of every fixture class, m.pres up to 5."""
+    counts = {}
+    for name in FIXTURE_CLASSES:
+        P, phi = fixture_class(name)
+        j = first_column(phi)
+        for q in catalog_quotients(P, 5 if name == "m.pres" else 8):
+            T = TwistData(phi, q)
+            rows, _ = twisted_jacobian(P, T, j)
+            full = max_minor_gcd(rows, (P.ngens - 1) * q.group.order)
+            assert twisted_alexander(P, T).raw_minor_gcd \
+                == UnitClass(_arr_to_poly(full))
+            key = (name, full == [])
+            counts[key] = counts.get(key, 0) + 1
+    assert counts == {("fig8.pres", False): 22, ("m.pres", True): 1170,
+                      ("na.pres", False): 198, ("t3.pres", False): 1228,
+                      ("torus.pres", False): 174, ("trefoil.pres", False): 28,
+                      ("zero_alex.pres", True): 216}
 
 
 # ---- oracles on every quotient ----
