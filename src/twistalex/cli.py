@@ -147,10 +147,9 @@ def cmd_multivariable(args):
     from .twistedalex import NoValidColumn, multivariable_alexander
     P, _ = _load(args.file, "presentation")
     try:
-        tw = multivariable_alexander(P)
+        rep = multivariable_alexander(P).value.representative
     except (NoValidColumn, UnsupportedRank, BoundExceeded) as exc:
         raise CliError(EXIT_PRECONDITION, str(exc)) from None
-    rep = tw.value.representative
     if args.output == "structured":
         return [f"rank={rep.rank}", f"delta={render_poly(rep)}"]
     return [f"delta = {render_poly(rep)} (over Z[t1..t{rep.rank}])"]
@@ -175,19 +174,18 @@ def cmd_norms(args):
         raise CliError(EXIT_PRECONDITION, str(exc)) from None
     b1 = len(w)
     try:
-        multi = multivariable_alexander(P)
+        delta = multivariable_alexander(P).value.representative
     except UnsupportedRank as exc:
         raise CliError(EXIT_IMPOSSIBLE, str(exc)) from None
-    delta = multi.value.representative
     try:
         report = mcmullen_check(delta, w, args.thurston, b1)
     except ValueError as exc:
         raise CliError(EXIT_PRECONDITION, str(exc)) from None
     try:
-        single = twisted_alexander(P, trivial_twist(P, phi))
+        single = twisted_alexander(P, trivial_twist(P, phi)).value
     except BoundExceeded as exc:
         raise CliError(EXIT_PRECONDITION, str(exc)) from None
-    deg = laurent_degree(single.value.representative)
+    deg = laurent_degree(single.representative)
     degprop_ok = deg <= report.alexander_norm + 2 * dv
     lines = [
         f"b1={b1}",
@@ -195,13 +193,13 @@ def cmd_norms(args):
         f"div={dv}",
         f"thurston_norm={args.thurston}",
         f"mcmullen_ok={_bool(report.mcmullen_ok)}",
-        f"delta_single={single.value}",
+        f"delta_single={single}",
         f"degree={deg}",
-        f"degree_case={degree_case_analysis(single.value)}",
+        f"degree_case={degree_case_analysis(single)}",
         f"degprop_ok={_bool(degprop_ok)}",
     ]
     if b1 > 1:
-        ok = norm_relation_check(single.value, delta, w, dv)
+        ok = norm_relation_check(single, delta, w, dv)
         lines.append(f"norm_relation_ok={_bool(ok)}")
     return lines
 

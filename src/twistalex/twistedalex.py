@@ -8,7 +8,8 @@ det(twist(g) - I) = +-(t^(Phi(g) ord g) - 1)^(|G|/ord g), which is nonzero
 exactly when Phi(g) != 0: the deleted column is the first generator with
 Phi(g) != 0.  The headline value corrects the raw minor gcd by the order of
 the twisted H_0, which matches the module-order definition on every oracle
-family; both are exposed.
+family; both are exposed.  The correction is computed on first read, and a
+zero raw gcd needs none: its value is zero whatever the correction.
 
 The Jacobian is assembled as sparse cells, straight from the Fox terms,
 alpha and Phi, in any integer representation of G given by its sparse
@@ -25,7 +26,8 @@ them alone.
 """
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
+from operator import attrgetter
 
 from .grouppres import (BoundExceeded, ClassMap, FiniteQuotient,
                         GroupRingElement, Incompatible, abelianize,
@@ -233,19 +235,55 @@ def _h0_order(T):
                        rank).representative
 
 
-@dataclass(frozen=True)
 class TwistedPoly:
-    """A twisted Alexander polynomial with its computation metadata."""
+    """A twisted Alexander polynomial with its computation metadata.  The
+    correction and what depends on it are computed on first read; `==`
+    compares the six public fields."""
 
-    value: UnitClass
-    raw_minor_gcd: UnitClass
-    h0_order: UnitClass
-    h0_correction: UnitClass
-    deleted_column: int
-    correction_exact: bool = True
+    def __init__(self, raw_minor_gcd, deleted_column, twist):
+        self.raw_minor_gcd = raw_minor_gcd
+        self.deleted_column = deleted_column
+        self._twist = twist
+
+    @cached_property
+    def h0_order(self):
+        return UnitClass(_h0_order(self._twist))
+
+    @cached_property
+    def h0_correction(self):
+        g_minus_1 = GroupRingElement({((self.deleted_column, 1),): 1, (): -1})
+        return UnitClass(laurent_det(twist_ring_map(g_minus_1, self._twist),
+                                     self._twist.rank))
+
+    @cached_property
+    def _quotient(self):
+        """raw * ord(H_0) / det(twist(g_j) - I), None when inexact; a zero
+        raw gcd is its own quotient and reads neither factor."""
+        raw = self.raw_minor_gcd.representative
+        if raw.is_zero():
+            return raw
+        corr = self.h0_correction.representative  # its refusal comes first
+        return div_exact(raw * self.h0_order.representative, corr)
+
+    @cached_property
+    def value(self):
+        q = self._quotient
+        return self.raw_minor_gcd if q is None else UnitClass(q)
+
+    @cached_property
+    def correction_exact(self):
+        return self._quotient is not None
+
+    def __eq__(self, other):
+        return (isinstance(other, TwistedPoly)
+                and _fields(self) == _fields(other))
 
     def __str__(self):
         return str(self.value)
+
+
+_fields = attrgetter("value", "raw_minor_gcd", "h0_order", "h0_correction",
+                     "deleted_column", "correction_exact")
 
 
 def twisted_alexander(P, T, column=None):
@@ -253,11 +291,12 @@ def twisted_alexander(P, T, column=None):
 
     Deletes generator column j, takes the gcd of the maximal minors of the
     remaining twisted Jacobian, and divides by det(twist(g_j) - I)/ord(H_0);
-    the result is independent of the column up to units.  The column is
-    valid exactly when Phi(g_j) != 0 (the closed form in the module
-    docstring), so j is the first such generator; TwistData rejects a
-    trivial Phi, so one exists.  `column` forces a specific j and raises
-    NoValidColumn when it is out of range or Phi(g_j) = 0.
+    the result is independent of the column up to units.  The correction is
+    computed on first read, and a zero raw gcd, whose value is zero, needs
+    none.  The column is valid exactly when Phi(g_j) != 0 (the closed form
+    in the module docstring), so j is the first such generator; TwistData
+    rejects a trivial Phi, so one exists.  `column` forces a specific j and
+    raises NoValidColumn when it is out of range or Phi(g_j) = 0.
     """
     rank = T.rank
     d = T.degree
@@ -268,10 +307,6 @@ def twisted_alexander(P, T, column=None):
         j = column
     else:
         raise NoValidColumn(f"column {column} is not valid")
-    # the twisted image of g_j - 1
-    g_minus_1 = GroupRingElement({((j, 1),): 1, (): -1})
-    corr = laurent_det(twist_ring_map(g_minus_1, T), rank)
-
     _check_same(P, T.phi.presentation,
                 "the twist lives on a different presentation")
     terms = _jacobian_terms(P, T, j)
@@ -290,15 +325,7 @@ def twisted_alexander(P, T, column=None):
         rows = _twisted_rows(terms, _regular_rep(G), nrels, nblocks, rank)
         raw = laurent_minor_gcd(rows, rank, ncols=k)
 
-    h0 = _h0_order(T)
-    corrected = div_exact(raw * h0, corr)
-    value = corrected if corrected is not None else raw
-    return TwistedPoly(value=UnitClass(value),
-                       raw_minor_gcd=UnitClass(raw),
-                       h0_order=UnitClass(h0),
-                       h0_correction=UnitClass(corr),
-                       deleted_column=j,
-                       correction_exact=corrected is not None)
+    return TwistedPoly(UnitClass(raw), j, T)
 
 
 def multivariable_alexander(P):

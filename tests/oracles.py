@@ -15,17 +15,25 @@ determinant; `term_div_exact` is the term-by-term Laurent division the
 library ran before it packed its operands, kept to check the packed one;
 `twisted_jacobian` is the library's assembly of the regular rows and every
 summand block at once, as it ran before it assembled the summands one at a
-time, kept to check the lazy minor gcd against the full-matrix one.
+time, kept to check the lazy minor gcd against the full-matrix one;
+`eager_twisted_alexander` is `twisted_alexander` as it ran before its H_0
+correction waited to be read, kept to check the lazy fields.
 """
 
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
 
 from twistalex.clifford import CliffordElement
 from twistalex.exactalg import IntMatrix, smith_normal_form
-from twistalex.laurent import LaurentPoly, RankMismatch, UnitClass, lp_gcd
-from twistalex.twistedalex import (_jacobian_terms, _regular_rep,
+from twistalex.grouppres import GroupRingElement, _check_same
+from twistalex.laurent import (LaurentPoly, RankMismatch, UnitClass, div_exact,
+                               lp_gcd, normalize_unit, _arr_to_poly)
+from twistalex.polymat import (laurent_det, laurent_minor_gcd, max_minor_gcd,
+                               summand_qpart)
+from twistalex.twistedalex import (NoValidColumn, twist_ring_map, _h0_order,
+                                   _jacobian_terms, _regular_rep,
                                    _summand_reps, _twisted_rows)
 
 
@@ -511,6 +519,58 @@ def twisted_jacobian(P, T, j):
     return rows, [(_twisted_rows(terms, rep, nrels, nblocks, 1),
                    nblocks * len(rep[0]))
                   for rep in _summand_reps(G)]
+
+
+# ---- the eager H_0 correction ----
+
+EagerTwistedPoly = namedtuple(
+    "EagerTwistedPoly", ["value", "raw_minor_gcd", "h0_order",
+                         "h0_correction", "deleted_column",
+                         "correction_exact"])
+
+
+def eager_twisted_alexander(P, T, column=None):
+    """twisted_alexander with every field computed before it returns: the
+    column determinant first, then the raw minor gcd, then ord(H_0) and the
+    exact division, whatever the raw gcd."""
+    rank = T.rank
+    d = T.degree
+    n = P.ngens
+    if column is None:
+        j = next(g for g in range(n) if any(T.phi.of_generator(g)))
+    elif 0 <= column < n and any(T.phi.of_generator(column)):
+        j = column
+    else:
+        raise NoValidColumn(f"column {column} is not valid")
+    # the twisted image of g_j - 1
+    g_minus_1 = GroupRingElement({((j, 1),): 1, (): -1})
+    corr = laurent_det(twist_ring_map(g_minus_1, T), rank)
+
+    _check_same(P, T.phi.presentation,
+                "the twist lives on a different presentation")
+    terms = _jacobian_terms(P, T, j)
+    nrels, nblocks = len(P.relators), n - 1
+    G, k = T.alpha.group, nblocks * d
+    if rank == 1:
+        qpart = summand_qpart(((_twisted_rows(terms, rep, nrels, nblocks, 1),
+                                nblocks * len(rep[0]))
+                               for rep in _summand_reps(G)), k)
+        found = [] if qpart == [] else max_minor_gcd(
+            _twisted_rows(terms, _regular_rep(G), nrels, nblocks, 1), k, qpart)
+        raw = normalize_unit(_arr_to_poly(found))
+    else:
+        rows = _twisted_rows(terms, _regular_rep(G), nrels, nblocks, rank)
+        raw = laurent_minor_gcd(rows, rank, ncols=k)
+
+    h0 = _h0_order(T)
+    corrected = div_exact(raw * h0, corr)
+    value = corrected if corrected is not None else raw
+    return EagerTwistedPoly(value=UnitClass(value),
+                            raw_minor_gcd=UnitClass(raw),
+                            h0_order=UnitClass(h0),
+                            h0_correction=UnitClass(corr),
+                            deleted_column=j,
+                            correction_exact=corrected is not None)
 
 
 # ---- Clifford blade products by sorting the index word ----

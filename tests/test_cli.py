@@ -204,6 +204,22 @@ def test_norms_b1_over_3_exit4(capsys, tmp_path):
     assert err == "error: b_1 = 4 > 3\n"
 
 
+def test_refusal_on_first_read_keeps_its_exit_code(capsys, monkeypatch):
+    """The H_0 correction is computed when the value is first read, inside
+    the handlers that guard the raw gcd: a refusal it raises exits 3 from
+    multivariable and 4 from norms, with its own message."""
+    import twistalex.twistedalex as ta
+    from twistalex.laurent import UnsupportedRank
+
+    def refuse(_):
+        raise UnsupportedRank("refused")
+    monkeypatch.setattr(ta, "_h0_order", refuse)
+    norms = ["norms", FIXTURES / "na.pres", "--phi", "fib", "--thurston", "0"]
+    for argv, code in [(["multivariable", FIXTURES / "na.pres"], 3),
+                       (norms, 4)]:
+        assert run(capsys, *argv) == (code, "", "error: refused\n")
+
+
 def test_fibred(capsys):
     code, out, _ = run(capsys, "fibred", FIXTURES / "na.pres",
                        "--phi", "fib", "--thurston", "0", "--budget", "3")

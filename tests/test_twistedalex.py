@@ -13,8 +13,8 @@ from twistalex.grouppres import (ClassMap, FiniteQuotient, Presentation,
 from twistalex.laurent import (LaurentPoly, UnitClass, laurent_degree,
                                specialize, symmetric_representative,
                                _arr_to_poly, _cyclotomic, _mul, _pack, _prim)
-from twistalex.normsfibred import group_catalog
-from twistalex import polymat, twistedalex
+from twistalex.normsfibred import fibred_certificate, group_catalog
+from twistalex import normsfibred, polymat, twistedalex
 from twistalex.polymat import _hermite_qpart, max_minor_gcd
 from twistalex.twistedalex import (NoValidColumn, TwistData,
                                    multivariable_alexander, trivial_twist,
@@ -22,8 +22,8 @@ from twistalex.twistedalex import (NoValidColumn, TwistData,
                                    _regular_rep, _summand_reps)
 
 from conftest import fixture_text
-from oracles import (mapping_torus_alexander, seifert_alexander,
-                     twist_by_letters, twisted_jacobian)
+from oracles import (eager_twisted_alexander, mapping_torus_alexander,
+                     seifert_alexander, twist_by_letters, twisted_jacobian)
 
 
 def na_presentation():
@@ -403,9 +403,15 @@ def test_column_determinants_stop_at_the_valid_column(monkeypatch):
     # g_0 maps to 0, so column 0 is invalid and column 1 is the first valid
     T = trivial_twist(P, ClassMap(P, [(0,), (1,), (1,)]))
     auto = twisted_alexander(P, T)
-    assert auto.deleted_column == 1 and len(calls) == 1
+    # the correction waits for the value to be read
+    assert auto.deleted_column == 1 and len(calls) == 0
+    assert str(auto.value) == "t^2 - 2*t + 1" and len(calls) == 1
     calls.clear()
-    assert twisted_alexander(P, T, column=1) == auto
+    forced = twisted_alexander(P, T, column=1)
+    assert len(calls) == 0
+    assert forced.value == auto.value and len(calls) == 1
+    # every field is kept: comparing all six computes nothing again
+    assert forced == auto
     assert len(calls) == 1
     for bad in (0, 3, -1):
         calls.clear()
@@ -768,3 +774,69 @@ def test_zero_untwisted_polynomial_is_zero_on_every_quotient():
             assert twisted_alexander(P, TwistData(phi, q)).value.is_zero()
             counts[name] = counts.get(name, 0) + 1
     assert counts == {"zero_alex.pres": 59, "m.pres": 367}
+
+
+# ---- the H_0 correction, computed on first read ----
+
+def test_lazy_correction_equals_the_eager_one():
+    """All six fields of twisted_alexander, read value first and read
+    h0_correction first, against eager_twisted_alexander on every distinct
+    catalog quotient up to order 8 of every fixture class (m.pres up to 5).
+    A zero raw gcd reads no correction, yet h0_correction, read anyway, is
+    still +-(t^(e ord g_j) - 1)^(|G|/ord g_j) with e = Phi(g_j)."""
+    one = LaurentPoly.one(1)
+    counts = {}
+    for name in FIXTURE_CLASSES:
+        P, phi = fixture_class(name)
+        j = first_column(phi)
+        for q in distinct_quotients(P, 5 if name == "m.pres" else 8):
+            T = TwistData(phi, q)
+            eager = eager_twisted_alexander(P, T)
+            for first in ("value", "h0_correction"):
+                tw = twisted_alexander(P, T)
+                getattr(tw, first)
+                assert tuple(getattr(tw, f) for f in eager._fields) == eager
+            zero = eager.raw_minor_gcd.is_zero()
+            if zero:
+                G, img = q.group, q.images[j]
+                order, x = 1, img
+                while x != 0:
+                    order, x = order + 1, G.mul(x, img)
+                e = phi.images[j][0]
+                closed = (LaurentPoly.monomial(1, (e * order,)) - one) ** (
+                    G.order // order)
+                assert tw.h0_correction == UnitClass(closed)
+            counts[name, zero] = counts.get((name, zero), 0) + 1
+    assert counts == {("fig8.pres", False): 8, ("m.pres", True): 367,
+                      ("na.pres", False): 56, ("t3.pres", False): 347,
+                      ("torus.pres", False): 53, ("trefoil.pres", False): 9,
+                      ("zero_alex.pres", True): 59}
+
+
+def test_certificate_reads_the_correction_of_nonzero_records_only(
+        monkeypatch):
+    """fibred_certificate on m.pres at budget 5, whose records are all zero,
+    computes no H_0 correction; on na.pres at budget 8, whose records are
+    all nonzero, it computes one per twisted_alexander call."""
+    calls = {}
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counted(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args)
+        monkeypatch.setattr(module, name, counted)
+
+    for name in ("laurent_det", "twist_ring_map", "_h0_order"):
+        count(twistedalex, name)
+    count(normsfibred, "twisted_alexander")
+    got = {}
+    for name, budget in (("m.pres", 5), ("na.pres", 8)):
+        calls.clear()
+        P, phi = fixture_class(name)
+        fibred_certificate(P, phi, 0, budget)
+        got[name] = dict(calls)
+    assert got == {"m.pres": {"twisted_alexander": 367},
+                   "na.pres": {"twisted_alexander": 56, "laurent_det": 56,
+                               "twist_ring_map": 56, "_h0_order": 56}}
