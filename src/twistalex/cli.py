@@ -177,6 +177,8 @@ def cmd_norms(args):
         delta = multivariable_alexander(P).value.representative
     except UnsupportedRank as exc:
         raise CliError(EXIT_IMPOSSIBLE, str(exc)) from None
+    except BoundExceeded as exc:
+        raise CliError(EXIT_PRECONDITION, str(exc)) from None
     try:
         report = mcmullen_check(delta, w, args.thurston, b1)
     except ValueError as exc:

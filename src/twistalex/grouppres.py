@@ -638,8 +638,4 @@ def pullback_class(Phi, q, cover):
         raise Incompatible("cover was not built from this quotient")
     images = [Phi.of_word(w) for w in cover.generator_words]
     phi_a = ClassMap(cover.presentation, images)
-    d = 0
-    for img in images:
-        for x in img:
-            d = gcd(d, x)
-    return phi_a, d
+    return phi_a, gcd(*(x for img in images for x in img))

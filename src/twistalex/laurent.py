@@ -371,15 +371,11 @@ def _scale(a, c):
     return [] if c == 0 else [c * x for x in a]
 
 
-def _int_poly_content(a):
-    return gcd(*a)
-
-
 def _prim(a):
     """Primitive part with a positive leading coefficient; [] for []."""
     if not a:
         return []
-    g = _int_poly_content(a)
+    g = gcd(*a)
     return [c // g for c in a] if a[-1] > 0 else [c // -g for c in a]
 
 
@@ -488,7 +484,7 @@ def _int_poly_gcd(a, b):
     if not a or not b:
         g = a or b
         return _scale(g, -1) if g and g[-1] < 0 else g
-    content = gcd(_int_poly_content(a), _int_poly_content(b))
+    content = gcd(*a, *b)
     a, b = _prim(a), _prim(b)
     while b:
         if len(a) < len(b):
@@ -497,74 +493,73 @@ def _int_poly_gcd(a, b):
     return _scale(a, content)
 
 
-def _split_last(p):
-    """View rank-r p as a polynomial in t_r with rank-(r-1) coefficients."""
-    out = {}
-    for e, c in p.terms.items():
-        d = e[-1]
-        out.setdefault(d, {})[e[:-1]] = c
-    return {d: LaurentPoly(p.rank - 1, terms) for d, terms in out.items()}
+def _content_pp(parts):
+    """Content and primitive part of a map {exponent of t_r: coefficient}.
 
-
-def _join_last(rank, parts):
-    terms = {}
-    for d, coef in parts.items():
-        for e, c in coef.terms.items():
-            terms[e + (d,)] = c
-    return LaurentPoly(rank, terms)
-
-
-def _content_split(parts, rank):
-    """Gcd of a map's rank-`rank` coefficients, and the map divided by it."""
-    cont = lp_gcd_many(parts.values(), rank).representative
-    return cont, {d: div_exact(c, cont) for d, c in parts.items()}
+    The content is the gcd of the coefficients, folded until it is a unit,
+    times their least monomial; the primitive part has exponents shifted to
+    start at 0 and every coefficient divided exactly by the content, which
+    checks that gcd.
+    """
+    coeffs = iter(parts.values())
+    cont = next(coeffs)
+    for c in coeffs:
+        if cont.is_unit():
+            break
+        cont = _gcd_poly(cont, c)
+    # without the monomial, each PRS step's scaling by a lead would move the
+    # exponents away from 0 and widen the rank-1 gcds' packed arrays
+    low = map(min, zip(*(e for c in parts.values() for e in c.terms)))
+    cont = cont.shift(map(sub, low, map(min, zip(*cont.terms))))
+    lo = min(parts)
+    pp = {d - lo: div_exact(c, cont) for d, c in parts.items()}
+    if None in pp.values():
+        raise AssertionError("gcd verification failed")
+    return cont, pp
 
 
 def _gcd_poly(a, b):
-    """A gcd of a and b in Z[t1^{+-1},...], not normalized."""
+    """A gcd of a and b in Z[t1^{+-1},...] of rank >= 1, not normalized.
+
+    Rank 1 runs on arrays.  Rank r >= 2 views each operand as a map
+    {exponent of t_r: rank r-1 coefficient}; the gcd is the gcd of the
+    contents times the last nonzero remainder of the primitive PRS in t_r.
+    """
     if a.is_zero():
         return b
     if b.is_zero():
         return a
-    if a.rank == 0:
-        return LaurentPoly.const(0, gcd(a.coeff(()), b.coeff(())))
     if a.rank == 1:
         return _arr_to_poly(_int_poly_gcd(*_pack([[a, b]], 1)[0][0]))
-    # recurse on the last variable: gcd = gcd(contents) * gcd(primitive parts)
-    cont_a, ppa = _content_split(_split_last(a), a.rank - 1)
-    cont_b, ppb = _content_split(_split_last(b), a.rank - 1)
-    pp = _pp_gcd_last(a.rank, ppa, ppb)
-    return _join_last(a.rank, {0: _gcd_poly(cont_a, cont_b)}) * pp
-
-
-def _pp_gcd_last(rank, fa, fb):
-    """Gcd of primitive (in t_last) polynomials via a primitive PRS."""
-    def normalize(parts):
-        lo = min(parts)
-        return {d - lo: c for d, c in parts.items()}
-
-    a, b = normalize(fa), normalize(fb)
-    while b:
-        if max(a, default=0) < max(b, default=0):
-            a, b = b, a
-            continue
-        # pseudo-remainder of a by b in the last variable: r[top] * lb / lb
-        db = max(b)
-        lb = b[db]
-        r = dict(a)
+    zero = LaurentPoly.zero(a.rank - 1)
+    split = []
+    for p in (a, b):
+        parts = {}
+        for e, c in p.terms.items():
+            parts.setdefault(e[-1], {})[e[:-1]] = c
+        split.append(_content_pp({d: LaurentPoly(a.rank - 1, terms)
+                                  for d, terms in parts.items()}))
+    (cont_a, fa), (cont_b, fb) = split
+    while fb:
+        if max(fa) < max(fb):
+            fa, fb = fb, fa
+        # pseudo-remainder of fa by fb in t_r: scale by fb's lead, cancel
+        db = max(fb)
+        lb = fb[db]
+        r = dict(fa)
         while r and max(r) >= db:
             top = max(r)
             q = r[top]
             r = {d: c * lb for d, c in r.items()}
-            for d, c in b.items():
+            for d, c in fb.items():
                 sd = top - db + d
-                new = r.get(sd, LaurentPoly.zero(rank - 1)) - q * c
-                if new.is_zero():
-                    r.pop(sd, None)
-                else:
-                    r[sd] = new
-        a, b = b, _content_split(normalize(r), rank - 1)[1] if r else {}
-    return _join_last(rank, _content_split(a, rank - 1)[1])
+                r[sd] = r.get(sd, zero) - q * c
+                if r[sd].is_zero():
+                    del r[sd]
+        fa, fb = fb, _content_pp(r)[1] if r else {}
+    cont = _gcd_poly(cont_a, cont_b)
+    return LaurentPoly(a.rank, {e + (d,): c for d, f in fa.items()
+                                for e, c in (cont * f).terms.items()})
 
 
 def lp_gcd(a, b):

@@ -41,9 +41,7 @@ def alexander_norm(delta, weights):
 
 def divisibility(weights):
     """max k with Phi = k Phi': the gcd of the coordinate values."""
-    d = 0
-    for x in weights:
-        d = gcd(d, x)
+    d = gcd(*weights)
     if d == 0:
         raise ZeroClass("zero class has no divisibility")
     return d

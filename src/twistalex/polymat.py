@@ -19,9 +19,9 @@ from math import comb, gcd, isqrt
 
 from .bareiss import _bareiss, _int_step
 from .laurent import (UnsupportedRank, lp_gcd_many, normalize_unit,
-                      _arr_to_poly, _divexact, _eval, _int_poly_content,
-                      _int_poly_gcd, _mul, _pack, _prim, _pseudo_reduce,
-                      _scale, _strip_content, _sub)
+                      _arr_to_poly, _divexact, _eval, _int_poly_gcd, _mul,
+                      _pack, _prim, _pseudo_reduce, _scale, _strip_content,
+                      _sub)
 
 ENUM_BOUND = 400
 
@@ -222,7 +222,7 @@ def _gauss_valuation_sum(rows, k, p):
         for i in active:
             if work[i][c]:
                 # the Gauss valuation: that of the content
-                v = _val_p(_int_poly_content(work[i][c]), p)
+                v = _val_p(gcd(*work[i][c]), p)
                 if pval is None or v < pval:
                     pval = v
                     piv = i

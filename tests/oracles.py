@@ -17,7 +17,10 @@ library ran before it packed its operands, kept to check the packed one;
 summand block at once, as it ran before it assembled the summands one at a
 time, kept to check the lazy minor gcd against the full-matrix one;
 `eager_twisted_alexander` is `twisted_alexander` as it ran before its H_0
-correction waited to be read, kept to check the lazy fields.
+correction waited to be read, kept to check the lazy fields;
+`recursive_gcd` is the rank >= 2 gcd as the library layered it before one
+recursion did the content split and the primitive PRS itself, kept to check
+the single recursion.
 """
 
 from collections import namedtuple
@@ -29,7 +32,8 @@ from twistalex.clifford import CliffordElement
 from twistalex.exactalg import IntMatrix, smith_normal_form
 from twistalex.grouppres import GroupRingElement, _check_same
 from twistalex.laurent import (LaurentPoly, RankMismatch, UnitClass, div_exact,
-                               lp_gcd, normalize_unit, _arr_to_poly)
+                               lp_gcd, lp_gcd_many, normalize_unit,
+                               _arr_to_poly)
 from twistalex.polymat import (laurent_det, laurent_minor_gcd, max_minor_gcd,
                                summand_qpart)
 from twistalex.twistedalex import (NoValidColumn, twist_ring_map, _h0_order,
@@ -168,6 +172,73 @@ def laurent_bareiss_det(M, rank):
         return zero
     _, odd, d = found
     return -d if odd else d
+
+
+# ---- the layered multivariable gcd ----
+
+def _split_last(p):
+    """View rank-r p as a polynomial in t_r with rank-(r-1) coefficients."""
+    out = {}
+    for e, c in p.terms.items():
+        d = e[-1]
+        out.setdefault(d, {})[e[:-1]] = c
+    return {d: LaurentPoly(p.rank - 1, terms) for d, terms in out.items()}
+
+
+def _join_last(rank, parts):
+    terms = {}
+    for d, coef in parts.items():
+        for e, c in coef.terms.items():
+            terms[e + (d,)] = c
+    return LaurentPoly(rank, terms)
+
+
+def _content_split(parts, rank):
+    """Gcd of a map's rank-`rank` coefficients, and the map divided by it."""
+    cont = lp_gcd_many(parts.values(), rank).representative
+    return cont, {d: div_exact(c, cont) for d, c in parts.items()}
+
+
+def recursive_gcd(a, b):
+    """A gcd of a and b in Z[t1^{+-1},...], not normalized: rank 1 and a
+    zero operand go to lp_gcd; rank >= 2 is the gcd of the contents times
+    the gcd of the primitive parts, recursing on the last variable."""
+    if a.rank == 1 or a.is_zero() or b.is_zero():
+        return lp_gcd(a, b).representative
+    cont_a, ppa = _content_split(_split_last(a), a.rank - 1)
+    cont_b, ppb = _content_split(_split_last(b), a.rank - 1)
+    pp = _pp_gcd_last(a.rank, ppa, ppb)
+    return _join_last(a.rank, {0: recursive_gcd(cont_a, cont_b)}) * pp
+
+
+def _pp_gcd_last(rank, fa, fb):
+    """Gcd of primitive (in t_last) polynomials via a primitive PRS."""
+    def normalize(parts):
+        lo = min(parts)
+        return {d - lo: c for d, c in parts.items()}
+
+    a, b = normalize(fa), normalize(fb)
+    while b:
+        if max(a, default=0) < max(b, default=0):
+            a, b = b, a
+            continue
+        # pseudo-remainder of a by b in the last variable: r[top] * lb / lb
+        db = max(b)
+        lb = b[db]
+        r = dict(a)
+        while r and max(r) >= db:
+            top = max(r)
+            q = r[top]
+            r = {d: c * lb for d, c in r.items()}
+            for d, c in b.items():
+                sd = top - db + d
+                new = r.get(sd, LaurentPoly.zero(rank - 1)) - q * c
+                if new.is_zero():
+                    r.pop(sd, None)
+                else:
+                    r[sd] = new
+        a, b = b, _content_split(normalize(r), rank - 1)[1] if r else {}
+    return _join_last(rank, _content_split(a, rank - 1)[1])
 
 
 # ---- classical Alexander polynomial formulas ----

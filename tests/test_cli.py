@@ -204,6 +204,20 @@ def test_norms_b1_over_3_exit4(capsys, tmp_path):
     assert err == "error: b_1 = 4 > 3\n"
 
 
+def test_norms_twist_past_the_degree_bound_exit3(capsys, tmp_path):
+    """norms refuses a multivariable twist past MAX_TWIST_DEGREE with the
+    message and exit code of multivariable, not a traceback."""
+    path = tmp_path / "steep.pres"
+    path.write_text("presentation\ngenerators: a b\nrelator: a^1000 b^-999\n"
+                    "class fib: 999 1000\n")
+    code, out, err = run(capsys, "multivariable", path)
+    assert code == 3 and out == ""
+    assert err == ("error: twist degree 1999999 exceeds the bound "
+                   "of 1000000\n")
+    assert run(capsys, "norms", path, "--phi", "fib",
+               "--thurston", "0") == (3, "", err)
+
+
 def test_refusal_on_first_read_keeps_its_exit_code(capsys, monkeypatch):
     """The H_0 correction is computed when the value is first read, inside
     the handlers that guard the raw gcd: a refusal it raises exits 3 from

@@ -1,4 +1,6 @@
 import random
+from math import gcd
+from operator import lt
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,7 @@ from twistalex.laurent import (MINUS_INFINITY, LaurentPoly, NotSymmetrizable,
                                symmetric_representative, _cyclotomic,
                                _divexact, _mul, _packed, _pseudo_reduce)
 
-from oracles import dense_pseudo_reduce, term_div_exact
+from oracles import dense_pseudo_reduce, recursive_gcd, term_div_exact
 
 
 def t(rank=1, i=0):
@@ -112,6 +114,108 @@ def test_gcd_unsupported_rank():
     p = LaurentPoly.var(4, 0)
     with pytest.raises(UnsupportedRank):
         lp_gcd(p, p)
+
+
+def _gcd_pairs(rng, count):
+    """Seeded rank-2 and rank-3 pairs u*h, v*h with a planted common factor
+    h of integer content 1 to 4 and exponents from -2 to 2: one pair in ten
+    has a zero operand and one in ten a unit operand, and the operands
+    alternate sides.  u and v have at most 3 terms at rank 2 and 2 at rank
+    3: on denser rank-3 operands the coefficient growth of the primitive
+    PRS makes a single pair take seconds."""
+    def poly(rank, terms):
+        return LaurentPoly(rank, {tuple(rng.randint(-2, 2) for _ in range(rank)):
+                                  rng.choice((-3, -2, -1, 1, 2, 3))
+                                  for _ in range(terms)})
+
+    for trial in range(count):
+        rank = 2 + trial % 2
+        h = poly(rank, rng.randint(1, 2)) * rng.randint(1, 4)
+        a = poly(rank, rng.randint(1, 5 - rank)) * h
+        b = poly(rank, rng.randint(1, 5 - rank)) * h
+        if trial % 10 == 3:
+            a = LaurentPoly.zero(rank)
+        elif trial % 10 == 7:
+            a = LaurentPoly.monomial(
+                rank, [rng.randint(-2, 2) for _ in range(rank)],
+                rng.choice((1, -1)))
+        yield (a, b) if trial % 4 < 2 else (b, a)
+
+
+def _spans(p):
+    return [p.max_exp(i) - p.min_exp(i) for i in range(p.rank)]
+
+
+def test_gcd_against_the_layered_recursion():
+    """lp_gcd agrees with the layered content/PRS recursion it replaced on
+    1,200 seeded rank-2 and rank-3 pairs: zero and unit operands, integer
+    contents above 1, negative exponents, and g wider than f in one
+    variable all occur."""
+    seen = dict.fromkeys(("zero", "unit", "content", "negative", "wider"), 0)
+    for f, g in _gcd_pairs(random.Random(43), 1200):
+        got = lp_gcd(f, g)
+        assert got == UnitClass(recursive_gcd(f, g))
+        seen["zero"] += f.is_zero() or g.is_zero()
+        seen["unit"] += f.is_unit() or g.is_unit()
+        seen["content"] += gcd(*got.representative.terms.values()) > 1
+        seen["negative"] += min(min(e) for p in (f, g) for e in p.terms) < 0
+        seen["wider"] += not (f.is_zero() or g.is_zero()) and any(
+            map(lt, _spans(f), _spans(g)))
+    assert min(seen.values()) >= 100, seen
+
+
+def test_gcd_against_sympy():
+    """lp_gcd agrees with sympy's gcd over Z[t1, ..., tr] up to a unit, on
+    the first 200 pairs of the oracle test shifted to exponents >= 0."""
+    sympy = pytest.importorskip("sympy")
+    for f, g in _gcd_pairs(random.Random(43), 200):
+        gens = sympy.symbols(f"t1:{f.rank + 1}")
+        polys = [sympy.Poly.from_dict(normalize_unit(p).terms, gens,
+                                      domain="ZZ") for p in (f, g)]
+        h = sympy.gcd(*polys)
+        expected = LaurentPoly(f.rank, {e: int(c) for e, c in h.terms()})
+        assert lp_gcd(f, g) == UnitClass(expected)
+
+
+def test_gcd_exponents_stay_near_zero(monkeypatch):
+    """The content takes the coefficients' least monomial, so the scaling
+    by leads in the primitive PRS does not move exponents away from 0: on
+    this rank-3 pair every array that reaches a rank-1 gcd has fewer than
+    200 coefficients.  With the monomial left in the primitive parts they
+    drift past 700, and the gcd takes seconds."""
+    import twistalex.laurent as laurent
+    lengths = []
+
+    def recorded(a, b, _f=laurent._int_poly_gcd):
+        lengths.append(max(len(a), len(b)))
+        return _f(a, b)
+    monkeypatch.setattr(laurent, "_int_poly_gcd", recorded)
+    f = parse_poly("24*t1^2*t3^-2 - 24*t1^-1 - 8*t1^-1*t2^-1*t3 "
+                   "- 8*t1^-1*t2^-2*t3^-3 + 8*t1^-4*t2^-1*t3^3 "
+                   "+ 8*t1^-4*t2^-2*t3^-1", 3)
+    g = parse_poly("-16*t1^3*t2^-2 + 16*t2^-2*t3^2 - 24*t2^-3*t3 "
+                   "- 8*t1^-1*t3^-3 + 24*t1^-3*t2^-3*t3^3 + 8*t1^-4*t3^-1", 3)
+    assert str(lp_gcd(f, g)) == "8*t1^3 - 8*t3^2"
+    assert 0 < max(lengths) < 200
+
+
+def test_gcd_makes_no_nested_gcd_call(monkeypatch):
+    """Each inner gcd of the recursion is checked by the exact division
+    that uses it, so a rank-3 lp_gcd calls neither lp_gcd nor lp_gcd_many
+    again."""
+    import twistalex.laurent as laurent
+    calls = []
+    for name in ("lp_gcd", "lp_gcd_many"):
+        def counted(*args, _f=getattr(laurent, name), _name=name):
+            calls.append(_name)
+            return _f(*args)
+        monkeypatch.setattr(laurent, name, counted)
+    t1, t2, t3 = t(3, 0), t(3, 1), t(3, 2)
+    h = 2 * (t1 - one(3)) * (t2 + LaurentPoly.monomial(3, (0, 0, -1)))
+    f = h * (t1 * t3 + t2 + 3 * one(3)) * (t3 - t1)
+    g = h * (t1 * t2 - t3 ** 2) * (t1 + one(3))
+    assert laurent.lp_gcd(f, g) == UnitClass(h)
+    assert calls == ["lp_gcd"]
 
 
 @given(poly_strategy(), poly_strategy())

@@ -1,5 +1,6 @@
 import random
 from itertools import combinations
+from math import gcd
 
 import pytest
 
@@ -52,9 +53,8 @@ def hermite_path_gcd(M):
         return UnitClass(LaurentPoly.zero(1))
     idx, _, _ = _independent_rows(rows, k)
     m0 = _bareiss_det([rows[i] for i in idx])
-    from twistalex.laurent import _int_poly_content
     content = 1
-    for p in _prime_factors(_int_poly_content(m0)):
+    for p in _prime_factors(gcd(*m0)):
         content *= p ** _gauss_valuation_sum(rows, k, p)
     return UnitClass(_arr_to_poly(_scale(qpart, content)))
 

@@ -1,21 +1,29 @@
-"""Every parameter and every import in the package is read.
+"""Every parameter, import and definition in the package is read.
 
 A parameter of a non-dunder function that its body never reads, or a name
 that an import binds and its scope never reads, is dead code that callers
 still have to know about.  The scope of a module-level import is the
 module; an import inside a function is read only if that function reads it.
+A non-dunder function, method or class of the package must be named by the
+package, the tests or the benchmark outside its own definition.
 """
 
 import ast
+import re
+from collections import Counter
 
 from conftest import FIXTURES
 
-PACKAGE = FIXTURES.parent / "src" / "twistalex"
+ROOT = FIXTURES.parent
+PACKAGE = ROOT / "src" / "twistalex"
+# a span key of the benchmark's tracer, "module:qualname"
+SPAN_KEY = re.compile(r"\w+:\w+(\.\w+)*")
 
 
-def _trees():
-    for path in sorted(PACKAGE.glob("*.py")):
-        yield path.name, ast.parse(path.read_text(encoding="utf-8"))
+def _trees(*dirs):
+    for d in dirs or (PACKAGE,):
+        for path in sorted(d.glob("*.py")):
+            yield path.name, ast.parse(path.read_text(encoding="utf-8"))
 
 
 def _reads(nodes):
@@ -60,6 +68,34 @@ def unread_imports(tree):
     return out
 
 
+def names(tree):
+    """How often a tree names each name: as an ast.Name, an attribute, an
+    imported name or a part of a span key.  Docstrings are not read."""
+    docs = {id(n.value) for n in ast.walk(tree) if isinstance(n, ast.Expr)}
+    out = Counter()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name):
+            out[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            out[n.attr] += 1
+        elif isinstance(n, ast.ImportFrom):
+            out.update(alias.name for alias in n.names)
+        elif isinstance(n, ast.Constant) and id(n) not in docs \
+                and isinstance(n.value, str) and SPAN_KEY.fullmatch(n.value):
+            out.update(n.value.partition(":")[2].split("."))
+    return out
+
+
+def unnamed_definitions(tree, used):
+    """Each non-dunder def or class of the tree that `used`, a Counter of
+    names, holds no more often than the definition names itself."""
+    return [d.name for d in ast.walk(tree)
+            if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef))
+            and not (d.name.startswith("__") and d.name.endswith("__"))
+            and used[d.name] <= names(d)[d.name]]
+
+
 def test_scanners_find_unread_names():
     tree = ast.parse("import os\nfrom .exactalg import homology\n"
                      "from math import gcd, lcm\n"
@@ -77,6 +113,28 @@ def test_scanners_find_unread_names():
     assert unread_imports(tree) == ["os", "homology", "gcd", "floor"]
 
 
+def test_scanner_finds_unnamed_definitions():
+    tree = ast.parse("import twistalex.spanned\nfrom .x import imported\n"
+                     "def dead(n):\n"
+                     "    'a docstring names nothing: dead m:dead'\n"
+                     "    return dead(n - 1)\n"
+                     "def called():\n    return 1\n"
+                     "class Box:\n"
+                     "    def attr(self):\n        return Box\n"
+                     "    def unused(self):\n        return self.attr()\n"
+                     "    def __eq__(self, other):\n        return True\n"
+                     "def imported():\n    pass\n"
+                     "def kept():\n    pass\n"
+                     "def spanned():\n    pass\n"
+                     "SPANS = {'m:Box.kept': 1, 'no key: spanned': 2}\n"
+                     "x = called() + Box().attr()\n")
+    # named only by itself (dead's recursion, unused), by a docstring or by
+    # a string that is not a span key is dead, and so is a module import of
+    # its name; an imported name and a part of a span key count
+    assert unnamed_definitions(tree, names(tree)) == [
+        "dead", "spanned", "unused"]
+
+
 def test_every_parameter_is_read():
     found = {name: unread_parameters(tree) for name, tree in _trees()}
     assert {name: v for name, v in found.items() if v} == {}
@@ -84,4 +142,12 @@ def test_every_parameter_is_read():
 
 def test_every_import_is_read():
     found = {name: unread_imports(tree) for name, tree in _trees()}
+    assert {name: v for name, v in found.items() if v} == {}
+
+
+def test_every_definition_is_named():
+    used = sum((names(t) for _, t in _trees(PACKAGE, ROOT / "tests",
+                                            ROOT / "bench")), Counter())
+    found = {name: unnamed_definitions(tree, used)
+             for name, tree in _trees()}
     assert {name: v for name, v in found.items() if v} == {}
