@@ -397,9 +397,14 @@ class ExactSequenceData:
     def __init__(self, terms, maps=None):
         self.terms = list(terms)
         self.maps = dict(maps or {})
-        for i in self.maps:
+        for i, md in self.maps.items():
             if not 0 <= i < len(self.terms) - 1:
                 raise ValueError(f"map index {i} out of range")
+            if any(r is not None and r < 0 for r in (md.image, md.kernel)):
+                raise ValueError(f"map {i} has a negative rank")
+        for t in self.terms:
+            if isinstance(t, int) and t < 0:
+                raise ValueError(f"negative term rank {t}")
 
 
 def exact_sequence_solve(seq):

@@ -10,7 +10,6 @@ A word is a tuple of letters (generator_index, +-1).
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import permutations
-from math import gcd
 
 from .exactalg import (HomologyGroup, IntMatrix, SmithDecomposition,
                        smith_normal_form)
@@ -251,83 +250,20 @@ class ClassMap:
 
 # ---- Fox calculus ----------------------------------------------------------
 
-class GroupRingElement:
-    """Integer combination of freely reduced words in the free group."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        clean = {}
-        for w, c in (terms or {}).items():
-            w = free_reduce(w)
-            c = int(c)
-            if c:
-                clean[w] = clean.get(w, 0) + c
-                if not clean[w]:
-                    del clean[w]
-        self.terms = clean
-
-    @classmethod
-    def from_word(cls, w, c=1):
-        return cls({tuple(w): c})
-
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
-    def one(cls):
-        return cls({(): 1})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, 0) + c
-        return GroupRingElement(out)
-
-    def __sub__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, 0) - c
-        return GroupRingElement(out)
-
-    def __neg__(self):
-        return GroupRingElement({w: -c for w, c in self.terms.items()})
-
-    def __mul__(self, other):
-        out = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = word_mul(w1, w2)
-                out[w] = out.get(w, 0) + c1 * c2
-        return GroupRingElement(out)
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, GroupRingElement) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __repr__(self):
-        return f"GroupRingElement({self.terms!r})"
-
-
 def fox_derivative(word, gen):
-    """d(word)/d(gen) by the product rule d(uv) = du + u dv; the prefixes
-    are sliced unreduced, and GroupRingElement reduces them."""
+    """d(word)/d(gen) by the product rule d(uv) = du + u dv, as a map from
+    each freely reduced prefix to its nonzero integer coefficient."""
     terms = {}
     for i, (g, s) in enumerate(word):
         if g == gen:
-            w = word[:i] if s == 1 else word[:i + 1]
+            w = free_reduce(word[:i] if s == 1 else word[:i + 1])
             terms[w] = terms.get(w, 0) + s
-    return GroupRingElement(terms)
+    return {w: c for w, c in terms.items() if c}
 
 
 def fox_jacobian(P):
-    """Matrix of Fox derivatives: rows are relators, columns generators."""
+    """Matrix of Fox derivatives, each a term map {word: coefficient}: rows
+    are relators, columns generators."""
     return [[fox_derivative(r, j) for j in range(P.ngens)] for r in P.relators]
 
 
@@ -628,14 +564,3 @@ def reidemeister_schreier(P, q):
     return Cover(cover_pres, q, tuple(gen_words),
                  tuple(trans[x] for x in order))
 
-
-def pullback_class(Phi, q, cover):
-    """Phi restricted to ker(alpha), on the cover's generators, plus div.
-
-    div is the gcd of all coordinate values of the pulled-back class.
-    """
-    if cover.quotient is not q and cover.quotient.images != q.images:
-        raise Incompatible("cover was not built from this quotient")
-    images = [Phi.of_word(w) for w in cover.generator_words]
-    phi_a = ClassMap(cover.presentation, images)
-    return phi_a, gcd(*(x for img in images for x in img))

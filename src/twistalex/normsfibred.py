@@ -13,9 +13,8 @@ from itertools import chain
 from math import gcd
 
 from .grouppres import (dihedral_group, check_table_entries, cyclic_group,
-                        enumerate_epimorphisms, pullback_class,
-                        reidemeister_schreier, symmetric_group, trivial_group,
-                        FiniteQuotient)
+                        enumerate_epimorphisms, reidemeister_schreier,
+                        symmetric_group, trivial_group, FiniteQuotient)
 from .laurent import (MINUS_INFINITY, LaurentPoly, RankMismatch, UnitClass,
                       laurent_degree, is_monic, specialize)
 from .twistedalex import TwistData, twisted_alexander
@@ -155,6 +154,8 @@ def fibred_certificate(P, phi, thurston_norm, budget, b3=1, dedup_auto=False):
     if budget < 1:
         raise BudgetZero("need a positive group-order budget")
     _check_thurston(thurston_norm)
+    if b3 not in (0, 1):
+        raise ValueError("b3 must be 0 (boundary) or 1 (closed)")
     if phi.is_trivial():
         raise ValueError("Phi must be nontrivial")
     cache = {}
@@ -171,8 +172,10 @@ def fibred_certificate(P, phi, thurston_norm, budget, b3=1, dedup_auto=False):
             # the key holds the group label, so label and order match
             records.append(replace(cache[key], images=q.images))
             continue
-        cover = reidemeister_schreier(P, q)
-        _, div = pullback_class(phi, q, cover)
+        # div: the divisibility of Phi pulled back to ker(alpha), the gcd of
+        # its values on the Schreier generators
+        div = gcd(*(x for w in reidemeister_schreier(P, q).generator_words
+                    for x in phi.of_word(w)))
         tw = twisted_alexander(P, TwistData(phi, q))
         deg = laurent_degree(tw.value.representative)
         expected = q.group.order * thurston_norm + (1 + b3) * div

@@ -30,8 +30,7 @@ from functools import cache, cached_property
 from operator import attrgetter
 
 from .grouppres import (BoundExceeded, ClassMap, FiniteQuotient,
-                        GroupRingElement, Incompatible, abelianize,
-                        trivial_group, _check_same)
+                        Incompatible, abelianize, trivial_group, _check_same)
 from .laurent import (LaurentPoly, UnitClass, UnsupportedRank, div_exact,
                       lp_gcd_many, normalize_unit, _arr_to_poly, _cyclotomic)
 from .polymat import (laurent_det, laurent_minor_gcd, max_minor_gcd,
@@ -86,8 +85,8 @@ def trivial_twist(P, phi):
     return TwistData(phi, q)
 
 
-def twist_ring_map(x, T):
-    """Dense matrix over the Laurent ring for a word or group-ring element.
+def twist_ring_map(terms, T):
+    """Dense matrix over the Laurent ring for a term map {word: coefficient}.
 
     The twist of a word w is left multiplication by alpha(w) on the regular
     representation, times t^Phi(w): column y holds t^Phi(w) in row alpha(w) y.
@@ -96,7 +95,7 @@ def twist_ring_map(x, T):
     G = T.alpha.group
     zero = LaurentPoly.zero(T.rank)
     out = [[zero] * G.order for _ in range(G.order)]
-    for w, c in ({x: 1} if isinstance(x, tuple) else x.terms).items():
+    for w, c in terms.items():
         for g, _ in w:
             if not 0 <= g < n:
                 raise Incompatible(f"generator index {g} outside presentation")
@@ -164,7 +163,7 @@ def _jacobian_terms(P, T, j):
     return [(r, b, T.alpha.of_word(w), T.phi.of_word(w), c)
             for r, rel_row in enumerate(P.jacobian)
             for b, g in enumerate(blocks)
-            for w, c in rel_row[g].terms.items()]
+            for w, c in rel_row[g].items()]
 
 
 def _twisted_rows(terms, rep, nrels, nblocks, rank):
@@ -251,7 +250,7 @@ class TwistedPoly:
 
     @cached_property
     def h0_correction(self):
-        g_minus_1 = GroupRingElement({((self.deleted_column, 1),): 1, (): -1})
+        g_minus_1 = {((self.deleted_column, 1),): 1, (): -1}
         return UnitClass(laurent_det(twist_ring_map(g_minus_1, self._twist),
                                      self._twist.rank))
 

@@ -20,7 +20,13 @@ time, kept to check the lazy minor gcd against the full-matrix one;
 correction waited to be read, kept to check the lazy fields;
 `recursive_gcd` is the rank >= 2 gcd as the library layered it before one
 recursion did the content split and the primitive PRS itself, kept to check
-the single recursion.
+the single recursion.  `GroupRingElement` is the integer group ring of the
+free group that the library's Fox derivatives returned before they became
+plain term maps, kept to state the Fox identities; `pullback_class` is Phi
+restricted to a Reidemeister-Schreier cover, as a validated class on the
+cover's generators, with its divisibility, which the library read `div`
+from before it took the gcd of the Schreier generators' Phi-values itself,
+kept to check that gcd and to twist the cover in the Shapiro checks.
 """
 
 from collections import namedtuple
@@ -30,7 +36,8 @@ from math import gcd
 
 from twistalex.clifford import CliffordElement
 from twistalex.exactalg import IntMatrix, smith_normal_form
-from twistalex.grouppres import GroupRingElement, _check_same
+from twistalex.grouppres import (ClassMap, Incompatible, free_reduce,
+                                 word_mul, _check_same)
 from twistalex.laurent import (LaurentPoly, RankMismatch, UnitClass, div_exact,
                                lp_gcd, lp_gcd_many, normalize_unit,
                                _arr_to_poly)
@@ -522,10 +529,88 @@ def first_of_each_kernel(G, epis):
     return out
 
 
+# ---- the group ring of the free group and the cover's class ----
+
+class GroupRingElement:
+    """Integer combination of freely reduced words in the free group."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        clean = {}
+        for w, c in (terms or {}).items():
+            w = free_reduce(w)
+            c = int(c)
+            if c:
+                clean[w] = clean.get(w, 0) + c
+                if not clean[w]:
+                    del clean[w]
+        self.terms = clean
+
+    @classmethod
+    def from_word(cls, w, c=1):
+        return cls({tuple(w): c})
+
+    @classmethod
+    def zero(cls):
+        return cls()
+
+    @classmethod
+    def one(cls):
+        return cls({(): 1})
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for w, c in other.terms.items():
+            out[w] = out.get(w, 0) + c
+        return GroupRingElement(out)
+
+    def __sub__(self, other):
+        out = dict(self.terms)
+        for w, c in other.terms.items():
+            out[w] = out.get(w, 0) - c
+        return GroupRingElement(out)
+
+    def __neg__(self):
+        return GroupRingElement({w: -c for w, c in self.terms.items()})
+
+    def __mul__(self, other):
+        out = {}
+        for w1, c1 in self.terms.items():
+            for w2, c2 in other.terms.items():
+                w = word_mul(w1, w2)
+                out[w] = out.get(w, 0) + c1 * c2
+        return GroupRingElement(out)
+
+    def is_zero(self):
+        return not self.terms
+
+    def __eq__(self, other):
+        return isinstance(other, GroupRingElement) and self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def __repr__(self):
+        return f"GroupRingElement({self.terms!r})"
+
+
+def pullback_class(Phi, q, cover):
+    """Phi restricted to ker(alpha), on the cover's generators, plus div.
+
+    div is the gcd of all coordinate values of the pulled-back class.
+    """
+    if cover.quotient is not q and cover.quotient.images != q.images:
+        raise Incompatible("cover was not built from this quotient")
+    images = [Phi.of_word(w) for w in cover.generator_words]
+    phi_a = ClassMap(cover.presentation, images)
+    return phi_a, gcd(*(x for img in images for x in img))
+
+
 # ---- twisted matrices as products of one matrix per letter ----
 
-def twist_by_letters(x, T):
-    """Dense twist of a word or group-ring element under alpha x Phi.
+def twist_by_letters(terms, T):
+    """Dense twist of a term map {word: coefficient} under alpha x Phi.
 
     Each letter g^s is the d x d matrix sending basis vector y to
     t^(s Phi(g)) times basis vector alpha(g)^s y, built from the group table
@@ -558,7 +643,7 @@ def twist_by_letters(x, T):
         return out
 
     total = [[{} for _ in range(d)] for _ in range(d)]
-    for w, c in ({x: 1} if isinstance(x, tuple) else x.terms).items():
+    for w, c in terms.items():
         m = [[{(0,) * rank: 1} if i == j else {} for j in range(d)]
              for i in range(d)]
         for g, s in w:
@@ -614,7 +699,7 @@ def eager_twisted_alexander(P, T, column=None):
     else:
         raise NoValidColumn(f"column {column} is not valid")
     # the twisted image of g_j - 1
-    g_minus_1 = GroupRingElement({((j, 1),): 1, (): -1})
+    g_minus_1 = {((j, 1),): 1, (): -1}
     corr = laurent_det(twist_ring_map(g_minus_1, T), rank)
 
     _check_same(P, T.phi.presentation,

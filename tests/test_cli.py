@@ -250,6 +250,31 @@ def test_fibred_not_fibred(capsys):
     assert out.splitlines()[-1] == "verdict: NotFibred"
 
 
+@pytest.mark.parametrize("b3", ["7", "-1", "2"])
+def test_fibred_b3_outside_0_1_exit3(capsys, b3):
+    code, out, err = run(capsys, "fibred", FIXTURES / "na.pres", "--phi",
+                         "fib", "--thurston", "0", "--budget", "2", "--b3", b3)
+    assert code == 3 and out == ""
+    assert err.splitlines() == ["error: b3 must be 0 (boundary) or 1 (closed)"]
+
+
+def test_fibred_b3_0(capsys):
+    code, out, _ = run(capsys, "fibred", FIXTURES / "na.pres", "--phi", "fib",
+                       "--thurston", "0", "--budget", "2", "--b3", "0")
+    assert code == 0
+    assert out.splitlines() == [
+        "thurston_norm=0 (user attested)", "b3=0", "budget=2",
+        "alpha group=1 images=(0,0,0) div=1 delta=t^2 - 2*t + 1 deg=2 "
+        "monic=true degree_eq=false",
+        "alpha group=Z2 images=(0,0,1) div=2 delta=t^4 - 2*t^2 + 1 deg=4 "
+        "monic=true degree_eq=false",
+        "alpha group=Z2 images=(0,1,0) div=1 delta=t^2 - 2*t + 1 deg=2 "
+        "monic=true degree_eq=false",
+        "alpha group=Z2 images=(0,1,1) div=1 delta=t^2 - 2*t + 1 deg=2 "
+        "monic=true degree_eq=false",
+        "verdict: NotFibred"]
+
+
 def test_fibred_budget_zero_exit4(capsys):
     code, _, err = run(capsys, "fibred", FIXTURES / "na.pres",
                        "--phi", "fib", "--thurston", "0", "--budget", "0")
@@ -364,6 +389,17 @@ def test_exactseq(capsys):
     assert code == 0
     assert out.splitlines()[:5] == ["H4=Z", "H3=Z^4", "H2=Z^6", "H1=Z^4",
                                     "H0=Z"]
+
+
+@pytest.mark.parametrize("text", ["term: -3\n",
+                                  "term: 2\nterm: ? x\nmap 0 image: -1\n"])
+def test_exactseq_negative_rank_exit2(capsys, tmp_path, text):
+    f = tmp_path / "neg.seq"
+    f.write_text("exact-sequence\n" + text)
+    code, out, err = run(capsys, "exactseq", f)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "negative" in err
 
 
 def test_exactseq_underdetermined(capsys, tmp_path):

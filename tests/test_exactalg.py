@@ -294,6 +294,14 @@ def test_exact_sequence_inconsistent():
                                                {1: MapData(kernel=0)}))
 
 
+def test_exact_sequence_negative_rank_is_refused():
+    with pytest.raises(ValueError, match="negative term rank -3"):
+        ExactSequenceData([-3])
+    for md in (MapData(image=-1), MapData(kernel=-2), MapData(-1, 0)):
+        with pytest.raises(ValueError, match="map 0 has a negative rank"):
+            ExactSequenceData([2, "x"], {0: md})
+
+
 def test_all_homology_one_smith_form_per_boundary(monkeypatch):
     import twistalex.exactalg as exactalg
     from twistalex.docio import parse_document

@@ -7,20 +7,20 @@ from hypothesis import strategies as st
 
 from twistalex.docio import parse_document
 from twistalex.grouppres import (BoundExceeded, ClassMap, FiniteQuotient,
-                                 GroupRingElement, Incompatible,
-                                 InvalidQuotient,
+                                 Incompatible, InvalidQuotient,
                                  MAX_TABLE_ENTRIES, Presentation, abelianize,
                                  check_order,
                                  cyclic_group, enumerate_epimorphisms,
                                  fox_derivative, fox_jacobian, free_reduce,
                                  MAX_WORD_LETTERS, parse_group_spec, parse_word,
-                                 pullback_class, reidemeister_schreier,
-                                 render_word, symmetric_group, trivial_group,
-                                 word_inverse, word_mul)
+                                 reidemeister_schreier, render_word,
+                                 symmetric_group, trivial_group, word_inverse,
+                                 word_mul)
 from twistalex.normsfibred import group_catalog
 
 from conftest import FIXTURES, fixture_text
-from oracles import brute_epimorphisms, first_of_each_kernel, two_snf_weights
+from oracles import (GroupRingElement, brute_epimorphisms,
+                     first_of_each_kernel, pullback_class, two_snf_weights)
 
 
 def na_presentation():
@@ -80,26 +80,24 @@ def test_abelianize_free_group_and_torsion():
 
 def test_fox_derivative_examples():
     ab = parse_word("a b", ["a", "b"])
-    assert fox_derivative(ab, 0) == GroupRingElement.one()
+    assert fox_derivative(ab, 0) == {(): 1}
     ainv = parse_word("a^-1", ["a", "b"])
-    assert fox_derivative(ainv, 0) == GroupRingElement({((0, -1),): -1})
+    assert fox_derivative(ainv, 0) == {((0, -1),): -1}
     comm = parse_word("[a,b]", ["a", "b"])
-    expected = GroupRingElement({(): 1, ((0, 1), (1, 1), (0, -1)): -1})
-    assert fox_derivative(comm, 0) == expected
+    assert fox_derivative(comm, 0) == {(): 1, ((0, 1), (1, 1), (0, -1)): -1}
 
 
 def test_fox_jacobian_examples():
     J = fox_jacobian(Presentation.from_text(["a"], ["a^3"]))
-    assert J[0][0] == GroupRingElement({(): 1, ((0, 1),): 1, ((0, 1), (0, 1)): 1})
+    assert J[0][0] == {(): 1, ((0, 1),): 1, ((0, 1), (0, 1)): 1}
     tre = Presentation.from_text(["x", "y"], ["x y x y^-1 x^-1 y^-1"])
     J = fox_jacobian(tre)
     x, y = ((0, 1),), ((1, 1),)
     xy = word_mul(x, y)
     xyxyi = word_mul(xy, x, word_inverse(y))
     xyxyixi = word_mul(xyxyi, word_inverse(x))
-    assert J[0][0] == GroupRingElement({(): 1, xy: 1, xyxyixi: -1})
-    assert J[0][1] == GroupRingElement({x: 1, xyxyi: -1,
-                                        word_mul(xyxyixi, word_inverse(y)): -1})
+    assert J[0][0] == {(): 1, xy: 1, xyxyixi: -1}
+    assert J[0][1] == {x: 1, xyxyi: -1, word_mul(xyxyixi, word_inverse(y)): -1}
     assert fox_jacobian(Presentation(["a"], [])) == []
 
 
@@ -108,7 +106,7 @@ def _fundamental_identity(word, ngens):
     for j in range(ngens):
         gj = GroupRingElement.from_word(((j, 1),))
         diff = gj - GroupRingElement.one()
-        total = total + fox_derivative(word, j) * diff
+        total = total + GroupRingElement(fox_derivative(word, j)) * diff
     expected = GroupRingElement.from_word(word) - GroupRingElement.one()
     return total == expected
 
@@ -127,7 +125,9 @@ def test_fox_fundamental_identity_random(letters):
     assert _fundamental_identity(free_reduce(tuple(letters)), 3)
 
 
-def test_fox_derivative_of_unreduced_word():
+def words_with_cancelling_letters():
+    """300 seeded words on 3 generators, each with 1 to 4 inserted pairs
+    g^s g^-s."""
     rng = random.Random(11)
     for _ in range(300):
         word = [(rng.randint(0, 2), rng.choice((1, -1)))
@@ -136,10 +136,30 @@ def test_fox_derivative_of_unreduced_word():
             g, s = rng.randint(0, 2), rng.choice((1, -1))
             i = rng.randint(0, len(word))
             word[i:i] = [(g, s), (g, -s)]
-        word = tuple(word)
+        yield tuple(word)
+
+
+def test_fox_derivative_of_unreduced_word():
+    for word in words_with_cancelling_letters():
         for j in range(3):
             assert fox_derivative(word, j) \
                 == fox_derivative(free_reduce(word), j)
+
+
+def test_fox_derivative_terms_are_reduced_and_nonzero():
+    """The term map has freely reduced keys and nonzero integer values, and
+    equals the group-ring sum of the unreduced prefix slices."""
+    for word in words_with_cancelling_letters():
+        for j in range(3):
+            d = fox_derivative(word, j)
+            assert all(free_reduce(w) == w for w in d)
+            assert all(type(c) is int and c for c in d.values())
+            expected = GroupRingElement.zero()
+            for i, (g, s) in enumerate(word):
+                if g == j:
+                    expected = expected + GroupRingElement.from_word(
+                        word[:i] if s == 1 else word[:i + 1], s)
+            assert d == expected.terms
 
 
 def test_fox_jacobian_retained_memory():
@@ -152,7 +172,7 @@ def test_fox_jacobian_retained_memory():
         retained, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(J[0][0].terms) == 2000
+    assert len(J[0][0]) == 2000
     assert retained < 40 * 10**6
 
 

@@ -7,7 +7,6 @@ from twistalex.docio import parse_document
 from twistalex.grouppres import (ClassMap, FiniteQuotient, Presentation,
                                  abelianize, cyclic_group, dihedral_group,
                                  enumerate_epimorphisms, free_reduce,
-                                 pullback_class,
                                  reidemeister_schreier, symmetric_group,
                                  trivial_group)
 from twistalex.laurent import (LaurentPoly, UnitClass, laurent_degree,
@@ -23,7 +22,8 @@ from twistalex.twistedalex import (NoValidColumn, TwistData,
 
 from conftest import fixture_text
 from oracles import (eager_twisted_alexander, mapping_torus_alexander,
-                     seifert_alexander, twist_by_letters, twisted_jacobian)
+                     pullback_class, seifert_alexander, twist_by_letters,
+                     twisted_jacobian)
 
 
 def na_presentation():
@@ -68,7 +68,7 @@ def test_twist_ring_map_examples():
     P = Presentation(["a"], [])
     phi = ClassMap(P, [(1,)])
     T = trivial_twist(P, phi)
-    dense = twist_ring_map(((0, 1),), T)
+    dense = twist_ring_map({((0, 1),): 1}, T)
     assert dense == [[LaurentPoly.var(1)]]
 
     q = FiniteQuotient(P, cyclic_group(2), (1,))
@@ -77,11 +77,11 @@ def test_twist_ring_map_examples():
     T2 = TwistData(phi2, q)
     one = LaurentPoly.monomial(1, (2,))
     zero = LaurentPoly.zero(1)
-    assert twist_ring_map(((0, 1),), T2) == [[zero, one], [one, zero]]
+    assert twist_ring_map({((0, 1),): 1}, T2) == [[zero, one], [one, zero]]
 
     phi1 = ClassMap(P, [(1,)])
     T3 = TwistData(phi1, q)
-    sq = twist_ring_map(((0, 1), (0, 1)), T3)
+    sq = twist_ring_map({((0, 1), (0, 1)): 1}, T3)
     t2 = LaurentPoly.monomial(1, (2,))
     assert sq == [[t2, zero], [zero, t2]]
 
@@ -91,7 +91,7 @@ def test_twist_ring_map_against_letter_products():
     Jacobian entry and on g - 1 for every generator, over every catalog
     quotient of order <= 8 of na, fig8, trefoil and T^3, with a rank-1 class
     on each and the rank-3 abelianization class on T^3."""
-    from twistalex.grouppres import GroupRingElement, fox_jacobian
+    from twistalex.grouppres import fox_jacobian
     t3 = Presentation.from_text(["a", "b", "c"], ["[a,b]", "[a,c]", "[b,c]"])
     cases = ((na_presentation(), na_fibration_class()),
              (fig8(), ClassMap(fig8(), [(0,), (0,), (1,)])),
@@ -101,8 +101,7 @@ def test_twist_ring_map_against_letter_products():
     total = 0
     for P, phi in cases:
         elements = [x for row in fox_jacobian(P) for x in row]
-        elements += [GroupRingElement({((g, 1),): 1, (): -1})
-                     for g in range(P.ngens)]
+        elements += [{((g, 1),): 1, (): -1} for g in range(P.ngens)]
         for G in group_catalog(8):
             for q in enumerate_epimorphisms(P, G):
                 T = TwistData(phi, q)
@@ -131,14 +130,13 @@ def test_twist_ring_map_incompatible_generator():
     P = Presentation(["a"], [])
     T = trivial_twist(P, ClassMap(P, [(1,)]))
     with pytest.raises(Incompatible):
-        twist_ring_map(((3, 1),), T)
+        twist_ring_map({((3, 1),): 1}, T)
 
 
 def test_twist_ring_map_group_ring_element():
-    from twistalex.grouppres import GroupRingElement
     P = Presentation(["a"], [])
     T = trivial_twist(P, ClassMap(P, [(1,)]))
-    x = GroupRingElement({((0, 1),): 1, (): -1})  # a - 1
+    x = {((0, 1),): 1, (): -1}  # a - 1
     t = LaurentPoly.var(1)
     assert twist_ring_map(x, T) == [[t - LaurentPoly.one(1)]]
 
@@ -360,7 +358,6 @@ def test_symmetry_of_computed_polynomials():
 
 def test_h0_order_against_brute_fitting_ideal():
     """ord H_0 = gcd of maximal minors of the full twisted degree-0 boundary."""
-    from twistalex.grouppres import GroupRingElement
     from twistalex.twistedalex import _h0_order
     from twistalex.polymat import laurent_minor_gcd
     P = na_presentation()
@@ -371,8 +368,7 @@ def test_h0_order_against_brute_fitting_ideal():
             for q in enumerate_epimorphisms(P, G):
                 T = TwistData(phi, q)
                 d = G.order
-                cols = [twist_ring_map(GroupRingElement({((g, 1),): 1,
-                                                         (): -1}), T)
+                cols = [twist_ring_map({((g, 1),): 1, (): -1}, T)
                         for g in range(P.ngens)]
                 rows = [[blk[i][j] for blk in cols for j in range(d)]
                         for i in range(d)]
@@ -425,7 +421,6 @@ def test_generator_determinant_closed_form():
     e = Phi(g), on every quotient of na, fig8 and trefoil of order <= 8: in
     the regular representation alpha(g) permutes G in |G|/ord g cycles of
     length ord g."""
-    from twistalex.grouppres import GroupRingElement
     from twistalex.polymat import laurent_det
     cases = ((na_presentation(), [(0,), (0,), (1,)]),
              (fig8(), [(0,), (0,), (1,)]),
@@ -446,7 +441,7 @@ def test_generator_determinant_closed_form():
                     e = images[g][0]
                     closed = (LaurentPoly.monomial(1, (e * order,)) - one) ** (
                         G.order // order)
-                    g_minus_1 = GroupRingElement({((g, 1),): 1, (): -1})
+                    g_minus_1 = {((g, 1),): 1, (): -1}
                     det = laurent_det(twist_ring_map(g_minus_1, T), 1)
                     assert UnitClass(det) == UnitClass(closed)
                     total += 1
@@ -760,6 +755,42 @@ def test_h0_order_is_t_to_the_div_minus_one():
                 == UnitClass(LaurentPoly.monomial(1, (div,)) - one)
             total += 1
     assert total == 504
+
+
+def test_certificate_div_against_pulled_back_class():
+    """Every record's div, the gcd of Phi on the Schreier generators, equals
+    the divisibility of the class pulled back to the cover, on every
+    quotient up to order 8 (m.pres up to 5) of every fixture class."""
+    total = 0
+    for name in FIXTURE_CLASSES:
+        P, phi = fixture_class(name)
+        budget = 5 if name == "m.pres" else 8
+        cert = fibred_certificate(P, phi, 0, budget)
+        quotients = list(catalog_quotients(P, budget))
+        assert len(quotients) == len(cert.records)
+        for q, rec in zip(quotients, cert.records):
+            assert (rec.group_label, rec.images) == (q.group.label, q.images)
+            cover = reidemeister_schreier(P, q)
+            assert rec.div == pullback_class(phi, q, cover)[1]
+            total += 1
+    assert total == 3036
+
+
+def test_certificate_builds_no_class_on_the_cover(monkeypatch):
+    """div is read from the Schreier generator words: no ClassMap is built
+    while the certificate runs."""
+    P, phi = fixture_class("m.pres")
+    built = []
+    init = ClassMap.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(ClassMap, "__init__", counting_init)
+    cert = fibred_certificate(P, phi, 0, 5)
+    assert len(cert.records) > 1000
+    assert built == []
 
 
 def test_zero_untwisted_polynomial_is_zero_on_every_quotient():
