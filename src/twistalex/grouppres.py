@@ -502,65 +502,62 @@ def enumerate_epimorphisms(P, G, bound=12, dedup_auto=False):
 
 @dataclass(frozen=True)
 class Cover:
-    """Presentation of ker(alpha) with its Schreier generator data."""
+    """ker(alpha) on its Schreier generators s_{x,i} = t_x g_i t_{x g_i}^-1,
+    the non-tree edges (x, i) of the coset table; its presentation is
+    rewritten from the relators on first read."""
 
-    presentation: Presentation
     quotient: FiniteQuotient
+    edges: tuple            # per cover generator, its edge (coset x, i)
     generator_words: tuple  # per cover generator, a word in the base group
     transversal: tuple      # per coset (in discovery order), a base-group word
 
+    @cached_property
+    def presentation(self):
+        """Each relator r read from each coset x, the cover generator of
+        every non-tree edge it crosses kept: x g_i^+1 crosses (x, i), and
+        x g_i^-1 crosses (x g_i^-1, i) backwards."""
+        q = self.quotient
+        P, G = q.presentation, q.group
+        gen_id = {e: k for k, e in enumerate(self.edges)}
+        relators = []
+        for x in q.order:
+            for r in P.relators:
+                out, cur = [], x
+                for i, s in r:
+                    nxt = G.mul(cur, q.images[i] if s == 1
+                                else G.inv(q.images[i]))
+                    k = gen_id.get((cur, i) if s == 1 else (nxt, i))
+                    if k is not None:
+                        out.append((k, s))
+                    cur = nxt
+                w = free_reduce(out)
+                if w:
+                    relators.append(w)
+        names = [f"{P.generators[i]}_{q.position[x]}" for x, i in self.edges]
+        return Presentation(names, relators)
+
 
 def reidemeister_schreier(P, q):
-    """Presentation of the kernel of q on the Schreier generators.
+    """The kernel of q on the Schreier generators.
 
     The transversal is read off the parent edges of q's coset table, so the
-    output is deterministic.
+    output is deterministic.  The cover's presentation is built on first
+    read.
     """
     _check_same(q.presentation, P,
                 "quotient belongs to a different presentation")
     G = q.group
-    order, discovery = q.order, q.position
     trans = {0: ()}
-    for y in order[1:]:
+    for y in q.order[1:]:
         x, i, s = q.parent[y]
         trans[y] = word_mul(trans[x], ((i, s),))
-
-    # Schreier generators s_{x,i} = t_x g_i t_{x g_i}^{-1}; tree edges trivial
-    gen_id = {}
-    gen_words = []
-    gen_names = []
-    for x in order:
+    edges, words = [], []
+    for x in q.order:
         for i in range(P.ngens):
-            y = G.mul(x, q.images[i])
-            w = word_mul(trans[x], ((i, 1),), word_inverse(trans[y]))
-            if not w:
-                continue  # tree edge
-            gen_id[(x, i)] = len(gen_words)
-            gen_words.append(w)
-            gen_names.append(f"{P.generators[i]}_{discovery[x]}")
-
-    def rewrite(x, word):
-        out = []
-        cur = x
-        for i, s in word:
-            if s == 1:
-                if (cur, i) in gen_id:
-                    out.append((gen_id[(cur, i)], 1))
-                cur = G.mul(cur, q.images[i])
-            else:
-                nxt = G.mul(cur, G.inv(q.images[i]))
-                if (nxt, i) in gen_id:
-                    out.append((gen_id[(nxt, i)], -1))
-                cur = nxt
-        return free_reduce(tuple(out))
-
-    relators = []
-    for x in order:
-        for r in P.relators:
-            w = rewrite(x, r)
-            if w:
-                relators.append(w)
-    cover_pres = Presentation(gen_names, relators)
-    return Cover(cover_pres, q, tuple(gen_words),
-                 tuple(trans[x] for x in order))
-
+            w = word_mul(trans[x], ((i, 1),),
+                         word_inverse(trans[G.mul(x, q.images[i])]))
+            if w:   # tree edges give the empty word
+                edges.append((x, i))
+                words.append(w)
+    return Cover(q, tuple(edges), tuple(words),
+                 tuple(trans[x] for x in q.order))

@@ -17,7 +17,7 @@ from .grouppres import (dihedral_group, check_table_entries, cyclic_group,
                         symmetric_group, trivial_group, FiniteQuotient)
 from .laurent import (MINUS_INFINITY, LaurentPoly, RankMismatch, UnitClass,
                       laurent_degree, is_monic, specialize)
-from .twistedalex import TwistData, twisted_alexander
+from .twistedalex import TwistData, Twister, twisted_alexander
 
 
 class ZeroClass(ValueError):
@@ -160,6 +160,8 @@ def fibred_certificate(P, phi, thurston_norm, budget, b3=1, dedup_auto=False):
         raise ValueError("Phi must be nontrivial")
     cache = {}
     records = []
+    # the run's Fox terms, deleted column and summand blocks
+    twister = Twister(P, phi)
     # one group's epimorphisms are held at a time
     quotients = chain([FiniteQuotient(P, trivial_group(), (0,) * P.ngens)],
                       chain.from_iterable(
@@ -176,7 +178,7 @@ def fibred_certificate(P, phi, thurston_norm, budget, b3=1, dedup_auto=False):
         # its values on the Schreier generators
         div = gcd(*(x for w in reidemeister_schreier(P, q).generator_words
                     for x in phi.of_word(w)))
-        tw = twisted_alexander(P, TwistData(phi, q))
+        tw = twisted_alexander(P, TwistData(phi, q), twister=twister)
         deg = laurent_degree(tw.value.representative)
         expected = q.group.order * thurston_norm + (1 + b3) * div
         rec = AlphaRecord(group_label=q.group.label,

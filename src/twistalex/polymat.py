@@ -242,29 +242,29 @@ def _gauss_valuation_sum(rows, k, p):
     return total
 
 
-def summand_qpart(blocks, k):
-    """The Q[t] part of a maximal-minor gcd from the rational summands.
+def summand_qpart(parts, k):
+    """The Q[t] part of a maximal-minor gcd from its rational summands.
 
-    `blocks` yields (rows_s, k_s) such that the k-column matrix in question
-    is equivalent over Q[t^+-1], by invertible row and column changes, to a
-    block-diagonal matrix with each rows_s as a block of k_s columns: the
-    twisted Jacobian in rational summands of the regular representation.  A
-    k x k minor of a block matrix is nonzero only if it takes k_s rows from
-    every block, and is then the product of their minors.  So:
+    `parts` yields (part_s, k_s) for blocks rows_s such that the k-column
+    matrix in question is equivalent over Q[t^+-1], by invertible row and
+    column changes, to a block-diagonal matrix with each rows_s as a block
+    of k_s columns: the twisted Jacobian in rational summands of the regular
+    representation.  part_s is _hermite_qpart(rows_s, k_s), or [] where
+    rows_s has rank below k_s.  A k x k minor of a block matrix is nonzero
+    only if it takes k_s rows from every block, and is then the product of
+    their minors.  So:
 
     - at the first block of rank < k_s the gcd is 0: returns [] and reads no
-      further block;
+      further part;
     - if every block has full rank and the k_s add up to k, returns the
-      primitive product of the blocks' Hermite pivot products, its power of
-      t removed (the row shifts of the blocks and of the full matrix
-      differ); it divides the gcd in Z[t], which is all max_minor_gcd's
-      content steps need;
+      primitive product of the parts, its power of t removed (the row shifts
+      of the blocks and of the full matrix differ); it divides the gcd in
+      Z[t], which is all max_minor_gcd's content steps need;
     - otherwise None: the blocks do not split the whole matrix.
     """
     prod, width = [1], 0
-    for block, k_s in blocks:
-        part = _hermite_qpart(block, k_s)
-        if part is None:
+    for part, k_s in parts:
+        if not part:
             return []
         prod = _mul(prod, part)
         width += k_s

@@ -17,12 +17,16 @@ columns.  Over Q the regular representation splits into rational summands
 (Maschke), and the minor gcd splits with it: the trivial summand is one for
 every G, and for G = Z_n the split is complete,
 Q[Z_n] = (+)_{d | n} Q[z]/Phi_d(z), each summand once.  For rank 1 the
-summands are assembled one at a time from one list of Fox terms, trivial
-first, and the first of rank below its width makes the gcd 0 before any
-later one is assembled.  The rows in the regular representation, which the
+summands are read one at a time, trivial first, and the first of rank below
+its width makes the gcd 0 before any later one is read.  A Twister owns what
+depends on (P, Phi) alone: the deleted column, Phi on every Fox word, and
+each summand block's Hermite part.  The d-block of a Z_n quotient is the
+faithful block of the composite onto Z_d, and the trivial block is the
+untwisted Jacobian for every G, so a run over many quotients assembles each
+block once, and a rank-deficient untwisted Jacobian makes every later gcd 0
+with no assembly at all.  The rows in the regular representation, which the
 integer content is read from, are assembled only when every summand has
-full rank, or when G is trivial and there are none; rank >= 2 assembles
-them alone.
+full rank; rank >= 2 assembles them alone.
 """
 
 from dataclasses import dataclass
@@ -34,7 +38,7 @@ from .grouppres import (BoundExceeded, ClassMap, FiniteQuotient,
 from .laurent import (LaurentPoly, UnitClass, UnsupportedRank, div_exact,
                       lp_gcd_many, normalize_unit, _arr_to_poly, _cyclotomic)
 from .polymat import (laurent_det, laurent_minor_gcd, max_minor_gcd,
-                      summand_qpart)
+                      summand_qpart, _hermite_qpart)
 
 
 class NoValidColumn(ValueError):
@@ -142,28 +146,17 @@ def _cyclotomic_rep(n, d):
             for a in range(n)]
 
 
-def _summand_reps(G):
-    """Rational summands of the regular representation of G to split the
-    minor gcd through: one per divisor of n when the table is addition mod
-    n (a complete split), else the trivial one alone; none for |G| = 1,
-    whose regular representation is the trivial one."""
+def _summand_divisors(G):
+    """The rational summands of the regular representation of G to split the
+    minor gcd through, as the d of Q[z]/Phi_d: every divisor of n when the
+    table is addition mod n (a complete split), else d = 1 alone, the
+    trivial summand, which _cyclotomic_rep(n, 1) gives for any G of order
+    n."""
     n = G.order
-    if n == 1:
-        return []
     if all(row == tuple((x + y) % n for y in range(n))
            for x, row in enumerate(G.table)):
-        return [_cyclotomic_rep(n, d) for d in range(1, n + 1) if n % d == 0]
-    return [[[((0, 1),)]] * n]
-
-
-def _jacobian_terms(P, T, j):
-    """(relator, block, alpha(w), Phi(w), c) for every term c*w of the Fox
-    Jacobian, numbering the generator blocks without the deleted column j."""
-    blocks = [g for g in range(P.ngens) if g != j]
-    return [(r, b, T.alpha.of_word(w), T.phi.of_word(w), c)
-            for r, rel_row in enumerate(P.jacobian)
-            for b, g in enumerate(blocks)
-            for w, c in rel_row[g].items()]
+        return [d for d in range(1, n + 1) if n % d == 0]
+    return [1]
 
 
 def _twisted_rows(terms, rep, nrels, nblocks, rank):
@@ -285,7 +278,86 @@ _fields = attrgetter("value", "raw_minor_gcd", "h0_order", "h0_correction",
                      "deleted_column", "correction_exact")
 
 
-def twisted_alexander(P, T, column=None):
+class Twister:
+    """What the twisted polynomials of one (P, Phi) share across quotients.
+
+    Built once for a run over many quotients, it holds the deleted column j
+    (the first generator with Phi(g) != 0, or the forced one), the Fox
+    terms of the Jacobian without column j with their Phi-values, and the
+    Hermite part of every rational summand block met so far.  Phi runs once
+    per Fox word per owner, and nothing outlives it.
+
+    The block cache is exact.  The summand Q[z]/Phi_d of Z_n, d | n, is
+    assembled from alpha(w) mod d and Phi(w) alone, since z^d = 1 there:
+    it is the same rows as the faithful summand of the composite of alpha
+    with Z_n -> Z_d, so its key is (d, alpha's images mod d).  The trivial
+    summand of every G has the key (1, (0, ..., 0)): it is the untwisted
+    Jacobian, which the regular representation contains (Maschke), so once
+    its Hermite part is [] (rank below its width) every later quotient reads
+    a zero gcd from the cache and assembles nothing.  The alpha-terms and
+    the regular rows of a quotient are built only on a miss, or when
+    max_minor_gcd needs the integer content.
+    """
+
+    def __init__(self, P, phi, column=None):
+        n = P.ngens
+        if column is None:
+            j = next(g for g in range(n) if any(phi.of_generator(g)))
+        elif 0 <= column < n and any(phi.of_generator(column)):
+            j = column
+        else:
+            raise NoValidColumn(f"column {column} is not valid")
+        _check_same(P, phi.presentation,
+                    "the twist lives on a different presentation")
+        self.presentation, self.phi, self.column = P, phi, j
+        self._parts = {}    # (d, images mod d) -> Hermite part, [] if deficient
+
+    @cached_property
+    def _fox_terms(self):
+        """(relator, block, w, Phi(w), c) for every term c*w of the Fox
+        Jacobian, numbering the generator blocks without column j."""
+        P, phi = self.presentation, self.phi
+        blocks = [g for g in range(P.ngens) if g != self.column]
+        return [(r, b, w, phi.of_word(w), c)
+                for r, rel_row in enumerate(P.jacobian)
+                for b, g in enumerate(blocks)
+                for w, c in rel_row[g].items()]
+
+    def raw_minor_gcd(self, q):
+        """The normalized gcd of the maximal minors of the twisted Jacobian
+        of q x Phi, column j deleted."""
+        P, rank, G = self.presentation, self.phi.target_rank, q.group
+        nrels, nblocks = len(P.relators), P.ngens - 1
+        k = nblocks * G.order
+        terms = []      # (relator, block, alpha(w), Phi(w), c), on first use
+
+        def rows(rep):
+            if not terms:
+                terms.extend((r, b, q.of_word(w), e, c)
+                             for r, b, w, e, c in self._fox_terms)
+            return _twisted_rows(terms, rep, nrels, nblocks, rank)
+
+        if rank > 1:
+            return laurent_minor_gcd(rows(_regular_rep(G)), rank, ncols=k)
+
+        def parts():
+            # a generator: summand_qpart stops reading it at the first block
+            # of rank below its width
+            for d in _summand_divisors(G):
+                key = (d, tuple(x % d for x in q.images))
+                width = nblocks * (len(_cyclotomic(d)) - 1)
+                if key not in self._parts:
+                    block = rows(_cyclotomic_rep(G.order, d))
+                    self._parts[key] = _hermite_qpart(block, width) or []
+                yield self._parts[key], width
+
+        qpart = summand_qpart(parts(), k)
+        found = [] if qpart == [] else max_minor_gcd(rows(_regular_rep(G)), k,
+                                                     qpart)
+        return normalize_unit(_arr_to_poly(found))
+
+
+def twisted_alexander(P, T, column=None, twister=None):
     """The twisted Alexander polynomial of (P, alpha, Phi).
 
     Deletes generator column j, takes the gcd of the maximal minors of the
@@ -296,35 +368,22 @@ def twisted_alexander(P, T, column=None):
     in the module docstring), so j is the first such generator; TwistData
     rejects a trivial Phi, so one exists.  `column` forces a specific j and
     raises NoValidColumn when it is out of range or Phi(g_j) = 0.
-    """
-    rank = T.rank
-    d = T.degree
-    n = P.ngens
-    if column is None:
-        j = next(g for g in range(n) if any(T.phi.of_generator(g)))
-    elif 0 <= column < n and any(T.phi.of_generator(column)):
-        j = column
-    else:
-        raise NoValidColumn(f"column {column} is not valid")
-    _check_same(P, T.phi.presentation,
-                "the twist lives on a different presentation")
-    terms = _jacobian_terms(P, T, j)
-    nrels, nblocks = len(P.relators), n - 1
-    G, k = T.alpha.group, nblocks * d
-    if rank == 1:
-        # a generator: summand_qpart stops reading it at the first block of
-        # rank below its width
-        qpart = summand_qpart(((_twisted_rows(terms, rep, nrels, nblocks, 1),
-                                nblocks * len(rep[0]))
-                               for rep in _summand_reps(G)), k)
-        found = [] if qpart == [] else max_minor_gcd(
-            _twisted_rows(terms, _regular_rep(G), nrels, nblocks, 1), k, qpart)
-        raw = normalize_unit(_arr_to_poly(found))
-    else:
-        rows = _twisted_rows(terms, _regular_rep(G), nrels, nblocks, rank)
-        raw = laurent_minor_gcd(rows, rank, ncols=k)
 
-    return TwistedPoly(UnitClass(raw), j, T)
+    `twister`, a Twister(P, T.phi, column) that a run over many quotients
+    passes on every call, shares its Fox terms and block cache between
+    them; without it each call builds its own.
+    """
+    if twister is None:
+        twister = Twister(P, T.phi, column)
+    elif column is not None:
+        raise ValueError("a twister fixes its own column")
+    else:
+        _check_same(P, twister.presentation,
+                    "the twister lives on a different presentation")
+        if T.phi.images != twister.phi.images:
+            raise Incompatible("the twister was built for another class")
+    return TwistedPoly(UnitClass(twister.raw_minor_gcd(T.alpha)),
+                       twister.column, T)
 
 
 def multivariable_alexander(P):

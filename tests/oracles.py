@@ -15,9 +15,10 @@ determinant; `term_div_exact` is the term-by-term Laurent division the
 library ran before it packed its operands, kept to check the packed one;
 `twisted_jacobian` is the library's assembly of the regular rows and every
 summand block at once, as it ran before it assembled the summands one at a
-time, kept to check the lazy minor gcd against the full-matrix one;
-`eager_twisted_alexander` is `twisted_alexander` as it ran before its H_0
-correction waited to be read, kept to check the lazy fields;
+time and shared them between quotients, kept to check the lazy minor gcd
+and the block cache against the full-matrix one; `eager_twisted_alexander`
+is `twisted_alexander` as it ran before its H_0 correction waited to be
+read, kept to check the lazy fields;
 `recursive_gcd` is the rank >= 2 gcd as the library layered it before one
 recursion did the content split and the primitive PRS itself, kept to check
 the single recursion.  `GroupRingElement` is the integer group ring of the
@@ -26,7 +27,10 @@ plain term maps, kept to state the Fox identities; `pullback_class` is Phi
 restricted to a Reidemeister-Schreier cover, as a validated class on the
 cover's generators, with its divisibility, which the library read `div`
 from before it took the gcd of the Schreier generators' Phi-values itself,
-kept to check that gcd and to twist the cover in the Shapiro checks.
+kept to check that gcd and to twist the cover in the Shapiro checks;
+`eager_cover_presentation` is the cover's relator rewrite as the library
+ran it on every Reidemeister-Schreier call, before the cover built its
+presentation on first read, kept to check the lazy one.
 """
 
 from collections import namedtuple
@@ -36,16 +40,17 @@ from math import gcd
 
 from twistalex.clifford import CliffordElement
 from twistalex.exactalg import IntMatrix, smith_normal_form
-from twistalex.grouppres import (ClassMap, Incompatible, free_reduce,
-                                 word_mul, _check_same)
+from twistalex.grouppres import (ClassMap, Incompatible, Presentation,
+                                 free_reduce, word_inverse, word_mul,
+                                 _check_same)
 from twistalex.laurent import (LaurentPoly, RankMismatch, UnitClass, div_exact,
                                lp_gcd, lp_gcd_many, normalize_unit,
                                _arr_to_poly)
 from twistalex.polymat import (laurent_det, laurent_minor_gcd, max_minor_gcd,
-                               summand_qpart)
+                               summand_qpart, _hermite_qpart)
 from twistalex.twistedalex import (NoValidColumn, twist_ring_map, _h0_order,
-                                   _jacobian_terms, _regular_rep,
-                                   _summand_reps, _twisted_rows)
+                                   _cyclotomic_rep, _regular_rep,
+                                   _summand_divisors, _twisted_rows)
 
 
 # ---- polynomial determinants by cofactor expansion ----
@@ -607,6 +612,43 @@ def pullback_class(Phi, q, cover):
     return phi_a, gcd(*(x for img in images for x in img))
 
 
+def eager_cover_presentation(P, q):
+    """The Reidemeister-Schreier presentation of ker(q), built in one go:
+    the Schreier generators from the transversal of q's parent edges, each
+    relator rewritten from every coset."""
+    G = q.group
+    trans = {0: ()}
+    for y in q.order[1:]:
+        x, i, s = q.parent[y]
+        trans[y] = word_mul(trans[x], ((i, s),))
+    gen_id, gen_names = {}, []
+    for x in q.order:
+        for i in range(P.ngens):
+            y = G.mul(x, q.images[i])
+            if word_mul(trans[x], ((i, 1),), word_inverse(trans[y])):
+                gen_id[(x, i)] = len(gen_names)
+                gen_names.append(f"{P.generators[i]}_{q.position[x]}")
+
+    def rewrite(x, word):
+        out = []
+        cur = x
+        for i, s in word:
+            if s == 1:
+                if (cur, i) in gen_id:
+                    out.append((gen_id[(cur, i)], 1))
+                cur = G.mul(cur, q.images[i])
+            else:
+                nxt = G.mul(cur, G.inv(q.images[i]))
+                if (nxt, i) in gen_id:
+                    out.append((gen_id[(nxt, i)], -1))
+                cur = nxt
+        return free_reduce(tuple(out))
+
+    relators = [w for x in q.order for r in P.relators
+                if (w := rewrite(x, r))]
+    return Presentation(gen_names, relators)
+
+
 # ---- twisted matrices as products of one matrix per letter ----
 
 def twist_by_letters(terms, T):
@@ -657,16 +699,32 @@ def twist_by_letters(terms, T):
 
 # ---- the eager twisted Jacobian ----
 
+def jacobian_terms(P, T, j):
+    """(relator, block, alpha(w), Phi(w), c) for every term c*w of the Fox
+    Jacobian, numbering the generator blocks without the deleted column j:
+    alpha and Phi evaluated afresh on every word."""
+    blocks = [g for g in range(P.ngens) if g != j]
+    return [(r, b, T.alpha.of_word(w), T.phi.of_word(w), c)
+            for r, rel_row in enumerate(P.jacobian)
+            for b, g in enumerate(blocks)
+            for w, c in rel_row[g].items()]
+
+
+def summand_reps(G):
+    """The representations of the rational summands the library splits the
+    regular representation of G into, trivial first."""
+    return [_cyclotomic_rep(G.order, d) for d in _summand_divisors(G)]
+
+
 def twisted_jacobian(P, T, j):
     """The twisted Jacobian with generator column j deleted, and its summands.
 
     Returns (rows, summands): the rows in the regular representation, and
-    for rank 1 the (rows_s, k_s) of every rational summand from
-    _summand_reps, all assembled at once, as the library did before it
-    assembled the summands one at a time and stopped at the first of rank
-    below its width.
+    for rank 1 the (rows_s, k_s) of every rational summand, all assembled
+    at once from this quotient alone, with no block shared between
+    quotients and no stop at the first block of rank below its width.
     """
-    terms = _jacobian_terms(P, T, j)
+    terms = jacobian_terms(P, T, j)
     nrels, nblocks = len(P.relators), P.ngens - 1
     G = T.alpha.group
     rows = _twisted_rows(terms, _regular_rep(G), nrels, nblocks, T.rank)
@@ -674,7 +732,7 @@ def twisted_jacobian(P, T, j):
         return rows, []
     return rows, [(_twisted_rows(terms, rep, nrels, nblocks, 1),
                    nblocks * len(rep[0]))
-                  for rep in _summand_reps(G)]
+                  for rep in summand_reps(G)]
 
 
 # ---- the eager H_0 correction ----
@@ -687,8 +745,9 @@ EagerTwistedPoly = namedtuple(
 
 def eager_twisted_alexander(P, T, column=None):
     """twisted_alexander with every field computed before it returns: the
-    column determinant first, then the raw minor gcd, then ord(H_0) and the
-    exact division, whatever the raw gcd."""
+    column determinant first, then the raw minor gcd from blocks assembled
+    afresh for this quotient, then ord(H_0) and the exact division,
+    whatever the raw gcd."""
     rank = T.rank
     d = T.degree
     n = P.ngens
@@ -704,18 +763,14 @@ def eager_twisted_alexander(P, T, column=None):
 
     _check_same(P, T.phi.presentation,
                 "the twist lives on a different presentation")
-    terms = _jacobian_terms(P, T, j)
-    nrels, nblocks = len(P.relators), n - 1
-    G, k = T.alpha.group, nblocks * d
+    rows, summands = twisted_jacobian(P, T, j)
+    k = (n - 1) * d
     if rank == 1:
-        qpart = summand_qpart(((_twisted_rows(terms, rep, nrels, nblocks, 1),
-                                nblocks * len(rep[0]))
-                               for rep in _summand_reps(G)), k)
-        found = [] if qpart == [] else max_minor_gcd(
-            _twisted_rows(terms, _regular_rep(G), nrels, nblocks, 1), k, qpart)
+        qpart = summand_qpart(((_hermite_qpart(block, k_s) or [], k_s)
+                               for block, k_s in summands), k)
+        found = [] if qpart == [] else max_minor_gcd(rows, k, qpart)
         raw = normalize_unit(_arr_to_poly(found))
     else:
-        rows = _twisted_rows(terms, _regular_rep(G), nrels, nblocks, rank)
         raw = laurent_minor_gcd(rows, rank, ncols=k)
 
     h0 = _h0_order(T)

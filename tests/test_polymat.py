@@ -575,15 +575,18 @@ def test_rank_deficient_summand_comes_first(monkeypatch):
     def refuse(*args):
         raise AssertionError("another path ran")
 
-    for name in ("_enum_minor_gcd_arrays", "_independent_rows"):
+    for name in ("_enum_minor_gcd_arrays", "_independent_rows",
+                 "_hermite_qpart"):
         monkeypatch.setattr(polymat, name, refuse)
 
-    def blocks():
-        # a zero block of width 1 says rank < k whatever the rows
-        yield [[[]]], 1
-        raise AssertionError("a block after the rank-deficient one was read")
+    def parts():
+        # a block of rank below its width has the part [], whatever the
+        # other blocks hold
+        yield [1], 1
+        yield [], 1
+        raise AssertionError("a part after the rank-deficient one was read")
 
-    assert summand_qpart(blocks(), 2) == []
+    assert summand_qpart(parts(), 2) == []
 
 
 def test_covering_summands_replace_the_full_hermite(monkeypatch):
@@ -597,20 +600,23 @@ def test_covering_summands_replace_the_full_hermite(monkeypatch):
         return real(rows, k)
 
     monkeypatch.setattr(polymat, "_hermite_qpart", recording)
-    split = max_minor_gcd(rows, k, summand_qpart(summands, k))
+    parts = [(polymat._hermite_qpart(block, k_s), k_s)
+             for block, k_s in summands]
     # d = 1, 2, 3, 4, 6, 12: phi(d) columns per generator block, two blocks
     assert widths == [2, 2, 4, 4, 4, 8]
     widths.clear()
+    split = max_minor_gcd(rows, k, summand_qpart(parts, k))
+    assert widths == []
     full = max_minor_gcd(rows, k)
     assert widths == [k]
     assert split and UnitClass(_arr_to_poly(split)) == UnitClass(
         _arr_to_poly(full))
     # the trivial summand alone does not cover k: the full Hermite runs
     widths.clear()
-    qpart = summand_qpart(summands[:1], k)
+    qpart = summand_qpart(parts[:1], k)
     assert qpart is None
     assert max_minor_gcd(rows, k, qpart) == full
-    assert widths == [2, k]
+    assert widths == [k]
 
 
 def test_evaluations_skip_zero_entries(monkeypatch):

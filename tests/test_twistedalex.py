@@ -1,28 +1,30 @@
 import random
+import sys
 from math import comb, gcd
 
 import pytest
 
 from twistalex.docio import parse_document
-from twistalex.grouppres import (ClassMap, FiniteQuotient, Presentation,
-                                 abelianize, cyclic_group, dihedral_group,
-                                 enumerate_epimorphisms, free_reduce,
-                                 reidemeister_schreier, symmetric_group,
-                                 trivial_group)
+from twistalex.grouppres import (ClassMap, FiniteQuotient, Incompatible,
+                                 Presentation, abelianize, cyclic_group,
+                                 dihedral_group, enumerate_epimorphisms,
+                                 free_reduce, reidemeister_schreier,
+                                 symmetric_group, trivial_group)
 from twistalex.laurent import (LaurentPoly, UnitClass, laurent_degree,
                                specialize, symmetric_representative,
                                _arr_to_poly, _cyclotomic, _mul, _pack, _prim)
 from twistalex.normsfibred import fibred_certificate, group_catalog
 from twistalex import normsfibred, polymat, twistedalex
 from twistalex.polymat import _hermite_qpart, max_minor_gcd
-from twistalex.twistedalex import (NoValidColumn, TwistData,
+from twistalex.twistedalex import (NoValidColumn, TwistData, Twister,
                                    multivariable_alexander, trivial_twist,
                                    twist_ring_map, twisted_alexander,
-                                   _regular_rep, _summand_reps)
+                                   _regular_rep)
 
 from conftest import fixture_text
-from oracles import (eager_twisted_alexander, mapping_torus_alexander,
-                     pullback_class, seifert_alexander, twist_by_letters,
+from oracles import (eager_cover_presentation, eager_twisted_alexander,
+                     mapping_torus_alexander, pullback_class,
+                     seifert_alexander, summand_reps, twist_by_letters,
                      twisted_jacobian)
 
 
@@ -290,6 +292,45 @@ def test_coset_table_against_word_map_and_cover():
                         div = gcd(div, v)
                 assert div == pullback_class(phi, q, cover)[1]
     assert total == 6256
+
+
+def test_lazy_cover_presentation_against_eager_rewrite():
+    """The cover's presentation, built on first read, equals the relator
+    rewrite of every Reidemeister-Schreier call as the library ran it, on
+    every catalog quotient up to order 8 of every fixture (m.pres up to 5),
+    and the Schreier generators it is written on are the cover's edges."""
+    total = 0
+    for name in FIXTURE_CLASSES:
+        P, _ = fixture_class(name)
+        for q in catalog_quotients(P, 5 if name == "m.pres" else 8):
+            cover = reidemeister_schreier(P, q)
+            assert "presentation" not in vars(cover)
+            eager = eager_cover_presentation(P, q)
+            lazy = cover.presentation
+            assert (lazy.generators, lazy.relators) == (eager.generators,
+                                                        eager.relators)
+            assert cover.presentation is lazy
+            assert len(cover.edges) == len(cover.generator_words) == lazy.ngens
+            total += 1
+    assert total == 3036
+
+
+def test_certificate_builds_no_cover_presentation(monkeypatch):
+    """fibred_certificate reads only the Schreier generator words of each
+    cover: on m.pres at budget 5 it builds no Presentation, where rewriting
+    every relator on every coset built one per distinct quotient, 367."""
+    P, phi = fixture_class("m.pres")
+    built = []
+    init = Presentation.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Presentation, "__init__", counting_init)
+    cert = fibred_certificate(P, phi, 0, 5)
+    assert len(cert.records) == 1170
+    assert built == []
 
 
 def test_multivariable_examples():
@@ -562,7 +603,7 @@ def test_summand_representations_are_homomorphisms():
     for G in group_catalog(12):
         cyclic = G.label.startswith("Z")
         divisors = [d for d in range(1, G.order + 1) if G.order % d == 0]
-        summands = _summand_reps(G)
+        summands = summand_reps(G)
         assert len(summands) == (len(divisors) if cyclic else 1)
         for rep in [_regular_rep(G)] + summands:
             mats = [dense(rep[a]) for a in range(G.order)]
@@ -649,13 +690,14 @@ def test_trivial_summand_rank_bounds_the_full_rank():
 
 def test_summands_are_assembled_up_to_the_first_deficient_one(monkeypatch):
     """The representations twisted_alexander assembles the Jacobian in, by
-    dimension, and the calls of _independent_rows, per catalog quotient:
-    on m.pres up to order 5, whose trivial summand has rank below its width
-    on every quotient, one block of dimension 1 per quotient with |G| > 1
-    and no regular rows; on na.pres up to order 8, whose summands all have
-    full rank, every summand and then the regular rows, whose row search
-    runs where the minors are too many to enumerate.  The trivial quotient
-    has no summands: its regular rows are assembled alone."""
+    dimension, and the calls of _independent_rows, per catalog quotient,
+    each call with its own throwaway Twister: on m.pres up to order 5,
+    whose trivial summand has rank below its width on every quotient, one
+    block of dimension 1 per quotient and no regular rows; on na.pres up to
+    order 8, whose summands all have full rank, every summand and then the
+    regular rows, whose row search runs where the minors are too many to
+    enumerate.  The trivial quotient's one summand is the trivial
+    representation, which is also its regular one."""
     built, searched = [], []
     real_rows = twistedalex._twisted_rows
     real_search = polymat._independent_rows
@@ -678,8 +720,7 @@ def test_summands_are_assembled_up_to_the_first_deficient_one(monkeypatch):
             searched.clear()
             twisted_alexander(P, TwistData(phi, q))
             n = q.group.order
-            summands = [len(rep[0]) for rep in _summand_reps(q.group)]
-            # the trivial quotient's regular rows have dimension 1 too
+            summands = [len(rep[0]) for rep in summand_reps(q.group)]
             assert built == ([1] if name == "m.pres" else summands + [n])
             enumerated = comb(len(P.relators) * n,
                               (P.ngens - 1) * n) <= polymat.ENUM_BOUND
@@ -811,20 +852,26 @@ def test_zero_untwisted_polynomial_is_zero_on_every_quotient():
 
 def test_lazy_correction_equals_the_eager_one():
     """All six fields of twisted_alexander, read value first and read
-    h0_correction first, against eager_twisted_alexander on every distinct
-    catalog quotient up to order 8 of every fixture class (m.pres up to 5).
-    A zero raw gcd reads no correction, yet h0_correction, read anyway, is
-    still +-(t^(e ord g_j) - 1)^(|G|/ord g_j) with e = Phi(g_j)."""
+    h0_correction first, each with a throwaway Twister and with one Twister
+    shared by the fixture class's quotients, as fibred_certificate shares
+    it, against eager_twisted_alexander, which assembles every block of the
+    quotient afresh, on every distinct catalog quotient up to order 8 of
+    every fixture class (m.pres up to 5).  A zero raw gcd reads no
+    correction, yet h0_correction, read anyway, is still
+    +-(t^(e ord g_j) - 1)^(|G|/ord g_j) with e = Phi(g_j)."""
     one = LaurentPoly.one(1)
     counts = {}
     for name in FIXTURE_CLASSES:
         P, phi = fixture_class(name)
         j = first_column(phi)
+        shared = Twister(P, phi)
         for q in distinct_quotients(P, 5 if name == "m.pres" else 8):
             T = TwistData(phi, q)
             eager = eager_twisted_alexander(P, T)
-            for first in ("value", "h0_correction"):
-                tw = twisted_alexander(P, T)
+            for first, twister in (("value", None), ("h0_correction", None),
+                                   ("value", shared),
+                                   ("h0_correction", shared)):
+                tw = twisted_alexander(P, T, twister=twister)
                 getattr(tw, first)
                 assert tuple(getattr(tw, f) for f in eager._fields) == eager
             zero = eager.raw_minor_gcd.is_zero()
@@ -854,9 +901,9 @@ def test_certificate_reads_the_correction_of_nonzero_records_only(
     def count(module, name):
         real = getattr(module, name)
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls[name] = calls.get(name, 0) + 1
-            return real(*args)
+            return real(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
 
     for name in ("laurent_det", "twist_ring_map", "_h0_order"):
@@ -871,3 +918,158 @@ def test_certificate_reads_the_correction_of_nonzero_records_only(
     assert got == {"m.pres": {"twisted_alexander": 367},
                    "na.pres": {"twisted_alexander": 56, "laurent_det": 56,
                                "twist_ring_map": 56, "_h0_order": 56}}
+
+
+# ---- one Twister per run: Fox terms and the block cache ----
+
+def tap_parts(monkeypatch):
+    """Record, per twisted_alexander call, the (part, k_s) that
+    summand_qpart reads, in the order and as far as it reads them."""
+    read = []
+    real = twistedalex.summand_qpart
+
+    def recording(parts, k):
+        seen = []
+        read.append(seen)
+
+        def tap():
+            for item in parts:
+                seen.append(item)
+                yield item
+        return real(tap(), k)
+
+    monkeypatch.setattr(twistedalex, "summand_qpart", recording)
+    return read
+
+
+def test_cached_parts_equal_fresh_hermite_parts(monkeypatch):
+    """Every Hermite part the run's Twister hands summand_qpart, fresh or
+    from its cache, equals _hermite_qpart on the block assembled afresh for
+    the quotient at hand ([] where that has rank below its width): every
+    distinct catalog quotient up to order 8 of every fixture class (m.pres
+    up to 5), one Twister per class as fibred_certificate shares it."""
+    read = tap_parts(monkeypatch)
+    counts = {}
+    for name in FIXTURE_CLASSES:
+        P, phi = fixture_class(name)
+        twister = Twister(P, phi)
+        j = twister.column
+        for q in distinct_quotients(P, 5 if name == "m.pres" else 8):
+            T = TwistData(phi, q)
+            read.clear()
+            twisted_alexander(P, T, twister=twister)
+            [parts] = read
+            _, summands = twisted_jacobian(P, T, j)
+            assert 1 <= len(parts) <= len(summands)
+            for (part, k_s), (block, width) in zip(parts, summands):
+                assert (part, k_s) == (_hermite_qpart(block, width) or [],
+                                       width)
+            counts[name] = counts.get(name, 0) + len(parts)
+        # parts read, and blocks assembled: one per key
+        counts[name] = (counts[name], len(twister._parts))
+    assert counts == {"fig8.pres": (20, 8), "m.pres": (367, 1),
+                      "na.pres": (161, 57), "t3.pres": (1120, 360),
+                      "torus.pres": (158, 57), "trefoil.pres": (21, 8),
+                      "zero_alex.pres": (59, 1)}
+
+
+def test_block_cache_counts(monkeypatch):
+    """What one fibred_certificate run assembles.  m.pres at budget 5: one
+    _hermite_qpart call in all, on the trivial block, whose part [] every
+    later quotient reads from the cache, and Phi once per Fox term.
+    na.pres at budget 16: each block key once per run, and every cyclic
+    quotient assembles its faithful block, d = n, and the blocks of the
+    divisors d < n whose composite onto Z_d no earlier record met; records
+    are keyed by kernel, blocks by images mod d, so a quotient whose
+    composite shares its kernel with an earlier Z_d quotient assembles that
+    block anew."""
+    built = []
+    real_hermite = twistedalex._hermite_qpart
+
+    def hermite(rows, k):
+        built.append(k)
+        return real_hermite(rows, k)
+
+    monkeypatch.setattr(twistedalex, "_hermite_qpart", hermite)
+    of_word, fox_calls = ClassMap.of_word, []
+
+    def counting_of_word(self, word):
+        if sys._getframe(1).f_globals["__name__"] == twistedalex.__name__:
+            fox_calls.append(word)
+        return of_word(self, word)
+
+    monkeypatch.setattr(ClassMap, "of_word", counting_of_word)
+    P, phi = fixture_class("m.pres")
+    cert = fibred_certificate(P, phi, 0, 5)
+    assert len(cert.records) == 1170 and built == [P.ngens - 1]
+    j = first_column(phi)
+    assert len(fox_calls) == sum(len(row[g]) for row in P.jacobian
+                                 for g in range(P.ngens) if g != j)
+
+    read = tap_parts(monkeypatch)
+    new_blocks, owners = {}, set()
+    real_ta = normsfibred.twisted_alexander
+
+    def per_call(P, T, **kwargs):
+        owners.add(kwargs["twister"])
+        start = len(built)
+        out = real_ta(P, T, **kwargs)
+        G = T.alpha.group
+        if G.label.startswith("Z"):
+            widths = built[start:]
+            # the faithful block comes last
+            assert widths[-1] == (P.ngens - 1) * (len(_cyclotomic(G.order))
+                                                  - 1)
+            new_blocks[len(widths)] = new_blocks.get(len(widths), 0) + 1
+        return out
+
+    monkeypatch.setattr(normsfibred, "twisted_alexander", per_call)
+    P, phi = fixture_class("na.pres")
+    built.clear()
+    read.clear()
+    fibred_certificate(P, phi, 0, 16)
+    assert new_blocks == {1: 168, 2: 33, 3: 2}
+    misses = sum(k * v for k, v in new_blocks.items())
+    parts = sum(len(p) for p in read)
+    # and the trivial quotient's block: every other part came from the
+    # cache, and no key was assembled twice
+    assert len(built) == 1 + misses and parts == 777
+    [twister] = owners
+    assert len(twister._parts) == len(built)
+
+
+def test_interleaved_runs_equal_fresh_runs():
+    """Certificates on two presentations, and on one presentation with two
+    classes, run in turn with fresh parses, give the records of a fresh
+    run: no state outlives its run, even where a freed presentation's id is
+    reused."""
+    def run(name, spec, budget):
+        _, (P, classes) = parse_document(fixture_text(name))
+        phi = classes.get(spec) or ClassMap(
+            P, [(int(v),) for v in spec.split(",")])
+        return fibred_certificate(P, phi, 0, budget)
+
+    jobs = [("na.pres", "fib", 8), ("m.pres", "0,0,1,0,0,0,1,0", 4),
+            ("t3.pres", "x", 6), ("t3.pres", "0,1,0", 6)]
+    fresh = [run(*job) for job in jobs]
+    assert any(r.poly.is_zero() for r in fresh[1].records)
+    assert not any(r.poly.is_zero() for r in fresh[0].records)
+    for order in (jobs, jobs[::-1], jobs + jobs):
+        for job in order:
+            assert run(*job) == fresh[jobs.index(job)]
+
+
+def test_twister_refuses_another_column_or_class():
+    """A twister fixes the column and the class of every call it serves."""
+    P, phi = fixture_class("t3.pres")
+    q = next(iter(distinct_quotients(P, 2)))
+    twister = Twister(P, phi)
+    T = TwistData(phi, q)
+    assert twisted_alexander(P, T, twister=twister) == twisted_alexander(P, T)
+    with pytest.raises(ValueError, match="its own column"):
+        twisted_alexander(P, T, column=0, twister=twister)
+    other = TwistData(ClassMap(P, [(0,), (1,), (0,)]), q)
+    with pytest.raises(Incompatible, match="another class"):
+        twisted_alexander(P, other, twister=twister)
+    with pytest.raises(NoValidColumn):
+        Twister(P, phi, column=1)
