@@ -37,12 +37,16 @@ def _read(path):
 
 def _load(path, kind):
     from .docio import ParseError, parse_document
-    from .exactalg import ComplexInvalid
     try:
         tag, value = parse_document(_read(path))
     except ParseError as exc:
         raise CliError(EXIT_PARSE, f"{path}: {exc}") from None
-    except ComplexInvalid as exc:
+    except ValueError as exc:
+        # only a chain complex raises ComplexInvalid, and its parser has
+        # loaded exactalg already
+        from .exactalg import ComplexInvalid
+        if not isinstance(exc, ComplexInvalid):
+            raise
         raise CliError(EXIT_PRECONDITION, f"{path}: invalid complex: {exc}") from None
     if tag != kind:
         raise CliError(EXIT_PARSE, f"{path}: expected a {kind} document, got {tag}")

@@ -6,14 +6,11 @@ starting with # and blank lines are ignored.  Every document round-trips
 through its emitter bit-identically.
 """
 
-from dataclasses import replace
 from itertools import islice
 
-from .exactalg import (ChainComplex, ComplexInvalid, ExactSequenceData,
-                       IntMatrix, MapData)
-
-# grouppres and fourman are imported by the functions that read them, so a
-# chain-complex document loads exactalg alone.
+# exactalg, grouppres and fourman are imported by the functions that read
+# them, so a chain-complex document loads exactalg alone and a presentation
+# loads grouppres alone.
 
 # Bound on max(rows, cols)**2 for every matrix a document declares: boundary
 # blocks, omitted (zero) boundaries and Q.  It bounds the matrix and the
@@ -69,6 +66,7 @@ def _check_shape(nrows, ncols, what):
 def _block(lines, nrows, ncols, what):
     """The next nrows lines of `lines` as an nrows x ncols IntMatrix, read
     into each row's nonzeros: "0" is skipped, other tokens go through int()."""
+    from .exactalg import IntMatrix
     _check_shape(nrows, ncols, what)
     rows = list(islice(lines, nrows))
     if len(rows) < nrows:
@@ -97,6 +95,7 @@ def parse_document(text):
 # ---- chain complexes ------------------------------------------------------
 
 def _parse_complex(lines):
+    from .exactalg import ChainComplex, ComplexInvalid, IntMatrix
     cells = None
     boundaries = {}
     for lineno, line in lines:
@@ -260,6 +259,7 @@ def emit_form(form):
 # ---- exact sequences ---------------------------------------------------------
 
 def _parse_sequence(lines):
+    from .exactalg import ExactSequenceData, MapData
     terms = []
     maps = {}
     for lineno, line in lines:
@@ -276,7 +276,7 @@ def _parse_sequence(lines):
             if len(toks) != 3 or toks[2] not in ("image", "kernel"):
                 raise ParseError(f"line {lineno}: expected 'map N image|kernel:'")
             idx, rank = _int(toks[1], lineno), _int(value, lineno)
-            maps[idx] = replace(maps.get(idx, MapData()), **{toks[2]: rank})
+            maps[idx] = maps.get(idx, MapData())._replace(**{toks[2]: rank})
         else:
             raise ParseError(f"line {lineno}: unexpected {line!r}")
     if not terms:

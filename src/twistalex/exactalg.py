@@ -12,7 +12,7 @@ transforms U and V from the logs on first read, so a caller that reads only
 the diagonal (`all_homology`) never pays for them.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from itertools import chain, repeat
 
@@ -302,12 +302,11 @@ def smith_normal_form(M):
     return SmithDecomposition(D, row_ops, col_ops)
 
 
-@dataclass(frozen=True)
-class HomologyGroup:
+class HomologyGroup(namedtuple("HomologyGroup", "free_rank torsion",
+                                defaults=((),))):
     """Free rank plus torsion coefficients d1 | d2 | ... , each > 1."""
 
-    free_rank: int
-    torsion: tuple = ()
+    __slots__ = ()
 
     def __str__(self):
         parts = []
@@ -379,12 +378,10 @@ def all_homology(C):
             for k, n in enumerate(C.cells)]
 
 
-@dataclass(frozen=True)
-class MapData:
+class MapData(namedtuple("MapData", "image kernel", defaults=(None, None))):
     """Known ranks for one map of an exact sequence; None = unknown."""
 
-    image: int | None = None
-    kernel: int | None = None
+    __slots__ = ()
 
 
 class ExactSequenceData:

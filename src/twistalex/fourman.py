@@ -7,7 +7,7 @@ user-attested data; this module checks that the arithmetic they imply is
 consistent.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .exactalg import IntMatrix
 
@@ -16,17 +16,17 @@ class MissingData(ValueError):
     """A check needs a field the data file did not supply."""
 
 
-@dataclass(frozen=True)
-class SurfaceEntry:
-    label: str
-    kind: str            # symplectic | lagrangian | none
-    genus: int | None = None
+class SurfaceEntry(namedtuple("SurfaceEntry", "label kind genus")):
+    """kind is symplectic, lagrangian or none; genus is None when unknown."""
 
-    def __post_init__(self):
-        if self.kind not in ("symplectic", "lagrangian", "none"):
-            raise ValueError(f"unknown surface kind {self.kind!r}")
-        if self.genus is not None and self.genus < 0:
-            raise ValueError(f"negative genus {self.genus}")
+    __slots__ = ()
+
+    def __new__(cls, label, kind, genus=None):
+        if kind not in ("symplectic", "lagrangian", "none"):
+            raise ValueError(f"unknown surface kind {kind!r}")
+        if genus is not None and genus < 0:
+            raise ValueError(f"negative genus {genus}")
+        return super().__new__(cls, label, kind, genus)
 
 
 class FormData:
@@ -89,10 +89,11 @@ def lagrangian_square_check(form, label):
     return form.self_pairing(label) == 2 * s.genus - 2
 
 
-@dataclass(frozen=True)
-class EvennessReport:
-    even: bool               # all diagonal entries even
-    characteristic_ok: bool  # Q(v,v) = K.v (mod 2) on the basis
+class EvennessReport(namedtuple("EvennessReport", "even characteristic_ok")):
+    """even: all diagonal entries are even; characteristic_ok: Q(v,v) = K.v
+    (mod 2) on the basis."""
+
+    __slots__ = ()
 
     def __bool__(self):
         return self.even and self.characteristic_ok

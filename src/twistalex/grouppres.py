@@ -7,12 +7,11 @@ Schreier presentations of the corresponding finite covers.
 A word is a tuple of letters (generator_index, +-1).
 """
 
-from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import permutations
 
-from .exactalg import (HomologyGroup, IntMatrix, SmithDecomposition,
-                       smith_normal_form)
+# exactalg is imported by the functions that read it, so a job that never
+# abelianizes (fibred, alexander) does not load it.
 
 
 class BoundExceeded(ValueError):
@@ -150,6 +149,7 @@ class Presentation:
 
     def relator_matrix(self):
         """Exponent-sum matrix, one row per relator."""
+        from .exactalg import IntMatrix
         return IntMatrix.from_rows([word_exponents(r, self.ngens)
                                     for r in self.relators]) if self.relators \
             else IntMatrix.zero(0, self.ngens)
@@ -159,14 +159,15 @@ class Presentation:
         return f"<{' '.join(self.generators)} | {rels}>"
 
 
-@dataclass(frozen=True)
 class Abelianization:
     """H_1 data plus the induced map from generators to Z^free_rank, and
     the Smith form it was read from."""
 
-    homology: HomologyGroup
-    gen_images: tuple  # per generator, coordinates in the free quotient
-    snf: SmithDecomposition = field(compare=False, repr=False)
+    def __init__(self, homology, gen_images, snf):
+        self.homology = homology
+        # per generator, coordinates in the free quotient
+        self.gen_images = gen_images
+        self.snf = snf
 
     @property
     def free_rank(self):
@@ -179,6 +180,7 @@ class Abelianization:
 
 def abelianize(P):
     """Smith normal form of the relator matrix; H = Z^n / rowspan."""
+    from .exactalg import HomologyGroup, smith_normal_form
     n = P.ngens
     A = P.relator_matrix().transpose()  # columns are relations on Z^n
     snf = smith_normal_form(A)
@@ -220,6 +222,14 @@ class ClassMap:
 
     def of_generator(self, g):
         return self.images[g]
+
+    @cached_property
+    def length(self):
+        """The Phi-length of the presentation: the sum of |Phi(g)| over the
+        generators and over every relator letter."""
+        length = [sum(map(abs, img)) for img in self.images]
+        return sum(length) + sum(length[g] for r in self.presentation.relators
+                                 for g, _ in r)
 
     def is_trivial(self):
         return all(all(x == 0 for x in img) for img in self.images)
@@ -295,6 +305,13 @@ class FiniteGroup:
 
     def inv(self, x):
         return self.inverse[x]
+
+    @cached_property
+    def is_addition_mod_n(self):
+        """Whether the table is addition mod n, n the order."""
+        n = self.order
+        return all(row == tuple((x + y) % n for y in range(n))
+                   for x, row in enumerate(self.table))
 
     def __repr__(self):
         return f"FiniteGroup({self.label}, order {self.order})"
@@ -404,37 +421,38 @@ class FiniteQuotient:
         for r in presentation.relators:
             if self.of_word(r) != 0:
                 raise InvalidQuotient("relator not killed")
-        G = group
-        steps = [(i, s, img if s > 0 else G.inv(img))
+        table, n = group.table, group.order
+        steps = [(i, s, img if s > 0 else group.inverse[img])
                  for i, img in enumerate(self.images) for s in (1, -1)]
         order = [0]
-        position = [None] * G.order
+        position = [None] * n
         position[0] = 0
-        parent = [None] * G.order
+        parent = [None] * n
         for x in order:  # breadth-first: order grows while it is walked
+            row = table[x]
             for i, s, img in steps:
-                y = G.mul(x, img)
+                y = row[img]
                 if position[y] is None:
                     position[y] = len(order)
                     order.append(y)
                     parent[y] = (x, i, s)
-        if len(order) != G.order:
+        if len(order) != n:
             raise InvalidQuotient("images do not generate")
         self.order = tuple(order)
         self.position = tuple(position)
         self.parent = tuple(parent)
 
     def of_word(self, word):
-        x = 0
+        x, table, inv = 0, self.group.table, self.group.inverse
+        images = self.images
         for g, s in word:
-            y = self.images[g] if s > 0 else self.group.inv(self.images[g])
-            x = self.group.mul(x, y)
+            x = table[x][images[g] if s > 0 else inv[images[g]]]
         return x
 
     def kernel_key(self):
         """Canonical key identifying ker(alpha): the standardized coset table."""
-        mul, pos = self.group.mul, self.position
-        return tuple(tuple(pos[mul(x, img)] for x in self.order)
+        table, pos = self.group.table, self.position
+        return tuple(tuple(pos[table[x][img]] for x in self.order)
                      for img in self.images)
 
     def __repr__(self):
@@ -500,16 +518,18 @@ def enumerate_epimorphisms(P, G, bound=12, dedup_auto=False):
 
 # ---- Reidemeister-Schreier --------------------------------------------------
 
-@dataclass(frozen=True)
 class Cover:
     """ker(alpha) on its Schreier generators s_{x,i} = t_x g_i t_{x g_i}^-1,
     the non-tree edges (x, i) of the coset table; its presentation is
     rewritten from the relators on first read."""
 
-    quotient: FiniteQuotient
-    edges: tuple            # per cover generator, its edge (coset x, i)
-    generator_words: tuple  # per cover generator, a word in the base group
-    transversal: tuple      # per coset (in discovery order), a base-group word
+    def __init__(self, quotient, edges, generator_words, transversal):
+        self.quotient = quotient
+        self.edges = edges      # per cover generator, its edge (coset x, i)
+        # per cover generator, a word in the base group
+        self.generator_words = generator_words
+        # per coset (in discovery order), a base-group word
+        self.transversal = transversal
 
     @cached_property
     def presentation(self):
@@ -541,8 +561,10 @@ def reidemeister_schreier(P, q):
     """The kernel of q on the Schreier generators.
 
     The transversal is read off the parent edges of q's coset table, so the
-    output is deterministic.  The cover's presentation is built on first
-    read.
+    output is deterministic.  A tree word is reduced as built: the inverse
+    of its last letter leads from its coset back to the coset's parent,
+    which the breadth-first walk discovered first.  The cover's presentation
+    is built on first read.
     """
     _check_same(q.presentation, P,
                 "quotient belongs to a different presentation")
@@ -550,7 +572,7 @@ def reidemeister_schreier(P, q):
     trans = {0: ()}
     for y in q.order[1:]:
         x, i, s = q.parent[y]
-        trans[y] = word_mul(trans[x], ((i, s),))
+        trans[y] = trans[x] + ((i, s),)
     edges, words = [], []
     for x in q.order:
         for i in range(P.ngens):

@@ -13,7 +13,7 @@ evaluation, packing and unpacking, and the pseudo-remainder row operation),
 which the rank-1 gcd here and the eliminations in polymat share.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 from math import gcd
 from operator import gt, le, mul, sub
@@ -227,14 +227,13 @@ def normalize_unit(p):
     return q
 
 
-@dataclass(frozen=True)
-class UnitClass:
+class UnitClass(namedtuple("UnitClass", "representative")):
     """A Laurent polynomial up to multiplication by +-monomials."""
 
-    representative: LaurentPoly
+    __slots__ = ()
 
-    def __init__(self, poly):
-        object.__setattr__(self, "representative", normalize_unit(poly))
+    def __new__(cls, poly):
+        return super().__new__(cls, normalize_unit(poly))
 
     @property
     def rank(self):
@@ -592,12 +591,8 @@ def lp_gcd_many(polys, rank):
 
 # ---- symmetric representatives -----------------------------------------
 
-@dataclass(frozen=True)
-class SymmetricRepresentative:
-    """q with q(t) = sign * t^(lo+hi) * q(1/t)."""
-
-    poly: LaurentPoly
-    sign: int
+# q with q(t) = sign * t^(lo+hi) * q(1/t)
+SymmetricRepresentative = namedtuple("SymmetricRepresentative", "poly sign")
 
 
 def symmetric_representative(p):

@@ -8,7 +8,7 @@ deg = |G| * thurston + (1 + b3) * div, aggregating a verdict.  The Thurston
 norm is user-supplied throughout; it is never computed here.
 """
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from itertools import chain
 from math import gcd
 
@@ -56,14 +56,8 @@ def _check_thurston(thurston_norm):
         raise ValueError("Thurston norm must be a nonnegative even integer")
 
 
-@dataclass(frozen=True)
-class NormReport:
-    phi: tuple
-    alexander_norm: int
-    div: int
-    thurston_norm: int
-    b1: int
-    mcmullen_ok: bool
+NormReport = namedtuple("NormReport", "phi alexander_norm div thurston_norm "
+                                       "b1 mcmullen_ok")
 
 
 def mcmullen_check(delta, weights, thurston_norm, b1):
@@ -98,27 +92,13 @@ def degree_case_analysis(delta):
     return str(d) if d in (0, 2, 4) else "other"
 
 
-@dataclass(frozen=True)
-class AlphaRecord:
-    """Outcome of Theorem-detect style checks for one finite quotient."""
+# Outcome of Theorem-detect style checks for one finite quotient; poly is a
+# UnitClass
+AlphaRecord = namedtuple("AlphaRecord", "group_label group_order images div "
+                                        "poly degree monic degree_equation_ok")
 
-    group_label: str
-    group_order: int
-    images: tuple
-    div: int
-    poly: UnitClass
-    degree: object
-    monic: bool
-    degree_equation_ok: bool
-
-
-@dataclass(frozen=True)
-class FibredCertificate:
-    thurston_norm: int
-    b3: int
-    budget: int
-    records: tuple
-    verdict: str
+FibredCertificate = namedtuple("FibredCertificate",
+                               "thurston_norm b3 budget records verdict")
 
 
 def group_catalog(budget):
@@ -172,7 +152,7 @@ def fibred_certificate(P, phi, thurston_norm, budget, b3=1, dedup_auto=False):
         key = (q.group.label, q.kernel_key())
         if key in cache:
             # the key holds the group label, so label and order match
-            records.append(replace(cache[key], images=q.images))
+            records.append(cache[key]._replace(images=q.images))
             continue
         # div: the divisibility of Phi pulled back to ker(alpha), the gcd of
         # its values on the Schreier generators

@@ -29,7 +29,6 @@ integer content is read from, are assembled only when every summand has
 full rank; rank >= 2 assembles them alone.
 """
 
-from dataclasses import dataclass
 from functools import cache, cached_property
 from operator import attrgetter
 
@@ -45,31 +44,26 @@ class NoValidColumn(ValueError):
     """A forced column with det(twist(g) - I) = 0, or b_1 = 0."""
 
 
-# Bound on |G| times the Phi-length of the presentation (the sum of |Phi(g)|
-# over the generators and over every relator letter).  Up to a factor of two
-# that product bounds the degree of each Laurent polynomial of the twist: the
-# Jacobian minors, det(twist(g_j) - I) and the H_0 generators t^v - 1.  The
-# arithmetic on them is quadratic in the degree, so a twist near the bound is
-# already slow; one far past it would not fit in memory.
+# Bound on |G| times the Phi-length of the presentation (ClassMap.length: the
+# sum of |Phi(g)| over the generators and over every relator letter).  Up to
+# a factor of two that product bounds the degree of each Laurent polynomial
+# of the twist: the Jacobian minors, det(twist(g_j) - I) and the H_0
+# generators t^v - 1.  The arithmetic on them is quadratic in the degree, so
+# a twist near the bound is already slow; one far past it would not fit in
+# memory.
 MAX_TWIST_DEGREE = 10**6
 
 
-@dataclass(frozen=True)
 class TwistData:
     """A class Phi to Z^s plus a finite quotient alpha (regular action)."""
 
-    phi: ClassMap
-    alpha: FiniteQuotient
-
-    def __post_init__(self):
-        if self.phi.is_trivial():
+    def __init__(self, phi, alpha):
+        if phi.is_trivial():
             raise ValueError("Phi must be nontrivial")
-        P = self.alpha.presentation
-        _check_same(self.phi.presentation, P,
+        _check_same(phi.presentation, alpha.presentation,
                     "Phi and alpha live on different presentations")
-        length = [sum(map(abs, img)) for img in self.phi.images]
-        degree = self.degree * (sum(length) + sum(length[g] for r in P.relators
-                                                  for g, _ in r))
+        self.phi, self.alpha = phi, alpha
+        degree = self.degree * phi.length
         if degree > MAX_TWIST_DEGREE:
             raise BoundExceeded(f"twist degree {degree} exceeds the bound "
                                 f"of {MAX_TWIST_DEGREE}")
@@ -153,8 +147,7 @@ def _summand_divisors(G):
     trivial summand, which _cyclotomic_rep(n, 1) gives for any G of order
     n."""
     n = G.order
-    if all(row == tuple((x + y) % n for y in range(n))
-           for x, row in enumerate(G.table)):
+    if G.is_addition_mod_n:
         return [d for d in range(1, n + 1) if n % d == 0]
     return [1]
 

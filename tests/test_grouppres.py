@@ -308,6 +308,24 @@ def test_cover_b1_never_drops_on_fixtures():
                     >= base_b1[name]
 
 
+@pytest.mark.parametrize("name", sorted(p.name
+                                        for p in FIXTURES.glob("*.pres")))
+def test_transversal_words_are_reduced_as_built(name):
+    # the words are built without free_reduce; they equal the reduced
+    # products of the parent edges' letters all the same
+    _, (P, _) = parse_document(fixture_text(name))
+    budget = 5 if name == "m.pres" else 8   # m.pres has 8 generators
+    for G in group_catalog(budget):
+        for q in enumerate_epimorphisms(P, G, bound=budget):
+            cover = reidemeister_schreier(P, q)
+            trans = {0: ()}
+            for y in q.order[1:]:
+                x, i, s = q.parent[y]
+                trans[y] = word_mul(trans[x], ((i, s),))
+            assert cover.transversal == tuple(trans[x] for x in q.order)
+            assert all(free_reduce(w) == w for w in cover.transversal)
+
+
 def test_schreier_generator_count():
     P = na_presentation()
     for G in (cyclic_group(3), cyclic_group(4)):
@@ -388,10 +406,11 @@ def test_h_weights_recover_the_drawn_coordinates():
 
 
 def test_h_weights_runs_one_smith_form(monkeypatch):
-    import twistalex.grouppres as grouppres
+    # abelianize reads smith_normal_form from exactalg when it runs
+    import twistalex.exactalg as exactalg
     calls = []
-    real = grouppres.smith_normal_form
-    monkeypatch.setattr(grouppres, "smith_normal_form",
+    real = exactalg.smith_normal_form
+    monkeypatch.setattr(exactalg, "smith_normal_form",
                         lambda M: calls.append(M) or real(M))
     assert ClassMap(na_presentation(), [(0,), (2,), (3,)]).h_weights() \
         == (2, 3)

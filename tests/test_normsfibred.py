@@ -1,8 +1,12 @@
+from collections import Counter
+from functools import cached_property
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistalex.grouppres import BoundExceeded, ClassMap, Presentation
+from twistalex.grouppres import (BoundExceeded, ClassMap, FiniteGroup,
+                                 Presentation)
 from twistalex.laurent import MINUS_INFINITY, LaurentPoly, UnitClass, \
     laurent_degree
 from twistalex.normsfibred import (BudgetZero, ZeroClass,
@@ -180,6 +184,28 @@ def test_fibred_certificate_na():
     for r in cert.records:
         assert r.monic and r.degree_equation_ok
         assert r.degree == 2 * r.div
+
+
+def test_certificate_run_reads_class_and_group_facts_once(monkeypatch):
+    # the Phi-length that TwistData bounds is one per class, and the
+    # addition-mod-n test of the summand split one per group, however many
+    # quotients share them
+    calls = {"length": [], "is_addition_mod_n": []}
+    for cls, name in ((ClassMap, "length"), (FiniteGroup, "is_addition_mod_n")):
+        real = vars(cls)[name].func
+        prop = cached_property(
+            lambda self, real=real, name=name: calls[name].append(self)
+            or real(self))
+        prop.__set_name__(cls, name)
+        monkeypatch.setattr(cls, name, prop)
+    P = na_presentation()
+    phi = ClassMap(P, [(0,), (0,), (1,)])
+    cert = fibred_certificate(P, phi, 0, 6)
+    assert calls["length"] == [phi]
+    groups = Counter(map(id, calls["is_addition_mod_n"]))
+    assert set(groups.values()) == {1}
+    assert len(groups) == len({r.group_label for r in cert.records}) \
+        < len(cert.records)
 
 
 def test_fibred_certificate_doubled_class():
