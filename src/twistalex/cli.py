@@ -92,12 +92,13 @@ def cmd_homology(args):
     return [" ".join(f"H{k}={g}" for k, g in enumerate(groups))]
 
 
-def _alexander_lines(P, phi, quotients, output):
+def _alexander_lines(phi, quotients, output):
     from .laurent import is_monic, laurent_degree, render_poly
-    from .twistedalex import TwistData, twisted_alexander
+    from .twistedalex import Twister, twisted_alexander
+    twister = Twister(phi)  # the quotients share its Fox terms and blocks
     lines = []
     for q in quotients:
-        tw = twisted_alexander(P, TwistData(phi, q))
+        tw = twisted_alexander(twister, q)
         rep = tw.value.representative
         deg = laurent_degree(rep)
         images = ",".join(str(x) for x in q.images)
@@ -119,8 +120,7 @@ def _alexander_lines(P, phi, quotients, output):
 
 def cmd_alexander(args):
     from .grouppres import (BoundExceeded, check_order, enumerate_epimorphisms,
-                            parse_group_spec)
-    from .twistedalex import trivial_twist
+                            parse_group_spec, trivial_quotient)
     P, classes = _load(args.file, "presentation")
     phi = _resolve_phi(P, classes, args.phi)
     try:
@@ -134,13 +134,13 @@ def cmd_alexander(args):
         raise CliError(EXIT_PARSE, str(exc)) from None
     try:
         if G.order == 1:
-            quotients = [trivial_twist(P, phi).alpha]
+            quotients = [trivial_quotient(P)]
         else:
             quotients = enumerate_epimorphisms(P, G, bound=args.budget,
                                                dedup_auto=args.dedup_aut)
             if not quotients:
                 return [f"no epimorphisms onto {G.label}"]
-        return _alexander_lines(P, phi, quotients, args.output)
+        return _alexander_lines(phi, quotients, args.output)
     except BoundExceeded as exc:
         raise CliError(EXIT_PRECONDITION, str(exc)) from None
 
@@ -160,12 +160,12 @@ def cmd_multivariable(args):
 
 
 def cmd_norms(args):
-    from .grouppres import BoundExceeded
+    from .grouppres import BoundExceeded, trivial_quotient
     from .laurent import UnsupportedRank, laurent_degree
     from .normsfibred import (ZeroClass, class_divisibility,
                               degree_case_analysis, mcmullen_check,
                               norm_relation_check)
-    from .twistedalex import (multivariable_alexander, trivial_twist,
+    from .twistedalex import (Twister, multivariable_alexander,
                               twisted_alexander)
     P, classes = _load(args.file, "presentation")
     phi = _resolve_phi(P, classes, args.phi)
@@ -188,7 +188,7 @@ def cmd_norms(args):
     except ValueError as exc:
         raise CliError(EXIT_PRECONDITION, str(exc)) from None
     try:
-        single = twisted_alexander(P, trivial_twist(P, phi)).value
+        single = twisted_alexander(Twister(phi), trivial_quotient(P)).value
     except BoundExceeded as exc:
         raise CliError(EXIT_PRECONDITION, str(exc)) from None
     deg = laurent_degree(single.representative)

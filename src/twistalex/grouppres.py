@@ -147,6 +147,11 @@ class Presentation:
         """fox_jacobian(self), computed on first use and kept."""
         return fox_jacobian(self)
 
+    @cached_property
+    def abelianization(self):
+        """abelianize(self), computed on first use and kept."""
+        return abelianize(self)
+
     def relator_matrix(self):
         """Exponent-sum matrix, one row per relator."""
         from .exactalg import IntMatrix
@@ -245,7 +250,7 @@ class ClassMap:
         """
         if self.target_rank != 1:
             raise ValueError("h_weights needs a rank-1 class")
-        ab = abelianize(self.presentation)
+        ab = self.presentation.abelianization
         b1 = ab.free_rank
         n = self.presentation.ngens
         phi_row = [img[0] for img in self.images]
@@ -457,6 +462,11 @@ class FiniteQuotient:
 
     def __repr__(self):
         return f"FiniteQuotient({self.group.label}, images={self.images})"
+
+
+def trivial_quotient(P):
+    """The quotient of P onto the trivial group: the untwisted case."""
+    return FiniteQuotient(P, trivial_group(), (0,) * P.ngens)
 
 
 def _relator_solutions(P, G):

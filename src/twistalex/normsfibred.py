@@ -14,10 +14,10 @@ from math import gcd
 
 from .grouppres import (dihedral_group, check_table_entries, cyclic_group,
                         enumerate_epimorphisms, reidemeister_schreier,
-                        symmetric_group, trivial_group, FiniteQuotient)
+                        symmetric_group, trivial_quotient)
 from .laurent import (MINUS_INFINITY, LaurentPoly, RankMismatch, UnitClass,
                       laurent_degree, is_monic, specialize)
-from .twistedalex import TwistData, Twister, twisted_alexander
+from .twistedalex import Twister, twisted_alexander
 
 
 class ZeroClass(ValueError):
@@ -136,14 +136,11 @@ def fibred_certificate(P, phi, thurston_norm, budget, b3=1, dedup_auto=False):
     _check_thurston(thurston_norm)
     if b3 not in (0, 1):
         raise ValueError("b3 must be 0 (boundary) or 1 (closed)")
-    if phi.is_trivial():
-        raise ValueError("Phi must be nontrivial")
+    twister = Twister(phi)  # refuses a trivial Phi; Fox terms, column, blocks
     cache = {}
     records = []
-    # the run's Fox terms, deleted column and summand blocks
-    twister = Twister(P, phi)
     # one group's epimorphisms are held at a time
-    quotients = chain([FiniteQuotient(P, trivial_group(), (0,) * P.ngens)],
+    quotients = chain([trivial_quotient(P)],
                       chain.from_iterable(
                           enumerate_epimorphisms(P, G, bound=budget,
                                                  dedup_auto=dedup_auto)
@@ -154,11 +151,12 @@ def fibred_certificate(P, phi, thurston_norm, budget, b3=1, dedup_auto=False):
             # the key holds the group label, so label and order match
             records.append(cache[key]._replace(images=q.images))
             continue
+        # first: its presentation check guards the words Phi reads below
+        tw = twisted_alexander(twister, q)
         # div: the divisibility of Phi pulled back to ker(alpha), the gcd of
         # its values on the Schreier generators
         div = gcd(*(x for w in reidemeister_schreier(P, q).generator_words
                     for x in phi.of_word(w)))
-        tw = twisted_alexander(P, TwistData(phi, q), twister=twister)
         deg = laurent_degree(tw.value.representative)
         expected = q.group.order * thurston_norm + (1 + b3) * div
         rec = AlphaRecord(group_label=q.group.label,

@@ -18,22 +18,24 @@ columns.  Over Q the regular representation splits into rational summands
 every G, and for G = Z_n the split is complete,
 Q[Z_n] = (+)_{d | n} Q[z]/Phi_d(z), each summand once.  For rank 1 the
 summands are read one at a time, trivial first, and the first of rank below
-its width makes the gcd 0 before any later one is read.  A Twister owns what
-depends on (P, Phi) alone: the deleted column, Phi on every Fox word, and
-each summand block's Hermite part.  The d-block of a Z_n quotient is the
-faithful block of the composite onto Z_d, and the trivial block is the
-untwisted Jacobian for every G, so a run over many quotients assembles each
-block once, and a rank-deficient untwisted Jacobian makes every later gcd 0
-with no assembly at all.  The rows in the regular representation, which the
-integer content is read from, are assembled only when every summand has
-full rank; rank >= 2 assembles them alone.
+its width makes the gcd 0 before any later one is read.  Twister(phi) owns
+a twist, P read from Phi, with what depends on (P, Phi) alone: the deleted
+column, Phi on every Fox word, and each summand block's Hermite part;
+twisted_alexander(twister, q) reads it at the quotient q.  The d-block of a
+Z_n quotient is the faithful block of the composite onto Z_d, and the
+trivial block is the untwisted Jacobian for every G, so a run over many
+quotients assembles each block once, and a rank-deficient untwisted
+Jacobian makes every later gcd 0 with no assembly at all.  The rows in the
+regular representation, which the integer content is read from, are
+assembled only when every summand has full rank; rank >= 2 assembles them
+alone.
 """
 
 from functools import cache, cached_property
 from operator import attrgetter
 
-from .grouppres import (BoundExceeded, ClassMap, FiniteQuotient,
-                        Incompatible, abelianize, trivial_group, _check_same)
+from .grouppres import (BoundExceeded, ClassMap, Incompatible,
+                        trivial_quotient, _check_same)
 from .laurent import (LaurentPoly, UnitClass, UnsupportedRank, div_exact,
                       lp_gcd_many, normalize_unit, _arr_to_poly, _cyclotomic)
 from .polymat import (laurent_det, laurent_minor_gcd, max_minor_gcd,
@@ -41,7 +43,7 @@ from .polymat import (laurent_det, laurent_minor_gcd, max_minor_gcd,
 
 
 class NoValidColumn(ValueError):
-    """A forced column with det(twist(g) - I) = 0, or b_1 = 0."""
+    """b_1 = 0: no nontrivial class to twist by, so no column to delete."""
 
 
 # Bound on |G| times the Phi-length of the presentation (ClassMap.length: the
@@ -54,51 +56,22 @@ class NoValidColumn(ValueError):
 MAX_TWIST_DEGREE = 10**6
 
 
-class TwistData:
-    """A class Phi to Z^s plus a finite quotient alpha (regular action)."""
-
-    def __init__(self, phi, alpha):
-        if phi.is_trivial():
-            raise ValueError("Phi must be nontrivial")
-        _check_same(phi.presentation, alpha.presentation,
-                    "Phi and alpha live on different presentations")
-        self.phi, self.alpha = phi, alpha
-        degree = self.degree * phi.length
-        if degree > MAX_TWIST_DEGREE:
-            raise BoundExceeded(f"twist degree {degree} exceeds the bound "
-                                f"of {MAX_TWIST_DEGREE}")
-
-    @property
-    def rank(self):
-        return self.phi.target_rank
-
-    @property
-    def degree(self):
-        return self.alpha.group.order
-
-
-def trivial_twist(P, phi):
-    """TwistData with trivial finite part."""
-    q = FiniteQuotient(P, trivial_group(), (0,) * P.ngens)
-    return TwistData(phi, q)
-
-
-def twist_ring_map(terms, T):
+def twist_ring_map(terms, q, phi):
     """Dense matrix over the Laurent ring for a term map {word: coefficient}.
 
-    The twist of a word w is left multiplication by alpha(w) on the regular
-    representation, times t^Phi(w): column y holds t^Phi(w) in row alpha(w) y.
+    The twist of a word w is left multiplication by q(w) on the regular
+    representation, times t^Phi(w): column y holds t^Phi(w) in row q(w) y.
     """
-    n = T.phi.presentation.ngens
-    G = T.alpha.group
-    zero = LaurentPoly.zero(T.rank)
+    n, rank = phi.presentation.ngens, phi.target_rank
+    G = q.group
+    zero = LaurentPoly.zero(rank)
     out = [[zero] * G.order for _ in range(G.order)]
     for w, c in terms.items():
         for g, _ in w:
             if not 0 <= g < n:
                 raise Incompatible(f"generator index {g} outside presentation")
-        a = T.alpha.of_word(w)
-        mono = LaurentPoly.monomial(T.rank, T.phi.of_word(w), c)
+        a = q.of_word(w)
+        mono = LaurentPoly.monomial(rank, phi.of_word(w), c)
         for y in range(G.order):
             i = G.mul(a, y)
             out[i][y] = out[i][y] + mono
@@ -194,16 +167,15 @@ def _twisted_rows(terms, rep, nrels, nblocks, rank):
     return rows
 
 
-def _h0_order(T):
-    """Order of the twisted H_0: gcd of t^v - 1 over Phi(ker alpha) generators.
+def _h0_order(q, phi):
+    """Order of the twisted H_0: gcd of t^v - 1 over Phi(ker q) generators.
 
     Phi(ker alpha) is generated by the Phi-values of the Schreier generators,
     v = Phi(t_x) + Phi(g_i) - Phi(t_{x g_i}), with the transversal t read off
-    the parent edges of alpha's coset table; tree edges give v = 0.  t^v - 1
+    the parent edges of q's coset table; tree edges give v = 0.  t^v - 1
     and t^-v - 1 are associates, so each v is taken once up to sign.
     """
-    q, phi, rank = T.alpha, T.phi, T.rank
-    G = q.group
+    G, rank = q.group, phi.target_rank
     trans = [None] * G.order
     trans[0] = (0,) * rank
     for y in q.order[1:]:
@@ -225,20 +197,21 @@ class TwistedPoly:
     correction and what depends on it are computed on first read; `==`
     compares the six public fields."""
 
-    def __init__(self, raw_minor_gcd, deleted_column, twist):
+    def __init__(self, raw_minor_gcd, deleted_column, q, phi):
         self.raw_minor_gcd = raw_minor_gcd
         self.deleted_column = deleted_column
-        self._twist = twist
+        self._q, self._phi = q, phi
 
     @cached_property
     def h0_order(self):
-        return UnitClass(_h0_order(self._twist))
+        return UnitClass(_h0_order(self._q, self._phi))
 
     @cached_property
     def h0_correction(self):
         g_minus_1 = {((self.deleted_column, 1),): 1, (): -1}
-        return UnitClass(laurent_det(twist_ring_map(g_minus_1, self._twist),
-                                     self._twist.rank))
+        return UnitClass(laurent_det(twist_ring_map(g_minus_1, self._q,
+                                                    self._phi),
+                                     self._phi.target_rank))
 
     @cached_property
     def _quotient(self):
@@ -274,11 +247,11 @@ _fields = attrgetter("value", "raw_minor_gcd", "h0_order", "h0_correction",
 class Twister:
     """What the twisted polynomials of one (P, Phi) share across quotients.
 
-    Built once for a run over many quotients, it holds the deleted column j
-    (the first generator with Phi(g) != 0, or the forced one), the Fox
-    terms of the Jacobian without column j with their Phi-values, and the
-    Hermite part of every rational summand block met so far.  Phi runs once
-    per Fox word per owner, and nothing outlives it.
+    Built once for a run over many quotients from a nontrivial Phi on P, it
+    holds the deleted column j (the first generator with Phi(g) != 0), the
+    Fox terms of the Jacobian without column j with their Phi-values, and
+    the Hermite part of every rational summand block met so far.  Phi runs
+    once per Fox word per owner, and nothing outlives it.
 
     The block cache is exact.  The summand Q[z]/Phi_d of Z_n, d | n, is
     assembled from alpha(w) mod d and Phi(w) alone, since z^d = 1 there:
@@ -292,17 +265,11 @@ class Twister:
     max_minor_gcd needs the integer content.
     """
 
-    def __init__(self, P, phi, column=None):
-        n = P.ngens
-        if column is None:
-            j = next(g for g in range(n) if any(phi.of_generator(g)))
-        elif 0 <= column < n and any(phi.of_generator(column)):
-            j = column
-        else:
-            raise NoValidColumn(f"column {column} is not valid")
-        _check_same(P, phi.presentation,
-                    "the twist lives on a different presentation")
-        self.presentation, self.phi, self.column = P, phi, j
+    def __init__(self, phi):
+        if phi.is_trivial():
+            raise ValueError("Phi must be nontrivial")
+        self.presentation, self.phi = phi.presentation, phi
+        self.column = next(g for g, img in enumerate(phi.images) if any(img))
         self._parts = {}    # (d, images mod d) -> Hermite part, [] if deficient
 
     @cached_property
@@ -350,41 +317,35 @@ class Twister:
         return normalize_unit(_arr_to_poly(found))
 
 
-def twisted_alexander(P, T, column=None, twister=None):
-    """The twisted Alexander polynomial of (P, alpha, Phi).
+def twisted_alexander(twister, q):
+    """The twisted Alexander polynomial of (P, alpha = q, Phi), P and Phi
+    the twister's; a run over many quotients passes one twister to each.
 
-    Deletes generator column j, takes the gcd of the maximal minors of the
+    Refuses |G| times the Phi-length past MAX_TWIST_DEGREE, deletes
+    generator column j, takes the gcd of the maximal minors of the
     remaining twisted Jacobian, and divides by det(twist(g_j) - I)/ord(H_0);
     the result is independent of the column up to units.  The correction is
     computed on first read, and a zero raw gcd, whose value is zero, needs
     none.  The column is valid exactly when Phi(g_j) != 0 (the closed form
-    in the module docstring), so j is the first such generator; TwistData
-    rejects a trivial Phi, so one exists.  `column` forces a specific j and
-    raises NoValidColumn when it is out of range or Phi(g_j) = 0.
-
-    `twister`, a Twister(P, T.phi, column) that a run over many quotients
-    passes on every call, shares its Fox terms and block cache between
-    them; without it each call builds its own.
+    in the module docstring), so j is the first such generator.
     """
-    if twister is None:
-        twister = Twister(P, T.phi, column)
-    elif column is not None:
-        raise ValueError("a twister fixes its own column")
-    else:
-        _check_same(P, twister.presentation,
-                    "the twister lives on a different presentation")
-        if T.phi.images != twister.phi.images:
-            raise Incompatible("the twister was built for another class")
-    return TwistedPoly(UnitClass(twister.raw_minor_gcd(T.alpha)),
-                       twister.column, T)
+    phi = twister.phi
+    _check_same(q.presentation, twister.presentation,
+                "Phi and alpha live on different presentations")
+    degree = q.group.order * phi.length
+    if degree > MAX_TWIST_DEGREE:
+        raise BoundExceeded(f"twist degree {degree} exceeds the bound "
+                            f"of {MAX_TWIST_DEGREE}")
+    return TwistedPoly(UnitClass(twister.raw_minor_gcd(q)), twister.column,
+                       q, phi)
 
 
 def multivariable_alexander(P):
     """Alexander polynomial over Z[H] with Phi the identity on H = Z^{b_1}."""
-    ab = abelianize(P)
+    ab = P.abelianization
     if ab.free_rank < 1:
         raise NoValidColumn("b_1 = 0: no nontrivial class to twist by")
     if ab.free_rank > 3:
         raise UnsupportedRank(f"b_1 = {ab.free_rank} > 3")
-    phi = ClassMap(P, ab.gen_images)
-    return twisted_alexander(P, trivial_twist(P, phi))
+    return twisted_alexander(Twister(ClassMap(P, ab.gen_images)),
+                             trivial_quotient(P))

@@ -18,7 +18,9 @@ summand block at once, as it ran before it assembled the summands one at a
 time and shared them between quotients, kept to check the lazy minor gcd
 and the block cache against the full-matrix one; `eager_twisted_alexander`
 is `twisted_alexander` as it ran before its H_0 correction waited to be
-read, kept to check the lazy fields;
+read, kept to check the lazy fields, and with the forced `column` the
+library has dropped, kept to check that every valid column gives the
+library's value;
 `recursive_gcd` is the rank >= 2 gcd as the library layered it before one
 recursion did the content split and the primitive PRS itself, kept to check
 the single recursion.  `GroupRingElement` is the integer group ring of the
@@ -48,7 +50,7 @@ from twistalex.laurent import (LaurentPoly, RankMismatch, UnitClass, div_exact,
                                _arr_to_poly)
 from twistalex.polymat import (laurent_det, laurent_minor_gcd, max_minor_gcd,
                                summand_qpart, _hermite_qpart)
-from twistalex.twistedalex import (NoValidColumn, twist_ring_map, _h0_order,
+from twistalex.twistedalex import (twist_ring_map, _h0_order,
                                    _cyclotomic_rep, _regular_rep,
                                    _summand_divisors, _twisted_rows)
 
@@ -651,8 +653,9 @@ def eager_cover_presentation(P, q):
 
 # ---- twisted matrices as products of one matrix per letter ----
 
-def twist_by_letters(terms, T):
-    """Dense twist of a term map {word: coefficient} under alpha x Phi.
+def twist_by_letters(terms, q, phi):
+    """Dense twist of a term map {word: coefficient} under alpha x Phi,
+    alpha the quotient q.
 
     Each letter g^s is the d x d matrix sending basis vector y to
     t^(s Phi(g)) times basis vector alpha(g)^s y, built from the group table
@@ -660,12 +663,12 @@ def twist_by_letters(terms, T):
     matrices, multiplied densely.  Entries are {exponents: coefficient}
     dicts until the result is converted to LaurentPoly.
     """
-    G, rank = T.alpha.group, T.rank
+    G, rank = q.group, phi.target_rank
     d = G.order
 
     def letter(g, s):
-        img = T.alpha.images[g] if s > 0 else G.inv(T.alpha.images[g])
-        exps = tuple(s * e for e in T.phi.of_generator(g))
+        img = q.images[g] if s > 0 else G.inv(q.images[g])
+        exps = tuple(s * e for e in phi.of_generator(g))
         m = [[{} for _ in range(d)] for _ in range(d)]
         for y in range(d):
             m[G.mul(img, y)][y] = {exps: 1}
@@ -699,12 +702,14 @@ def twist_by_letters(terms, T):
 
 # ---- the eager twisted Jacobian ----
 
-def jacobian_terms(P, T, j):
+def jacobian_terms(phi, q, j):
     """(relator, block, alpha(w), Phi(w), c) for every term c*w of the Fox
-    Jacobian, numbering the generator blocks without the deleted column j:
-    alpha and Phi evaluated afresh on every word."""
+    Jacobian of Phi's presentation, numbering the generator blocks without
+    the deleted column j: alpha = q and Phi evaluated afresh on every
+    word."""
+    P = phi.presentation
     blocks = [g for g in range(P.ngens) if g != j]
-    return [(r, b, T.alpha.of_word(w), T.phi.of_word(w), c)
+    return [(r, b, q.of_word(w), phi.of_word(w), c)
             for r, rel_row in enumerate(P.jacobian)
             for b, g in enumerate(blocks)
             for w, c in rel_row[g].items()]
@@ -716,19 +721,21 @@ def summand_reps(G):
     return [_cyclotomic_rep(G.order, d) for d in _summand_divisors(G)]
 
 
-def twisted_jacobian(P, T, j):
-    """The twisted Jacobian with generator column j deleted, and its summands.
+def twisted_jacobian(phi, q, j):
+    """The twisted Jacobian of q x Phi with generator column j deleted, and
+    its summands.
 
     Returns (rows, summands): the rows in the regular representation, and
     for rank 1 the (rows_s, k_s) of every rational summand, all assembled
     at once from this quotient alone, with no block shared between
     quotients and no stop at the first block of rank below its width.
     """
-    terms = jacobian_terms(P, T, j)
+    P, rank = phi.presentation, phi.target_rank
+    terms = jacobian_terms(phi, q, j)
     nrels, nblocks = len(P.relators), P.ngens - 1
-    G = T.alpha.group
-    rows = _twisted_rows(terms, _regular_rep(G), nrels, nblocks, T.rank)
-    if T.rank > 1:
+    G = q.group
+    rows = _twisted_rows(terms, _regular_rep(G), nrels, nblocks, rank)
+    if rank > 1:
         return rows, []
     return rows, [(_twisted_rows(terms, rep, nrels, nblocks, 1),
                    nblocks * len(rep[0]))
@@ -743,27 +750,30 @@ EagerTwistedPoly = namedtuple(
                          "correction_exact"])
 
 
-def eager_twisted_alexander(P, T, column=None):
+def eager_twisted_alexander(phi, q, column=None):
     """twisted_alexander with every field computed before it returns: the
     column determinant first, then the raw minor gcd from blocks assembled
     afresh for this quotient, then ord(H_0) and the exact division,
-    whatever the raw gcd."""
-    rank = T.rank
-    d = T.degree
+    whatever the raw gcd.  `column` deletes generator j = column in place
+    of the first with Phi(g_j) != 0, and raises ValueError when it is out
+    of range or Phi(g_j) = 0; the value is the same up to units for every
+    valid j, which is what the library's one column is checked against."""
+    P, rank = phi.presentation, phi.target_rank
+    d = q.group.order
     n = P.ngens
     if column is None:
-        j = next(g for g in range(n) if any(T.phi.of_generator(g)))
-    elif 0 <= column < n and any(T.phi.of_generator(column)):
+        j = next(g for g in range(n) if any(phi.of_generator(g)))
+    elif 0 <= column < n and any(phi.of_generator(column)):
         j = column
     else:
-        raise NoValidColumn(f"column {column} is not valid")
+        raise ValueError(f"column {column} is not valid")
     # the twisted image of g_j - 1
     g_minus_1 = {((j, 1),): 1, (): -1}
-    corr = laurent_det(twist_ring_map(g_minus_1, T), rank)
+    corr = laurent_det(twist_ring_map(g_minus_1, q, phi), rank)
 
-    _check_same(P, T.phi.presentation,
-                "the twist lives on a different presentation")
-    rows, summands = twisted_jacobian(P, T, j)
+    _check_same(q.presentation, P,
+                "Phi and alpha live on different presentations")
+    rows, summands = twisted_jacobian(phi, q, j)
     k = (n - 1) * d
     if rank == 1:
         qpart = summand_qpart(((_hermite_qpart(block, k_s) or [], k_s)
@@ -773,7 +783,7 @@ def eager_twisted_alexander(P, T, column=None):
     else:
         raw = laurent_minor_gcd(rows, rank, ncols=k)
 
-    h0 = _h0_order(T)
+    h0 = _h0_order(q, phi)
     corrected = div_exact(raw * h0, corr)
     value = corrected if corrected is not None else raw
     return EagerTwistedPoly(value=UnitClass(value),

@@ -12,13 +12,14 @@ from twistalex.exactalg import ExactSequenceData, IntMatrix, MapData, \
     exact_sequence_solve, smith_normal_form
 from twistalex.grouppres import (ClassMap, Presentation, abelianize,
                                  enumerate_epimorphisms, fox_derivative,
-                                 free_reduce, reidemeister_schreier)
+                                 free_reduce, reidemeister_schreier,
+                                 trivial_quotient)
 from twistalex.laurent import LaurentPoly, laurent_degree, normalize_unit
 from twistalex.normsfibred import (alexander_norm, class_divisibility,
                                    fibred_certificate, group_catalog,
                                    norm_relation_check)
-from twistalex.twistedalex import (TwistData, multivariable_alexander,
-                                   trivial_twist, twisted_alexander)
+from twistalex.twistedalex import (Twister, multivariable_alexander,
+                                   twisted_alexander)
 from twistalex.clifford import verify_all
 
 from conftest import FIXTURES
@@ -94,18 +95,21 @@ def test_criterion_04_alexander_oracles(capsys):
     # trefoil and figure-eight against the Seifert-matrix oracle
     t1 = time.time()
     P = trefoil()
-    tw = twisted_alexander(P, trivial_twist(P, ClassMap(P, [(1,), (1,)])))
+    tw = twisted_alexander(Twister(ClassMap(P, [(1,), (1,)])),
+                           trivial_quotient(P))
     ok &= tw.value == seifert_alexander([[-1, 1], [0, -1]])
     ok &= str(tw.value) == "t^2 - t + 1" and time.time() - t1 < 1.0
     t1 = time.time()
     f8 = Presentation.from_text(
         ["u", "v", "c"], ["c u c^-1 u^-1 v^-1 u^-1", "c v c^-1 u^-1 v^-1"])
-    tw = twisted_alexander(f8, trivial_twist(f8, ClassMap(f8, [(0,), (0,), (1,)])))
+    tw = twisted_alexander(Twister(ClassMap(f8, [(0,), (0,), (1,)])),
+                           trivial_quotient(f8))
     ok &= tw.value == seifert_alexander([[1, 1], [0, -1]])
     ok &= str(tw.value) == "t^2 - 3*t + 1" and time.time() - t1 < 1.0
     t1 = time.time()
     na = na_presentation()
-    tw = twisted_alexander(na, trivial_twist(na, ClassMap(na, [(0,), (0,), (1,)])))
+    tw = twisted_alexander(Twister(ClassMap(na, [(0,), (0,), (1,)])),
+                           trivial_quotient(na))
     ok &= tw.value == mapping_torus_alexander([[1, 1], [0, 1]])
     ok &= time.time() - t1 < 1.0
     # 20 random SL(2,Z) mapping tori
@@ -133,10 +137,8 @@ def test_criterion_04_alexander_oracles(capsys):
                 ((2, 1),) + ((1, 1),) + ((2, -1),)
                 + tuple((g, -s) for g, s in reversed(v))]
         bundle = Presentation(["a", "b", "c"], rels)
-        tw = twisted_alexander(bundle,
-                               trivial_twist(bundle,
-                                             ClassMap(bundle,
-                                                      [(0,), (0,), (1,)])))
+        tw = twisted_alexander(Twister(ClassMap(bundle, [(0,), (0,), (1,)])),
+                               trivial_quotient(bundle))
         if tw.value == mapping_torus_alexander(A):
             agree += 1
     ok &= agree == 20
@@ -157,12 +159,11 @@ def test_criterion_05_cover_consistency(capsys):
                 total += 1
                 key = (G.label, q.kernel_key())
                 if key not in cache:
-                    tw = twisted_alexander(P, TwistData(phi, q))
+                    tw = twisted_alexander(Twister(phi), q)
                     cover = reidemeister_schreier(P, q)
                     phi_a, _ = pullback_class(phi, q, cover)
                     tw_cover = twisted_alexander(
-                        cover.presentation,
-                        trivial_twist(cover.presentation, phi_a))
+                        Twister(phi_a), trivial_quotient(cover.presentation))
                     cache[key] = (tw.value == tw_cover.value)
                 matches += 1 if cache[key] else 0
     elapsed = time.time() - t0
@@ -198,7 +199,7 @@ def test_criterion_06_norm_relation_and_degprop(capsys):
         assert ab.free_rank >= 2
         delta = multivariable_alexander(P).value.representative
         w = phi.h_weights()
-        tw = twisted_alexander(P, trivial_twist(P, phi))
+        tw = twisted_alexander(Twister(phi), trivial_quotient(P))
         ok &= norm_relation_check(tw.value, delta, w, class_divisibility(phi))
         deg = laurent_degree(tw.value.representative)
         bound = alexander_norm(delta, w) + 2 * class_divisibility(phi)

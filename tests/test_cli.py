@@ -225,13 +225,61 @@ def test_refusal_on_first_read_keeps_its_exit_code(capsys, monkeypatch):
     import twistalex.twistedalex as ta
     from twistalex.laurent import UnsupportedRank
 
-    def refuse(_):
+    def refuse(*_):
         raise UnsupportedRank("refused")
     monkeypatch.setattr(ta, "_h0_order", refuse)
     norms = ["norms", FIXTURES / "na.pres", "--phi", "fib", "--thurston", "0"]
     for argv, code in [(["multivariable", FIXTURES / "na.pres"], 3),
                        (norms, 4)]:
         assert run(capsys, *argv) == (code, "", "error: refused\n")
+
+
+def test_alexander_job_shares_one_twister(capsys, monkeypatch):
+    """alexander over many quotients twists by one Twister: the Fox terms
+    with their Phi-values are computed once per job, and each summand
+    block's Hermite part once per block key (d, images mod d), which the
+    quotients share."""
+    from functools import cached_property
+    import twistalex.twistedalex as ta
+    from twistalex.grouppres import cyclic_group, enumerate_epimorphisms
+    owners, hermite = [], []
+    real_fox = vars(ta.Twister)["_fox_terms"].func
+    real_hermite = ta._hermite_qpart
+
+    def fox_terms(self):
+        owners.append(self)
+        return real_fox(self)
+
+    prop = cached_property(fox_terms)
+    prop.__set_name__(ta.Twister, "_fox_terms")
+    monkeypatch.setattr(ta.Twister, "_fox_terms", prop)
+    monkeypatch.setattr(ta, "_hermite_qpart",
+                        lambda rows, k: hermite.append(k)
+                        or real_hermite(rows, k))
+    code, out, _ = run(capsys, "alexander", FIXTURES / "na.pres", "--phi",
+                       "fib", "--group", "Z12")
+    _, (P, _) = parse_document(fixture_text("na.pres"))
+    quotients = enumerate_epimorphisms(P, cyclic_group(12))
+    assert code == 0 and out.count("\n") == len(quotients)
+    [twister] = owners
+    divisors = [d for d in range(1, 13) if 12 % d == 0]
+    keys = {(d, tuple(x % d for x in q.images))
+            for q in quotients for d in divisors}
+    assert set(twister._parts) == keys
+    assert len(hermite) == len(keys) < len(quotients) * len(divisors)
+
+
+def test_norms_job_runs_one_smith_form(capsys, monkeypatch):
+    """The Alexander norm's weights and the multivariable polynomial read
+    one abelianization of the presentation."""
+    import twistalex.exactalg as exactalg
+    calls = []
+    real = exactalg.smith_normal_form
+    monkeypatch.setattr(exactalg, "smith_normal_form",
+                        lambda M: calls.append(M) or real(M))
+    code, _, _ = run(capsys, "norms", FIXTURES / "t3.pres", "--phi", "x",
+                     "--thurston", "0")
+    assert code == 0 and len(calls) == 1
 
 
 def test_fibred(capsys):

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from math import gcd
 from operator import lt
 
@@ -13,6 +16,7 @@ from twistalex.laurent import (MINUS_INFINITY, LaurentPoly, NotSymmetrizable,
                                symmetric_representative, _cyclotomic,
                                _divexact, _mul, _packed, _pseudo_reduce)
 
+from conftest import FIXTURES
 from oracles import dense_pseudo_reduce, recursive_gcd, term_div_exact
 
 
@@ -427,3 +431,27 @@ def test_pseudo_reduce_against_dense_oracle():
         assert got is row and got == want
         assert base == frozen
     assert scaled > 50
+
+
+# A coprime rank-3 pair on which the gcd recursion stalls: the call is still
+# running after 12 s.  The child interpreter is killed at the timeout, so no
+# process outlives the test.
+RANK3_STALL = """
+from twistalex.laurent import LaurentPoly, lp_gcd
+f = LaurentPoly(3, {(3, -3, 1): -4, (1, 0, 2): 12, (0, 1, -2): -12})
+g = LaurentPoly(3, {(4, -1, 2): 5, (0, 1, -1): -5, (0, -3, -2): -15})
+print(lp_gcd(f, g))
+"""
+
+
+@pytest.mark.xfail(strict=True, raises=subprocess.TimeoutExpired,
+                   reason="the rank-3 gcd recursion stalls on this coprime "
+                          "pair")
+def test_rank3_gcd_of_a_coprime_pair_finishes():
+    # f = -4 t1^3 t2^-3 t3 + 12 t1 t3^2 - 12 t2 t3^-2 and
+    # g = 5 t1^4 t2^-1 t3^2 - 5 t2 t3^-1 - 15 t2^-3 t3^-2
+    env = dict(os.environ, PYTHONPATH=str(FIXTURES.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", RANK3_STALL], env=env,
+                          capture_output=True, text=True, timeout=2)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1\n"

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistalex.grouppres import (BoundExceeded, ClassMap, FiniteGroup,
-                                 Presentation)
+                                 Incompatible, Presentation,
+                                 trivial_quotient)
 from twistalex.laurent import MINUS_INFINITY, LaurentPoly, UnitClass, \
     laurent_degree
 from twistalex.normsfibred import (BudgetZero, ZeroClass,
@@ -14,7 +15,7 @@ from twistalex.normsfibred import (BudgetZero, ZeroClass,
                                    degree_case_analysis, divisibility,
                                    fibred_certificate, group_catalog,
                                    mcmullen_check, norm_relation_check)
-from twistalex.twistedalex import multivariable_alexander, trivial_twist, \
+from twistalex.twistedalex import Twister, multivariable_alexander, \
     twisted_alexander
 
 from conftest import norm_relation_inputs
@@ -118,7 +119,7 @@ def test_norm_relation_bounded_manifold_single_factor():
     P = Presentation.from_text(["a", "b"], ["[a,b]"])
     phi = ClassMap(P, [(1,), (0,)])
     assert not norm_relation_check(*norm_relation_inputs(P, phi))
-    tw = twisted_alexander(P, trivial_twist(P, phi))
+    tw = twisted_alexander(Twister(phi), trivial_quotient(P))
     t = LaurentPoly.var(1)
     assert tw.value == UnitClass(t - LaurentPoly.one(1))
 
@@ -135,7 +136,7 @@ def test_degprop_inequality_on_fixtures():
         phi = ClassMap(P, images)
         delta = multivariable_alexander(P).value.representative
         w = phi.h_weights()
-        tw = twisted_alexander(P, trivial_twist(P, phi))
+        tw = twisted_alexander(Twister(phi), trivial_quotient(P))
         deg = laurent_degree(tw.value.representative)
         bound = alexander_norm(delta, w) + 2 * class_divisibility(phi)
         assert deg is MINUS_INFINITY or deg <= bound
@@ -187,7 +188,7 @@ def test_fibred_certificate_na():
 
 
 def test_certificate_run_reads_class_and_group_facts_once(monkeypatch):
-    # the Phi-length that TwistData bounds is one per class, and the
+    # the Phi-length that twisted_alexander bounds is one per class, and the
     # addition-mod-n test of the summand split one per group, however many
     # quotients share them
     calls = {"length": [], "is_addition_mod_n": []}
@@ -218,8 +219,9 @@ def test_fibred_certificate_doubled_class():
     assert cert.verdict == "Fibred-evidence"
     # Delta_{2 Phi}(t) = Delta_Phi(t^2) for this fibred class
     phi = ClassMap(P, [(0,), (0,), (1,)])
-    base = twisted_alexander(P, trivial_twist(P, phi)).value.representative
-    doubled = twisted_alexander(P, trivial_twist(P, phi2)).value.representative
+    q = trivial_quotient(P)
+    base = twisted_alexander(Twister(phi), q).value.representative
+    doubled = twisted_alexander(Twister(phi2), q).value.representative
     stretched = LaurentPoly(1, {(2 * e[0],): c for e, c in base.terms.items()})
     assert UnitClass(stretched) == UnitClass(doubled)
 
@@ -237,6 +239,18 @@ def test_fibred_certificate_budget_zero():
     phi = ClassMap(P, [(0,), (0,), (1,)])
     with pytest.raises(BudgetZero):
         fibred_certificate(P, phi, 0, 0)
+
+
+def test_fibred_certificate_refuses_a_class_of_another_presentation():
+    """The twist's presentation check runs before Phi reads a Schreier
+    word of the other presentation, whose third generator Phi has no value
+    on."""
+    P = Presentation.from_text(["a", "b"], ["[a,b]"])
+    Q = Presentation.from_text(["a", "b", "c"], ["[a,b]", "[a,c]", "[b,c]"])
+    with pytest.raises(Incompatible, match="different presentations"):
+        fibred_certificate(Q, ClassMap(P, [(1,), (0,)]), 0, 2)
+    with pytest.raises(ValueError, match="Phi must be nontrivial"):
+        fibred_certificate(P, ClassMap(P, [(0,), (0,)]), 0, 2)
 
 
 def test_certificate_never_fibred_with_nonmonic_record():

@@ -16,7 +16,7 @@ from twistalex.polymat import (_content_multiple, _gauss_valuation_sum,
                                _arr_to_poly, _scale, laurent_det,
                                laurent_minor_gcd, max_minor_gcd,
                                summand_qpart)
-from twistalex.twistedalex import TwistData, twisted_alexander
+from twistalex.twistedalex import Twister, twisted_alexander
 
 from conftest import fixture_text
 from oracles import (brute_minor_gcd, cofactor_det, eager_bareiss, int_det,
@@ -461,9 +461,9 @@ def na_twisted_jacobian(n):
     twisted polynomial's raw minor gcd."""
     _, (P, classes) = parse_document(fixture_text("na.pres"))
     q = enumerate_epimorphisms(P, cyclic_group(n), bound=n)[0]
-    T = TwistData(classes["fib"], q)
-    rows, summands = twisted_jacobian(P, T, 2)
-    return rows, summands, twisted_alexander(P, T).raw_minor_gcd
+    phi = classes["fib"]
+    rows, summands = twisted_jacobian(phi, q, 2)
+    return rows, summands, twisted_alexander(Twister(phi), q).raw_minor_gcd
 
 
 def laurent_rows(rows):

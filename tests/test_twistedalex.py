@@ -9,17 +9,17 @@ from twistalex.grouppres import (ClassMap, FiniteQuotient, Incompatible,
                                  Presentation, abelianize, cyclic_group,
                                  dihedral_group, enumerate_epimorphisms,
                                  free_reduce, reidemeister_schreier,
-                                 symmetric_group, trivial_group)
+                                 symmetric_group, trivial_group,
+                                 trivial_quotient)
 from twistalex.laurent import (LaurentPoly, UnitClass, laurent_degree,
                                specialize, symmetric_representative,
                                _arr_to_poly, _cyclotomic, _mul, _pack, _prim)
 from twistalex.normsfibred import fibred_certificate, group_catalog
 from twistalex import normsfibred, polymat, twistedalex
 from twistalex.polymat import _hermite_qpart, max_minor_gcd
-from twistalex.twistedalex import (NoValidColumn, TwistData, Twister,
-                                   multivariable_alexander, trivial_twist,
-                                   twist_ring_map, twisted_alexander,
-                                   _regular_rep)
+from twistalex.twistedalex import (NoValidColumn, Twister,
+                                   multivariable_alexander, twist_ring_map,
+                                   twisted_alexander, _regular_rep)
 
 from conftest import fixture_text
 from oracles import (eager_cover_presentation, eager_twisted_alexander,
@@ -69,21 +69,18 @@ def mapping_torus(A, check_det=True):
 def test_twist_ring_map_examples():
     P = Presentation(["a"], [])
     phi = ClassMap(P, [(1,)])
-    T = trivial_twist(P, phi)
-    dense = twist_ring_map({((0, 1),): 1}, T)
+    dense = twist_ring_map({((0, 1),): 1}, trivial_quotient(P), phi)
     assert dense == [[LaurentPoly.var(1)]]
 
     q = FiniteQuotient(P, cyclic_group(2), (1,))
     # Phi(a) = 0 is trivial, so use Phi(a) = 2 and inspect the swap part
     phi2 = ClassMap(P, [(2,)])
-    T2 = TwistData(phi2, q)
     one = LaurentPoly.monomial(1, (2,))
     zero = LaurentPoly.zero(1)
-    assert twist_ring_map({((0, 1),): 1}, T2) == [[zero, one], [one, zero]]
+    assert twist_ring_map({((0, 1),): 1}, q, phi2) == [[zero, one],
+                                                       [one, zero]]
 
-    phi1 = ClassMap(P, [(1,)])
-    T3 = TwistData(phi1, q)
-    sq = twist_ring_map({((0, 1), (0, 1)): 1}, T3)
+    sq = twist_ring_map({((0, 1), (0, 1)): 1}, q, phi)
     t2 = LaurentPoly.monomial(1, (2,))
     assert sq == [[t2, zero], [zero, t2]]
 
@@ -106,46 +103,57 @@ def test_twist_ring_map_against_letter_products():
         elements += [{((g, 1),): 1, (): -1} for g in range(P.ngens)]
         for G in group_catalog(8):
             for q in enumerate_epimorphisms(P, G):
-                T = TwistData(phi, q)
                 for x in elements:
-                    assert twist_ring_map(x, T) == twist_by_letters(x, T)
+                    assert (twist_ring_map(x, q, phi)
+                            == twist_by_letters(x, q, phi))
                 total += 1
     assert total == 2699
 
 
-def test_twist_degree_is_bounded_before_any_polynomial():
+def test_twist_degree_is_bounded_before_any_polynomial(monkeypatch):
     from twistalex.grouppres import BoundExceeded
     from twistalex.twistedalex import MAX_TWIST_DEGREE
+
+    class Reached(Exception):
+        pass
+
+    def reached(*_):
+        raise Reached
+
+    # a twist within the bound goes on to the raw gcd, which the sentinel
+    # stops before any polynomial of degree near the bound is built
+    monkeypatch.setattr(Twister, "raw_minor_gcd", reached)
     # Phi = (v, 1): the generators and a b a^-1 b^-1 give a Phi-length of
     # 3v + 3, times |G| = 2
     P = Presentation.from_text(["a", "b"], ["[a,b]"])
     q = FiniteQuotient(P, cyclic_group(2), (0, 1))
     v = (MAX_TWIST_DEGREE // 2 - 3) // 3
-    TwistData(ClassMap(P, [(v,), (1,)]), q)
+    with pytest.raises(Reached):
+        twisted_alexander(Twister(ClassMap(P, [(v,), (1,)])), q)
     with pytest.raises(BoundExceeded, match=f"twist degree {6 * v + 12} "
                                             f"exceeds the bound"):
-        TwistData(ClassMap(P, [(v + 1,), (1,)]), q)
+        twisted_alexander(Twister(ClassMap(P, [(v + 1,), (1,)])), q)
 
 
 def test_twist_ring_map_incompatible_generator():
     from twistalex.grouppres import Incompatible
     P = Presentation(["a"], [])
-    T = trivial_twist(P, ClassMap(P, [(1,)]))
     with pytest.raises(Incompatible):
-        twist_ring_map({((3, 1),): 1}, T)
+        twist_ring_map({((3, 1),): 1}, trivial_quotient(P),
+                       ClassMap(P, [(1,)]))
 
 
 def test_twist_ring_map_group_ring_element():
     P = Presentation(["a"], [])
-    T = trivial_twist(P, ClassMap(P, [(1,)]))
     x = {((0, 1),): 1, (): -1}  # a - 1
     t = LaurentPoly.var(1)
-    assert twist_ring_map(x, T) == [[t - LaurentPoly.one(1)]]
+    assert (twist_ring_map(x, trivial_quotient(P), ClassMap(P, [(1,)]))
+            == [[t - LaurentPoly.one(1)]])
 
 
 def test_na_fibration_polynomial():
     P = na_presentation()
-    tw = twisted_alexander(P, trivial_twist(P, na_fibration_class(P)))
+    tw = twisted_alexander(Twister(na_fibration_class(P)), trivial_quotient(P))
     expected = mapping_torus_alexander([[1, 1], [0, 1]])
     assert tw.value == expected
     assert laurent_degree(tw.value.representative) == 2
@@ -154,7 +162,7 @@ def test_na_fibration_polynomial():
 def test_trefoil_polynomial_vs_seifert_oracle():
     P = trefoil()
     phi = ClassMap(P, [(1,), (1,)])
-    tw = twisted_alexander(P, trivial_twist(P, phi))
+    tw = twisted_alexander(Twister(phi), trivial_quotient(P))
     assert tw.value == seifert_alexander([[-1, 1], [0, -1]])
     assert str(tw.value) == "t^2 - t + 1"
 
@@ -162,7 +170,7 @@ def test_trefoil_polynomial_vs_seifert_oracle():
 def test_fig8_polynomial_vs_seifert_oracle():
     P = fig8()
     phi = ClassMap(P, [(0,), (0,), (1,)])
-    tw = twisted_alexander(P, trivial_twist(P, phi))
+    tw = twisted_alexander(Twister(phi), trivial_quotient(P))
     assert tw.value == seifert_alexander([[1, 1], [0, -1]])
     assert str(tw.value) == "t^2 - 3*t + 1"
 
@@ -189,12 +197,15 @@ def test_torus_bundle_family():
         A = random_sl2z(rng)
         P = mapping_torus(A)
         phi = ClassMap(P, [(0,), (0,), (1,)])
-        tw = twisted_alexander(P, trivial_twist(P, phi))
+        tw = twisted_alexander(Twister(phi), trivial_quotient(P))
         assert tw.value == mapping_torus_alexander(A), A
         seen += 1
 
 
 def test_column_independence():
+    """The value is the same up to units for every valid deleted column:
+    the eager oracle, forced to each valid j, against the library's one
+    column."""
     cases = [
         (na_presentation(), [(0,), (1,), (1,)]),
         (na_presentation(), [(0,), (0,), (1,)]),
@@ -203,30 +214,23 @@ def test_column_independence():
     ]
     for P, images in cases:
         phi = ClassMap(P, images)
-        T = trivial_twist(P, phi)
-        values = []
-        for j in range(P.ngens):
-            try:
-                values.append(twisted_alexander(P, T, column=j).value)
-            except NoValidColumn:
-                continue
-        assert len(values) >= 1
-        assert all(v == values[0] for v in values)
+        q = trivial_quotient(P)
+        value = twisted_alexander(Twister(phi), q).value
+        valid = [j for j in range(P.ngens) if any(phi.of_generator(j))]
+        assert valid
+        for j in valid:
+            assert eager_twisted_alexander(phi, q, column=j).value == value
 
 
 def test_column_independence_twisted():
     P = na_presentation()
     phi = na_fibration_class(P)
+    twister = Twister(phi)
+    valid = [j for j in range(P.ngens) if any(phi.of_generator(j))]
     for q in enumerate_epimorphisms(P, cyclic_group(2)):
-        T = TwistData(phi, q)
-        values = []
-        for j in range(P.ngens):
-            try:
-                values.append(twisted_alexander(P, T, column=j).value)
-            except NoValidColumn:
-                continue
-        assert len(values) >= 1
-        assert all(v == values[0] for v in values)
+        value = twisted_alexander(twister, q).value
+        for j in valid:
+            assert eager_twisted_alexander(phi, q, column=j).value == value
 
 
 def test_cover_consistency_small():
@@ -234,11 +238,11 @@ def test_cover_consistency_small():
     phi = na_fibration_class(P)
     for G in (cyclic_group(2), cyclic_group(3), dihedral_group(2)):
         for q in enumerate_epimorphisms(P, G):
-            tw = twisted_alexander(P, TwistData(phi, q))
+            tw = twisted_alexander(Twister(phi), q)
             cover = reidemeister_schreier(P, q)
             phi_a, _ = pullback_class(phi, q, cover)
-            tw_cover = twisted_alexander(
-                cover.presentation, trivial_twist(cover.presentation, phi_a))
+            tw_cover = twisted_alexander(Twister(phi_a),
+                                         trivial_quotient(cover.presentation))
             assert tw.value == tw_cover.value
 
 
@@ -247,11 +251,11 @@ def test_cover_consistency_nonabelian():
     phi = ClassMap(P, [(1,), (1,)])
     for G in (symmetric_group(3),):
         for q in enumerate_epimorphisms(P, G):
-            tw = twisted_alexander(P, TwistData(phi, q))
+            tw = twisted_alexander(Twister(phi), q)
             cover = reidemeister_schreier(P, q)
             phi_a, _ = pullback_class(phi, q, cover)
-            tw_cover = twisted_alexander(
-                cover.presentation, trivial_twist(cover.presentation, phi_a))
+            tw_cover = twisted_alexander(Twister(phi_a),
+                                         trivial_quotient(cover.presentation))
             assert tw.value == tw_cover.value
 
 
@@ -355,7 +359,7 @@ def test_multivariable_rank_guard():
 def test_zero_polynomial_for_free_group():
     P = Presentation(["a", "b"], [])
     phi = ClassMap(P, [(1,), (0,)])
-    tw = twisted_alexander(P, trivial_twist(P, phi))
+    tw = twisted_alexander(Twister(phi), trivial_quotient(P))
     assert tw.value.is_zero()
     assert tw.raw_minor_gcd.is_zero()
 
@@ -363,17 +367,17 @@ def test_zero_polynomial_for_free_group():
 def test_circle_has_trivial_polynomial():
     P = Presentation(["a"], [])
     phi = ClassMap(P, [(1,)])
-    tw = twisted_alexander(P, trivial_twist(P, phi))
+    tw = twisted_alexander(Twister(phi), trivial_quotient(P))
     assert str(tw.value) == "1"
     assert str(tw.raw_minor_gcd) == "1"  # empty determinant
     assert str(multivariable_alexander(P).value) == "1"
     # and through a double cover, which is again a circle
     q = FiniteQuotient(P, cyclic_group(2), (1,))
-    assert str(twisted_alexander(P, TwistData(phi, q)).value) == "1"
+    assert str(twisted_alexander(Twister(phi), q).value) == "1"
     cover = reidemeister_schreier(P, q)
     phi_a, _ = pullback_class(phi, q, cover)
-    tw_cover = twisted_alexander(cover.presentation,
-                                 trivial_twist(cover.presentation, phi_a))
+    tw_cover = twisted_alexander(Twister(phi_a),
+                                 trivial_quotient(cover.presentation))
     assert str(tw_cover.value) == "1"
 
 
@@ -381,17 +385,17 @@ def test_symmetry_of_computed_polynomials():
     cases = []
     P = na_presentation()
     phi = na_fibration_class(P)
-    cases.append(twisted_alexander(P, trivial_twist(P, phi)).value)
-    cases.append(twisted_alexander(trefoil(),
-                                   trivial_twist(trefoil(),
-                                                 ClassMap(trefoil(),
-                                                          [(1,), (1,)]))).value)
+    cases.append(twisted_alexander(Twister(phi), trivial_quotient(P)).value)
+    T = trefoil()
+    cases.append(twisted_alexander(Twister(ClassMap(T, [(1,), (1,)])),
+                                   trivial_quotient(T)).value)
     rng = random.Random(9)
     for _ in range(5):
         A = random_sl2z(rng)
         Q = mapping_torus(A)
-        cases.append(twisted_alexander(
-            Q, trivial_twist(Q, ClassMap(Q, [(0,), (0,), (1,)]))).value)
+        phi = ClassMap(Q, [(0,), (0,), (1,)])
+        cases.append(twisted_alexander(Twister(phi),
+                                       trivial_quotient(Q)).value)
     for v in cases:
         rep = symmetric_representative(v)
         assert rep.poly is not None
@@ -407,22 +411,22 @@ def test_h0_order_against_brute_fitting_ideal():
     for phi in (na_fibration_class(P), ClassMap(P, abelianize(P).gen_images)):
         for G in (cyclic_group(2), cyclic_group(3)):
             for q in enumerate_epimorphisms(P, G):
-                T = TwistData(phi, q)
                 d = G.order
-                cols = [twist_ring_map({((g, 1),): 1, (): -1}, T)
+                cols = [twist_ring_map({((g, 1),): 1, (): -1}, q, phi)
                         for g in range(P.ngens)]
                 rows = [[blk[i][j] for blk in cols for j in range(d)]
                         for i in range(d)]
                 # transpose: minors of the row span of the block row
                 mat = [[rows[i][j] for i in range(d)]
                        for j in range(len(rows[0]))]
-                brute = UnitClass(laurent_minor_gcd(mat, T.rank))
-                assert UnitClass(_h0_order(T)) == brute
+                brute = UnitClass(laurent_minor_gcd(mat, phi.target_rank))
+                assert UnitClass(_h0_order(q, phi)) == brute
 
 
 def test_correction_metadata():
     P = na_presentation()
-    tw = twisted_alexander(P, trivial_twist(P, na_fibration_class(P)))
+    tw = twisted_alexander(Twister(na_fibration_class(P)),
+                           trivial_quotient(P))
     assert tw.correction_exact
     assert str(tw.h0_order) == "t - 1"
     assert str(tw.h0_correction) == "t - 1"
@@ -438,23 +442,19 @@ def test_column_determinants_stop_at_the_valid_column(monkeypatch):
                         lambda m, rank: calls.append(len(m)) or real(m, rank))
     P = na_presentation()
     # g_0 maps to 0, so column 0 is invalid and column 1 is the first valid
-    T = trivial_twist(P, ClassMap(P, [(0,), (1,), (1,)]))
-    auto = twisted_alexander(P, T)
+    phi = ClassMap(P, [(0,), (1,), (1,)])
+    q = trivial_quotient(P)
+    auto = twisted_alexander(Twister(phi), q)
     # the correction waits for the value to be read
     assert auto.deleted_column == 1 and len(calls) == 0
     assert str(auto.value) == "t^2 - 2*t + 1" and len(calls) == 1
-    calls.clear()
-    forced = twisted_alexander(P, T, column=1)
-    assert len(calls) == 0
-    assert forced.value == auto.value and len(calls) == 1
-    # every field is kept: comparing all six computes nothing again
-    assert forced == auto
+    # the eager oracle agrees on all six fields at column 1 and on the value
+    # at column 2; every field is kept, so reading them computes nothing
+    # again
+    eager = eager_twisted_alexander(phi, q, column=1)
+    assert tuple(getattr(auto, f) for f in eager._fields) == eager
+    assert eager_twisted_alexander(phi, q, column=2).value == auto.value
     assert len(calls) == 1
-    for bad in (0, 3, -1):
-        calls.clear()
-        with pytest.raises(NoValidColumn):
-            twisted_alexander(P, T, column=bad)
-        assert len(calls) == 0
 
 
 def test_generator_determinant_closed_form():
@@ -471,10 +471,10 @@ def test_generator_determinant_closed_form():
     for P, images in cases:
         phi = ClassMap(P, images)
         first = next(g for g, v in enumerate(images) if any(v))
+        twister = Twister(phi)
         for G in group_catalog(8):
             for q in enumerate_epimorphisms(P, G):
-                T = TwistData(phi, q)
-                assert twisted_alexander(P, T).deleted_column == first
+                assert twisted_alexander(twister, q).deleted_column == first
                 for g, img in enumerate(q.images):
                     order, x = 1, img
                     while x != 0:
@@ -483,7 +483,7 @@ def test_generator_determinant_closed_form():
                     closed = (LaurentPoly.monomial(1, (e * order,)) - one) ** (
                         G.order // order)
                     g_minus_1 = {((g, 1),): 1, (): -1}
-                    det = laurent_det(twist_ring_map(g_minus_1, T), 1)
+                    det = laurent_det(twist_ring_map(g_minus_1, q, phi), 1)
                     assert UnitClass(det) == UnitClass(closed)
                     total += 1
     assert total == 708
@@ -528,14 +528,15 @@ def distinct_quotients(P, budget):
             yield q
 
 
-def dense_rows(P, T, j):
-    """The twisted Jacobian from dense twist_ring_map blocks, column j
-    deleted: the assembly the sparse rows replace."""
+def dense_rows(q, phi, j):
+    """The twisted Jacobian of q x Phi from dense twist_ring_map blocks,
+    column j deleted: the assembly the sparse rows replace."""
+    P = phi.presentation
     rows = []
     for rel_row in P.jacobian:
-        blocks = [twist_ring_map(rel_row[g], T)
+        blocks = [twist_ring_map(rel_row[g], q, phi)
                   for g in range(P.ngens) if g != j]
-        for i in range(T.degree):
+        for i in range(q.group.order):
             rows.append([e for blk in blocks for e in blk[i]])
     return rows
 
@@ -558,9 +559,8 @@ def test_sparse_rows_equal_the_dense_twist():
         for cls, budget in ((phi, 8), (minus, 6)):
             budget -= 3 if name == "m.pres" else 0
             for q in catalog_quotients(P, budget):
-                T = TwistData(cls, q)
-                rows, _ = twisted_jacobian(P, T, j)
-                dense = dense_rows(P, T, j)
+                rows, _ = twisted_jacobian(cls, q, j)
+                dense = dense_rows(q, cls, j)
                 assert rows == _pack(dense, 1)[0]
                 shifted += sum(1 for row in dense if _pack([row], 1)[2][0])
                 total += 1
@@ -575,10 +575,9 @@ def test_multivariable_rows_equal_the_dense_twist():
         assert phi.target_rank >= 2
         j = first_column(phi)
         for q in catalog_quotients(P, 4):
-            T = TwistData(phi, q)
-            rows, summands = twisted_jacobian(P, T, j)
+            rows, summands = twisted_jacobian(phi, q, j)
             assert summands == []
-            assert rows == dense_rows(P, T, j)
+            assert rows == dense_rows(q, phi, j)
             total += 1
     assert total == 222
 
@@ -644,7 +643,7 @@ def test_cyclotomic_blocks_give_the_full_qpart():
             for q in enumerate_epimorphisms(
                     P, cyclic_group(n), bound=n,
                     dedup_auto=name in ("t3.pres", "m.pres")):
-                rows, summands = twisted_jacobian(P, TwistData(phi, q), j)
+                rows, summands = twisted_jacobian(phi, q, j)
                 k = (P.ngens - 1) * n
                 assert [k_s for _, k_s in summands] == widths
                 assert sum(widths) == k
@@ -676,9 +675,9 @@ def test_trivial_summand_rank_bounds_the_full_rank():
         j = first_column(phi)
         trivial, *quotients = catalog_quotients(
             P, 5 if name == "m.pres" else 8)
-        untwisted, _ = twisted_jacobian(P, TwistData(phi, trivial), j)
+        untwisted, _ = twisted_jacobian(phi, trivial, j)
         for q in quotients:
-            rows, summands = twisted_jacobian(P, TwistData(phi, q), j)
+            rows, summands = twisted_jacobian(phi, q, j)
             block, k1 = summands[0]
             assert (block, k1) == (untwisted, P.ngens - 1)
             if _hermite_qpart(block, k1) is None:
@@ -691,7 +690,7 @@ def test_trivial_summand_rank_bounds_the_full_rank():
 def test_summands_are_assembled_up_to_the_first_deficient_one(monkeypatch):
     """The representations twisted_alexander assembles the Jacobian in, by
     dimension, and the calls of _independent_rows, per catalog quotient,
-    each call with its own throwaway Twister: on m.pres up to order 5,
+    each call with a Twister of its own: on m.pres up to order 5,
     whose trivial summand has rank below its width on every quotient, one
     block of dimension 1 per quotient and no regular rows; on na.pres up to
     order 8, whose summands all have full rank, every summand and then the
@@ -718,7 +717,7 @@ def test_summands_are_assembled_up_to_the_first_deficient_one(monkeypatch):
         for q in catalog_quotients(P, budget):
             built.clear()
             searched.clear()
-            twisted_alexander(P, TwistData(phi, q))
+            twisted_alexander(Twister(phi), q)
             n = q.group.order
             summands = [len(rep[0]) for rep in summand_reps(q.group)]
             assert built == ([1] if name == "m.pres" else summands + [n])
@@ -742,10 +741,9 @@ def test_lazy_raw_gcd_equals_the_full_hermite():
         P, phi = fixture_class(name)
         j = first_column(phi)
         for q in catalog_quotients(P, 5 if name == "m.pres" else 8):
-            T = TwistData(phi, q)
-            rows, _ = twisted_jacobian(P, T, j)
+            rows, _ = twisted_jacobian(phi, q, j)
             full = max_minor_gcd(rows, (P.ngens - 1) * q.group.order)
-            assert twisted_alexander(P, T).raw_minor_gcd \
+            assert twisted_alexander(Twister(phi), q).raw_minor_gcd \
                 == UnitClass(_arr_to_poly(full))
             key = (name, full == [])
             counts[key] = counts.get(key, 0) + 1
@@ -764,10 +762,10 @@ def test_scaled_class_substitutes_t_to_the_k():
     to 3) of every fixture class, and k = 1000 on T^3 over the trivial
     group and Z2, whose entries 1 - t^1000 have two terms."""
     def check(P, phi, q, ks):
-        base = twisted_alexander(P, TwistData(phi, q)).value.representative
+        base = twisted_alexander(Twister(phi), q).value.representative
         for k in ks:
             scaled = ClassMap(P, [(k * img[0],) for img in phi.images])
-            assert twisted_alexander(P, TwistData(scaled, q)).value \
+            assert twisted_alexander(Twister(scaled), q).value \
                 == UnitClass(specialize(base, [k]))
         return len(ks)
 
@@ -792,7 +790,7 @@ def test_h0_order_is_t_to_the_div_minus_one():
         P, phi = fixture_class(name)
         for q in distinct_quotients(P, 4 if name == "m.pres" else 6):
             _, div = pullback_class(phi, q, reidemeister_schreier(P, q))
-            assert twisted_alexander(P, TwistData(phi, q)).h0_order \
+            assert twisted_alexander(Twister(phi), q).h0_order \
                 == UnitClass(LaurentPoly.monomial(1, (div,)) - one)
             total += 1
     assert total == 504
@@ -843,7 +841,7 @@ def test_zero_untwisted_polynomial_is_zero_on_every_quotient():
     for name, budget in (("zero_alex.pres", 8), ("m.pres", 5)):
         P, phi = fixture_class(name)
         for q in distinct_quotients(P, budget):
-            assert twisted_alexander(P, TwistData(phi, q)).value.is_zero()
+            assert twisted_alexander(Twister(phi), q).value.is_zero()
             counts[name] = counts.get(name, 0) + 1
     assert counts == {"zero_alex.pres": 59, "m.pres": 367}
 
@@ -852,10 +850,10 @@ def test_zero_untwisted_polynomial_is_zero_on_every_quotient():
 
 def test_lazy_correction_equals_the_eager_one():
     """All six fields of twisted_alexander, read value first and read
-    h0_correction first, each with a throwaway Twister and with one Twister
-    shared by the fixture class's quotients, as fibred_certificate shares
-    it, against eager_twisted_alexander, which assembles every block of the
-    quotient afresh, on every distinct catalog quotient up to order 8 of
+    h0_correction first, each with a Twister of its own and with one
+    Twister shared by the fixture class's quotients, as fibred_certificate
+    shares it, against eager_twisted_alexander, which assembles every block
+    of the quotient afresh, on every distinct catalog quotient up to order 8 of
     every fixture class (m.pres up to 5).  A zero raw gcd reads no
     correction, yet h0_correction, read anyway, is still
     +-(t^(e ord g_j) - 1)^(|G|/ord g_j) with e = Phi(g_j)."""
@@ -864,14 +862,14 @@ def test_lazy_correction_equals_the_eager_one():
     for name in FIXTURE_CLASSES:
         P, phi = fixture_class(name)
         j = first_column(phi)
-        shared = Twister(P, phi)
+        shared = Twister(phi)
         for q in distinct_quotients(P, 5 if name == "m.pres" else 8):
-            T = TwistData(phi, q)
-            eager = eager_twisted_alexander(P, T)
-            for first, twister in (("value", None), ("h0_correction", None),
+            eager = eager_twisted_alexander(phi, q)
+            for first, twister in (("value", Twister(phi)),
+                                   ("h0_correction", Twister(phi)),
                                    ("value", shared),
                                    ("h0_correction", shared)):
-                tw = twisted_alexander(P, T, twister=twister)
+                tw = twisted_alexander(twister, q)
                 getattr(tw, first)
                 assert tuple(getattr(tw, f) for f in eager._fields) == eager
             zero = eager.raw_minor_gcd.is_zero()
@@ -952,14 +950,13 @@ def test_cached_parts_equal_fresh_hermite_parts(monkeypatch):
     counts = {}
     for name in FIXTURE_CLASSES:
         P, phi = fixture_class(name)
-        twister = Twister(P, phi)
+        twister = Twister(phi)
         j = twister.column
         for q in distinct_quotients(P, 5 if name == "m.pres" else 8):
-            T = TwistData(phi, q)
             read.clear()
-            twisted_alexander(P, T, twister=twister)
+            twisted_alexander(twister, q)
             [parts] = read
-            _, summands = twisted_jacobian(P, T, j)
+            _, summands = twisted_jacobian(phi, q, j)
             assert 1 <= len(parts) <= len(summands)
             for (part, k_s), (block, width) in zip(parts, summands):
                 assert (part, k_s) == (_hermite_qpart(block, width) or [],
@@ -1010,11 +1007,11 @@ def test_block_cache_counts(monkeypatch):
     new_blocks, owners = {}, set()
     real_ta = normsfibred.twisted_alexander
 
-    def per_call(P, T, **kwargs):
-        owners.add(kwargs["twister"])
+    def per_call(twister, q):
+        owners.add(twister)
         start = len(built)
-        out = real_ta(P, T, **kwargs)
-        G = T.alpha.group
+        out = real_ta(twister, q)
+        G = q.group
         if G.label.startswith("Z"):
             widths = built[start:]
             # the faithful block comes last
@@ -1059,17 +1056,19 @@ def test_interleaved_runs_equal_fresh_runs():
             assert run(*job) == fresh[jobs.index(job)]
 
 
-def test_twister_refuses_another_column_or_class():
-    """A twister fixes the column and the class of every call it serves."""
+def test_twister_refuses_another_presentation_or_a_trivial_class():
+    """A twister takes its presentation from Phi, refuses a trivial Phi,
+    and serves only quotients of that presentation; a structurally equal
+    copy of it is the same presentation."""
     P, phi = fixture_class("t3.pres")
+    twister = Twister(phi)
+    assert twister.presentation is P and twister.column == 0
     q = next(iter(distinct_quotients(P, 2)))
-    twister = Twister(P, phi)
-    T = TwistData(phi, q)
-    assert twisted_alexander(P, T, twister=twister) == twisted_alexander(P, T)
-    with pytest.raises(ValueError, match="its own column"):
-        twisted_alexander(P, T, column=0, twister=twister)
-    other = TwistData(ClassMap(P, [(0,), (1,), (0,)]), q)
-    with pytest.raises(Incompatible, match="another class"):
-        twisted_alexander(P, other, twister=twister)
-    with pytest.raises(NoValidColumn):
-        Twister(P, phi, column=1)
+    copy = Presentation(P.generators, P.relators)
+    same = FiniteQuotient(copy, q.group, q.images)
+    assert twisted_alexander(twister, same) == twisted_alexander(twister, q)
+    other = Presentation(P.generators, P.relators[:2])
+    with pytest.raises(Incompatible, match="different presentations"):
+        twisted_alexander(twister, FiniteQuotient(other, q.group, q.images))
+    with pytest.raises(ValueError, match="Phi must be nontrivial"):
+        Twister(ClassMap(P, [(0,), (0,), (0,)]))

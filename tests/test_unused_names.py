@@ -159,7 +159,7 @@ def test_every_definition_is_named():
 # this list, with a reason to keep it.
 PUBLIC_API = {
     "clifford.projector", "clifford.grade_part", "clifford.even_part",
-    "clifford.failures",
+    "clifford.alpha", "clifford.failures",
     "docio.emit_complex", "docio.emit_presentation", "docio.emit_form",
     "docio.emit_sequence",
     "exactalg.is_diagonal", "exactalg.V", "exactalg.euler_characteristic",
