@@ -24,9 +24,10 @@ MAX_MATRIX_ENTRIES = 10**6
 # cells, and forty omitted 1000-cell boundaries stay under it.
 MAX_CELLS = 10**5
 
-# Bound on the sum over relators of L(L+1)/2 for L letters: the Fox Jacobian
-# keeps one prefix per letter.  alexander, norms and fibred peak at 78 MB RSS
-# on a^1412 b a^-1412 b^-1, the longest single relator the bound accepts.
+# Bound on the sum over relators of L(L+1)/2 for L letters, the one cap on
+# the relators' length: it admits a single relator of up to 2,827 letters.
+# The Fox Jacobian keeps one term per letter, and alexander, norms and
+# fibred peak at 17 MB RSS on a^1412 b a^-1412 b^-1.
 MAX_FOX_LETTERS = 4 * 10**6
 
 

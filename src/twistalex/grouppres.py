@@ -1,8 +1,8 @@
 """Finitely presented groups.
 
-Words, free reduction, Fox calculus, abelianization via Smith normal form,
-enumeration of epimorphisms onto small finite groups, and Reidemeister-
-Schreier presentations of the corresponding finite covers.
+Words, free reduction, the Fox Jacobian as one term per relator letter,
+abelianization via Smith normal form, enumeration of epimorphisms onto
+small finite groups, and the Schreier generators of their kernels.
 
 A word is a tuple of letters (generator_index, +-1).
 """
@@ -23,7 +23,8 @@ class InvalidQuotient(ValueError):
 
 
 class Incompatible(ValueError):
-    """Cover data does not match the quotient it claims to come from."""
+    """A quotient, class or word does not belong to the presentation it is
+    used with."""
 
 
 def _check_same(p, q, message):
@@ -265,21 +266,14 @@ class ClassMap:
 
 # ---- Fox calculus ----------------------------------------------------------
 
-def fox_derivative(word, gen):
-    """d(word)/d(gen) by the product rule d(uv) = du + u dv, as a map from
-    each freely reduced prefix to its nonzero integer coefficient."""
-    terms = {}
-    for i, (g, s) in enumerate(word):
-        if g == gen:
-            w = free_reduce(word[:i] if s == 1 else word[:i + 1])
-            terms[w] = terms.get(w, 0) + s
-    return {w: c for w, c in terms.items() if c}
-
-
 def fox_jacobian(P):
-    """Matrix of Fox derivatives, each a term map {word: coefficient}: rows
-    are relators, columns generators."""
-    return [[fox_derivative(r, j) for j in range(P.ngens)] for r in P.relators]
+    """The Fox Jacobian as terms (r, g, i, s), one per letter (g, s) at
+    position k of relator r, with i = k for s = +1 and i = k + 1 for s = -1:
+    by the product rule d(uv) = du + u dv, dr/dx_g is the sum of s * r[:i]
+    over the terms of (r, g).  Relators are freely reduced, so no two terms
+    of one (r, g) share a prefix."""
+    return [(r, g, k + (s < 0), s) for r, rel in enumerate(P.relators)
+            for k, (g, s) in enumerate(rel)]
 
 
 # ---- finite groups ---------------------------------------------------------
@@ -454,6 +448,16 @@ class FiniteQuotient:
             x = table[x][images[g] if s > 0 else inv[images[g]]]
         return x
 
+    def prefixes(self, word):
+        """alpha(word[:i]) for i = 0, ..., len(word), in one walk."""
+        x, table, inv = 0, self.group.table, self.group.inverse
+        images = self.images
+        out = [x]
+        for g, s in word:
+            x = table[x][images[g] if s > 0 else inv[images[g]]]
+            out.append(x)
+        return out
+
     def kernel_key(self):
         """Canonical key identifying ker(alpha): the standardized coset table."""
         table, pos = self.group.table, self.position
@@ -503,13 +507,14 @@ def _relator_solutions(P, G):
             i += 1
 
 
-def enumerate_epimorphisms(P, G, bound=12, dedup_auto=False):
+def enumerate_epimorphisms(P, G, dedup_auto=False):
     """All surjections pi_1(P) -> G, in lexicographic image order.
 
     With dedup_auto, quotients with equal kernels (equivalently, equal
     standardized coset tables) are collapsed to their first representative.
+    G's table is already built, so a caller with a bound on |G| checks it
+    first (check_order).
     """
-    check_order(G.order, bound)
     out = []
     seen_keys = set()
     for images in _relator_solutions(P, G):
@@ -528,53 +533,14 @@ def enumerate_epimorphisms(P, G, bound=12, dedup_auto=False):
 
 # ---- Reidemeister-Schreier --------------------------------------------------
 
-class Cover:
-    """ker(alpha) on its Schreier generators s_{x,i} = t_x g_i t_{x g_i}^-1,
-    the non-tree edges (x, i) of the coset table; its presentation is
-    rewritten from the relators on first read."""
-
-    def __init__(self, quotient, edges, generator_words, transversal):
-        self.quotient = quotient
-        self.edges = edges      # per cover generator, its edge (coset x, i)
-        # per cover generator, a word in the base group
-        self.generator_words = generator_words
-        # per coset (in discovery order), a base-group word
-        self.transversal = transversal
-
-    @cached_property
-    def presentation(self):
-        """Each relator r read from each coset x, the cover generator of
-        every non-tree edge it crosses kept: x g_i^+1 crosses (x, i), and
-        x g_i^-1 crosses (x g_i^-1, i) backwards."""
-        q = self.quotient
-        P, G = q.presentation, q.group
-        gen_id = {e: k for k, e in enumerate(self.edges)}
-        relators = []
-        for x in q.order:
-            for r in P.relators:
-                out, cur = [], x
-                for i, s in r:
-                    nxt = G.mul(cur, q.images[i] if s == 1
-                                else G.inv(q.images[i]))
-                    k = gen_id.get((cur, i) if s == 1 else (nxt, i))
-                    if k is not None:
-                        out.append((k, s))
-                    cur = nxt
-                w = free_reduce(out)
-                if w:
-                    relators.append(w)
-        names = [f"{P.generators[i]}_{q.position[x]}" for x, i in self.edges]
-        return Presentation(names, relators)
-
-
 def reidemeister_schreier(P, q):
-    """The kernel of q on the Schreier generators.
+    """The Schreier generators s_{x,i} = t_x g_i t_{x g_i}^-1 of ker(q), one
+    per non-tree edge (x, i) of q's coset table, as words in P's generators.
 
-    The transversal is read off the parent edges of q's coset table, so the
+    The transversal t is read off the parent edges of q's coset table, so the
     output is deterministic.  A tree word is reduced as built: the inverse
     of its last letter leads from its coset back to the coset's parent,
-    which the breadth-first walk discovered first.  The cover's presentation
-    is built on first read.
+    which the breadth-first walk discovered first.
     """
     _check_same(q.presentation, P,
                 "quotient belongs to a different presentation")
@@ -583,13 +549,6 @@ def reidemeister_schreier(P, q):
     for y in q.order[1:]:
         x, i, s = q.parent[y]
         trans[y] = trans[x] + ((i, s),)
-    edges, words = [], []
-    for x in q.order:
-        for i in range(P.ngens):
-            w = word_mul(trans[x], ((i, 1),),
-                         word_inverse(trans[G.mul(x, q.images[i])]))
-            if w:   # tree edges give the empty word
-                edges.append((x, i))
-                words.append(w)
-    return Cover(q, tuple(edges), tuple(words),
-                 tuple(trans[x] for x in q.order))
+    words = (word_mul(trans[x], ((i, 1),), word_inverse(trans[G.mul(x, img)]))
+             for x in q.order for i, img in enumerate(q.images))
+    return tuple(w for w in words if w)   # tree edges give the empty word

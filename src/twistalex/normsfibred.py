@@ -142,8 +142,7 @@ def fibred_certificate(P, phi, thurston_norm, budget, b3=1, dedup_auto=False):
     # one group's epimorphisms are held at a time
     quotients = chain([trivial_quotient(P)],
                       chain.from_iterable(
-                          enumerate_epimorphisms(P, G, bound=budget,
-                                                 dedup_auto=dedup_auto)
+                          enumerate_epimorphisms(P, G, dedup_auto=dedup_auto)
                           for G in group_catalog(budget)))
     for q in quotients:
         key = (q.group.label, q.kernel_key())
@@ -155,7 +154,7 @@ def fibred_certificate(P, phi, thurston_norm, budget, b3=1, dedup_auto=False):
         tw = twisted_alexander(twister, q)
         # div: the divisibility of Phi pulled back to ker(alpha), the gcd of
         # its values on the Schreier generators
-        div = gcd(*(x for w in reidemeister_schreier(P, q).generator_words
+        div = gcd(*(x for w in reidemeister_schreier(P, q)
                     for x in phi.of_word(w)))
         deg = laurent_degree(tw.value.representative)
         expected = q.group.order * thurston_norm + (1 + b3) * div

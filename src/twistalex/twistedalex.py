@@ -11,17 +11,19 @@ the twisted H_0, which matches the module-order definition on every oracle
 family; both are exposed.  The correction is computed on first read, and a
 zero raw gcd needs none: its value is zero whatever the correction.
 
-The Jacobian is assembled as sparse cells, straight from the Fox terms,
-alpha and Phi, in any integer representation of G given by its sparse
-columns.  Over Q the regular representation splits into rational summands
-(Maschke), and the minor gcd splits with it: the trivial summand is one for
-every G, and for G = Z_n the split is complete,
-Q[Z_n] = (+)_{d | n} Q[z]/Phi_d(z), each summand once.  For rank 1 the
-summands are read one at a time, trivial first, and the first of rank below
-its width makes the gcd 0 before any later one is read.  Twister(phi) owns
-a twist, P read from Phi, with what depends on (P, Phi) alone: the deleted
-column, Phi on every Fox word, and each summand block's Hermite part;
-twisted_alexander(twister, q) reads it at the quotient q.  The d-block of a
+Each Fox term of a relator is +- one of its prefixes, so one walk along
+the relator gives alpha and Phi of every term, and the Jacobian is
+assembled as sparse cells, straight from those values, in any integer
+representation of G given by its sparse columns.  Over Q the regular
+representation splits into rational summands (Maschke), and the minor gcd
+splits with it: the trivial summand is one for every G, and for G = Z_n
+the split is complete, Q[Z_n] = (+)_{d | n} Q[z]/Phi_d(z), each summand
+once.  For rank 1 the summands are read one at a time, trivial first, and
+the first of rank below its width makes the gcd 0 before any later one is
+read.  Twister(phi) owns a twist, P read from Phi, with what depends on
+(P, Phi) alone: the deleted column, Phi on every relator prefix, and each
+summand block's Hermite part; twisted_alexander(twister, q) reads it at
+the quotient q.  The d-block of a
 Z_n quotient is the faithful block of the composite onto Z_d, and the
 trivial block is the untwisted Jacobian for every G, so a run over many
 quotients assembles each block once, and a rank-deficient untwisted
@@ -250,19 +252,19 @@ class Twister:
     Built once for a run over many quotients from a nontrivial Phi on P, it
     holds the deleted column j (the first generator with Phi(g) != 0), the
     Fox terms of the Jacobian without column j with their Phi-values, and
-    the Hermite part of every rational summand block met so far.  Phi runs
-    once per Fox word per owner, and nothing outlives it.
+    the Hermite part of every rational summand block met so far.  Phi is
+    walked along each relator once per owner, and nothing outlives it.
 
     The block cache is exact.  The summand Q[z]/Phi_d of Z_n, d | n, is
-    assembled from alpha(w) mod d and Phi(w) alone, since z^d = 1 there:
-    it is the same rows as the faithful summand of the composite of alpha
-    with Z_n -> Z_d, so its key is (d, alpha's images mod d).  The trivial
-    summand of every G has the key (1, (0, ..., 0)): it is the untwisted
-    Jacobian, which the regular representation contains (Maschke), so once
-    its Hermite part is [] (rank below its width) every later quotient reads
-    a zero gcd from the cache and assembles nothing.  The alpha-terms and
-    the regular rows of a quotient are built only on a miss, or when
-    max_minor_gcd needs the integer content.
+    assembled from alpha(r[:i]) mod d and Phi(r[:i]) alone, since z^d = 1
+    there: it is the same rows as the faithful summand of the composite of
+    alpha with Z_n -> Z_d, so its key is (d, alpha's images mod d).  The
+    trivial summand of every G has the key (1, (0, ..., 0)): it is the
+    untwisted Jacobian, which the regular representation contains
+    (Maschke), so once its Hermite part is [] (rank below its width) every
+    later quotient reads a zero gcd from the cache and assembles nothing.  Alpha is walked along
+    the relators, and the regular rows of a quotient are built, only on a
+    miss, or when max_minor_gcd needs the integer content.
     """
 
     def __init__(self, phi):
@@ -274,14 +276,22 @@ class Twister:
 
     @cached_property
     def _fox_terms(self):
-        """(relator, block, w, Phi(w), c) for every term c*w of the Fox
-        Jacobian, numbering the generator blocks without column j."""
+        """(relator, block, i, Phi(r[:i]), s) for every Fox term s * r[:i] of
+        the Jacobian, numbering the generator blocks without column j: Phi
+        is summed along each relator once."""
         P, phi = self.presentation, self.phi
-        blocks = [g for g in range(P.ngens) if g != self.column]
-        return [(r, b, w, phi.of_word(w), c)
-                for r, rel_row in enumerate(P.jacobian)
-                for b, g in enumerate(blocks)
-                for w, c in rel_row[g].items()]
+        zero = (0,) * phi.target_rank
+        walks = []      # per relator, Phi(r[:i]) for i = 0, ..., len(r)
+        for rel in P.relators:
+            e = zero
+            walk = [e]
+            for g, s in rel:
+                e = tuple(a + s * b for a, b in zip(e, phi.of_generator(g)))
+                walk.append(e)
+            walks.append(walk)
+        j = self.column
+        return [(r, g - (g > j), i, walks[r][i], s)
+                for r, g, i, s in P.jacobian if g != j]
 
     def raw_minor_gcd(self, q):
         """The normalized gcd of the maximal minors of the twisted Jacobian
@@ -289,12 +299,13 @@ class Twister:
         P, rank, G = self.presentation, self.phi.target_rank, q.group
         nrels, nblocks = len(P.relators), P.ngens - 1
         k = nblocks * G.order
-        terms = []      # (relator, block, alpha(w), Phi(w), c), on first use
+        terms = []      # (relator, block, alpha(r[:i]), Phi(r[:i]), s)
 
         def rows(rep):
-            if not terms:
-                terms.extend((r, b, q.of_word(w), e, c)
-                             for r, b, w, e, c in self._fox_terms)
+            if not terms:   # alpha is walked along each relator on first use
+                walks = [q.prefixes(rel) for rel in P.relators]
+                terms.extend((r, b, walks[r][i], e, s)
+                             for r, b, i, e, s in self._fox_terms)
             return _twisted_rows(terms, rep, nrels, nblocks, rank)
 
         if rank > 1:

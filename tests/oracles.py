@@ -25,14 +25,18 @@ library's value;
 recursion did the content split and the primitive PRS itself, kept to check
 the single recursion.  `GroupRingElement` is the integer group ring of the
 free group that the library's Fox derivatives returned before they became
-plain term maps, kept to state the Fox identities; `pullback_class` is Phi
-restricted to a Reidemeister-Schreier cover, as a validated class on the
-cover's generators, with its divisibility, which the library read `div`
-from before it took the gcd of the Schreier generators' Phi-values itself,
-kept to check that gcd and to twist the cover in the Shapiro checks;
-`eager_cover_presentation` is the cover's relator rewrite as the library
-ran it on every Reidemeister-Schreier call, before the cover built its
-presentation on first read, kept to check the lazy one.
+plain term maps, kept to state the Fox identities; `fox_derivative` is the
+term map {freely reduced prefix: coefficient} the library built for every
+Jacobian entry before it read the terms off one walk per relator, kept to
+check the walk (through `jacobian_terms`) and to state the Fox identities;
+`pullback_class` is Phi restricted to a Reidemeister-Schreier cover, as a
+validated class on the cover's generators, with its divisibility, which
+the library read `div` from before it took the gcd of the Schreier
+generators' Phi-values itself, kept to check that gcd and to twist the
+cover in the Shapiro checks; `eager_cover_presentation` is the cover's
+relator rewrite as the library ran it before it kept only the Schreier
+generator words, kept to twist the cover in those checks and to check the
+cover's homology.
 """
 
 from collections import namedtuple
@@ -42,9 +46,8 @@ from math import gcd
 
 from twistalex.clifford import CliffordElement
 from twistalex.exactalg import IntMatrix, smith_normal_form
-from twistalex.grouppres import (ClassMap, Incompatible, Presentation,
-                                 free_reduce, word_inverse, word_mul,
-                                 _check_same)
+from twistalex.grouppres import (ClassMap, Presentation, free_reduce,
+                                 word_inverse, word_mul, _check_same)
 from twistalex.laurent import (LaurentPoly, RankMismatch, UnitClass, div_exact,
                                lp_gcd, lp_gcd_many, normalize_unit,
                                _arr_to_poly)
@@ -602,15 +605,26 @@ class GroupRingElement:
         return f"GroupRingElement({self.terms!r})"
 
 
-def pullback_class(Phi, q, cover):
-    """Phi restricted to ker(alpha), on the cover's generators, plus div.
+def fox_derivative(word, gen):
+    """d(word)/d(gen) by the product rule d(uv) = du + u dv, as a map from
+    each freely reduced prefix to its nonzero integer coefficient."""
+    terms = {}
+    for i, (g, s) in enumerate(word):
+        if g == gen:
+            w = free_reduce(word[:i] if s == 1 else word[:i + 1])
+            terms[w] = terms.get(w, 0) + s
+    return {w: c for w, c in terms.items() if c}
+
+
+def pullback_class(Phi, q, words):
+    """Phi restricted to ker(alpha = q), on its Schreier generator words
+    (reidemeister_schreier), as a class on eager_cover_presentation, plus
+    div.
 
     div is the gcd of all coordinate values of the pulled-back class.
     """
-    if cover.quotient is not q and cover.quotient.images != q.images:
-        raise Incompatible("cover was not built from this quotient")
-    images = [Phi.of_word(w) for w in cover.generator_words]
-    phi_a = ClassMap(cover.presentation, images)
+    images = [Phi.of_word(w) for w in words]
+    phi_a = ClassMap(eager_cover_presentation(Phi.presentation, q), images)
     return phi_a, gcd(*(x for img in images for x in img))
 
 
@@ -703,16 +717,17 @@ def twist_by_letters(terms, q, phi):
 # ---- the eager twisted Jacobian ----
 
 def jacobian_terms(phi, q, j):
-    """(relator, block, alpha(w), Phi(w), c) for every term c*w of the Fox
-    Jacobian of Phi's presentation, numbering the generator blocks without
-    the deleted column j: alpha = q and Phi evaluated afresh on every
+    """(relator, block, alpha(w), Phi(w), c) for every term c*w of
+    fox_derivative(relator, g) over the relators of Phi's presentation,
+    numbering the generator blocks g without the deleted column j: the
+    prefix words built, and alpha = q and Phi evaluated afresh on every
     word."""
     P = phi.presentation
     blocks = [g for g in range(P.ngens) if g != j]
     return [(r, b, q.of_word(w), phi.of_word(w), c)
-            for r, rel_row in enumerate(P.jacobian)
+            for r, rel in enumerate(P.relators)
             for b, g in enumerate(blocks)
-            for w, c in rel_row[g].items()]
+            for w, c in fox_derivative(rel, g).items()]
 
 
 def summand_reps(G):

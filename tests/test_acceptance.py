@@ -11,9 +11,8 @@ from twistalex.cli import main
 from twistalex.exactalg import ExactSequenceData, IntMatrix, MapData, \
     exact_sequence_solve, smith_normal_form
 from twistalex.grouppres import (ClassMap, Presentation, abelianize,
-                                 enumerate_epimorphisms, fox_derivative,
-                                 free_reduce, reidemeister_schreier,
-                                 trivial_quotient)
+                                 enumerate_epimorphisms, free_reduce,
+                                 reidemeister_schreier, trivial_quotient)
 from twistalex.laurent import LaurentPoly, laurent_degree, normalize_unit
 from twistalex.normsfibred import (alexander_norm, class_divisibility,
                                    fibred_certificate, group_catalog,
@@ -23,8 +22,9 @@ from twistalex.twistedalex import (Twister, multivariable_alexander,
 from twistalex.clifford import verify_all
 
 from conftest import FIXTURES
-from oracles import (GroupRingElement, int_det, mapping_torus_alexander,
-                     pullback_class, seifert_alexander)
+from oracles import (GroupRingElement, fox_derivative, int_det,
+                     mapping_torus_alexander, pullback_class,
+                     seifert_alexander)
 
 _T0 = {}
 
@@ -160,10 +160,10 @@ def test_criterion_05_cover_consistency(capsys):
                 key = (G.label, q.kernel_key())
                 if key not in cache:
                     tw = twisted_alexander(Twister(phi), q)
-                    cover = reidemeister_schreier(P, q)
-                    phi_a, _ = pullback_class(phi, q, cover)
+                    phi_a, _ = pullback_class(phi, q,
+                                              reidemeister_schreier(P, q))
                     tw_cover = twisted_alexander(
-                        Twister(phi_a), trivial_quotient(cover.presentation))
+                        Twister(phi_a), trivial_quotient(phi_a.presentation))
                     cache[key] = (tw.value == tw_cover.value)
                 matches += 1 if cache[key] else 0
     elapsed = time.time() - t0

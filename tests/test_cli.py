@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 import subprocess
@@ -372,6 +373,33 @@ def test_large_class_value_finishes():
             cwd=root, env=env, capture_output=True, timeout=10)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == expected
+
+
+# The three long-relator jobs and their stdout, as printed before the Fox
+# terms were read off one walk per relator (SHA-256 for the longer ones)
+LONG_RELATOR_JOBS = [
+    (["alexander", "--phi", "0,1"],
+     "delta = 1412*t - 1412, deg 1, not monic\n"),
+    (["fibred", "--phi", "0,1", "--thurston", "0", "--budget", "3"],
+     "6a69a4b97c9925377a2276fe8278242ed69b0d7ceeadd1225446a33cd04529cc"),
+    (["norms", "--phi", "0,1", "--thurston", "0"],
+     "4192b313ee2f9f9cb6a9f511fa4450d67dc0daa79c8cfb9ffb8dc31a0d7a1466"),
+]
+
+
+@pytest.mark.parametrize("argv, expected", LONG_RELATOR_JOBS)
+def test_long_relator_finishes(capsys, tmp_path, argv, expected):
+    """a^1412 b a^-1412 b^-1 is the longest single relator that
+    docio.MAX_FOX_LETTERS admits; its Fox terms are read off one walk per
+    quotient, linear in its length, so each job takes under 1 s."""
+    doc = tmp_path / "long.pres"
+    doc.write_text("presentation\ngenerators: a b\n"
+                   "relator: a^1412 b a^-1412 b^-1\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv[0], doc, *argv[1:])
+    assert time.perf_counter() - start < 1.0
+    assert (code, err) == (0, "")
+    assert expected in (out, hashlib.sha256(out.encode()).hexdigest())
 
 
 PEAK_RSS_CLI = """

@@ -460,7 +460,7 @@ def na_twisted_jacobian(n):
     deleted: rows of Z[t] arrays and the cyclotomic summands; and the
     twisted polynomial's raw minor gcd."""
     _, (P, classes) = parse_document(fixture_text("na.pres"))
-    q = enumerate_epimorphisms(P, cyclic_group(n), bound=n)[0]
+    q = enumerate_epimorphisms(P, cyclic_group(n))[0]
     phi = classes["fib"]
     rows, summands = twisted_jacobian(phi, q, 2)
     return rows, summands, twisted_alexander(Twister(phi), q).raw_minor_gcd

@@ -1,5 +1,6 @@
 import random
 import sys
+from functools import cached_property
 from math import comb, gcd
 
 import pytest
@@ -8,7 +9,7 @@ from twistalex.docio import parse_document
 from twistalex.grouppres import (ClassMap, FiniteQuotient, Incompatible,
                                  Presentation, abelianize, cyclic_group,
                                  dihedral_group, enumerate_epimorphisms,
-                                 free_reduce, reidemeister_schreier,
+                                 reidemeister_schreier,
                                  symmetric_group, trivial_group,
                                  trivial_quotient)
 from twistalex.laurent import (LaurentPoly, UnitClass, laurent_degree,
@@ -19,10 +20,11 @@ from twistalex import normsfibred, polymat, twistedalex
 from twistalex.polymat import _hermite_qpart, max_minor_gcd
 from twistalex.twistedalex import (NoValidColumn, Twister,
                                    multivariable_alexander, twist_ring_map,
-                                   twisted_alexander, _regular_rep)
+                                   twisted_alexander, _regular_rep,
+                                   _twisted_rows)
 
 from conftest import fixture_text
-from oracles import (eager_cover_presentation, eager_twisted_alexander,
+from oracles import (eager_twisted_alexander, fox_derivative,
                      mapping_torus_alexander, pullback_class,
                      seifert_alexander, summand_reps, twist_by_letters,
                      twisted_jacobian)
@@ -90,7 +92,6 @@ def test_twist_ring_map_against_letter_products():
     Jacobian entry and on g - 1 for every generator, over every catalog
     quotient of order <= 8 of na, fig8, trefoil and T^3, with a rank-1 class
     on each and the rank-3 abelianization class on T^3."""
-    from twistalex.grouppres import fox_jacobian
     t3 = Presentation.from_text(["a", "b", "c"], ["[a,b]", "[a,c]", "[b,c]"])
     cases = ((na_presentation(), na_fibration_class()),
              (fig8(), ClassMap(fig8(), [(0,), (0,), (1,)])),
@@ -99,7 +100,8 @@ def test_twist_ring_map_against_letter_products():
              (t3, ClassMap(t3, abelianize(t3).gen_images)))
     total = 0
     for P, phi in cases:
-        elements = [x for row in fox_jacobian(P) for x in row]
+        elements = [fox_derivative(r, g) for r in P.relators
+                    for g in range(P.ngens)]
         elements += [{((g, 1),): 1, (): -1} for g in range(P.ngens)]
         for G in group_catalog(8):
             for q in enumerate_epimorphisms(P, G):
@@ -239,10 +241,9 @@ def test_cover_consistency_small():
     for G in (cyclic_group(2), cyclic_group(3), dihedral_group(2)):
         for q in enumerate_epimorphisms(P, G):
             tw = twisted_alexander(Twister(phi), q)
-            cover = reidemeister_schreier(P, q)
-            phi_a, _ = pullback_class(phi, q, cover)
+            phi_a, _ = pullback_class(phi, q, reidemeister_schreier(P, q))
             tw_cover = twisted_alexander(Twister(phi_a),
-                                         trivial_quotient(cover.presentation))
+                                         trivial_quotient(phi_a.presentation))
             assert tw.value == tw_cover.value
 
 
@@ -252,10 +253,9 @@ def test_cover_consistency_nonabelian():
     for G in (symmetric_group(3),):
         for q in enumerate_epimorphisms(P, G):
             tw = twisted_alexander(Twister(phi), q)
-            cover = reidemeister_schreier(P, q)
-            phi_a, _ = pullback_class(phi, q, cover)
+            phi_a, _ = pullback_class(phi, q, reidemeister_schreier(P, q))
             tw_cover = twisted_alexander(Twister(phi_a),
-                                         trivial_quotient(cover.presentation))
+                                         trivial_quotient(phi_a.presentation))
             assert tw.value == tw_cover.value
 
 
@@ -263,7 +263,8 @@ def test_coset_table_against_word_map_and_cover():
     """The coset table against two independent oracles, on every epimorphism
     of na, fig8, trefoil and T^3 onto a catalog group of order <= 12:
     transversal words rebuilt from the parent edges evaluate to their coset,
-    and the Schreier Phi-values have the gcd that pullback_class reports."""
+    the Schreier generator words lie in the kernel, and the Schreier
+    Phi-values have the gcd that pullback_class reports."""
     t3 = Presentation.from_text(["a", "b", "c"], ["[a,b]", "[a,c]", "[b,c]"])
     cases = ((na_presentation(), [(0,), (0,), (1,)]),
              (fig8(), [(0,), (0,), (1,)]),
@@ -284,9 +285,8 @@ def test_coset_table_against_word_map_and_cover():
                     words[y] = words[x] + ((i, s),)
                 for x, word in words.items():
                     assert q.of_word(word) == x
-                cover = reidemeister_schreier(P, q)
-                assert cover.transversal == tuple(
-                    free_reduce(words[x]) for x in q.order)
+                schreier = reidemeister_schreier(P, q)
+                assert all(q.of_word(w) == 0 for w in schreier)
                 div = 0
                 for x in q.order:
                     for i, img in enumerate(q.images):
@@ -294,29 +294,8 @@ def test_coset_table_against_word_map_and_cover():
                         v = (phi.of_word(words[x])[0] + images[i][0]
                              - phi.of_word(words[y])[0])
                         div = gcd(div, v)
-                assert div == pullback_class(phi, q, cover)[1]
+                assert div == pullback_class(phi, q, schreier)[1]
     assert total == 6256
-
-
-def test_lazy_cover_presentation_against_eager_rewrite():
-    """The cover's presentation, built on first read, equals the relator
-    rewrite of every Reidemeister-Schreier call as the library ran it, on
-    every catalog quotient up to order 8 of every fixture (m.pres up to 5),
-    and the Schreier generators it is written on are the cover's edges."""
-    total = 0
-    for name in FIXTURE_CLASSES:
-        P, _ = fixture_class(name)
-        for q in catalog_quotients(P, 5 if name == "m.pres" else 8):
-            cover = reidemeister_schreier(P, q)
-            assert "presentation" not in vars(cover)
-            eager = eager_cover_presentation(P, q)
-            lazy = cover.presentation
-            assert (lazy.generators, lazy.relators) == (eager.generators,
-                                                        eager.relators)
-            assert cover.presentation is lazy
-            assert len(cover.edges) == len(cover.generator_words) == lazy.ngens
-            total += 1
-    assert total == 3036
 
 
 def test_certificate_builds_no_cover_presentation(monkeypatch):
@@ -374,10 +353,9 @@ def test_circle_has_trivial_polynomial():
     # and through a double cover, which is again a circle
     q = FiniteQuotient(P, cyclic_group(2), (1,))
     assert str(twisted_alexander(Twister(phi), q).value) == "1"
-    cover = reidemeister_schreier(P, q)
-    phi_a, _ = pullback_class(phi, q, cover)
+    phi_a, _ = pullback_class(phi, q, reidemeister_schreier(P, q))
     tw_cover = twisted_alexander(Twister(phi_a),
-                                 trivial_quotient(cover.presentation))
+                                 trivial_quotient(phi_a.presentation))
     assert str(tw_cover.value) == "1"
 
 
@@ -513,8 +491,7 @@ def catalog_quotients(P, budget, dedup_auto=False):
     """The trivial quotient, then every catalog quotient up to the budget."""
     yield FiniteQuotient(P, trivial_group(), (0,) * P.ngens)
     for G in group_catalog(budget):
-        yield from enumerate_epimorphisms(P, G, bound=budget,
-                                          dedup_auto=dedup_auto)
+        yield from enumerate_epimorphisms(P, G, dedup_auto=dedup_auto)
 
 
 def distinct_quotients(P, budget):
@@ -529,12 +506,13 @@ def distinct_quotients(P, budget):
 
 
 def dense_rows(q, phi, j):
-    """The twisted Jacobian of q x Phi from dense twist_ring_map blocks,
-    column j deleted: the assembly the sparse rows replace."""
+    """The twisted Jacobian of q x Phi from dense twist_ring_map blocks of
+    the oracle's Fox words, column j deleted: the assembly the sparse rows
+    replace."""
     P = phi.presentation
     rows = []
-    for rel_row in P.jacobian:
-        blocks = [twist_ring_map(rel_row[g], q, phi)
+    for rel in P.relators:
+        blocks = [twist_ring_map(fox_derivative(rel, g), q, phi)
                   for g in range(P.ngens) if g != j]
         for i in range(q.group.order):
             rows.append([e for blk in blocks for e in blk[i]])
@@ -546,40 +524,108 @@ def strip_t(a):
     return a[next(i for i, c in enumerate(a) if c):]
 
 
-def test_sparse_rows_equal_the_dense_twist():
-    """Array for array, on every fixture and catalog quotient up to order 8
-    (m.pres up to 5), and with the class negated up to order 6 (m.pres up
-    to 3): the negated classes give Fox terms with Phi < 0, whose rows are
-    shifted as _pack shifts them."""
-    total = shifted = 0
+class WalkedTerms(Exception):
+    """Raised in place of _twisted_rows, with the terms it was handed."""
+
+
+@pytest.fixture
+def walked_rows(monkeypatch):
+    """walked_rows(phi, q): the rows in the regular representation of the
+    terms a fresh Twister walks along the relators at q, as raw_minor_gcd
+    hands them to _twisted_rows on its first assembly."""
+    def capture(terms, *_):
+        raise WalkedTerms(list(terms))
+
+    monkeypatch.setattr(twistedalex, "_twisted_rows", capture)
+
+    def rows(phi, q):
+        with pytest.raises(WalkedTerms) as caught:
+            Twister(phi).raw_minor_gcd(q)
+        P = phi.presentation
+        return _twisted_rows(caught.value.args[0], _regular_rep(q.group),
+                             len(P.relators), P.ngens - 1, phi.target_rank)
+    return rows
+
+
+def random_presentations(seed, count):
+    """Seeded presentations on a, b, c with two relators, each a conjugated
+    commutator u [x, y] u^-1 of random words, so b_1 = 3, with one to three
+    cancelling pairs g^s g^-s inserted for the presentation to reduce."""
+    rng = random.Random(seed)
+
+    def word(lo, hi):
+        return [(rng.randint(0, 2), rng.choice((1, -1)))
+                for _ in range(rng.randint(lo, hi))]
+
+    def inverse(w):
+        return [(g, -s) for g, s in reversed(w)]
+
+    for _ in range(count):
+        relators = []
+        for _ in range(2):
+            u, x, y = word(0, 3), word(1, 3), word(1, 3)
+            rel = u + x + y + inverse(x) + inverse(y) + inverse(u)
+            for _ in range(rng.randint(1, 3)):
+                g, s = rng.randint(0, 2), rng.choice((1, -1))
+                i = rng.randint(0, len(rel))
+                rel[i:i] = [(g, s), (g, -s)]
+            relators.append(rel)
+        yield Presentation(["a", "b", "c"], relators)
+
+
+def test_sparse_rows_equal_the_dense_twist(walked_rows):
+    """Array for array, the rows walked along the relators, the rows of the
+    oracle's Fox words and the dense twist of those words, on every fixture
+    and catalog quotient up to order 8 (m.pres up to 5), and with the class
+    negated up to order 6 (m.pres up to 3), and on six seeded presentations
+    with the class (1, -1, 2) up to order 4: the negated classes give Fox
+    terms with Phi < 0, whose rows are shifted as _pack shifts them."""
+    cases = []
     for name in FIXTURE_CLASSES:
         P, phi = fixture_class(name)
         minus = ClassMap(P, [tuple(-v for v in img) for img in phi.images])
-        j = first_column(phi)
-        for cls, budget in ((phi, 8), (minus, 6)):
-            budget -= 3 if name == "m.pres" else 0
-            for q in catalog_quotients(P, budget):
-                rows, _ = twisted_jacobian(cls, q, j)
-                dense = dense_rows(q, cls, j)
-                assert rows == _pack(dense, 1)[0]
-                shifted += sum(1 for row in dense if _pack([row], 1)[2][0])
-                total += 1
-    assert (total, shifted) == (3852, 7304)
+        cut = 3 if name == "m.pres" else 0
+        cases += [(phi, 8 - cut), (minus, 6 - cut)]
+    cases += [(ClassMap(P, [(1,), (-1,), (2,)]), 4)
+              for P in random_presentations(5, 6)]
+    counts = []
+    for cls, budget in cases:
+        j = first_column(cls)
+        total = shifted = 0
+        for q in catalog_quotients(cls.presentation, budget):
+            rows, _ = twisted_jacobian(cls, q, j)
+            dense = dense_rows(q, cls, j)
+            assert walked_rows(cls, q) == rows == _pack(dense, 1)[0]
+            shifted += sum(1 for row in dense if _pack([row], 1)[2][0])
+            total += 1
+        counts.append((total, shifted))
+    fixtures = [sum(c) for c in zip(*counts[:2 * len(FIXTURE_CLASSES)])]
+    assert fixtures == [3852, 7304]
+    assert counts[2 * len(FIXTURE_CLASSES):] == [
+        (132, 970), (132, 485), (132, 0), (132, 0), (132, 485), (132, 485)]
 
 
-def test_multivariable_rows_equal_the_dense_twist():
-    total = 0
-    for name in ("na.pres", "t3.pres", "torus.pres", "zero_alex.pres"):
-        P, _ = fixture_class(name)
+def test_multivariable_rows_equal_the_dense_twist(walked_rows):
+    """The walked rows, the rows of the oracle's Fox words and the dense
+    twist, with Phi the identity on H = Z^{b_1}, on four fixtures and three
+    seeded presentations, every catalog quotient up to order 4."""
+    presentations = [fixture_class(name)[0] for name in
+                     ("na.pres", "t3.pres", "torus.pres", "zero_alex.pres")]
+    presentations += random_presentations(7, 3)
+    counts = []
+    for P in presentations:
         phi = ClassMap(P, abelianize(P).gen_images)
         assert phi.target_rank >= 2
         j = first_column(phi)
+        total = 0
         for q in catalog_quotients(P, 4):
             rows, summands = twisted_jacobian(phi, q, j)
             assert summands == []
-            assert rows == dense_rows(q, phi, j)
+            assert walked_rows(phi, q) == rows == dense_rows(q, phi, j)
             total += 1
-    assert total == 222
+        counts.append(total)
+    assert sum(counts[:4]) == 222
+    assert counts[4:] == [132, 132, 132]
 
 
 def test_summand_representations_are_homomorphisms():
@@ -641,7 +687,7 @@ def test_cyclotomic_blocks_give_the_full_qpart():
             widths = [(P.ngens - 1) * (len(_cyclotomic(d)) - 1)
                       for d in range(1, n + 1) if n % d == 0]
             for q in enumerate_epimorphisms(
-                    P, cyclic_group(n), bound=n,
+                    P, cyclic_group(n),
                     dedup_auto=name in ("t3.pres", "m.pres")):
                 rows, summands = twisted_jacobian(phi, q, j)
                 k = (P.ngens - 1) * n
@@ -809,8 +855,8 @@ def test_certificate_div_against_pulled_back_class():
         assert len(quotients) == len(cert.records)
         for q, rec in zip(quotients, cert.records):
             assert (rec.group_label, rec.images) == (q.group.label, q.images)
-            cover = reidemeister_schreier(P, q)
-            assert rec.div == pullback_class(phi, q, cover)[1]
+            assert rec.div == pullback_class(phi, q,
+                                             reidemeister_schreier(P, q))[1]
             total += 1
     assert total == 3036
 
@@ -973,7 +1019,8 @@ def test_cached_parts_equal_fresh_hermite_parts(monkeypatch):
 def test_block_cache_counts(monkeypatch):
     """What one fibred_certificate run assembles.  m.pres at budget 5: one
     _hermite_qpart call in all, on the trivial block, whose part [] every
-    later quotient reads from the cache, and Phi once per Fox term.
+    later quotient reads from the cache, and one Phi walk along the
+    relators, with no ClassMap.of_word call from twistedalex.
     na.pres at budget 16: each block key once per run, and every cyclic
     quotient assembles its faithful block, d = n, and the blocks of the
     divisors d < n whose composite onto Z_d no earlier record met; records
@@ -996,12 +1043,14 @@ def test_block_cache_counts(monkeypatch):
         return of_word(self, word)
 
     monkeypatch.setattr(ClassMap, "of_word", counting_of_word)
+    real_walk, walks = vars(Twister)["_fox_terms"].func, []
+    walk = cached_property(lambda self: walks.append(self) or real_walk(self))
+    walk.__set_name__(Twister, "_fox_terms")
+    monkeypatch.setattr(Twister, "_fox_terms", walk)
     P, phi = fixture_class("m.pres")
     cert = fibred_certificate(P, phi, 0, 5)
     assert len(cert.records) == 1170 and built == [P.ngens - 1]
-    j = first_column(phi)
-    assert len(fox_calls) == sum(len(row[g]) for row in P.jacobian
-                                 for g in range(P.ngens) if g != j)
+    assert len(walks) == 1 and fox_calls == []
 
     read = tap_parts(monkeypatch)
     new_blocks, owners = {}, set()
