@@ -136,8 +136,7 @@ def cmd_alexander(args):
         if G.order == 1:
             quotients = [trivial_quotient(P)]
         else:
-            quotients = enumerate_epimorphisms(P, G,
-                                               dedup_auto=args.dedup_aut)
+            quotients = enumerate_epimorphisms(P, G, dedup_auto=args.dedup_aut)
             if not quotients:
                 return [f"no epimorphisms onto {G.label}"]
         return _alexander_lines(phi, quotients, args.output)

@@ -24,10 +24,12 @@ MAX_MATRIX_ENTRIES = 10**6
 # cells, and forty omitted 1000-cell boundaries stay under it.
 MAX_CELLS = 10**5
 
-# Bound on the sum over relators of L(L+1)/2 for L letters, the one cap on
-# the relators' length: it admits a single relator of up to 2,827 letters.
-# The Fox Jacobian keeps one term per letter, and alexander, norms and
-# fibred peak at 17 MB RSS on a^1412 b a^-1412 b^-1.
+# Bound on the sum over relators of L(L+1)/2 for L letters, the binding cap
+# on the relators' total length: it admits a single relator of up to 2,827
+# letters.  The Fox Jacobian keeps one term per letter, and alexander, norms
+# and fibred peak at 17 MB RSS on a^1412 b a^-1412 b^-1.  The quadratic form
+# is kept from when it held one prefix per letter; a linear bound would
+# change which inputs are refused.
 MAX_FOX_LETTERS = 4 * 10**6
 
 

@@ -442,11 +442,7 @@ class FiniteQuotient:
         self.parent = tuple(parent)
 
     def of_word(self, word):
-        x, table, inv = 0, self.group.table, self.group.inverse
-        images = self.images
-        for g, s in word:
-            x = table[x][images[g] if s > 0 else inv[images[g]]]
-        return x
+        return self.prefixes(word)[-1]
 
     def prefixes(self, word):
         """alpha(word[:i]) for i = 0, ..., len(word), in one walk."""

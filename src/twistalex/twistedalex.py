@@ -262,9 +262,10 @@ class Twister:
     trivial summand of every G has the key (1, (0, ..., 0)): it is the
     untwisted Jacobian, which the regular representation contains
     (Maschke), so once its Hermite part is [] (rank below its width) every
-    later quotient reads a zero gcd from the cache and assembles nothing.  Alpha is walked along
-    the relators, and the regular rows of a quotient are built, only on a
-    miss, or when max_minor_gcd needs the integer content.
+    later quotient reads a zero gcd from the cache and assembles nothing.
+    Alpha is walked along the relators, and the regular rows of a quotient
+    are built, only on a miss, or when max_minor_gcd needs the integer
+    content.
     """
 
     def __init__(self, phi):
