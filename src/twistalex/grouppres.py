@@ -1,14 +1,16 @@
 """Finitely presented groups.
 
 Words, free reduction, the Fox Jacobian as one term per relator letter,
-abelianization via Smith normal form, enumeration of epimorphisms onto
-small finite groups, and the Schreier generators of their kernels.
+abelianization via Smith normal form, automorphisms of small finite groups,
+enumeration of epimorphisms onto them (one search branch and one coset walk
+per Aut(G)-orbit, the other members relabelled from it), and the Schreier
+generators of their kernels.
 
 A word is a tuple of letters (generator_index, +-1).
 """
 
 from functools import cached_property, partial
-from itertools import permutations
+from itertools import permutations, product
 
 # exactalg is imported by the functions that read it, so a job that never
 # abelianizes (fibred, alexander) does not load it.
@@ -420,6 +422,12 @@ class FiniteQuotient:
         for r in presentation.relators:
             if self.of_word(r) != 0:
                 raise InvalidQuotient("relator not killed")
+        if not self._walk():
+            raise InvalidQuotient("images do not generate")
+
+    def _walk(self):
+        """Walk the coset table; False when the images do not generate."""
+        group = self.group
         table, n = group.table, group.order
         steps = [(i, s, img if s > 0 else group.inverse[img])
                  for i, img in enumerate(self.images) for s in (1, -1)]
@@ -436,10 +444,37 @@ class FiniteQuotient:
                     order.append(y)
                     parent[y] = (x, i, s)
         if len(order) != n:
-            raise InvalidQuotient("images do not generate")
+            return False
         self.order = tuple(order)
         self.position = tuple(position)
         self.parent = tuple(parent)
+        self._key = [None]   # kernel_key's cell, shared with relabellings
+        return True
+
+    def _relabelled(self, a):
+        """The quotient a o alpha, for an automorphism a of the group (a[x]
+        the image of x), without a walk.
+
+        a carries the Cayley graph on alpha's images onto the one on a o
+        alpha's, so its walk is alpha's carried through a: order a(order),
+        position[a(y)] = position[y], parent[a(y)] = (a(x), i, s).  The
+        standardized coset table, and so the kernel key, is alpha's.
+        """
+        q = FiniteQuotient.__new__(FiniteQuotient)
+        q.presentation, q.group = self.presentation, self.group
+        q.images = tuple(a[x] for x in self.images)
+        q.order = tuple(a[y] for y in self.order)
+        position = [None] * len(a)
+        parent = [None] * len(a)
+        for k, y in enumerate(self.order):
+            position[a[y]] = k
+        for y in self.order[1:]:
+            x, i, s = self.parent[y]
+            parent[a[y]] = (a[x], i, s)
+        q.position = tuple(position)
+        q.parent = tuple(parent)
+        q._key = self._key
+        return q
 
     def of_word(self, word):
         return self.prefixes(word)[-1]
@@ -455,10 +490,16 @@ class FiniteQuotient:
         return out
 
     def kernel_key(self):
-        """Canonical key identifying ker(alpha): the standardized coset table."""
-        table, pos = self.group.table, self.position
-        return tuple(tuple(pos[table[x][img]] for x in self.order)
-                     for img in self.images)
+        """Canonical key identifying ker(alpha): the standardized coset table.
+
+        Computed on the first call to it on this quotient or on any quotient
+        relabelled from it, and kept for all of them.
+        """
+        if self._key[0] is None:
+            table, pos = self.group.table, self.position
+            self._key[0] = tuple(tuple(pos[table[x][img]] for x in self.order)
+                                 for img in self.images)
+        return self._key[0]
 
     def __repr__(self):
         return f"FiniteQuotient({self.group.label}, images={self.images})"
@@ -469,19 +510,82 @@ def trivial_quotient(P):
     return FiniteQuotient(P, trivial_group(), (0,) * P.ngens)
 
 
-def _relator_solutions(P, G):
+def automorphisms(G):
+    """Aut(G) as tuples a, a[x] the image of x, with the identity first.
+
+    A generating tuple is picked greedily: each next generator is the least
+    element outside the subgroup generated so far.  An automorphism is fixed
+    by its images of the generators, which have the generators' orders; each
+    tuple of such images is extended along the Cayley graph by a[x g] =
+    a[x] a[g], and kept when that is well defined and a bijection.
+    """
+    table, n = G.table, G.order
+
+    def element_order(x):
+        k, y = 1, x
+        while y:
+            k, y = k + 1, table[y][x]
+        return k
+
+    gens, walk, seen = [], [0], {0}
+    for x in range(n):
+        if x not in seen:
+            gens.append(x)
+            walk, seen = [0], {0}
+            for y in walk:  # breadth-first: walk grows while it is walked
+                for g in gens:
+                    z = table[y][g]
+                    if z not in seen:
+                        seen.add(z)
+                        walk.append(z)
+    edges = [(y, j, table[y][g]) for y in walk for j, g in enumerate(gens)]
+    orders = [element_order(x) for x in range(n)]
+    candidates = [[h for h in range(n) if orders[h] == orders[g]]
+                  for g in gens]
+    out = [tuple(range(n))]
+    for hs in product(*candidates):
+        if list(hs) == gens:
+            continue
+        a = [None] * n
+        a[0] = 0
+        for y, j, z in edges:
+            w = table[a[y]][hs[j]]
+            if a[z] is None:
+                a[z] = w
+            elif a[z] != w:
+                break
+        else:
+            if len(set(a)) == n:
+                out.append(tuple(a))
+    return out
+
+
+def _relator_solutions(P, G, auts=(), after=None):
     """Generator image tuples that kill every relator, in lexicographic order.
 
     Backtracking: images are assigned one generator at a time, lowest value
     first, and a relator is checked as soon as its highest generator has an
     image, so a failing prefix is never extended.
+
+    auts are automorphisms of G (a[x] the image of x).  A prefix p is dropped
+    when some a maps it below itself, a(p) < p lexicographically, since then
+    every completion of p is below itself too: only tuples least in their
+    Aut(G)-orbit are yielded.  Per depth the automorphisms that fix the
+    prefix are kept; one that maps a coordinate higher leaves for that
+    subtree.  With after, a solution, the search resumes just past it.
     """
     n, table, inv = P.ngens, G.table, G.inverse
     due = [[] for _ in range(n)]
     for r in P.relators:
         if r:
             due[max(g for g, _ in r)].append(r)
-    images = [-1] * n
+    if after is None:
+        images, i = [-1] * n, 0
+    else:
+        images, i = list(after), n - 1
+    fixing = [auts] + [None] * n   # fixing[k]: the auts that fix images[:k]
+    for k in range(i):
+        fixing[k + 1] = [a for a in fixing[k] if a[images[k]] == images[k]]
 
     def kills(r):
         x = 0
@@ -489,42 +593,66 @@ def _relator_solutions(P, G):
             x = table[x][images[g] if s > 0 else inv[images[g]]]
         return x == 0
 
-    i = 0
     while i >= 0:
         if i == n:
             yield tuple(images)
             i -= 1
             continue
         images[i] += 1
-        if images[i] == G.order:
+        v = images[i]
+        if v == G.order:
             images[i] = -1
             i -= 1
         elif all(map(kills, due[i])):
-            i += 1
+            kept = []
+            for a in fixing[i]:
+                if a[v] < v:
+                    break
+                if a[v] == v:
+                    kept.append(a)
+            else:
+                fixing[i + 1] = kept
+                i += 1
+
+
+def _walked(P, G, solutions):
+    """The quotients on the relator solutions that generate G, built by the
+    coset walk alone: the search has checked the relators."""
+    for images in solutions:
+        q = FiniteQuotient.__new__(FiniteQuotient)
+        q.presentation, q.group, q.images = P, G, images
+        if q._walk():
+            yield q
 
 
 def enumerate_epimorphisms(P, G, dedup_auto=False):
     """All surjections pi_1(P) -> G, in lexicographic image order.
 
-    With dedup_auto, quotients with equal kernels (equivalently, equal
-    standardized coset tables) are collapsed to their first representative.
+    Two epimorphisms have one kernel exactly when they differ by an
+    automorphism of G, and only the identity fixes a generating tuple, so
+    each Aut(G)-orbit holds |Aut(G)| epimorphisms and one kernel.  The search
+    finds G's first epimorphism, the least of its orbit, and only then builds
+    Aut(G) (a group P does not map onto never needs it, and Aut(G) is kept
+    only for this call); from there it yields only the least tuple of each
+    orbit.  The coset table of that representative is walked once, and the
+    other members are relabelled from it (FiniteQuotient._relabelled), with
+    no relator check, walk or kernel key of their own.  With dedup_auto only
+    the representatives are returned: the lexicographically least
+    epimorphism of each kernel.
+
     G's table is already built, so a caller with a bound on |G| checks it
     first (check_order).
     """
-    out = []
-    seen_keys = set()
-    for images in _relator_solutions(P, G):
-        try:
-            q = FiniteQuotient(P, G, images)
-        except InvalidQuotient:
-            continue
-        if dedup_auto:
-            key = q.kernel_key()
-            if key in seen_keys:
-                continue
-            seen_keys.add(key)
-        out.append(q)
-    return out
+    first = next(_walked(P, G, _relator_solutions(P, G)), None)
+    if first is None:
+        return []
+    auts = automorphisms(G)[1:]
+    rest = _relator_solutions(P, G, auts, after=first.images)
+    reps = [first, *_walked(P, G, rest)]
+    if dedup_auto:
+        return reps
+    return sorted(reps + [q._relabelled(a) for q in reps for a in auts],
+                  key=lambda q: q.images)
 
 
 # ---- Reidemeister-Schreier --------------------------------------------------
@@ -536,15 +664,25 @@ def reidemeister_schreier(P, q):
     The transversal t is read off the parent edges of q's coset table, so the
     output is deterministic.  A tree word is reduced as built: the inverse
     of its last letter leads from its coset back to the coset's parent,
-    which the breadth-first walk discovered first.
+    which the breadth-first walk discovered first.  So t_x g_i t_y^-1, with
+    y = x g_i, cancels only across a tree edge (parent[y] = (x, i, 1) or
+    parent[x] = (y, i, -1)), where it is empty; every other one is reduced
+    and nonempty as concatenated.
     """
     _check_same(q.presentation, P,
                 "quotient belongs to a different presentation")
-    G = q.group
-    trans = {0: ()}
+    table, parent = q.group.table, q.parent
+    trans = [None] * q.group.order
+    inv = [None] * q.group.order   # inv[y] = t_y^-1
+    trans[0] = inv[0] = ()
     for y in q.order[1:]:
-        x, i, s = q.parent[y]
+        x, i, s = parent[y]
         trans[y] = trans[x] + ((i, s),)
-    words = (word_mul(trans[x], ((i, 1),), word_inverse(trans[G.mul(x, img)]))
-             for x in q.order for i, img in enumerate(q.images))
-    return tuple(w for w in words if w)   # tree edges give the empty word
+        inv[y] = ((i, -s),) + inv[x]
+    words = []
+    for x in q.order:
+        for i, img in enumerate(q.images):
+            y = table[x][img]
+            if parent[y] != (x, i, 1) and parent[x] != (y, i, -1):
+                words.append(trans[x] + ((i, 1),) + inv[y])
+    return tuple(words)

@@ -36,7 +36,10 @@ generators' Phi-values itself, kept to check that gcd and to twist the
 cover in the Shapiro checks; `eager_cover_presentation` is the cover's
 relator rewrite as the library ran it before it kept only the Schreier
 generator words, kept to twist the cover in those checks and to check the
-cover's homology.
+cover's homology; `schreier_generator_words` is `reidemeister_schreier`'s
+word list as the library built it before it concatenated the words
+unreduced, each product free-reduced by `word_mul`, kept to check the
+concatenation.
 """
 
 from collections import namedtuple
@@ -626,6 +629,19 @@ def pullback_class(Phi, q, words):
     images = [Phi.of_word(w) for w in words]
     phi_a = ClassMap(eager_cover_presentation(Phi.presentation, q), images)
     return phi_a, gcd(*(x for img in images for x in img))
+
+
+def schreier_generator_words(q):
+    """The nonempty words t_x g_i t_{x g_i}^-1 over the edges (x, i) of q's
+    coset table, in table order, each free-reduced by word_mul."""
+    G = q.group
+    trans = {0: ()}
+    for y in q.order[1:]:
+        x, i, s = q.parent[y]
+        trans[y] = word_mul(trans[x], ((i, s),))
+    words = (word_mul(trans[x], ((i, 1),), word_inverse(trans[G.mul(x, img)]))
+             for x in q.order for i, img in enumerate(q.images))
+    return tuple(w for w in words if w)
 
 
 def eager_cover_presentation(P, q):

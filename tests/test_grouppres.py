@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twistalex import grouppres
 from twistalex.docio import parse_document
 from twistalex.grouppres import (BoundExceeded, ClassMap, FiniteQuotient,
                                  Incompatible, InvalidQuotient,
                                  MAX_TABLE_ENTRIES, Presentation, abelianize,
-                                 check_order,
-                                 cyclic_group, enumerate_epimorphisms,
+                                 automorphisms, check_order,
+                                 cyclic_group, dihedral_group,
+                                 enumerate_epimorphisms,
                                  fox_jacobian, free_reduce,
                                  MAX_WORD_LETTERS, parse_group_spec, parse_word,
                                  reidemeister_schreier, render_word,
@@ -21,7 +23,8 @@ from twistalex.normsfibred import group_catalog
 from conftest import FIXTURES, fixture_text
 from oracles import (GroupRingElement, brute_epimorphisms,
                      eager_cover_presentation, first_of_each_kernel,
-                     fox_derivative, pullback_class, two_snf_weights)
+                     fox_derivative, pullback_class, schreier_generator_words,
+                     two_snf_weights)
 
 
 def na_presentation():
@@ -223,10 +226,90 @@ def test_enumerate_epimorphisms_against_brute_force():
         groups = group_catalog(5 if path.name == "m.pres" else 8)
         for G in groups + [symmetric_group(3)]:
             epis = brute_epimorphisms(P, G)
-            for dedup, want in ((False, epis),
-                                (True, first_of_each_kernel(G, epis))):
+            firsts = first_of_each_kernel(G, epis)
+            # each kernel is one Aut(G)-orbit of |Aut(G)| epimorphisms
+            assert len(epis) == len(automorphisms(G)) * len(firsts)
+            for dedup, want in ((False, epis), (True, firsts)):
                 got = enumerate_epimorphisms(P, G, dedup_auto=dedup)
                 assert [q.images for q in got] == want, (path.name, G.label)
+                # relabelled members carry the coset table and kernel key
+                # that a fresh walk and a fresh standardization give
+                for q in got:
+                    fresh = FiniteQuotient(P, G, q.images)
+                    key = tuple(tuple(fresh.position[G.mul(x, img)]
+                                      for x in fresh.order)
+                                for img in fresh.images)
+                    assert (q.order, q.position, q.parent, q.kernel_key()) \
+                        == (fresh.order, fresh.position, fresh.parent, key)
+
+
+@pytest.mark.parametrize("G, count", [
+    (trivial_group(), 1), (cyclic_group(2), 1), (cyclic_group(5), 4),
+    (cyclic_group(12), 4), (cyclic_group(125), 100), (dihedral_group(2), 6),
+    (dihedral_group(3), 6), (dihedral_group(5), 20), (dihedral_group(12), 48),
+    (dihedral_group(62), 1860), (symmetric_group(3), 6),
+    (symmetric_group(4), 24)])
+def test_automorphisms(G, count):
+    # |Aut Z_n| = phi(n), |Aut D_n| = n phi(n) for n >= 3, Aut D2 = S3,
+    # Aut S_n = S_n for n = 3, 4
+    auts = automorphisms(G)
+    assert len(auts) == len(set(auts)) == count
+    assert auts[0] == tuple(range(G.order))
+    n = G.order
+    # a bijection with a(x y) = a(x) a(y) for y in a generating set is an
+    # automorphism; past 10^6 products, check y on r and s (D62) or on 1
+    # (Z125) only
+    ys = range(n) if count * n * n <= 10 ** 6 else (1, n // 2)
+    for a in auts:
+        assert sorted(a) == list(range(n))
+        assert all(a[G.mul(x, y)] == G.mul(a[x], a[y])
+                   for x in range(n) for y in ys)
+    if count <= 48:
+        members = set(auts)
+        assert all(tuple(a[b[x]] for x in range(n)) in members
+                   for a in auts for b in auts)
+
+
+def test_automorphisms_built_only_for_an_epimorphism(monkeypatch):
+    # trefoil maps onto D3 and onto no other dihedral group: Aut(D62), with
+    # 1,860 elements, is never built
+    calls = []
+
+    def counting(G):
+        calls.append(G.label)
+        return automorphisms(G)
+
+    monkeypatch.setattr(grouppres, "automorphisms", counting)
+    trefoil = Presentation.from_text(["x", "y"], ["x y x y^-1 x^-1 y^-1"])
+    assert enumerate_epimorphisms(trefoil, dihedral_group(62)) == []
+    assert calls == []
+    assert len(enumerate_epimorphisms(trefoil, dihedral_group(3))) == 6
+    assert calls == ["D3"]
+
+
+def test_one_walk_per_kernel(monkeypatch):
+    # m.pres onto Z5: 624 epimorphisms in 156 Aut(Z5)-orbits of 4.  The
+    # coset table is walked for the representative of each orbit and for
+    # the one non-generating relator solution the search meets, the zero
+    # tuple (every other tuple holds a generator of Z5); the other 468
+    # members are relabelled
+    _, (P, _) = parse_document(fixture_text("m.pres"))
+    walks = []
+    walk = FiniteQuotient._walk
+
+    def counting(q):
+        walks.append(q.images)
+        return walk(q)
+
+    monkeypatch.setattr(FiniteQuotient, "_walk", counting)
+    G = cyclic_group(5)
+    epis = enumerate_epimorphisms(P, G)
+    assert len(epis) == 624
+    assert len({q.kernel_key() for q in epis}) == 156
+    assert len(walks) == 157
+    assert walks[0] == (0,) * 8
+    assert len(enumerate_epimorphisms(P, G, dedup_auto=True)) == 156
+    assert len(walks) == 2 * 157
 
 
 def test_epimorphism_validation():
@@ -336,23 +419,17 @@ def test_cover_b1_never_drops_on_fixtures():
 @pytest.mark.parametrize("name", sorted(p.name
                                         for p in FIXTURES.glob("*.pres")))
 def test_transversal_words_are_reduced_as_built(name):
-    # the transversal words are built without free_reduce; the Schreier
-    # generator words read from them are reduced, and equal the reduced
-    # products t_x g_i t_{x g_i}^-1 of the nonempty non-tree edges
+    # the Schreier generator words are concatenated without free_reduce;
+    # they are reduced, and equal the word_mul products t_x g_i t_{x g_i}^-1
+    # of the nonempty non-tree edges, for representatives and relabelled
+    # orbit members alike
     _, (P, _) = parse_document(fixture_text(name))
     budget = 5 if name == "m.pres" else 8   # m.pres has 8 generators
     for G in group_catalog(budget):
         for q in enumerate_epimorphisms(P, G):
             words = reidemeister_schreier(P, q)
-            trans = {0: ()}
-            for y in q.order[1:]:
-                x, i, s = q.parent[y]
-                trans[y] = word_mul(trans[x], ((i, s),))
-            products = (word_mul(trans[x], ((i, 1),),
-                                 word_inverse(trans[G.mul(x, img)]))
-                        for x in q.order for i, img in enumerate(q.images))
-            assert words == tuple(w for w in products if w)
-            assert all(free_reduce(w) == w for w in words)
+            assert words == schreier_generator_words(q)
+            assert all(w and free_reduce(w) == w for w in words)
 
 
 def test_schreier_generator_count():
