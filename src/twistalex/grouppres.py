@@ -307,6 +307,13 @@ class FiniteGroup:
     def inv(self, x):
         return self.inverse[x]
 
+    def element_order(self, x):
+        """The least k >= 1 with x^k the identity."""
+        k, y = 1, x
+        while y:
+            k, y = k + 1, self.table[y][x]
+        return k
+
     @cached_property
     def is_addition_mod_n(self):
         """Whether the table is addition mod n, n the order."""
@@ -520,13 +527,6 @@ def automorphisms(G):
     a[x] a[g], and kept when that is well defined and a bijection.
     """
     table, n = G.table, G.order
-
-    def element_order(x):
-        k, y = 1, x
-        while y:
-            k, y = k + 1, table[y][x]
-        return k
-
     gens, walk, seen = [], [0], {0}
     for x in range(n):
         if x not in seen:
@@ -539,7 +539,7 @@ def automorphisms(G):
                         seen.add(z)
                         walk.append(z)
     edges = [(y, j, table[y][g]) for y in walk for j, g in enumerate(gens)]
-    orders = [element_order(x) for x in range(n)]
+    orders = [G.element_order(x) for x in range(n)]
     candidates = [[h for h in range(n) if orders[h] == orders[g]]
                   for g in gens]
     out = [tuple(range(n))]

@@ -9,7 +9,12 @@ exactly when Phi(g) != 0: the deleted column is the first generator with
 Phi(g) != 0.  The headline value corrects the raw minor gcd by the order of
 the twisted H_0, which matches the module-order definition on every oracle
 family; both are exposed.  The correction is computed on first read, and a
-zero raw gcd needs none: its value is zero whatever the correction.
+zero raw gcd needs none: its value is zero whatever the correction.  A
+TwistedPoly keeps (q, twister), and the twister computes each factor once
+per key: det(twist(g_j) - I) once per (|G|, ord alpha(g_j)), since by the
+cycle count above two elements of one order give twists conjugate by a
+permutation matrix, and ord(H_0), the gcd of t^v - 1 over the Schreier
+values v of the coset table, once per set of those values up to sign.
 
 Each Fox term of a relator is +- one of its prefixes, so one walk along
 the relator gives alpha and Phi of every term, and the Jacobian is
@@ -169,13 +174,12 @@ def _twisted_rows(terms, rep, nrels, nblocks, rank):
     return rows
 
 
-def _h0_order(q, phi):
-    """Order of the twisted H_0: gcd of t^v - 1 over Phi(ker q) generators.
+def _schreier_values(q, phi):
+    """The Phi-values of the Schreier generators of ker q, which generate
+    Phi(ker alpha): the nonzero ones, each once up to sign, as a frozenset.
 
-    Phi(ker alpha) is generated by the Phi-values of the Schreier generators,
-    v = Phi(t_x) + Phi(g_i) - Phi(t_{x g_i}), with the transversal t read off
-    the parent edges of q's coset table; tree edges give v = 0.  t^v - 1
-    and t^-v - 1 are associates, so each v is taken once up to sign.
+    v = Phi(t_x) + Phi(g_i) - Phi(t_{x g_i}), with the transversal t read
+    off the parent edges of q's coset table; tree edges give v = 0.
     """
     G, rank = q.group, phi.target_rank
     trans = [None] * G.order
@@ -186,34 +190,37 @@ def _h0_order(q, phi):
     values = (tuple(a + b - c for a, b, c in
                     zip(trans[x], phi.of_generator(i), trans[G.mul(x, img)]))
               for x in q.order for i, img in enumerate(q.images))
-    signed = dict.fromkeys(v if next(a for a in v if a) > 0
-                           else tuple(-a for a in v)
-                           for v in values if any(v))
+    return frozenset(v if next(a for a in v if a) > 0 else tuple(-a for a in v)
+                     for v in values if any(v))
+
+
+def _h0_order(values, rank):
+    """Order of the twisted H_0: gcd of t^v - 1 over the Schreier values
+    (_schreier_values).  t^v - 1 and t^-v - 1 are associates, so the sign
+    of each v does not matter."""
     one = LaurentPoly.one(rank)
-    return lp_gcd_many((LaurentPoly.monomial(rank, v) - one for v in signed),
+    return lp_gcd_many((LaurentPoly.monomial(rank, v) - one for v in values),
                        rank).representative
 
 
 class TwistedPoly:
-    """A twisted Alexander polynomial with its computation metadata.  The
-    correction and what depends on it are computed on first read; `==`
-    compares the six public fields."""
+    """A twisted Alexander polynomial of (P, alpha = q, Phi) with its
+    computation metadata.  It keeps q and the twister of (P, Phi): the
+    correction and what depends on it are read from the twister's caches
+    on first read; `==` compares the six public fields."""
 
-    def __init__(self, raw_minor_gcd, deleted_column, q, phi):
+    def __init__(self, raw_minor_gcd, q, twister):
         self.raw_minor_gcd = raw_minor_gcd
-        self.deleted_column = deleted_column
-        self._q, self._phi = q, phi
+        self.deleted_column = twister.column
+        self._q, self._twister = q, twister
 
     @cached_property
     def h0_order(self):
-        return UnitClass(_h0_order(self._q, self._phi))
+        return self._twister.h0_order(self._q)
 
     @cached_property
     def h0_correction(self):
-        g_minus_1 = {((self.deleted_column, 1),): 1, (): -1}
-        return UnitClass(laurent_det(twist_ring_map(g_minus_1, self._q,
-                                                    self._phi),
-                                     self._phi.target_rank))
+        return self._twister.correction(self._q)
 
     @cached_property
     def _quotient(self):
@@ -251,9 +258,10 @@ class Twister:
 
     Built once for a run over many quotients from a nontrivial Phi on P, it
     holds the deleted column j (the first generator with Phi(g) != 0), the
-    Fox terms of the Jacobian without column j with their Phi-values, and
-    the Hermite part of every rational summand block met so far.  Phi is
-    walked along each relator once per owner, and nothing outlives it.
+    Fox terms of the Jacobian without column j with their Phi-values, the
+    Hermite part of every rational summand block met so far, and the two
+    factors of the H_0 correction met so far.  Phi is walked along each
+    relator once per owner, and nothing outlives it.
 
     The block cache is exact.  The summand Q[z]/Phi_d of Z_n, d | n, is
     assembled from alpha(r[:i]) mod d and Phi(r[:i]) alone, since z^d = 1
@@ -266,6 +274,14 @@ class Twister:
     Alpha is walked along the relators, and the regular rows of a quotient
     are built, only on a miss, or when max_minor_gcd needs the integer
     content.
+
+    The two correction caches are exact too.  det(twist(g_j) - I) is keyed
+    by (|G|, ord alpha(g_j)): the twist of g_j is t^Phi(g_j) times the
+    permutation matrix of left multiplication by alpha(g_j), which splits
+    G into |G|/ord cycles of length ord, so two elements of one order, in
+    one group or in two of one order, give permutation matrices conjugate
+    by a permutation matrix, and equal determinants.  ord(H_0) is keyed by
+    the set of Schreier values up to sign, the only input of _h0_order.
     """
 
     def __init__(self, phi):
@@ -274,6 +290,8 @@ class Twister:
         self.presentation, self.phi = phi.presentation, phi
         self.column = next(g for g, img in enumerate(phi.images) if any(img))
         self._parts = {}    # (d, images mod d) -> Hermite part, [] if deficient
+        self._dets = {}     # (|G|, ord alpha(g_j)) -> det(twist(g_j) - I)
+        self._h0 = {}       # Schreier values up to sign -> ord(H_0)
 
     @cached_property
     def _fox_terms(self):
@@ -293,6 +311,25 @@ class Twister:
         j = self.column
         return [(r, g - (g > j), i, walks[r][i], s)
                 for r, g, i, s in P.jacobian if g != j]
+
+    def correction(self, q):
+        """det(twist(g_j) - I) at q, computed once per key
+        (|G|, ord alpha(g_j))."""
+        G, rank = q.group, self.phi.target_rank
+        key = G.order, G.element_order(q.images[self.column])
+        if key not in self._dets:
+            g_minus_1 = {((self.column, 1),): 1, (): -1}
+            self._dets[key] = UnitClass(laurent_det(
+                twist_ring_map(g_minus_1, q, self.phi), rank))
+        return self._dets[key]
+
+    def h0_order(self, q):
+        """ord(H_0) at q, computed once per set of Schreier values."""
+        values = _schreier_values(q, self.phi)
+        if values not in self._h0:
+            self._h0[values] = UnitClass(_h0_order(values,
+                                                   self.phi.target_rank))
+        return self._h0[values]
 
     def raw_minor_gcd(self, q):
         """The normalized gcd of the maximal minors of the twisted Jacobian
@@ -348,8 +385,7 @@ def twisted_alexander(twister, q):
     if degree > MAX_TWIST_DEGREE:
         raise BoundExceeded(f"twist degree {degree} exceeds the bound "
                             f"of {MAX_TWIST_DEGREE}")
-    return TwistedPoly(UnitClass(twister.raw_minor_gcd(q)), twister.column,
-                       q, phi)
+    return TwistedPoly(UnitClass(twister.raw_minor_gcd(q)), q, twister)
 
 
 def multivariable_alexander(P):

@@ -57,8 +57,9 @@ from twistalex.laurent import (LaurentPoly, RankMismatch, UnitClass, div_exact,
 from twistalex.polymat import (laurent_det, laurent_minor_gcd, max_minor_gcd,
                                summand_qpart, _hermite_qpart)
 from twistalex.twistedalex import (twist_ring_map, _h0_order,
-                                   _cyclotomic_rep, _regular_rep,
-                                   _summand_divisors, _twisted_rows)
+                                   _schreier_values, _cyclotomic_rep,
+                                   _regular_rep, _summand_divisors,
+                                   _twisted_rows)
 
 
 # ---- polynomial determinants by cofactor expansion ----
@@ -814,7 +815,7 @@ def eager_twisted_alexander(phi, q, column=None):
     else:
         raw = laurent_minor_gcd(rows, rank, ncols=k)
 
-    h0 = _h0_order(q, phi)
+    h0 = _h0_order(_schreier_values(q, phi), rank)
     corrected = div_exact(raw * h0, corr)
     value = corrected if corrected is not None else raw
     return EagerTwistedPoly(value=UnitClass(value),

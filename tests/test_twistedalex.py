@@ -7,8 +7,9 @@ import pytest
 
 from twistalex.docio import parse_document
 from twistalex.grouppres import (ClassMap, FiniteQuotient, Incompatible,
-                                 Presentation, abelianize, cyclic_group,
-                                 dihedral_group, enumerate_epimorphisms,
+                                 InvalidQuotient, Presentation, abelianize,
+                                 cyclic_group, dihedral_group,
+                                 enumerate_epimorphisms,
                                  reidemeister_schreier,
                                  symmetric_group, trivial_group,
                                  trivial_quotient)
@@ -381,7 +382,7 @@ def test_symmetry_of_computed_polynomials():
 
 def test_h0_order_against_brute_fitting_ideal():
     """ord H_0 = gcd of maximal minors of the full twisted degree-0 boundary."""
-    from twistalex.twistedalex import _h0_order
+    from twistalex.twistedalex import _h0_order, _schreier_values
     from twistalex.polymat import laurent_minor_gcd
     P = na_presentation()
     # the fibration class, and Phi onto H = Z^2, whose Schreier values are
@@ -398,7 +399,8 @@ def test_h0_order_against_brute_fitting_ideal():
                 mat = [[rows[i][j] for i in range(d)]
                        for j in range(len(rows[0]))]
                 brute = UnitClass(laurent_minor_gcd(mat, phi.target_rank))
-                assert UnitClass(_h0_order(q, phi)) == brute
+                values = _schreier_values(q, phi)
+                assert UnitClass(_h0_order(values, phi.target_rank)) == brute
 
 
 def test_correction_metadata():
@@ -454,9 +456,7 @@ def test_generator_determinant_closed_form():
             for q in enumerate_epimorphisms(P, G):
                 assert twisted_alexander(twister, q).deleted_column == first
                 for g, img in enumerate(q.images):
-                    order, x = 1, img
-                    while x != 0:
-                        order, x = order + 1, G.mul(x, img)
+                    order = G.element_order(img)
                     e = images[g][0]
                     closed = (LaurentPoly.monomial(1, (e * order,)) - one) ** (
                         G.order // order)
@@ -465,6 +465,66 @@ def test_generator_determinant_closed_form():
                     assert UnitClass(det) == UnitClass(closed)
                     total += 1
     assert total == 708
+
+
+def generating_pair(G):
+    """The least pair (a, b) of elements of G that generates it."""
+    P = Presentation.from_text(["a", "b"], [])
+    for a in range(G.order):
+        for b in range(G.order):
+            try:
+                FiniteQuotient(P, G, (a, b))
+            except InvalidQuotient:
+                continue
+            return a, b
+
+
+def test_correction_key_is_enough(monkeypatch):
+    """det(twist(g - 1)) = +-(t^(e ord g) - 1)^(|G|/ord g) for every element
+    g of every group of group_catalog(24) and e = Phi(g) in {1, 2}, on the
+    free group <g, a, b> with a, b sent onto a generating pair, so that
+    Twister.correction may key the determinant by (|G|, ord g) alone; and a
+    second quotient with a key met before, even one onto another group,
+    computes no determinant."""
+    from twistalex.polymat import laurent_det
+    P = Presentation.from_text(["g", "a", "b"], [])
+    one = LaurentPoly.one(1)
+    g_minus_1 = {((0, 1),): 1, (): -1}
+    total = 0
+    for G in group_catalog(24):
+        pair = generating_pair(G)
+        for e in (1, 2):
+            phi = ClassMap(P, [(e,), (0,), (0,)])
+            for x in range(G.order):
+                q = FiniteQuotient(P, G, (x,) + pair)
+                order = G.element_order(x)
+                closed = (LaurentPoly.monomial(1, (e * order,)) - one) ** (
+                    G.order // order)
+                det = laurent_det(twist_ring_map(g_minus_1, q, phi), 1)
+                assert UnitClass(det) == UnitClass(closed)
+                total += 1
+    assert total == 2 * sum(G.order for G in group_catalog(24)) == 954
+
+    calls = []
+    real = twistedalex.laurent_det
+    monkeypatch.setattr(twistedalex, "laurent_det",
+                        lambda m, rank: calls.append(len(m)) or real(m, rank))
+    twister = Twister(ClassMap(P, [(1,), (0,), (0,)]))
+
+    def correction(G, x):
+        return twister.correction(
+            FiniteQuotient(P, G, (x,) + generating_pair(G)))
+
+    z4 = cyclic_group(4)
+    first = correction(z4, 2)   # order 2 in Z4: a miss
+    assert first == UnitClass((LaurentPoly.monomial(1, (2,)) - one) ** 2)
+    assert len(calls) == 1
+    # order 2 in D2 = Z2 x Z2, another group of order 4, and in Z4 again
+    assert correction(dihedral_group(2), 1) == correction(z4, 2) == first
+    assert len(calls) == 1
+    # order 4: a new key
+    assert correction(z4, 1) == UnitClass(LaurentPoly.monomial(1, (4,)) - one)
+    assert calls == [4, 4]
 
 
 # ---- sparse assembly and rational summands ----
@@ -920,10 +980,8 @@ def test_lazy_correction_equals_the_eager_one():
                 assert tuple(getattr(tw, f) for f in eager._fields) == eager
             zero = eager.raw_minor_gcd.is_zero()
             if zero:
-                G, img = q.group, q.images[j]
-                order, x = 1, img
-                while x != 0:
-                    order, x = order + 1, G.mul(x, img)
+                G = q.group
+                order = G.element_order(q.images[j])
                 e = phi.images[j][0]
                 closed = (LaurentPoly.monomial(1, (e * order,)) - one) ** (
                     G.order // order)
@@ -939,7 +997,16 @@ def test_certificate_reads_the_correction_of_nonzero_records_only(
         monkeypatch):
     """fibred_certificate on m.pres at budget 5, whose records are all zero,
     computes no H_0 correction; on na.pres at budget 8, whose records are
-    all nonzero, it computes one per twisted_alexander call."""
+    all nonzero, it reads one per twisted_alexander call from its Twister,
+    which computes det(twist(g_j) - I) once per (|G|, ord alpha(g_j)) and
+    ord(H_0) once per set of Schreier values."""
+    P, phi = fixture_class("na.pres")
+    j = first_column(phi)
+    quotients = list(distinct_quotients(P, 8))
+    det_keys = {(q.group.order, q.group.element_order(q.images[j]))
+                for q in quotients}
+    value_sets = {twistedalex._schreier_values(q, phi) for q in quotients}
+    assert (len(quotients), len(det_keys), len(value_sets)) == (56, 20, 11)
     calls = {}
 
     def count(module, name):
@@ -960,8 +1027,10 @@ def test_certificate_reads_the_correction_of_nonzero_records_only(
         fibred_certificate(P, phi, 0, budget)
         got[name] = dict(calls)
     assert got == {"m.pres": {"twisted_alexander": 367},
-                   "na.pres": {"twisted_alexander": 56, "laurent_det": 56,
-                               "twist_ring_map": 56, "_h0_order": 56}}
+                   "na.pres": {"twisted_alexander": len(quotients),
+                               "laurent_det": len(det_keys),
+                               "twist_ring_map": len(det_keys),
+                               "_h0_order": len(value_sets)}}
 
 
 # ---- one Twister per run: Fox terms and the block cache ----
