@@ -35,7 +35,7 @@ class GaussianRational:
     """a + b*i with exact rational a, b.
 
     Each part is an int or a Fraction: integral arithmetic stays on ints, and
-    only division makes a Fraction.
+    only division by a non-unit makes a Fraction.
     """
 
     __slots__ = ("re", "im")
@@ -71,7 +71,8 @@ class GaussianRational:
         n = other.re * other.re + other.im * other.im
         if n == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        inv = Fraction(1, n)   # int / int would be a float
+        # int / int would be a float; a unit (n = 1) keeps int parts int
+        inv = 1 if n == 1 else Fraction(1, n)
         return GaussianRational((self.re * other.re + self.im * other.im) * inv,
                                 (self.im * other.re - self.re * other.im) * inv)
 

@@ -3,8 +3,8 @@
 Words, free reduction, the Fox Jacobian as one term per relator letter,
 abelianization via Smith normal form, automorphisms of small finite groups,
 enumeration of epimorphisms onto them (one search branch and one coset walk
-per Aut(G)-orbit, the other members relabelled from it), and the Schreier
-generators of their kernels.
+per Aut(G)-orbit; the other members walk their table only when it is read),
+and the Schreier generators of their kernels.
 
 A word is a tuple of letters (generator_index, +-1).
 """
@@ -144,11 +144,6 @@ class Presentation:
     @property
     def ngens(self):
         return len(self.generators)
-
-    @cached_property
-    def jacobian(self):
-        """fox_jacobian(self), computed on first use and kept."""
-        return fox_jacobian(self)
 
     @cached_property
     def abelianization(self):
@@ -429,11 +424,14 @@ class FiniteQuotient:
         for r in presentation.relators:
             if self.of_word(r) != 0:
                 raise InvalidQuotient("relator not killed")
-        if not self._walk():
+        self._key = [None]   # kernel_key's cell, shared with relabellings
+        if self._walk is None:
             raise InvalidQuotient("images do not generate")
 
+    @cached_property
     def _walk(self):
-        """Walk the coset table; False when the images do not generate."""
+        """The coset table (order, position, parent), walked on first read;
+        None when the images do not generate."""
         group = self.group
         table, n = group.table, group.order
         steps = [(i, s, img if s > 0 else group.inverse[img])
@@ -451,35 +449,20 @@ class FiniteQuotient:
                     order.append(y)
                     parent[y] = (x, i, s)
         if len(order) != n:
-            return False
-        self.order = tuple(order)
-        self.position = tuple(position)
-        self.parent = tuple(parent)
-        self._key = [None]   # kernel_key's cell, shared with relabellings
-        return True
+            return None
+        return tuple(order), tuple(position), tuple(parent)
+
+    order = property(lambda self: self._walk[0])
+    position = property(lambda self: self._walk[1])
+    parent = property(lambda self: self._walk[2])
 
     def _relabelled(self, a):
         """The quotient a o alpha, for an automorphism a of the group (a[x]
-        the image of x), without a walk.
-
-        a carries the Cayley graph on alpha's images onto the one on a o
-        alpha's, so its walk is alpha's carried through a: order a(order),
-        position[a(y)] = position[y], parent[a(y)] = (a(x), i, s).  The
-        standardized coset table, and so the kernel key, is alpha's.
-        """
+        the image of x), unchecked and unwalked.  One kernel has one
+        standardized coset table, so it shares alpha's kernel-key cell."""
         q = FiniteQuotient.__new__(FiniteQuotient)
         q.presentation, q.group = self.presentation, self.group
         q.images = tuple(a[x] for x in self.images)
-        q.order = tuple(a[y] for y in self.order)
-        position = [None] * len(a)
-        parent = [None] * len(a)
-        for k, y in enumerate(self.order):
-            position[a[y]] = k
-        for y in self.order[1:]:
-            x, i, s = self.parent[y]
-            parent[a[y]] = (a[x], i, s)
-        q.position = tuple(position)
-        q.parent = tuple(parent)
         q._key = self._key
         return q
 
@@ -560,32 +543,28 @@ def automorphisms(G):
     return out
 
 
-def _relator_solutions(P, G, auts=(), after=None):
+def _relator_solutions(P, G, auts=()):
     """Generator image tuples that kill every relator, in lexicographic order.
 
     Backtracking: images are assigned one generator at a time, lowest value
     first, and a relator is checked as soon as its highest generator has an
-    image, so a failing prefix is never extended.
+    image, so a failing prefix is never extended.  The loop is iterative:
+    the depth is the generator count, which nothing bounds.
 
     auts are automorphisms of G (a[x] the image of x).  A prefix p is dropped
     when some a maps it below itself, a(p) < p lexicographically, since then
     every completion of p is below itself too: only tuples least in their
     Aut(G)-orbit are yielded.  Per depth the automorphisms that fix the
     prefix are kept; one that maps a coordinate higher leaves for that
-    subtree.  With after, a solution, the search resumes just past it.
+    subtree.
     """
     n, table, inv = P.ngens, G.table, G.inverse
     due = [[] for _ in range(n)]
     for r in P.relators:
         if r:
             due[max(g for g, _ in r)].append(r)
-    if after is None:
-        images, i = [-1] * n, 0
-    else:
-        images, i = list(after), n - 1
+    images, i = [-1] * n, 0
     fixing = [auts] + [None] * n   # fixing[k]: the auts that fix images[:k]
-    for k in range(i):
-        fixing[k + 1] = [a for a in fixing[k] if a[images[k]] == images[k]]
 
     def kills(r):
         x = 0
@@ -616,12 +595,12 @@ def _relator_solutions(P, G, auts=(), after=None):
 
 
 def _walked(P, G, solutions):
-    """The quotients on the relator solutions that generate G, built by the
-    coset walk alone: the search has checked the relators."""
+    """The quotients on the relator solutions that generate G, with no
+    relator check of their own: the search has made it."""
     for images in solutions:
         q = FiniteQuotient.__new__(FiniteQuotient)
-        q.presentation, q.group, q.images = P, G, images
-        if q._walk():
+        q.presentation, q.group, q.images, q._key = P, G, images, [None]
+        if q._walk is not None:
             yield q
 
 
@@ -630,25 +609,22 @@ def enumerate_epimorphisms(P, G, dedup_auto=False):
 
     Two epimorphisms have one kernel exactly when they differ by an
     automorphism of G, and only the identity fixes a generating tuple, so
-    each Aut(G)-orbit holds |Aut(G)| epimorphisms and one kernel.  The search
-    finds G's first epimorphism, the least of its orbit, and only then builds
-    Aut(G) (a group P does not map onto never needs it, and Aut(G) is kept
-    only for this call); from there it yields only the least tuple of each
-    orbit.  The coset table of that representative is walked once, and the
-    other members are relabelled from it (FiniteQuotient._relabelled), with
-    no relator check, walk or kernel key of their own.  With dedup_auto only
-    the representatives are returned: the lexicographically least
-    epimorphism of each kernel.
+    each Aut(G)-orbit holds |Aut(G)| epimorphisms and one kernel.  Aut(G),
+    kept only for this call, is built once the plain search finds an
+    epimorphism: the catalog up to budget 125 holds D2 to D62, and Aut(D62)
+    has 1,860 elements.  The search then restarts, pruned to the least tuple
+    of each orbit, and walks its coset table; the other members are its
+    relabellings (FiniteQuotient._relabelled), which share its kernel key
+    and walk their own table only when it is read.  With dedup_auto only
+    the representatives are returned: the least epimorphism of each kernel.
 
     G's table is already built, so a caller with a bound on |G| checks it
     first (check_order).
     """
-    first = next(_walked(P, G, _relator_solutions(P, G)), None)
-    if first is None:
+    if next(_walked(P, G, _relator_solutions(P, G)), None) is None:
         return []
     auts = automorphisms(G)[1:]
-    rest = _relator_solutions(P, G, auts, after=first.images)
-    reps = [first, *_walked(P, G, rest)]
+    reps = list(_walked(P, G, _relator_solutions(P, G, auts)))
     if dedup_auto:
         return reps
     return sorted(reps + [q._relabelled(a) for q in reps for a in auts],

@@ -41,7 +41,7 @@ alone.
 from functools import cache, cached_property
 from operator import attrgetter
 
-from .grouppres import (BoundExceeded, ClassMap, Incompatible,
+from .grouppres import (BoundExceeded, ClassMap, Incompatible, fox_jacobian,
                         trivial_quotient, _check_same)
 from .laurent import (LaurentPoly, UnitClass, UnsupportedRank, div_exact,
                       lp_gcd_many, normalize_unit, _arr_to_poly, _cyclotomic)
@@ -310,7 +310,7 @@ class Twister:
             walks.append(walk)
         j = self.column
         return [(r, g - (g > j), i, walks[r][i], s)
-                for r, g, i, s in P.jacobian if g != j]
+                for r, g, i, s in fox_jacobian(P) if g != j]
 
     def correction(self, q):
         """det(twist(g_j) - I) at q, computed once per key

@@ -61,6 +61,16 @@ def test_gaussian_rational_int_parts():
     assert repr(third) == "1/3" and repr(inv) == "(0-1/2i)"
 
 
+def test_gaussian_rational_unit_division_keeps_int_parts():
+    # dividing by a unit (norm 1) makes no Fraction
+    for unit in (GR_ONE, -GR_ONE, GR_I, GaussianRational(0, -1)):
+        z = GaussianRational(3, 4) / unit
+        assert (type(z.re), type(z.im)) == (int, int)
+        assert z * unit == GaussianRational(3, 4)
+    assert GaussianRational(3, 4) / GaussianRational(0, -1) \
+        == GaussianRational(-4, 3)
+
+
 def test_product_examples():
     assert e(1) * e(1) == scalar(-1)
     assert e(1) * e(2) + e(2) * e(1) == CliffordElement.zero(4, "C")

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,7 @@ from twistalex.grouppres import (BoundExceeded, ClassMap, FiniteQuotient,
                                  reidemeister_schreier, render_word,
                                  symmetric_group, trivial_group, word_inverse,
                                  word_mul)
-from twistalex.normsfibred import group_catalog
+from twistalex.normsfibred import fibred_certificate, group_catalog
 
 from conftest import FIXTURES, fixture_text
 from oracles import (GroupRingElement, brute_epimorphisms,
@@ -289,27 +290,55 @@ def test_automorphisms_built_only_for_an_epimorphism(monkeypatch):
 
 def test_one_walk_per_kernel(monkeypatch):
     # m.pres onto Z5: 624 epimorphisms in 156 Aut(Z5)-orbits of 4.  The
-    # coset table is walked for the representative of each orbit and for
-    # the one non-generating relator solution the search meets, the zero
-    # tuple (every other tuple holds a generator of Z5); the other 468
-    # members are relabelled
+    # existence check walks the zero tuple, the one non-generating relator
+    # solution (every other tuple holds a generator of Z5), and the first
+    # epimorphism; the pruned search walks the zero tuple again and the 156
+    # representatives.  The other 468 members walk only when read, once each
     _, (P, _) = parse_document(fixture_text("m.pres"))
-    walks = []
-    walk = FiniteQuotient._walk
-
-    def counting(q):
-        walks.append(q.images)
-        return walk(q)
-
-    monkeypatch.setattr(FiniteQuotient, "_walk", counting)
+    real_walk, walks = vars(FiniteQuotient)["_walk"].func, []
+    walk = cached_property(lambda q: walks.append(q.images) or real_walk(q))
+    walk.__set_name__(FiniteQuotient, "_walk")
+    monkeypatch.setattr(FiniteQuotient, "_walk", walk)
     G = cyclic_group(5)
     epis = enumerate_epimorphisms(P, G)
     assert len(epis) == 624
     assert len({q.kernel_key() for q in epis}) == 156
-    assert len(walks) == 157
-    assert walks[0] == (0,) * 8
+    assert len(walks) == 159
+    assert walks[0] == walks[2] == (0,) * 8
+    assert walks[1] == walks[3] == epis[0].images
     assert len(enumerate_epimorphisms(P, G, dedup_auto=True)) == 156
-    assert len(walks) == 2 * 157
+    assert len(walks) == 2 * 159
+    reps = set(walks)
+    for _ in range(2):
+        for q in epis:
+            assert len(q.order) == len(q.position) == len(q.parent) == 5
+    members = walks[2 * 159:]
+    assert len(members) == len(set(members)) == 468
+    assert set(members) == {q.images for q in epis} - reps
+
+
+def test_certificate_walks_no_orbit_member(monkeypatch):
+    # fibred m.pres --budget 5: the 803 orbit members are kernel-cache hits,
+    # so none of them holds a coset table after the run; one read later
+    # walks the table a fresh quotient has
+    _, (P, _) = parse_document(fixture_text("m.pres"))
+    phi = ClassMap(P, [(v,) for v in (0, 0, 1, 0, 0, 0, 1, 0)])
+    relabelled, members = FiniteQuotient._relabelled, []
+
+    def collecting(q, a):
+        members.append(relabelled(q, a))
+        return members[-1]
+
+    monkeypatch.setattr(FiniteQuotient, "_relabelled", collecting)
+    cert = fibred_certificate(P, phi, 0, 5)
+    assert len(cert.records) == 1170 and len(members) == 803
+    table = {"_walk", "order", "position", "parent"}
+    assert not any(table & vars(q).keys() for q in members)
+    q = members[-1]
+    fresh = FiniteQuotient(P, q.group, q.images)
+    assert (q.order, q.position, q.parent) \
+        == (fresh.order, fresh.position, fresh.parent)
+    assert q.kernel_key() == fresh.kernel_key()
 
 
 def test_epimorphism_validation():
