@@ -153,9 +153,12 @@ def fibred_certificate(P, phi, thurston_norm, budget, b3=1, dedup_auto=False):
         # first: its presentation check guards the words Phi reads below
         tw = twisted_alexander(twister, q)
         # div: the divisibility of Phi pulled back to ker(alpha), the gcd of
-        # its values on the Schreier generators
-        div = gcd(*(x for w in reidemeister_schreier(P, q)
-                    for x in phi.of_word(w)))
+        # its values on the Schreier generators, read until it is 1
+        div = 0
+        for w in reidemeister_schreier(P, q):
+            div = gcd(div, *phi.of_word(w))
+            if div == 1:
+                break
         deg = laurent_degree(tw.value.representative)
         expected = q.group.order * thurston_norm + (1 + b3) * div
         rec = AlphaRecord(group_label=q.group.label,

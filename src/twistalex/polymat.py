@@ -8,6 +8,10 @@ whole matrix or of the blocks of a rational block decomposition of it.
 The primes that can divide the integer content come from integer
 evaluations: Bareiss elimination of the integer matrices M(2), M(3), ...;
 a Gauss-valuation elimination per candidate prime gives its exact exponent.
+That content step may leave out the primes of a given integer: a caller
+that reads the content at those primes otherwise (twistedalex, from the
+cyclotomic blocks of a Z_n quotient, leaves out the primes of d) does not
+pay for the evaluations a prime dividing every value would keep running.
 A determinant of any rank is one Bareiss elimination on the rows that
 laurent._pack packs into Z[t].  Everything here works with the arrays of
 the laurent module, which defines their arithmetic; LaurentPoly values
@@ -136,7 +140,8 @@ def _evaluations(rows, k, start):
 
 
 def _independent_rows(rows, k):
-    """(indices of k rows, x, their minor at x), or None if rank < k.
+    """(indices of k rows, x, their minor at x), or None if rank < k: the
+    first of the content step.
 
     x is the first of the points 2, 3, ... where the integer matrix rows(x)
     has rank k; a nonzero minor there proves the polynomial minor on the
@@ -147,17 +152,31 @@ def _independent_rows(rows, k):
                  for x, found in _evaluations(rows, k, 2) if found), None)
 
 
-def _content_multiple(rows, qpart, x, minor):
-    """A nonzero multiple of the content c of the maximal-minor gcd.
+def _prime_to(n, m):
+    """The largest divisor of the integer n prime to m."""
+    g = gcd(n, m)
+    while g > 1:
+        n //= g
+        g = gcd(n, g)
+    return n
+
+
+def _content_multiple(rows, qpart, x, minor, skip=1):
+    """A nonzero multiple of the part of the content c of the maximal-minor
+    gcd that is prime to `skip`.
 
     `rows` is a square submatrix with nonzero determinant d, and minor is
     +-d(x), nonzero, at the first point x = 2, 3, ... where d does not
     vanish.  The gcd, which is c*qpart times a power of t, divides d in
     Z[t], so wherever d(x) != 0 also qpart(x) != 0 and c divides
-    d(x) / qpart(x).  Takes the gcd of these values, from x on, until it is
-    1 or the points run out.
+    d(x) / qpart(x).  Takes the gcd of these values, from x on, with the
+    primes dividing `skip` left out, until it is 1 or the points run out.
+    A prime left out is one the caller reads otherwise (the two rules of
+    max_minor_content, or its fallback): at a prime that divides every
+    value, such as a prime ramified in the block, the loop would run to
+    its last point for nothing.
     """
-    g = abs(minor // _eval(qpart, x))
+    g = _prime_to(abs(minor // _eval(qpart, x)), skip)
     if g != 1:
         for x, found in _evaluations(rows, len(rows), x + 1):
             if found:
@@ -208,10 +227,13 @@ def _val_p(n, p):
 
 
 def _gauss_valuation_sum(rows, k, p):
-    """min over maximal minors of the Gauss p-valuation.
+    """min over maximal minors of the Gauss p-valuation: the exponent of p
+    in the content, the last of the content step.
 
     Elimination over the valuation ring O_p of Q(t): polynomials with p-free
-    content are units, so rows stay polynomial throughout.
+    content are units, so rows stay polynomial throughout.  The content
+    step runs it only at the primes of _content_multiple, none of which
+    divides the `skip` it was given.
     """
     work = [[list(e) for e in r] for r in rows]
     active = list(range(len(rows)))
@@ -273,6 +295,34 @@ def summand_qpart(parts, k):
     return _prim(prod[next(i for i, c in enumerate(prod) if c):])
 
 
+def max_minor_content(rows, k, qpart, skip=1):
+    """The integer content of the gcd of the k x k minors of a k-column
+    matrix of Z[t] arrays of rank k, whose Q[t] part is `qpart`, with the
+    primes dividing `skip` left out: exact at every other prime.
+
+    A matrix with at most ENUM_BOUND maximal minors enumerates them.
+    Otherwise the one content step: _independent_rows finds a nonzero
+    minor, _content_multiple a multiple of the content from its values,
+    and _gauss_valuation_sum the exact exponent of each prime of that
+    multiple, no prime dividing `skip` among them.
+
+    twistedalex passes skip = d for the d-block of a Z_n quotient, and
+    reads the content c of the whole quotient from the block contents c_d
+    by two rules: at p not dividing n, v_p(c) is the sum of the v_p(c_d);
+    at p dividing n, v_p(c) = 0 when v_p(c_e) = 0 for every e | n prime to
+    p.  Where the second rule cannot say v_p(c) = 0, the fallback is
+    max_minor_gcd on the quotient's regular rows, with no prime left out.
+    """
+    if comb(len(rows), k) <= ENUM_BOUND:
+        return _prime_to(gcd(*_enum_minor_gcd_arrays(rows, k)), skip)
+    idx, x, minor = _independent_rows(rows, k)
+    content = 1
+    for p in _prime_factors(_content_multiple([rows[i] for i in idx], qpart,
+                                              x, minor, skip)):
+        content *= p ** _gauss_valuation_sum(rows, k, p)
+    return content
+
+
 def max_minor_gcd(rows, k, qpart=None):
     """Gcd of the k x k minors of a k-column matrix of Z[t] arrays.
 
@@ -285,9 +335,9 @@ def max_minor_gcd(rows, k, qpart=None):
     - a matrix with at most ENUM_BOUND maximal minors enumerates them;
     - the Q[t] part is `qpart`, or else the Hermite pivot product of
       `rows`;
-    - the integer content comes from `rows` itself, whatever the Q[t]
-      part: a rational change of basis says nothing about the primes
-      dividing |G|.
+    - the integer content comes from `rows` itself (max_minor_content, no
+      prime left out), whatever the Q[t] part: a rational change of basis
+      says nothing about the primes dividing |G|.
     """
     if k == 0:
         return [1]
@@ -299,12 +349,7 @@ def max_minor_gcd(rows, k, qpart=None):
         qpart = _hermite_qpart(rows, k)
         if qpart is None:
             return []
-    idx, x, minor = _independent_rows(rows, k)
-    content = 1
-    for p in _prime_factors(_content_multiple([rows[i] for i in idx], qpart,
-                                              x, minor)):
-        content *= p ** _gauss_valuation_sum(rows, k, p)
-    return _scale(qpart, content)
+    return _scale(qpart, max_minor_content(rows, k, qpart))
 
 
 def laurent_minor_gcd(M, rank, ncols=None):

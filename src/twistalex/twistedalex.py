@@ -27,26 +27,43 @@ once.  For rank 1 the summands are read one at a time, trivial first, and
 the first of rank below its width makes the gcd 0 before any later one is
 read.  Twister(phi) owns a twist, P read from Phi, with what depends on
 (P, Phi) alone: the deleted column, Phi on every relator prefix, and each
-summand block's Hermite part; twisted_alexander(twister, q) reads it at
-the quotient q.  The d-block of a
-Z_n quotient is the faithful block of the composite onto Z_d, and the
-trivial block is the untwisted Jacobian for every G, so a run over many
-quotients assembles each block once, and a rank-deficient untwisted
-Jacobian makes every later gcd 0 with no assembly at all.  The rows in the
-regular representation, which the integer content is read from, are
-assembled only when every summand has full rank; rank >= 2 assembles them
-alone.
+summand block's Hermite part and content; twisted_alexander(twister, q)
+reads it at the quotient q.  The d-block of a Z_n quotient is the
+faithful block of the composite onto Z_d, and the trivial block is the
+untwisted Jacobian for every G, so a run over many quotients assembles
+each block once, and a rank-deficient untwisted Jacobian makes every
+later gcd 0 with no assembly at all.
+
+The summands give the gcd's Q[t] part, not its integer content c.  For
+G = Z_n each block of full rank caches its own content c_d next to its
+Hermite part, exact at every prime not dividing d, and c is read from
+those by two rules:
+
+- p not dividing n: v_p(c) is the sum of the v_p(c_d) over d | n.  Over
+  Z_(p) the Phi_d are pairwise comaximal, so the regular rows are
+  block-diagonal to the d-blocks, and content is additive (Gauss's lemma).
+- p dividing n, n = p^a m with p not dividing m: v_p(c) = 0 exactly when
+  v_p(c_e) = 0 for every e | m.  Over F = GF(p)(t), F[z]/(z^n - 1) splits
+  into the local rings F[z]/(Phi_e^(p^a)), and by Nakayama the rows mod p
+  have full rank exactly when every e-block mod p has.
+
+So when every c_d is prime to n, c is their product and no regular row is
+built.  Otherwise, and for every G that is not cyclic, the rows in the
+regular representation are assembled once every summand has full rank,
+and max_minor_gcd reads c from them; rank >= 2 assembles them alone.
 """
 
 from functools import cache, cached_property
+from math import gcd, prod
 from operator import attrgetter
 
 from .grouppres import (BoundExceeded, ClassMap, Incompatible, fox_jacobian,
                         trivial_quotient, _check_same)
 from .laurent import (LaurentPoly, UnitClass, UnsupportedRank, div_exact,
-                      lp_gcd_many, normalize_unit, _arr_to_poly, _cyclotomic)
-from .polymat import (laurent_det, laurent_minor_gcd, max_minor_gcd,
-                      summand_qpart, _hermite_qpart)
+                      lp_gcd_many, normalize_unit, _arr_to_poly, _cyclotomic,
+                      _scale)
+from .polymat import (laurent_det, laurent_minor_gcd, max_minor_content,
+                      max_minor_gcd, summand_qpart, _hermite_qpart)
 
 
 class NoValidColumn(ValueError):
@@ -130,6 +147,36 @@ def _summand_divisors(G):
     if G.is_addition_mod_n:
         return [d for d in range(1, n + 1) if n % d == 0]
     return [1]
+
+
+@cache
+def _units(d):
+    """The units mod d; [1] for d = 1."""
+    return [u for u in range(1, d + 1) if gcd(u, d) == 1]
+
+
+def _block_key(images, d):
+    """The cache key of the d-block of a Z_n quotient with these images:
+    (d, the least of u * images mod d over the units u mod d).
+
+    The d-block depends on the images mod d alone, and z -> z^u is a ring
+    automorphism of Z[z]/Phi_d for every unit u: it maps the block of the
+    images to the block of u times them, by one unimodular integer change
+    of basis on each column and row group, which keeps the ideal of
+    maximal minors over Z[t].  So the Hermite part and the content, both
+    read from that ideal, are the same for each key of one Galois orbit.
+    """
+    return d, min(tuple(u * x % d for x in images) for u in _units(d))
+
+
+def _block_parts(rows, width, d):
+    """(Hermite part, content) of a d-block: ([], 0) at rank below its
+    width, else the part and the block's integer content with the primes
+    dividing d left out, exact at every other prime."""
+    part = _hermite_qpart(rows, width)
+    if part is None:
+        return [], 0
+    return part, max_minor_content(rows, width, part, d)
 
 
 def _twisted_rows(terms, rep, nrels, nblocks, rank):
@@ -259,21 +306,23 @@ class Twister:
     Built once for a run over many quotients from a nontrivial Phi on P, it
     holds the deleted column j (the first generator with Phi(g) != 0), the
     Fox terms of the Jacobian without column j with their Phi-values, the
-    Hermite part of every rational summand block met so far, and the two
-    factors of the H_0 correction met so far.  Phi is walked along each
-    relator once per owner, and nothing outlives it.
+    Hermite part and integer content of every rational summand block met
+    so far, and the two factors of the H_0 correction met so far.  Phi is
+    walked along each relator once per owner, and nothing outlives it.
 
     The block cache is exact.  The summand Q[z]/Phi_d of Z_n, d | n, is
     assembled from alpha(r[:i]) mod d and Phi(r[:i]) alone, since z^d = 1
     there: it is the same rows as the faithful summand of the composite of
-    alpha with Z_n -> Z_d, so its key is (d, alpha's images mod d).  The
-    trivial summand of every G has the key (1, (0, ..., 0)): it is the
-    untwisted Jacobian, which the regular representation contains
-    (Maschke), so once its Hermite part is [] (rank below its width) every
-    later quotient reads a zero gcd from the cache and assembles nothing.
-    Alpha is walked along the relators, and the regular rows of a quotient
-    are built, only on a miss, or when max_minor_gcd needs the integer
-    content.
+    alpha with Z_n -> Z_d, and its part and content are those of every
+    block in its Galois orbit (_block_key), so its key is (d, the least of
+    u * alpha's images mod d over the units u).  The trivial summand of
+    every G has the key (1, (0, ..., 0)): it is the untwisted Jacobian,
+    which the regular representation contains (Maschke), so once its
+    Hermite part is [] (rank below its width) every later quotient reads
+    a zero gcd from the cache and assembles nothing.  Alpha is walked
+    along the relators, and the regular rows of a quotient are built, only
+    on a miss, or when max_minor_gcd needs the integer content: G is not
+    cyclic, or a block's content shares a prime with |G|.
 
     The two correction caches are exact too.  det(twist(g_j) - I) is keyed
     by (|G|, ord alpha(g_j)): the twist of g_j is t^Phi(g_j) times the
@@ -289,7 +338,7 @@ class Twister:
             raise ValueError("Phi must be nontrivial")
         self.presentation, self.phi = phi.presentation, phi
         self.column = next(g for g, img in enumerate(phi.images) if any(img))
-        self._parts = {}    # (d, images mod d) -> Hermite part, [] if deficient
+        self._parts = {}    # _block_key -> _block_parts of its block
         self._dets = {}     # (|G|, ord alpha(g_j)) -> det(twist(g_j) - I)
         self._h0 = {}       # Schreier values up to sign -> ord(H_0)
 
@@ -349,20 +398,29 @@ class Twister:
         if rank > 1:
             return laurent_minor_gcd(rows(_regular_rep(G)), rank, ncols=k)
 
+        blocks = []     # the (part, content) of each block read
+
         def parts():
             # a generator: summand_qpart stops reading it at the first block
             # of rank below its width
             for d in _summand_divisors(G):
-                key = (d, tuple(x % d for x in q.images))
+                key = _block_key(q.images, d)
                 width = nblocks * (len(_cyclotomic(d)) - 1)
                 if key not in self._parts:
-                    block = rows(_cyclotomic_rep(G.order, d))
-                    self._parts[key] = _hermite_qpart(block, width) or []
-                yield self._parts[key], width
+                    self._parts[key] = _block_parts(
+                        rows(_cyclotomic_rep(G.order, d)), width, d)
+                blocks.append(self._parts[key])
+                yield self._parts[key][0], width
 
         qpart = summand_qpart(parts(), k)
-        found = [] if qpart == [] else max_minor_gcd(rows(_regular_rep(G)), k,
-                                                     qpart)
+        content = prod(c for _, c in blocks)
+        if qpart == []:
+            found = []
+        elif G.is_addition_mod_n and gcd(content, G.order) == 1:
+            # the two rules of the module docstring
+            found = _scale(qpart, content)
+        else:
+            found = max_minor_gcd(rows(_regular_rep(G)), k, qpart)
         return normalize_unit(_arr_to_poly(found))
 
 

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import time
+from math import gcd
 
 import pytest
 
@@ -238,8 +239,8 @@ def test_refusal_on_first_read_keeps_its_exit_code(capsys, monkeypatch):
 def test_alexander_job_shares_one_twister(capsys, monkeypatch):
     """alexander over many quotients twists by one Twister: the Fox terms
     with their Phi-values are computed once per job, and each summand
-    block's Hermite part once per block key (d, images mod d), which the
-    quotients share."""
+    block's Hermite part once per block key (d, the least of u * images
+    mod d over the units u mod d), which the quotients share."""
     from functools import cached_property
     import twistalex.twistedalex as ta
     from twistalex.grouppres import cyclic_group, enumerate_epimorphisms
@@ -264,7 +265,8 @@ def test_alexander_job_shares_one_twister(capsys, monkeypatch):
     assert code == 0 and out.count("\n") == len(quotients)
     [twister] = owners
     divisors = [d for d in range(1, 13) if 12 % d == 0]
-    keys = {(d, tuple(x % d for x in q.images))
+    keys = {(d, min(tuple(u * x % d for x in q.images)
+                    for u in range(1, d + 1) if gcd(u, d) == 1))
             for q in quotients for d in divisors}
     assert set(twister._parts) == keys
     assert len(hermite) == len(keys) < len(quotients) * len(divisors)

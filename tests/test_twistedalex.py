@@ -799,8 +799,11 @@ def test_summands_are_assembled_up_to_the_first_deficient_one(monkeypatch):
     each call with a Twister of its own: on m.pres up to order 5,
     whose trivial summand has rank below its width on every quotient, one
     block of dimension 1 per quotient and no regular rows; on na.pres up to
-    order 8, whose summands all have full rank, every summand and then the
-    regular rows, whose row search runs where the minors are too many to
+    order 8, whose summands all have full rank, every summand, and then the
+    regular rows for the dihedral quotients alone: a cyclic quotient of na
+    reads its integer content from its blocks, none of which has a content
+    sharing a prime with |G|.  Each block's content step, and the regular
+    rows' one, runs its row search where the minors are too many to
     enumerate.  The trivial quotient's one summand is the trivial
     representation, which is also its regular one."""
     built, searched = [], []
@@ -824,17 +827,20 @@ def test_summands_are_assembled_up_to_the_first_deficient_one(monkeypatch):
             built.clear()
             searched.clear()
             twisted_alexander(Twister(phi), q)
-            n = q.group.order
+            n, cyclic = q.group.order, q.group.is_addition_mod_n
             summands = [len(rep[0]) for rep in summand_reps(q.group)]
-            assert built == ([1] if name == "m.pres" else summands + [n])
-            enumerated = comb(len(P.relators) * n,
-                              (P.ngens - 1) * n) <= polymat.ENUM_BOUND
-            expected = 0 if name == "m.pres" or enumerated else 1
-            assert len(searched) == expected
-            key = (name, expected)
+            if name == "m.pres":
+                assert built == [1] and searched == []
+            else:
+                assert built == summands + ([] if cyclic else [n])
+                assert len(searched) == sum(
+                    comb(len(P.relators) * m, (P.ngens - 1) * m)
+                    > polymat.ENUM_BOUND for m in built)
+            key = (name, cyclic, len(searched))
             counts[key] = counts.get(key, 0) + 1
-    assert counts == {("m.pres", 0): 1170, ("na.pres", 0): 12,
-                      ("na.pres", 1): 186}
+    assert counts == {("m.pres", False, 0): 210, ("m.pres", True, 0): 960,
+                      ("na.pres", False, 1): 30, ("na.pres", True, 0): 48,
+                      ("na.pres", True, 1): 120}
 
 
 def test_lazy_raw_gcd_equals_the_full_hermite():
@@ -857,6 +863,96 @@ def test_lazy_raw_gcd_equals_the_full_hermite():
                       ("na.pres", False): 198, ("t3.pres", False): 1228,
                       ("torus.pres", False): 174, ("trefoil.pres", False): 28,
                       ("zero_alex.pres", True): 216}
+
+
+def random_fibred_presentations(seed, count):
+    """Seeded presentations on a, b, t with three relators of 4 to 8
+    letters, freely reduced, each with t-exponent sum 0, so that
+    Phi = (0, 0, 1) is a class on each."""
+    rng = random.Random(seed)
+
+    def relator():
+        while True:
+            w = [(rng.randint(0, 2), rng.choice((1, -1)))
+                 for _ in range(rng.randint(4, 8))]
+            if (sum(s for g, s in w if g == 2) == 0
+                    and all(x != (g, -s) for x, (g, s) in zip(w, w[1:]))):
+                return w
+
+    for _ in range(count):
+        yield Presentation(["a", "b", "t"], [relator() for _ in range(3)])
+
+
+def test_cyclic_content_from_blocks_equals_the_regular_rows(monkeypatch):
+    """raw_minor_gcd on every Z_n quotient, n <= 6, of 40 seeded
+    presentations, one Twister per presentation, against max_minor_gcd on
+    the regular rows assembled by the oracle.  The integer content c of
+    the gcd is read from the blocks' contents when it is prime to n, and
+    from the regular rows otherwise: regular rows are assembled exactly
+    where c shares a prime with n.  Every branch occurs: gcd 0, c = 1,
+    c > 1 prime to n, and the fallback."""
+    built = []
+    real_rows = twistedalex._twisted_rows
+
+    def rows(terms, rep, *args):
+        built.append(len(rep[0]))
+        return real_rows(terms, rep, *args)
+
+    monkeypatch.setattr(twistedalex, "_twisted_rows", rows)
+    counts = {}
+    for P in random_fibred_presentations(5, 40):
+        phi = ClassMap(P, [(0,), (0,), (1,)])
+        twister = Twister(phi)
+        for n in range(2, 7):
+            for q in enumerate_epimorphisms(P, cyclic_group(n)):
+                regular, _ = twisted_jacobian(phi, q, 2)
+                full = max_minor_gcd(regular, 2 * n)
+                built.clear()
+                assert UnitClass(twister.raw_minor_gcd(q)) \
+                    == UnitClass(_arr_to_poly(full))
+                c = gcd(*full) if full else 0
+                branch = ("zero" if not full else
+                          "fallback" if gcd(c, n) > 1 else
+                          "prime to n" if c > 1 else "one")
+                assert (n in built) == (branch == "fallback")
+                counts[branch] = counts.get(branch, 0) + 1
+    assert counts == {"zero": 76, "one": 595, "prime to n": 43,
+                      "fallback": 66}
+
+
+def test_block_contents_examine_no_prime_of_their_d(monkeypatch):
+    """fibred na.pres at budget 24: a block's content step leaves out the
+    primes dividing its d, so no _gauss_valuation_sum runs at one of them.
+    At a prime ramified in Z[z]/Phi_d, such as 13 in the d = 13 block, the
+    evaluations keep a common factor to their last point, and a valuation
+    there runs on a 36 x 24 matrix for nothing.  The blocks examined are
+    the faithful ones of the cyclic quotients, d = 1 to 24, and no
+    valuation runs at all: with the primes of d left out, the gcd of the
+    evaluations reaches 1 in every block."""
+    active, examined, skips = [], [], set()
+    real_content = twistedalex.max_minor_content
+    real_valuation = polymat._gauss_valuation_sum
+
+    def content(rows, k, qpart, skip=1):
+        skips.add(skip)
+        active.append(skip)
+        try:
+            return real_content(rows, k, qpart, skip)
+        finally:
+            active.pop()
+
+    def valuation(rows, k, p):
+        # fail at the first such prime, before the valuation runs
+        d = active[-1] if active else 1
+        assert d % p, f"a valuation at {p} in a {d}-block"
+        examined.append((d, p))
+        return real_valuation(rows, k, p)
+
+    monkeypatch.setattr(twistedalex, "max_minor_content", content)
+    monkeypatch.setattr(polymat, "_gauss_valuation_sum", valuation)
+    P, phi = fixture_class("na.pres")
+    fibred_certificate(P, phi, 0, 24)
+    assert skips == set(range(1, 25)) and examined == []
 
 
 # ---- oracles on every quotient ----
@@ -1055,12 +1151,29 @@ def tap_parts(monkeypatch):
     return read
 
 
+def galois_key(images, d):
+    """(d, the least of u * images mod d over the units u mod d)."""
+    return d, min(tuple(u * x % d for x in images)
+                  for u in range(1, d + 1) if gcd(u, d) == 1)
+
+
+def prime_to(n, m):
+    """The largest divisor of n prime to m."""
+    while gcd(n, m) > 1:
+        n //= gcd(n, m)
+    return n
+
+
 def test_cached_parts_equal_fresh_hermite_parts(monkeypatch):
     """Every Hermite part the run's Twister hands summand_qpart, fresh or
     from its cache, equals _hermite_qpart on the block assembled afresh for
-    the quotient at hand ([] where that has rank below its width): every
-    distinct catalog quotient up to order 8 of every fixture class (m.pres
-    up to 5), one Twister per class as fibred_certificate shares it."""
+    the quotient at hand ([] where that has rank below its width), and the
+    content cached with it equals that of max_minor_gcd on the fresh block,
+    its primes dividing d left out: every distinct catalog quotient up to
+    order 8 of every fixture class (m.pres up to 5), one Twister per class
+    as fibred_certificate shares it.  The cache is keyed by the Galois
+    orbit of the images mod d, so a part may come from a quotient with
+    other images."""
     read = tap_parts(monkeypatch)
     counts = {}
     for name in FIXTURE_CLASSES:
@@ -1073,15 +1186,22 @@ def test_cached_parts_equal_fresh_hermite_parts(monkeypatch):
             [parts] = read
             _, summands = twisted_jacobian(phi, q, j)
             assert 1 <= len(parts) <= len(summands)
-            for (part, k_s), (block, width) in zip(parts, summands):
-                assert (part, k_s) == (_hermite_qpart(block, width) or [],
-                                       width)
+            divisors = [d for d in range(1, q.group.order + 1)
+                        if q.group.order % d == 0]
+            for (part, k_s), (block, width), d in zip(parts, summands,
+                                                      divisors):
+                fresh = _hermite_qpart(block, width) or []
+                assert (part, k_s) == (fresh, width)
+                content = (prime_to(gcd(*max_minor_gcd(block, width)), d)
+                           if fresh else 0)
+                assert twister._parts[galois_key(q.images, d)] \
+                    == (fresh, content)
             counts[name] = counts.get(name, 0) + len(parts)
         # parts read, and blocks assembled: one per key
         counts[name] = (counts[name], len(twister._parts))
     assert counts == {"fig8.pres": (20, 8), "m.pres": (367, 1),
-                      "na.pres": (161, 57), "t3.pres": (1120, 360),
-                      "torus.pres": (158, 57), "trefoil.pres": (21, 8),
+                      "na.pres": (161, 52), "t3.pres": (1120, 340),
+                      "torus.pres": (158, 52), "trefoil.pres": (21, 8),
                       "zero_alex.pres": (59, 1)}
 
 
@@ -1091,11 +1211,11 @@ def test_block_cache_counts(monkeypatch):
     later quotient reads from the cache, and one Phi walk along the
     relators, with no ClassMap.of_word call from twistedalex.
     na.pres at budget 16: each block key once per run, and every cyclic
-    quotient assembles its faithful block, d = n, and the blocks of the
-    divisors d < n whose composite onto Z_d no earlier record met; records
-    are keyed by kernel, blocks by images mod d, so a quotient whose
-    composite shares its kernel with an earlier Z_d quotient assembles that
-    block anew."""
+    quotient assembles its faithful block, d = n, and no other.  Records
+    are keyed by kernel, and blocks by the Galois orbit of the images
+    mod d, the orbit of the kernel of the composite onto Z_d; so the block
+    of a divisor d < n is the faithful block of the Z_d record with that
+    kernel, which the catalog met first."""
     built = []
     real_hermite = twistedalex._hermite_qpart
 
@@ -1143,7 +1263,7 @@ def test_block_cache_counts(monkeypatch):
     built.clear()
     read.clear()
     fibred_certificate(P, phi, 0, 16)
-    assert new_blocks == {1: 168, 2: 33, 3: 2}
+    assert new_blocks == {1: 203}
     misses = sum(k * v for k, v in new_blocks.items())
     parts = sum(len(p) for p in read)
     # and the trivial quotient's block: every other part came from the
