@@ -1,8 +1,9 @@
 """The input document format.
 
 One human-writable line format for all job inputs: a type tag on the first
-meaningful line, then `key: value` lines and integer-matrix blocks.  Lines
-starting with # and blank lines are ignored.  Every document round-trips
+meaningful line, then `key: value` lines and integer-matrix blocks; a key
+that names a single value (all but relator: and term:) may appear once.
+Lines starting with # and blank lines are ignored.  Every document round-trips
 through its emitter bit-identically.
 """
 
@@ -60,6 +61,14 @@ def _ints(text, lineno):
         return [_int(tok, lineno) for tok in text.split()]
 
 
+def _once(seen, key, lineno):
+    """Refuse a key line met before: each names a single value, which a
+    second line would silently replace."""
+    if key in seen:
+        raise ParseError(f"line {lineno}: repeated {key!r}")
+    seen.add(key)
+
+
 def _check_shape(nrows, ncols, what):
     if max(nrows, ncols) ** 2 > MAX_MATRIX_ENTRIES:
         raise ParseError(f"{what}: {nrows}x{ncols} is past the matrix bound "
@@ -101,10 +110,12 @@ def _parse_complex(lines):
     from .exactalg import ChainComplex, ComplexInvalid, IntMatrix
     cells = None
     boundaries = {}
+    seen = set()
     for lineno, line in lines:
         head, colon, value = line.partition(":")
         key = head + colon  # a bare "cells" line is not a cells: line
         if key == "cells:":
+            _once(seen, key, lineno)
             cells = _ints(value, lineno)
             if any(c < 0 for c in cells):
                 raise ComplexInvalid("negative cell count")
@@ -123,6 +134,7 @@ def _parse_complex(lines):
                 raise ParseError(f"line {lineno}: boundary before cells")
             if not 1 <= k <= len(cells) - 1:
                 raise ParseError(f"line {lineno}: boundary {k} out of range")
+            _once(seen, f"boundary {k}:", lineno)
             boundaries[k] = _block(lines, cells[k - 1], cells[k], f"boundary {k}")
         else:
             raise ParseError(f"line {lineno}: unexpected {line!r}")
@@ -152,10 +164,12 @@ def _parse_presentation(lines):
     relators = []
     fox_letters = 0
     classes = {}
+    seen = set()
     for lineno, line in lines:
         head, colon, value = line.partition(":")
         key = head + colon
         if key == "generators:":
+            _once(seen, key, lineno)
             gens = value.split()
         elif key == "relator:":
             if gens is None:
@@ -171,11 +185,13 @@ def _parse_presentation(lines):
         elif key.startswith("class "):
             if gens is None:
                 raise ParseError(f"line {lineno}: class before generators")
+            name = head[len("class "):].strip()
+            _once(seen, f"class {name}:", lineno)
             values = _ints(value, lineno)
             if len(values) != len(gens):
                 raise ParseError(f"line {lineno}: class needs one value "
                                  f"per generator")
-            classes[head[len("class "):].strip()] = values
+            classes[name] = values
         else:
             raise ParseError(f"line {lineno}: unexpected {line!r}")
     if gens is None:
@@ -210,21 +226,26 @@ def _parse_form(lines):
     from .fourman import FormData, SurfaceEntry
     labels = Q = K = None
     surfaces = []
+    seen = set()
     for lineno, line in lines:
         head, colon, value = line.partition(":")
         key = head + colon
         if key == "labels:":
+            _once(seen, key, lineno)
             labels = value.split()
         elif key == "Q:":
+            _once(seen, key, lineno)
             if labels is None:
                 raise ParseError(f"line {lineno}: Q before labels")
             Q = _block(lines, len(labels), len(labels), "Q")
         elif key == "K:":
+            _once(seen, key, lineno)
             K = _ints(value, lineno)
         elif key == "surface:":
             toks = value.split()
             if len(toks) < 2:
                 raise ParseError(f"line {lineno}: surface needs label and kind")
+            _once(seen, f"surface: {toks[0]}", lineno)
             genus = None
             for tok in toks[2:]:
                 if not tok.startswith("genus="):
@@ -265,6 +286,7 @@ def _parse_sequence(lines):
     from .exactalg import ExactSequenceData, MapData
     terms = []
     maps = {}
+    seen = set()
     for lineno, line in lines:
         head, colon, value = line.partition(":")
         key = head + colon
@@ -279,6 +301,7 @@ def _parse_sequence(lines):
             if len(toks) != 3 or toks[2] not in ("image", "kernel"):
                 raise ParseError(f"line {lineno}: expected 'map N image|kernel:'")
             idx, rank = _int(toks[1], lineno), _int(value, lineno)
+            _once(seen, f"map {idx} {toks[2]}:", lineno)
             maps[idx] = maps.get(idx, MapData())._replace(**{toks[2]: rank})
         else:
             raise ParseError(f"line {lineno}: unexpected {line!r}")

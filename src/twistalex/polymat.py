@@ -3,15 +3,12 @@
 The order of the cokernel of an integer-Laurent matrix is the gcd of its
 maximal minors.  Small matrices are handled by direct enumeration; larger
 single-variable matrices use unimodular row reduction over the PID Q[t]
-(where the gcd of maximal minors is the product of the pivots), of the
-whole matrix or of the blocks of a rational block decomposition of it.
-The primes that can divide the integer content come from integer
-evaluations: Bareiss elimination of the integer matrices M(2), M(3), ...;
-a Gauss-valuation elimination per candidate prime gives its exact exponent.
-That content step may leave out the primes of a given integer: a caller
-that reads the content at those primes otherwise (twistedalex, from the
-cyclotomic blocks of a Z_n quotient, leaves out the primes of d) does not
-pay for the evaluations a prime dividing every value would keep running.
+(where the gcd of maximal minors is the product of the pivots), or take
+their Q[t] part from the caller.  The primes that can divide the integer
+content come from integer evaluations: Bareiss elimination of the integer
+matrices M(2), M(3), ...; a Gauss-valuation elimination per candidate
+prime gives its exact exponent.  The content may be asked for with the
+primes of a given integer left out: none of them is examined.
 A determinant of any rank is one Bareiss elimination on the rows that
 laurent._pack packs into Z[t].  Everything here works with the arrays of
 the laurent module, which defines their arithmetic; LaurentPoly values
@@ -171,10 +168,8 @@ def _content_multiple(rows, qpart, x, minor, skip=1):
     Z[t], so wherever d(x) != 0 also qpart(x) != 0 and c divides
     d(x) / qpart(x).  Takes the gcd of these values, from x on, with the
     primes dividing `skip` left out, until it is 1 or the points run out.
-    A prime left out is one the caller reads otherwise (the two rules of
-    max_minor_content, or its fallback): at a prime that divides every
-    value, such as a prime ramified in the block, the loop would run to
-    its last point for nothing.
+    A prime left out is one the caller reads otherwise: at a prime that
+    divides every value the loop would run to its last point for nothing.
     """
     g = _prime_to(abs(minor // _eval(qpart, x)), skip)
     if g != 1:
@@ -264,92 +259,45 @@ def _gauss_valuation_sum(rows, k, p):
     return total
 
 
-def summand_qpart(parts, k):
-    """The Q[t] part of a maximal-minor gcd from its rational summands.
-
-    `parts` yields (part_s, k_s) for blocks rows_s such that the k-column
-    matrix in question is equivalent over Q[t^+-1], by invertible row and
-    column changes, to a block-diagonal matrix with each rows_s as a block
-    of k_s columns: the twisted Jacobian in rational summands of the regular
-    representation.  part_s is _hermite_qpart(rows_s, k_s), or [] where
-    rows_s has rank below k_s.  A k x k minor of a block matrix is nonzero
-    only if it takes k_s rows from every block, and is then the product of
-    their minors.  So:
-
-    - at the first block of rank < k_s the gcd is 0: returns [] and reads no
-      further part;
-    - if every block has full rank and the k_s add up to k, returns the
-      primitive product of the parts, its power of t removed (the row shifts
-      of the blocks and of the full matrix differ); it divides the gcd in
-      Z[t], which is all max_minor_gcd's content steps need;
-    - otherwise None: the blocks do not split the whole matrix.
-    """
-    prod, width = [1], 0
-    for part, k_s in parts:
-        if not part:
-            return []
-        prod = _mul(prod, part)
-        width += k_s
-    if width != k:
-        return None
-    return _prim(prod[next(i for i, c in enumerate(prod) if c):])
-
-
-def max_minor_content(rows, k, qpart, skip=1):
-    """The integer content of the gcd of the k x k minors of a k-column
-    matrix of Z[t] arrays of rank k, whose Q[t] part is `qpart`, with the
-    primes dividing `skip` left out: exact at every other prime.
-
-    A matrix with at most ENUM_BOUND maximal minors enumerates them.
-    Otherwise the one content step: _independent_rows finds a nonzero
-    minor, _content_multiple a multiple of the content from its values,
-    and _gauss_valuation_sum the exact exponent of each prime of that
-    multiple, no prime dividing `skip` among them.
-
-    twistedalex passes skip = d for the d-block of a Z_n quotient, and
-    reads the content c of the whole quotient from the block contents c_d
-    by two rules: at p not dividing n, v_p(c) is the sum of the v_p(c_d);
-    at p dividing n, v_p(c) = 0 when v_p(c_e) = 0 for every e | n prime to
-    p.  Where the second rule cannot say v_p(c) = 0, the fallback is
-    max_minor_gcd on the quotient's regular rows, with no prime left out.
-    """
-    if comb(len(rows), k) <= ENUM_BOUND:
-        return _prime_to(gcd(*_enum_minor_gcd_arrays(rows, k)), skip)
-    idx, x, minor = _independent_rows(rows, k)
-    content = 1
-    for p in _prime_factors(_content_multiple([rows[i] for i in idx], qpart,
-                                              x, minor, skip)):
-        content *= p ** _gauss_valuation_sum(rows, k, p)
-    return content
-
-
-def max_minor_gcd(rows, k, qpart=None):
-    """Gcd of the k x k minors of a k-column matrix of Z[t] arrays.
+def max_minor_gcd(rows, k, qpart=None, skip=1):
+    """Gcd of the k x k minors of a k-column matrix of Z[t] arrays, with the
+    primes dividing `skip` left out of its integer content.
 
     Returns an array, [] when the rank is below k (fewer rows than columns
     included) and [1] when k = 0; the gcd is exact up to a power of t,
-    which the caller normalizes away.  `qpart`, when given, is the gcd's
-    Q[t] part from summand_qpart, whose blocks have all been read and have
-    full rank.  In this order:
+    which the caller normalizes away, and its content is exact at every
+    prime not dividing `skip`, no prime dividing it being examined.
+    `qpart`, when given, is the gcd's Q[t] part: a primitive array with a
+    nonzero constant term that divides the gcd, the matrix having rank k.
+    In this order:
 
     - a matrix with at most ENUM_BOUND maximal minors enumerates them;
-    - the Q[t] part is `qpart`, or else the Hermite pivot product of
-      `rows`;
-    - the integer content comes from `rows` itself (max_minor_content, no
-      prime left out), whatever the Q[t] part: a rational change of basis
-      says nothing about the primes dividing |G|.
+    - otherwise the Q[t] part is `qpart`, or else the Hermite pivot product
+      of `rows`, and the content comes from one content step on `rows`:
+      _independent_rows finds a nonzero minor, _content_multiple a multiple
+      of the content from its values, and _gauss_valuation_sum the exact
+      exponent of each prime of that multiple.
     """
     if k == 0:
         return [1]
     if len(rows) < k:
         return []
     if comb(len(rows), k) <= ENUM_BOUND:
-        return _enum_minor_gcd_arrays(rows, k)
+        g = _enum_minor_gcd_arrays(rows, k)
+        if not g:
+            return g
+        c = gcd(*g)
+        return [x // (c // _prime_to(c, skip)) for x in g]
     if qpart is None:
         qpart = _hermite_qpart(rows, k)
         if qpart is None:
             return []
-    return _scale(qpart, max_minor_content(rows, k, qpart))
+    idx, x, minor = _independent_rows(rows, k)
+    content = 1
+    for p in _prime_factors(_content_multiple([rows[i] for i in idx], qpart,
+                                              x, minor, skip)):
+        content *= p ** _gauss_valuation_sum(rows, k, p)
+    return _scale(qpart, content)
 
 
 def laurent_minor_gcd(M, rank, ncols=None):

@@ -27,17 +27,18 @@ once.  For rank 1 the summands are read one at a time, trivial first, and
 the first of rank below its width makes the gcd 0 before any later one is
 read.  Twister(phi) owns a twist, P read from Phi, with what depends on
 (P, Phi) alone: the deleted column, Phi on every relator prefix, and each
-summand block's Hermite part and content; twisted_alexander(twister, q)
+summand block's Q[t] part and content; twisted_alexander(twister, q)
 reads it at the quotient q.  The d-block of a Z_n quotient is the
 faithful block of the composite onto Z_d, and the trivial block is the
 untwisted Jacobian for every G, so a run over many quotients assembles
 each block once, and a rank-deficient untwisted Jacobian makes every
 later gcd 0 with no assembly at all.
 
-The summands give the gcd's Q[t] part, not its integer content c.  For
-G = Z_n each block of full rank caches its own content c_d next to its
-Hermite part, exact at every prime not dividing d, and c is read from
-those by two rules:
+For G = Z_n the product of the blocks' Q[t] parts is the gcd's Q[t]
+part, but their integer contents need not multiply to its content c.
+Each block's one max_minor_gcd, with the primes of d left out, gives both
+its Q[t] part and its content c_d, exact at every prime not dividing d,
+and c is read from the c_d by two rules:
 
 - p not dividing n: v_p(c) is the sum of the v_p(c_d) over d | n.  Over
   Z_(p) the Phi_d are pairwise comaximal, so the regular rows are
@@ -50,20 +51,20 @@ those by two rules:
 So when every c_d is prime to n, c is their product and no regular row is
 built.  Otherwise, and for every G that is not cyclic, the rows in the
 regular representation are assembled once every summand has full rank,
-and max_minor_gcd reads c from them; rank >= 2 assembles them alone.
+and max_minor_gcd reads c from them, with the product of the parts as
+the Q[t] part of a cyclic quotient; rank >= 2 assembles them alone.
 """
 
 from functools import cache, cached_property
-from math import gcd, prod
+from math import gcd
 from operator import attrgetter
 
 from .grouppres import (BoundExceeded, ClassMap, Incompatible, fox_jacobian,
                         trivial_quotient, _check_same)
 from .laurent import (LaurentPoly, UnitClass, UnsupportedRank, div_exact,
                       lp_gcd_many, normalize_unit, _arr_to_poly, _cyclotomic,
-                      _scale)
-from .polymat import (laurent_det, laurent_minor_gcd, max_minor_content,
-                      max_minor_gcd, summand_qpart, _hermite_qpart)
+                      _mul, _prim, _scale)
+from .polymat import laurent_det, laurent_minor_gcd, max_minor_gcd
 
 
 class NoValidColumn(ValueError):
@@ -163,20 +164,22 @@ def _block_key(images, d):
     automorphism of Z[z]/Phi_d for every unit u: it maps the block of the
     images to the block of u times them, by one unimodular integer change
     of basis on each column and row group, which keeps the ideal of
-    maximal minors over Z[t].  So the Hermite part and the content, both
+    maximal minors over Z[t].  So the Q[t] part and the content, both
     read from that ideal, are the same for each key of one Galois orbit.
     """
     return d, min(tuple(u * x % d for x in images) for u in _units(d))
 
 
 def _block_parts(rows, width, d):
-    """(Hermite part, content) of a d-block: ([], 0) at rank below its
-    width, else the part and the block's integer content with the primes
-    dividing d left out, exact at every other prime."""
-    part = _hermite_qpart(rows, width)
-    if part is None:
+    """(Q[t] part, content) of a d-block, read from its one max_minor_gcd
+    with the primes dividing d left out: ([], 0) at rank below its width,
+    else the gcd's primitive part, its power of t removed, and its integer
+    content, exact at every prime not dividing d."""
+    found = max_minor_gcd(rows, width, skip=d)
+    if not found:
         return [], 0
-    return part, max_minor_content(rows, width, part, d)
+    low = next(i for i, c in enumerate(found) if c)
+    return _prim(found[low:]), gcd(*found)
 
 
 def _twisted_rows(terms, rep, nrels, nblocks, rank):
@@ -306,7 +309,7 @@ class Twister:
     Built once for a run over many quotients from a nontrivial Phi on P, it
     holds the deleted column j (the first generator with Phi(g) != 0), the
     Fox terms of the Jacobian without column j with their Phi-values, the
-    Hermite part and integer content of every rational summand block met
+    Q[t] part and integer content of every rational summand block met
     so far, and the two factors of the H_0 correction met so far.  Phi is
     walked along each relator once per owner, and nothing outlives it.
 
@@ -318,7 +321,7 @@ class Twister:
     u * alpha's images mod d over the units u).  The trivial summand of
     every G has the key (1, (0, ..., 0)): it is the untwisted Jacobian,
     which the regular representation contains (Maschke), so once its
-    Hermite part is [] (rank below its width) every later quotient reads
+    Q[t] part is [] (rank below its width) every later quotient reads
     a zero gcd from the cache and assembles nothing.  Alpha is walked
     along the relators, and the regular rows of a quotient are built, only
     on a miss, or when max_minor_gcd needs the integer content: G is not
@@ -398,25 +401,20 @@ class Twister:
         if rank > 1:
             return laurent_minor_gcd(rows(_regular_rep(G)), rank, ncols=k)
 
-        blocks = []     # the (part, content) of each block read
-
-        def parts():
-            # a generator: summand_qpart stops reading it at the first block
-            # of rank below its width
-            for d in _summand_divisors(G):
-                key = _block_key(q.images, d)
+        qpart, content = [1], 1
+        for d in _summand_divisors(G):
+            key = _block_key(q.images, d)
+            if key not in self._parts:
                 width = nblocks * (len(_cyclotomic(d)) - 1)
-                if key not in self._parts:
-                    self._parts[key] = _block_parts(
-                        rows(_cyclotomic_rep(G.order, d)), width, d)
-                blocks.append(self._parts[key])
-                yield self._parts[key][0], width
-
-        qpart = summand_qpart(parts(), k)
-        content = prod(c for _, c in blocks)
-        if qpart == []:
-            found = []
-        elif G.is_addition_mod_n and gcd(content, G.order) == 1:
+                self._parts[key] = _block_parts(
+                    rows(_cyclotomic_rep(G.order, d)), width, d)
+            part, c = self._parts[key]
+            if not part:    # rank below its width: no later block is read
+                return LaurentPoly.zero(rank)
+            qpart, content = _mul(qpart, part), content * c
+        if not G.is_addition_mod_n:
+            found = max_minor_gcd(rows(_regular_rep(G)), k)
+        elif gcd(content, G.order) == 1:
             # the two rules of the module docstring
             found = _scale(qpart, content)
         else:

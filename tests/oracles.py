@@ -53,9 +53,9 @@ from twistalex.grouppres import (ClassMap, Presentation, free_reduce,
                                  word_inverse, word_mul, _check_same)
 from twistalex.laurent import (LaurentPoly, RankMismatch, UnitClass, div_exact,
                                lp_gcd, lp_gcd_many, normalize_unit,
-                               _arr_to_poly)
+                               _arr_to_poly, _mul, _prim)
 from twistalex.polymat import (laurent_det, laurent_minor_gcd, max_minor_gcd,
-                               summand_qpart, _hermite_qpart)
+                               _hermite_qpart)
 from twistalex.twistedalex import (twist_ring_map, _h0_order,
                                    _schreier_values, _cyclotomic_rep,
                                    _regular_rep, _summand_divisors,
@@ -808,9 +808,22 @@ def eager_twisted_alexander(phi, q, column=None):
     rows, summands = twisted_jacobian(phi, q, j)
     k = (n - 1) * d
     if rank == 1:
-        qpart = summand_qpart(((_hermite_qpart(block, k_s) or [], k_s)
-                               for block, k_s in summands), k)
-        found = [] if qpart == [] else max_minor_gcd(rows, k, qpart)
+        # the Hermite part of every block: the gcd is zero when one has rank
+        # below its width, and when the widths cover all k columns (G
+        # cyclic) their product, its power of t removed, is the Q[t] part
+        # of the regular rows, whose content max_minor_gcd reads
+        parts = [_hermite_qpart(block, k_s) for block, k_s in summands]
+        if None in parts:
+            found = []
+        else:
+            qpart = None
+            if sum(k_s for _, k_s in summands) == k:
+                qpart = [1]
+                for part in parts:
+                    qpart = _mul(qpart, part)
+                qpart = _prim(qpart[next(i for i, c in enumerate(qpart)
+                                         if c):])
+            found = max_minor_gcd(rows, k, qpart)
         raw = normalize_unit(_arr_to_poly(found))
     else:
         raw = laurent_minor_gcd(rows, rank, ncols=k)

@@ -156,6 +156,27 @@ def test_oversized_power_exit2(capsys, tmp_path):
      "line 3: relators past the Fox bound sum L(L+1)/2 <= 4000000"),
     ("formcheck", "form\nlabels: a\nQ:\n0\nK: 0\n"
      "surface: a symplectic genus=-4\n", (), 2, "negative genus -4"),
+    # a repeated single-valued key line, which would replace what was read
+    ("alexander", "presentation\ngenerators: a b\nrelator: a b a^-1 b^-1\n"
+     "generators: x y\nclass f: 1 0\n", ("--phi", "f"), 2,
+     "line 4: repeated 'generators:'"),
+    ("alexander", "presentation\ngenerators: a b\nclass f: 1 0\n"
+     "class  f : 0 1\n", ("--phi", "f"), 2, "line 4: repeated 'class f:'"),
+    ("homology", "chain-complex\ncells: 1 1\ncells: 1 1\n", (), 2,
+     "line 3: repeated 'cells:'"),
+    ("homology", "chain-complex\ncells: 1 1\nboundary 1:\n2\n"
+     "boundary 01:\n0\n", (), 2, "line 5: repeated 'boundary 1:'"),
+    ("formcheck", "form\nlabels: a\nlabels: b\n", (), 2,
+     "line 3: repeated 'labels:'"),
+    ("formcheck", "form\nlabels: a\nQ:\n0\nQ:\n2\nK: 0\n", (), 2,
+     "line 5: repeated 'Q:'"),
+    ("formcheck", "form\nlabels: a\nQ:\n0\nK: 0\nK: 2\n", (), 2,
+     "line 6: repeated 'K:'"),
+    ("formcheck", "form\nlabels: a\nQ:\n0\nK: 0\n"
+     "surface: a symplectic\nsurface: a lagrangian\n", (), 2,
+     "line 7: repeated 'surface: a'"),
+    ("exactseq", "exact-sequence\nterm: 0\nterm: ? x\nmap 0 image: 1\n"
+     "map 0 image: 2\n", (), 2, "line 5: repeated 'map 0 image:'"),
 ])
 def test_malformed_input_one_error_line(capsys, tmp_path, command, text,
                                         extra, code, message):
@@ -239,14 +260,14 @@ def test_refusal_on_first_read_keeps_its_exit_code(capsys, monkeypatch):
 def test_alexander_job_shares_one_twister(capsys, monkeypatch):
     """alexander over many quotients twists by one Twister: the Fox terms
     with their Phi-values are computed once per job, and each summand
-    block's Hermite part once per block key (d, the least of u * images
+    block's part and content once per block key (d, the least of u * images
     mod d over the units u mod d), which the quotients share."""
     from functools import cached_property
     import twistalex.twistedalex as ta
     from twistalex.grouppres import cyclic_group, enumerate_epimorphisms
-    owners, hermite = [], []
+    owners, blocks = [], []
     real_fox = vars(ta.Twister)["_fox_terms"].func
-    real_hermite = ta._hermite_qpart
+    real_parts = ta._block_parts
 
     def fox_terms(self):
         owners.append(self)
@@ -255,9 +276,9 @@ def test_alexander_job_shares_one_twister(capsys, monkeypatch):
     prop = cached_property(fox_terms)
     prop.__set_name__(ta.Twister, "_fox_terms")
     monkeypatch.setattr(ta.Twister, "_fox_terms", prop)
-    monkeypatch.setattr(ta, "_hermite_qpart",
-                        lambda rows, k: hermite.append(k)
-                        or real_hermite(rows, k))
+    monkeypatch.setattr(ta, "_block_parts",
+                        lambda rows, width, d: blocks.append(d)
+                        or real_parts(rows, width, d))
     code, out, _ = run(capsys, "alexander", FIXTURES / "na.pres", "--phi",
                        "fib", "--group", "Z12")
     _, (P, _) = parse_document(fixture_text("na.pres"))
@@ -269,7 +290,7 @@ def test_alexander_job_shares_one_twister(capsys, monkeypatch):
                     for u in range(1, d + 1) if gcd(u, d) == 1))
             for q in quotients for d in divisors}
     assert set(twister._parts) == keys
-    assert len(hermite) == len(keys) < len(quotients) * len(divisors)
+    assert len(blocks) == len(keys) < len(quotients) * len(divisors)
 
 
 def test_norms_job_runs_one_smith_form(capsys, monkeypatch):

@@ -4,18 +4,18 @@ from math import gcd
 
 import pytest
 
-from twistalex import polymat
+from twistalex import polymat, twistedalex
 from twistalex.bareiss import _int_det
 from twistalex.docio import parse_document
 from twistalex.grouppres import cyclic_group, enumerate_epimorphisms
 from twistalex.laurent import (LaurentPoly, UnitClass, _divexact, _eval,
-                               _int_poly_gcd, _mul, _pack, _sub, _trim)
+                               _int_poly_gcd, _mul, _pack, _prim, _sub,
+                               _trim)
 from twistalex.polymat import (_content_multiple, _gauss_valuation_sum,
                                _hermite_qpart, _independent_rows,
                                _bareiss_det, _prime_factors,
                                _arr_to_poly, _scale, laurent_det,
-                               laurent_minor_gcd, max_minor_gcd,
-                               summand_qpart)
+                               laurent_minor_gcd, max_minor_gcd)
 from twistalex.twistedalex import Twister, twisted_alexander
 
 from conftest import fixture_text
@@ -572,25 +572,35 @@ def test_na_z16_runs_one_evaluation_pass(monkeypatch):
 # ---- rational summands and the evaluation points ----
 
 def test_rank_deficient_summand_comes_first(monkeypatch):
+    """A Twister reads a Z_n quotient's blocks trivial first, and the first
+    of rank below its width makes the raw gcd 0: no later block is read or
+    assembled, and no minor gcd runs."""
+    _, (P, classes) = parse_document(fixture_text("na.pres"))
+    q = enumerate_epimorphisms(P, cyclic_group(4))[0]
+    twister = Twister(classes["fib"])
+    # a block of rank below its width has the part [], whatever the other
+    # blocks hold
+    keys = [twistedalex._block_key(q.images, d) for d in (1, 2)]
+    twister._parts.update(zip(keys, [([1], 1), ([], 0)]))
+
     def refuse(*args):
         raise AssertionError("another path ran")
 
     for name in ("_enum_minor_gcd_arrays", "_independent_rows",
                  "_hermite_qpart"):
         monkeypatch.setattr(polymat, name, refuse)
-
-    def parts():
-        # a block of rank below its width has the part [], whatever the
-        # other blocks hold
-        yield [1], 1
-        yield [], 1
-        raise AssertionError("a part after the rank-deficient one was read")
-
-    assert summand_qpart(parts(), 2) == []
+    # the d = 4 block, after the rank-deficient one, would be assembled
+    monkeypatch.setattr(twistedalex, "_twisted_rows", refuse)
+    assert twister.raw_minor_gcd(q).is_zero()
+    assert list(twister._parts) == keys
 
 
 def test_covering_summands_replace_the_full_hermite(monkeypatch):
-    rows, summands, _ = na_twisted_jacobian(12)
+    """The product of the summands' Hermite parts, its power of t removed,
+    is the Q[t] part of the regular rows when the blocks cover all k
+    columns: given it as qpart, max_minor_gcd runs no Hermite reduction of
+    its own and returns the gcd it computes from the rows alone."""
+    rows, summands, expected = na_twisted_jacobian(12)
     k = 24
     widths = []
     real = polymat._hermite_qpart
@@ -600,23 +610,55 @@ def test_covering_summands_replace_the_full_hermite(monkeypatch):
         return real(rows, k)
 
     monkeypatch.setattr(polymat, "_hermite_qpart", recording)
-    parts = [(polymat._hermite_qpart(block, k_s), k_s)
-             for block, k_s in summands]
+    parts = [polymat._hermite_qpart(block, k_s) for block, k_s in summands]
     # d = 1, 2, 3, 4, 6, 12: phi(d) columns per generator block, two blocks
     assert widths == [2, 2, 4, 4, 4, 8]
+    qpart = [1]
+    for part in parts:
+        qpart = _mul(qpart, part)
+    qpart = _prim(qpart[next(i for i, c in enumerate(qpart) if c):])
     widths.clear()
-    split = max_minor_gcd(rows, k, summand_qpart(parts, k))
+    split = max_minor_gcd(rows, k, qpart)
     assert widths == []
     full = max_minor_gcd(rows, k)
     assert widths == [k]
     assert split and UnitClass(_arr_to_poly(split)) == UnitClass(
-        _arr_to_poly(full))
-    # the trivial summand alone does not cover k: the full Hermite runs
-    widths.clear()
-    qpart = summand_qpart(parts[:1], k)
-    assert qpart is None
-    assert max_minor_gcd(rows, k, qpart) == full
-    assert widths == [k]
+        _arr_to_poly(full)) == expected
+
+
+@pytest.mark.parametrize("enum_bound", [polymat.ENUM_BOUND, 0],
+                         ids=["enumeration", "hermite"])
+def test_skip_leaves_out_its_primes(monkeypatch, enum_bound):
+    """max_minor_gcd(rows, k, skip=s) is the gcd of the maximal minors with
+    the primes of s removed from its content, for s = 1, 2, 6, 12, on the
+    enumeration path and on the Hermite path; brute_minor_gcd is the
+    oracle.  The rows are scaled by a content that shares a prime with some
+    s in most trials."""
+    monkeypatch.setattr(polymat, "ENUM_BOUND", enum_bound)
+    rng = random.Random(113)
+    removed = zero = 0
+    for _ in range(40):
+        k = rng.randint(1, 3)
+        m = k + rng.randint(0, 2)
+        c = rng.choice((1, 2, 3, 4, 5, 6, 10, 12))
+        M = [[e * c for e in row] for row in
+             random_matrix(rng, m, k, max_terms=2, max_exp=2, max_coeff=3)]
+        rows = _pack(M, 1)[0]
+        expected = brute_minor_gcd(M, 1).representative
+        zero += expected.is_zero()
+        for s in (1, 2, 6, 12):
+            got = max_minor_gcd(rows, k, skip=s)
+            if expected.is_zero():
+                assert got == []
+                continue
+            content = kept = gcd(*expected.terms.values())
+            while gcd(kept, s) > 1:
+                kept //= gcd(kept, s)
+            removed += kept != content
+            assert UnitClass(_arr_to_poly(got)) == UnitClass(LaurentPoly(
+                1, {e: v // (content // kept)
+                    for e, v in expected.terms.items()}))
+    assert zero and removed > 20
 
 
 def test_evaluations_skip_zero_entries(monkeypatch):

@@ -930,14 +930,14 @@ def test_block_contents_examine_no_prime_of_their_d(monkeypatch):
     valuation runs at all: with the primes of d left out, the gcd of the
     evaluations reaches 1 in every block."""
     active, examined, skips = [], [], set()
-    real_content = twistedalex.max_minor_content
+    real_gcd = twistedalex.max_minor_gcd
     real_valuation = polymat._gauss_valuation_sum
 
-    def content(rows, k, qpart, skip=1):
+    def minor_gcd(rows, k, qpart=None, skip=1):
         skips.add(skip)
         active.append(skip)
         try:
-            return real_content(rows, k, qpart, skip)
+            return real_gcd(rows, k, qpart, skip)
         finally:
             active.pop()
 
@@ -948,7 +948,7 @@ def test_block_contents_examine_no_prime_of_their_d(monkeypatch):
         examined.append((d, p))
         return real_valuation(rows, k, p)
 
-    monkeypatch.setattr(twistedalex, "max_minor_content", content)
+    monkeypatch.setattr(twistedalex, "max_minor_gcd", minor_gcd)
     monkeypatch.setattr(polymat, "_gauss_valuation_sum", valuation)
     P, phi = fixture_class("na.pres")
     fibred_certificate(P, phi, 0, 24)
@@ -1132,22 +1132,22 @@ def test_certificate_reads_the_correction_of_nonzero_records_only(
 # ---- one Twister per run: Fox terms and the block cache ----
 
 def tap_parts(monkeypatch):
-    """Record, per twisted_alexander call, the (part, k_s) that
-    summand_qpart reads, in the order and as far as it reads them."""
+    """Record, per raw_minor_gcd call, the block keys it reads, in the order
+    and as far as it reads them: each key's (part, content) is read from the
+    twister's cache, filled on a miss, right after its _block_key call."""
     read = []
-    real = twistedalex.summand_qpart
+    real_raw, real_key = Twister.raw_minor_gcd, twistedalex._block_key
 
-    def recording(parts, k):
-        seen = []
-        read.append(seen)
+    def raw(self, q):
+        read.append([])
+        return real_raw(self, q)
 
-        def tap():
-            for item in parts:
-                seen.append(item)
-                yield item
-        return real(tap(), k)
+    def key(images, d):
+        read[-1].append(real_key(images, d))
+        return read[-1][-1]
 
-    monkeypatch.setattr(twistedalex, "summand_qpart", recording)
+    monkeypatch.setattr(Twister, "raw_minor_gcd", raw)
+    monkeypatch.setattr(twistedalex, "_block_key", key)
     return read
 
 
@@ -1165,15 +1165,15 @@ def prime_to(n, m):
 
 
 def test_cached_parts_equal_fresh_hermite_parts(monkeypatch):
-    """Every Hermite part the run's Twister hands summand_qpart, fresh or
-    from its cache, equals _hermite_qpart on the block assembled afresh for
-    the quotient at hand ([] where that has rank below its width), and the
-    content cached with it equals that of max_minor_gcd on the fresh block,
-    its primes dividing d left out: every distinct catalog quotient up to
-    order 8 of every fixture class (m.pres up to 5), one Twister per class
-    as fibred_certificate shares it.  The cache is keyed by the Galois
-    orbit of the images mod d, so a part may come from a quotient with
-    other images."""
+    """Every block part the run's Twister reads, fresh or from its cache,
+    equals _hermite_qpart on the block assembled afresh for the quotient at
+    hand, its power of t removed ([] where that has rank below its width,
+    and no later block is read), and the content cached with it equals
+    that of max_minor_gcd on the fresh block, its primes dividing d left
+    out: every distinct catalog quotient up to order 8 of every fixture
+    class (m.pres up to 5), one Twister per class as fibred_certificate
+    shares it.  The cache is keyed by the Galois orbit of the images mod d,
+    so a part may come from a quotient with other images."""
     read = tap_parts(monkeypatch)
     counts = {}
     for name in FIXTURE_CLASSES:
@@ -1183,20 +1183,20 @@ def test_cached_parts_equal_fresh_hermite_parts(monkeypatch):
         for q in distinct_quotients(P, 5 if name == "m.pres" else 8):
             read.clear()
             twisted_alexander(twister, q)
-            [parts] = read
+            [keys] = read
             _, summands = twisted_jacobian(phi, q, j)
-            assert 1 <= len(parts) <= len(summands)
+            assert 1 <= len(keys) <= len(summands)
+            assert all(twister._parts[key][0] for key in keys[:-1])
             divisors = [d for d in range(1, q.group.order + 1)
                         if q.group.order % d == 0]
-            for (part, k_s), (block, width), d in zip(parts, summands,
-                                                      divisors):
-                fresh = _hermite_qpart(block, width) or []
-                assert (part, k_s) == (fresh, width)
+            for key, (block, width), d in zip(keys, summands, divisors):
+                assert key == galois_key(q.images, d)
+                fresh = _hermite_qpart(block, width)
+                fresh = strip_t(fresh) if fresh else []
                 content = (prime_to(gcd(*max_minor_gcd(block, width)), d)
                            if fresh else 0)
-                assert twister._parts[galois_key(q.images, d)] \
-                    == (fresh, content)
-            counts[name] = counts.get(name, 0) + len(parts)
+                assert twister._parts[key] == (fresh, content)
+            counts[name] = counts.get(name, 0) + len(keys)
         # parts read, and blocks assembled: one per key
         counts[name] = (counts[name], len(twister._parts))
     assert counts == {"fig8.pres": (20, 8), "m.pres": (367, 1),
@@ -1207,7 +1207,7 @@ def test_cached_parts_equal_fresh_hermite_parts(monkeypatch):
 
 def test_block_cache_counts(monkeypatch):
     """What one fibred_certificate run assembles.  m.pres at budget 5: one
-    _hermite_qpart call in all, on the trivial block, whose part [] every
+    _block_parts call in all, on the trivial block, whose part [] every
     later quotient reads from the cache, and one Phi walk along the
     relators, with no ClassMap.of_word call from twistedalex.
     na.pres at budget 16: each block key once per run, and every cyclic
@@ -1217,13 +1217,13 @@ def test_block_cache_counts(monkeypatch):
     of a divisor d < n is the faithful block of the Z_d record with that
     kernel, which the catalog met first."""
     built = []
-    real_hermite = twistedalex._hermite_qpart
+    real_parts = twistedalex._block_parts
 
-    def hermite(rows, k):
-        built.append(k)
-        return real_hermite(rows, k)
+    def block_parts(rows, width, d):
+        built.append(width)
+        return real_parts(rows, width, d)
 
-    monkeypatch.setattr(twistedalex, "_hermite_qpart", hermite)
+    monkeypatch.setattr(twistedalex, "_block_parts", block_parts)
     of_word, fox_calls = ClassMap.of_word, []
 
     def counting_of_word(self, word):
@@ -1271,6 +1271,42 @@ def test_block_cache_counts(monkeypatch):
     assert len(built) == 1 + misses and parts == 777
     [twister] = owners
     assert len(twister._parts) == len(built)
+
+
+def test_hermite_runs_only_past_the_enumeration_bound(monkeypatch):
+    """fibred na.pres at budget 16: a block with at most ENUM_BOUND maximal
+    minors reads its part and content from the enumeration alone, with no
+    _hermite_qpart call, and a larger block runs one.  The 204 blocks are
+    26 small and 178 large, and the four non-cyclic quotients (one onto D2,
+    three onto D4) run one more each on their regular rows: 182 calls in
+    all, and 26 enumerations."""
+    calls = {"_hermite_qpart": 0, "_enum_minor_gcd_arrays": 0}
+    small = []
+
+    def count(name):
+        real = getattr(polymat, name)
+
+        def counted(rows, k):
+            calls[name] += 1
+            return real(rows, k)
+        monkeypatch.setattr(polymat, name, counted)
+
+    for name in calls:
+        count(name)
+    real_parts = twistedalex._block_parts
+
+    def block_parts(rows, width, d):
+        start = calls["_hermite_qpart"]
+        out = real_parts(rows, width, d)
+        small.append(comb(len(rows), width) <= polymat.ENUM_BOUND)
+        assert calls["_hermite_qpart"] - start == (not small[-1])
+        return out
+
+    monkeypatch.setattr(twistedalex, "_block_parts", block_parts)
+    P, phi = fixture_class("na.pres")
+    fibred_certificate(P, phi, 0, 16)
+    assert (small.count(True), small.count(False)) == (26, 178)
+    assert calls == {"_hermite_qpart": 182, "_enum_minor_gcd_arrays": 26}
 
 
 def test_interleaved_runs_equal_fresh_runs():
