@@ -2,7 +2,9 @@
 
 One human-writable line format for all job inputs: a type tag on the first
 meaningful line, then `key: value` lines and integer-matrix blocks; a key
-that names a single value (all but relator: and term:) may appear once.
+that names a single value (all but relator: and term:) may appear once, and
+so may a form's basis label, a surface's genus= field and the name of an
+unknown term.
 Lines starting with # and blank lines are ignored.  Every document round-trips
 through its emitter bit-identically.
 """
@@ -233,6 +235,9 @@ def _parse_form(lines):
         if key == "labels:":
             _once(seen, key, lineno)
             labels = value.split()
+            names = set()
+            for label in labels:
+                _once(names, label, lineno)
         elif key == "Q:":
             _once(seen, key, lineno)
             if labels is None:
@@ -247,9 +252,11 @@ def _parse_form(lines):
                 raise ParseError(f"line {lineno}: surface needs label and kind")
             _once(seen, f"surface: {toks[0]}", lineno)
             genus = None
+            fields = set()
             for tok in toks[2:]:
                 if not tok.startswith("genus="):
                     raise ParseError(f"line {lineno}: unknown field {tok!r}")
+                _once(fields, "genus=", lineno)
                 genus = _int(tok[len("genus="):], lineno)
             try:
                 surfaces.append(SurfaceEntry(toks[0], toks[1], genus))
@@ -287,6 +294,7 @@ def _parse_sequence(lines):
     terms = []
     maps = {}
     seen = set()
+    names = set()
     for lineno, line in lines:
         head, colon, value = line.partition(":")
         key = head + colon
@@ -294,6 +302,7 @@ def _parse_sequence(lines):
         if key == "term:":
             if value.startswith("?"):
                 terms.append(value[1:].strip() or f"x{len(terms)}")
+                _once(names, terms[-1], lineno)
             else:
                 terms.append(_int(value, lineno))
         elif key.startswith("map "):

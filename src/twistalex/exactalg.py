@@ -402,6 +402,9 @@ class ExactSequenceData:
         for t in self.terms:
             if isinstance(t, int) and t < 0:
                 raise ValueError(f"negative term rank {t}")
+        names = [t for t in self.terms if not isinstance(t, int)]
+        if len(set(names)) != len(names):
+            raise ValueError("repeated unknown term name")
 
 
 def exact_sequence_solve(seq):

@@ -35,6 +35,8 @@ class FormData:
     def __init__(self, labels, Q, K, surfaces=()):
         self.labels = tuple(labels)
         n = len(self.labels)
+        if len(set(self.labels)) != n:
+            raise ValueError("repeated basis label")
         if not isinstance(Q, IntMatrix):
             Q = IntMatrix.from_rows(Q)
         if Q.rows != n or Q.cols != n:

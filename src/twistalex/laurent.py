@@ -452,18 +452,26 @@ def _pseudo_reduce(row, base, c):
     return row
 
 
-def _strip_content(row, p=None):
-    """Divide a row of arrays, in place, by its integer content, or with p
-    given by the part of the content prime to p."""
+def _prime_to(n, m):
+    """The largest divisor of the nonzero integer n prime to m."""
+    g = gcd(n, m)
+    while g > 1:
+        n //= g
+        g = gcd(n, g)
+    return n
+
+
+def _strip_content(row, f=None):
+    """Divide a row of arrays, in place, by its integer content, or with f
+    given by the part of the content prime to f."""
     g = 0
     for e in row:
         for c in e:
             g = gcd(g, c)
             if g == 1:
                 return row
-    if p is not None:
-        while g > 1 and g % p == 0:
-            g //= p
+    if g and f is not None:
+        g = _prime_to(g, f)
     if g > 1:
         for e in row:
             for i in range(len(e)):

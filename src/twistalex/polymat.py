@@ -4,11 +4,13 @@ The order of the cokernel of an integer-Laurent matrix is the gcd of its
 maximal minors.  Small matrices are handled by direct enumeration; larger
 single-variable matrices use unimodular row reduction over the PID Q[t]
 (where the gcd of maximal minors is the product of the pivots), or take
-their Q[t] part from the caller.  The primes that can divide the integer
-content come from integer evaluations: Bareiss elimination of the integer
-matrices M(2), M(3), ...; a Gauss-valuation elimination per candidate
-prime gives its exact exponent.  The content may be asked for with the
-primes of a given integer left out: none of them is examined.
+their Q[t] part from the caller.  A multiple of the integer content comes
+from integer evaluations: Bareiss elimination of the integer matrices
+M(2), M(3), ...; a Gauss-valuation elimination per member of a coprime
+base of that multiple, refined whenever an elimination meets a proper
+divisor of its member, gives the content's exact part at the member's
+primes.  The content may be asked for with the primes of a given integer
+left out: none of them is examined.
 A determinant of any rank is one Bareiss elimination on the rows that
 laurent._pack packs into Z[t].  Everything here works with the arrays of
 the laurent module, which defines their arithmetic; LaurentPoly values
@@ -16,13 +18,13 @@ cross the boundary only on the way in and out.
 """
 
 from itertools import combinations
-from math import comb, gcd, isqrt
+from math import comb, gcd
 
 from .bareiss import _bareiss, _int_step
 from .laurent import (UnsupportedRank, lp_gcd_many, normalize_unit,
                       _arr_to_poly, _divexact, _eval, _int_poly_gcd, _mul,
-                      _pack, _prim, _pseudo_reduce, _scale, _strip_content,
-                      _sub)
+                      _pack, _prim, _prime_to, _pseudo_reduce, _scale,
+                      _strip_content, _sub)
 
 ENUM_BOUND = 400
 
@@ -49,67 +51,33 @@ def laurent_det(M, rank):
     return _arr_to_poly(_bareiss_det(rows), shift, strides)
 
 
-# ---- integer factorization helpers (for the content part) ----------------
+# ---- a coprime base for the content ----------------------------------------
 
-def _is_prime(n):
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
+class _Split(Exception):
+    """A content step met a proper divisor, args[0], of its modulus."""
+
+
+def _coprime_base(ns):
+    """Pairwise coprime integers > 1, each dividing the product of the
+    positive integers ns, such that every prime of that product divides
+    exactly one of them: factor refinement, with no primality test.  A
+    number a that shares a divisor g > 1 with a member b goes back, with b,
+    as g, a/g and b/g, which divides the product of all the numbers by g,
+    so the loop ends."""
+    base, todo = [], list(ns)
+    while todo:
+        a = todo.pop()
+        if a == 1:
             continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
+        for i, b in enumerate(base):
+            g = gcd(a, b)
+            if g > 1:
+                del base[i]
+                todo += [g, a // g, b // g]
                 break
         else:
-            return False
-    return True
-
-
-def _pollard_rho(n):
-    if n % 2 == 0:
-        return 2
-    for c in range(1, 50):
-        x = y = 2
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = gcd(abs(x - y), n)
-        if d != n:
-            return d
-    raise ArithmeticError(f"failed to factor {n}")
-
-
-def _prime_factors(n):
-    out = set()
-    stack = [abs(n)]
-    while stack:
-        v = stack.pop()
-        if v <= 1:
-            continue
-        if _is_prime(v):
-            out.add(v)
-            continue
-        small = None
-        for p in range(2, min(10000, isqrt(v) + 1)):
-            if v % p == 0:
-                small = p
-                break
-        d = small if small else _pollard_rho(v)
-        stack.append(d)
-        stack.append(v // d)
-    return sorted(out)
+            base.append(a)
+    return base
 
 
 # ---- maximal-minor gcd ----------------------------------------------------
@@ -147,15 +115,6 @@ def _independent_rows(rows, k):
     """
     return next(((sorted(found[0]), x, found[2])
                  for x, found in _evaluations(rows, k, 2) if found), None)
-
-
-def _prime_to(n, m):
-    """The largest divisor of the integer n prime to m."""
-    g = gcd(n, m)
-    while g > 1:
-        n //= g
-        g = gcd(n, g)
-    return n
 
 
 def _content_multiple(rows, qpart, x, minor, skip=1):
@@ -212,23 +171,19 @@ def _hermite_qpart(rows, k):
     return _prim(prod)
 
 
-def _val_p(n, p):
-    """p-adic valuation of a nonzero integer."""
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
-def _gauss_valuation_sum(rows, k, p):
-    """min over maximal minors of the Gauss p-valuation: the exponent of p
-    in the content, the last of the content step.
+def _gauss_valuation_sum(rows, k, f):
+    """min over maximal minors of the Gauss p-valuation, divided by v_p(f),
+    at every prime p of f at once: the exponent of f in the content, the
+    last of the content step.
 
     Elimination over the valuation ring O_p of Q(t): polynomials with p-free
-    content are units, so rows stay polynomial throughout.  The content
-    step runs it only at the primes of _content_multiple, none of which
-    divides the `skip` it was given.
+    content are units, so rows stay polynomial throughout.  Each pivot
+    candidate's content is f^v times a cofactor, and when every cofactor is
+    prime to f the elimination is the one at each prime p of f: the
+    content's v_p is v_p(f) v, so the candidate of least v is the pivot at
+    every such p, and dividing a row by the part of its content prime to f
+    divides it by a unit at each of them.  A cofactor that shares a divisor
+    d with f, 1 < d < f, raises _Split(d) instead.
     """
     work = [[list(e) for e in r] for r in rows]
     active = list(range(len(rows)))
@@ -238,23 +193,29 @@ def _gauss_valuation_sum(rows, k, p):
         pval = None
         for i in active:
             if work[i][c]:
-                # the Gauss valuation: that of the content
-                v = _val_p(gcd(*work[i][c]), p)
+                # the Gauss valuation: that of the content, in powers of f
+                g, v = gcd(*work[i][c]), 0
+                while g % f == 0:
+                    g //= f
+                    v += 1
+                d = gcd(g, f)
+                if d > 1:
+                    raise _Split(d)
                 if pval is None or v < pval:
                     pval = v
                     piv = i
         if piv is None:
             return None
         total += pval
-        ps = p ** pval
-        ctilde = [x // ps for x in work[piv][c]]
+        fs = f ** pval
+        ctilde = [x // fs for x in work[piv][c]]
         for j in active:
             if j == piv or not work[j][c]:
                 continue
-            mu = [x // ps for x in work[j][c]]
-            work[j] = [_sub(_mul(e, ctilde), _mul(mu, f))
-                       for e, f in zip(work[j], work[piv])]
-            _strip_content(work[j], p)
+            mu = [x // fs for x in work[j][c]]
+            work[j] = [_sub(_mul(e, ctilde), _mul(mu, b))
+                       for e, b in zip(work[j], work[piv])]
+            _strip_content(work[j], f)
         active.remove(piv)
     return total
 
@@ -275,8 +236,13 @@ def max_minor_gcd(rows, k, qpart=None, skip=1):
     - otherwise the Q[t] part is `qpart`, or else the Hermite pivot product
       of `rows`, and the content comes from one content step on `rows`:
       _independent_rows finds a nonzero minor, _content_multiple a multiple
-      of the content from its values, and _gauss_valuation_sum the exact
-      exponent of each prime of that multiple.
+      m of the content from its values, and _gauss_valuation_sum the
+      exponent of each member f of a coprime base of m, f^e being the
+      content's part at the primes of f.  An elimination at f that meets a
+      proper divisor d of f replaces f by the coprime base of d and f/d,
+      which lowers the product of the members or adds one, and there are no
+      more members than primes of m, so the refinement ends.  No primality
+      test runs.
     """
     if k == 0:
         return [1]
@@ -293,10 +259,15 @@ def max_minor_gcd(rows, k, qpart=None, skip=1):
         if qpart is None:
             return []
     idx, x, minor = _independent_rows(rows, k)
+    base = _coprime_base([_content_multiple([rows[i] for i in idx], qpart,
+                                            x, minor, skip)])
     content = 1
-    for p in _prime_factors(_content_multiple([rows[i] for i in idx], qpart,
-                                              x, minor, skip)):
-        content *= p ** _gauss_valuation_sum(rows, k, p)
+    while base:
+        f = base.pop()
+        try:
+            content *= f ** _gauss_valuation_sum(rows, k, f)
+        except _Split as split:
+            base += _coprime_base([split.args[0], f // split.args[0]])
     return _scale(qpart, content)
 
 

@@ -1,4 +1,7 @@
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -17,6 +20,17 @@ def fixtures():
 
 def fixture_text(name):
     return (FIXTURES / name).read_text()
+
+
+def run_child(code, timeout):
+    """The stdout of `code` run in a child interpreter on this checkout's
+    sources.  The child is killed at `timeout` seconds, and the
+    subprocess.TimeoutExpired propagates, so no process outlives the test."""
+    env = dict(os.environ, PYTHONPATH=str(FIXTURES.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def norm_relation_inputs(P, phi):

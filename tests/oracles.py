@@ -39,7 +39,9 @@ generator words, kept to twist the cover in those checks and to check the
 cover's homology; `schreier_generator_words` is `reidemeister_schreier`'s
 word list as the library built it before it concatenated the words
 unreduced, each product free-reduced by `word_mul`, kept to check the
-concatenation.
+concatenation.  `trial_prime_factors` is trial division, kept to find
+the content primes in the Hermite-route oracle without the library's
+content step.
 """
 
 from collections import namedtuple
@@ -92,6 +94,19 @@ def brute_minor_gcd(M, rank):
         d = cofactor_det([M[i] for i in rows], rank)
         acc = lp_gcd(acc, d).representative
     return UnitClass(acc)
+
+
+def trial_prime_factors(n):
+    """The distinct primes of a nonzero integer, in increasing order, by
+    trial division."""
+    n, out, p = abs(n), [], 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return out + [n] if n > 1 else out
 
 
 # ---- the pseudo-remainder row operation, dense ----

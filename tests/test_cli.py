@@ -177,6 +177,16 @@ def test_oversized_power_exit2(capsys, tmp_path):
      "line 7: repeated 'surface: a'"),
     ("exactseq", "exact-sequence\nterm: 0\nterm: ? x\nmap 0 image: 1\n"
      "map 0 image: 2\n", (), 2, "line 5: repeated 'map 0 image:'"),
+    # one thing named twice: a basis label, a surface field, an unknown term
+    ("formcheck", "form\nlabels: a a\nQ:\n0 0\n0 0\nK: 0 0\n"
+     "surface: a lagrangian\n", (), 2, "line 2: repeated 'a'"),
+    ("formcheck", "form\nlabels: a\nQ:\n0\nK: 0\n"
+     "surface: a symplectic genus=2 genus=3\n", (), 2,
+     "line 6: repeated 'genus='"),
+    ("exactseq", "exact-sequence\nterm: ? x\nterm: ? x\n", (), 2,
+     "line 3: repeated 'x'"),
+    ("exactseq", "exact-sequence\nterm: ? x2\nterm: 0\nterm: ?\n", (), 2,
+     "line 4: repeated 'x2'"),
 ])
 def test_malformed_input_one_error_line(capsys, tmp_path, command, text,
                                         extra, code, message):

@@ -302,6 +302,12 @@ def test_exact_sequence_negative_rank_is_refused():
             ExactSequenceData([2, "x"], {0: md})
 
 
+def test_exact_sequence_repeated_unknown_is_refused():
+    with pytest.raises(ValueError, match="repeated unknown term name"):
+        ExactSequenceData([0, "x", 3, "x", 0])
+    assert ExactSequenceData([0, "x", 3, "y", 0]).terms[3] == "y"
+
+
 def test_all_homology_one_smith_form_per_boundary(monkeypatch):
     import twistalex.exactalg as exactalg
     from twistalex.docio import parse_document

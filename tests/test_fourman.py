@@ -51,6 +51,12 @@ def test_missing_data():
         adjunction_check(nogenus, "X")
 
 
+def test_repeated_label_is_refused():
+    # index() would read the first label's row for both
+    with pytest.raises(ValueError, match="repeated basis label"):
+        FormData(["a", "a"], IntMatrix.zero(2, 2), [0, 0])
+
+
 def test_evenness_m_data():
     report = evenness_check(m_form())
     assert report.even and report.characteristic_ok

@@ -1,7 +1,5 @@
-import os
 import random
 import subprocess
-import sys
 from math import gcd
 from operator import lt
 
@@ -16,7 +14,7 @@ from twistalex.laurent import (MINUS_INFINITY, LaurentPoly, NotSymmetrizable,
                                symmetric_representative, _cyclotomic,
                                _divexact, _mul, _packed, _pseudo_reduce)
 
-from conftest import FIXTURES
+from conftest import run_child
 from oracles import dense_pseudo_reduce, recursive_gcd, term_div_exact
 
 
@@ -434,8 +432,7 @@ def test_pseudo_reduce_against_dense_oracle():
 
 
 # A coprime rank-3 pair on which the gcd recursion stalls: the call is still
-# running after 12 s.  The child interpreter is killed at the timeout, so no
-# process outlives the test.
+# running after 12 s.
 RANK3_STALL = """
 from twistalex.laurent import LaurentPoly, lp_gcd
 f = LaurentPoly(3, {(3, -3, 1): -4, (1, 0, 2): 12, (0, 1, -2): -12})
@@ -450,8 +447,4 @@ print(lp_gcd(f, g))
 def test_rank3_gcd_of_a_coprime_pair_finishes():
     # f = -4 t1^3 t2^-3 t3 + 12 t1 t3^2 - 12 t2 t3^-2 and
     # g = 5 t1^4 t2^-1 t3^2 - 5 t2 t3^-1 - 15 t2^-3 t3^-2
-    env = dict(os.environ, PYTHONPATH=str(FIXTURES.parent / "src"))
-    proc = subprocess.run([sys.executable, "-c", RANK3_STALL], env=env,
-                          capture_output=True, text=True, timeout=2)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "1\n"
+    assert run_child(RANK3_STALL, 2) == "1\n"

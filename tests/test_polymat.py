@@ -1,6 +1,6 @@
 import random
 from itertools import combinations
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -13,14 +13,15 @@ from twistalex.laurent import (LaurentPoly, UnitClass, _divexact, _eval,
                                _trim)
 from twistalex.polymat import (_content_multiple, _gauss_valuation_sum,
                                _hermite_qpart, _independent_rows,
-                               _bareiss_det, _prime_factors,
+                               _bareiss_det, _coprime_base,
                                _arr_to_poly, _scale, laurent_det,
                                laurent_minor_gcd, max_minor_gcd)
 from twistalex.twistedalex import Twister, twisted_alexander
 
-from conftest import fixture_text
+from conftest import fixture_text, run_child
 from oracles import (brute_minor_gcd, cofactor_det, eager_bareiss, int_det,
-                     laurent_bareiss_det, laurent_step, twisted_jacobian)
+                     laurent_bareiss_det, laurent_step, trial_prime_factors,
+                     twisted_jacobian)
 
 
 def random_poly(rng, max_terms=3, max_exp=3, max_coeff=4):
@@ -43,8 +44,9 @@ def random_laurent(rng, rank, max_terms=2, max_exp=2, max_coeff=3):
 def hermite_path_gcd(M):
     """The Hermite route with the content read off the exact pivot minor.
 
-    An oracle for the production route, which finds the content primes from
-    integer evaluations instead.
+    An oracle for the production route, which finds a multiple of the
+    content from integer evaluations instead, and refines a coprime base of
+    it in place of factoring it.
     """
     rows = _pack(M, 1)[0]
     k = len(M[0])
@@ -54,7 +56,7 @@ def hermite_path_gcd(M):
     idx, _, _ = _independent_rows(rows, k)
     m0 = _bareiss_det([rows[i] for i in idx])
     content = 1
-    for p in _prime_factors(gcd(*m0)):
+    for p in trial_prime_factors(gcd(*m0)):
         content *= p ** _gauss_valuation_sum(rows, k, p)
     return UnitClass(_arr_to_poly(_scale(qpart, content)))
 
@@ -319,25 +321,20 @@ def test_max_minor_gcd_against_sympy(monkeypatch, enum_bound):
         assert normal(max_minor_gcd(rows, k)) == normal(_sympy_array(g))
 
 
-def test_prime_factors():
-    assert _prime_factors(1) == []
-    assert _prime_factors(2 * 2 * 3 * 97) == [2, 3, 97]
-    assert _prime_factors(10007 * 10009) == [10007, 10009]
-
-
-# ---- the production Hermite route: content primes from integer values ----
+# ---- the production Hermite route: the content from integer values ----
 
 @pytest.fixture
 def hermite_route(monkeypatch):
     """Send every single-variable matrix down the Hermite route and record
-    the (prime, valuation) pairs the content step examines."""
+    the (modulus, exponent) pairs the content step examines: each modulus
+    is a member of a coprime base of the content multiple."""
     monkeypatch.setattr(polymat, "ENUM_BOUND", 0)
     examined = []
     real = polymat._gauss_valuation_sum
 
-    def recording(rows, k, p):
-        w = real(rows, k, p)
-        examined.append((p, w))
+    def recording(rows, k, f):
+        w = real(rows, k, f)
+        examined.append((f, w))
         return w
 
     monkeypatch.setattr(polymat, "_gauss_valuation_sum", recording)
@@ -418,6 +415,85 @@ def test_production_route_spurious_prime(hermite_route):
     assert laurent_minor_gcd(M, 1) == one
     assert brute_minor_gcd(M, 1) == UnitClass(one)
     assert (2, 0) in hermite_route
+
+
+# psi_12 = PSI12_P * PSI12_Q is a strong pseudoprime to each of the first
+# twelve prime bases (Sorenson and Webster, Math. Comp. 86 (2017)), so a
+# Miller-Rabin test on those bases takes it for a prime.
+PSI12_P, PSI12_Q = 399165290221, 798330580441
+
+
+def test_content_of_a_strong_pseudoprime_multiple(hermite_route):
+    """The content p^2 q of two rows, with p q = psi_12, is read at the one
+    modulus p^2 q: its coprime base needs no primality test, and no part of
+    the content is taken for a prime and lost."""
+    c = PSI12_P ** 2 * PSI12_Q
+    assert max_minor_gcd([[[c, c]], [[2 * c, c]]], 1) == [c]
+    assert hermite_route == [(c, 1)]
+
+
+# A content that is the product of two 25-digit primes: factoring it by
+# Pollard rho does not finish in 20 s.
+TWO_LARGE_PRIMES = """
+from twistalex import polymat
+polymat.ENUM_BOUND = 0
+c = (10**24 + 7) * (3 * 10**24 + 7)
+print(polymat.max_minor_gcd([[[c, c]], [[2 * c, c]]], 1) == [c])
+"""
+
+
+def test_content_of_two_large_primes_finishes():
+    assert run_child(TWO_LARGE_PRIMES, 5) == "True\n"
+
+
+def test_planted_contents_against_brute_force(hermite_route, monkeypatch):
+    """Random 1- to 3-column matrices whose rows are scaled by products of
+    up to three of small primes, the factors of psi_12 and 10^18 + 3: the
+    gcd equals brute_minor_gcd's on every case, and many eliminations meet
+    a proper divisor of their modulus and split it."""
+    factors = (2, 3, 5, 7, 11, 13, PSI12_P, PSI12_Q, 10**18 + 3)
+    splits = []
+    recording = polymat._gauss_valuation_sum
+
+    def splitting(rows, k, f):
+        try:
+            return recording(rows, k, f)
+        except polymat._Split:
+            splits.append(f)
+            raise
+
+    monkeypatch.setattr(polymat, "_gauss_valuation_sum", splitting)
+    rng = random.Random(127)
+    for _ in range(400):
+        k = rng.randint(1, 3)
+        M = random_matrix(rng, k + rng.randint(0, 2), k, max_terms=2,
+                          max_exp=2, max_coeff=3)
+        M = [[e * s for e in row] for row in M
+             for s in [prod(rng.choices(factors, k=rng.randint(0, 3)))]]
+        assert UnitClass(laurent_minor_gcd(M, 1)) == brute_minor_gcd(M, 1)
+    # a modulus is read whole when no elimination splits it: some carry
+    # two of the primes and a positive exponent
+    assert len(splits) > 100
+    assert any(w and sum(f % p == 0 for p in factors) > 1
+               for f, w in hermite_route)
+
+
+def test_coprime_base_against_trial_division():
+    """Members > 1, pairwise coprime, and each prime of the inputs divides
+    exactly one member and no other prime divides one."""
+    rng = random.Random(131)
+    parts = (2, 3, 4, 5, 6, 7, 9, 10, 11, 13, 15, 25, 49)
+    for _ in range(300):
+        ns = [prod(rng.choices(parts, k=rng.randint(0, 4)))
+              for _ in range(rng.randint(1, 4))]
+        base = _coprime_base(ns)
+        primes = {p for n in ns for p in trial_prime_factors(n)}
+        assert all(f > 1 for f in base)
+        assert all(gcd(a, b) == 1 for a, b in combinations(base, 2))
+        assert sorted(p for f in base for p in trial_prime_factors(f)) \
+            == sorted(primes)
+    assert sorted(_coprime_base([PSI12_P ** 2 * PSI12_Q,
+                                 PSI12_P * PSI12_Q])) == [PSI12_P, PSI12_Q]
 
 
 def test_independent_rows_against_brute_rank():

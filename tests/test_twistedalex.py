@@ -922,7 +922,8 @@ def test_cyclic_content_from_blocks_equals_the_regular_rows(monkeypatch):
 
 def test_block_contents_examine_no_prime_of_their_d(monkeypatch):
     """fibred na.pres at budget 24: a block's content step leaves out the
-    primes dividing its d, so no _gauss_valuation_sum runs at one of them.
+    primes dividing its d, so no _gauss_valuation_sum runs at a modulus
+    that shares a prime with d.
     At a prime ramified in Z[z]/Phi_d, such as 13 in the d = 13 block, the
     evaluations keep a common factor to their last point, and a valuation
     there runs on a 36 x 24 matrix for nothing.  The blocks examined are
@@ -941,12 +942,12 @@ def test_block_contents_examine_no_prime_of_their_d(monkeypatch):
         finally:
             active.pop()
 
-    def valuation(rows, k, p):
-        # fail at the first such prime, before the valuation runs
+    def valuation(rows, k, f):
+        # fail at the first such modulus, before the valuation runs
         d = active[-1] if active else 1
-        assert d % p, f"a valuation at {p} in a {d}-block"
-        examined.append((d, p))
-        return real_valuation(rows, k, p)
+        assert gcd(d, f) == 1, f"a valuation at {f} in a {d}-block"
+        examined.append((d, f))
+        return real_valuation(rows, k, f)
 
     monkeypatch.setattr(twistedalex, "max_minor_gcd", minor_gcd)
     monkeypatch.setattr(polymat, "_gauss_valuation_sum", valuation)
