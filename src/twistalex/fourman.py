@@ -47,10 +47,13 @@ class FormData:
         self.K = tuple(int(x) for x in K)
         if len(self.K) != n:
             raise ValueError("K length does not match the basis")
-        self.surfaces = {s.label: s for s in surfaces}
-        for label in self.surfaces:
-            if label not in self.labels:
-                raise ValueError(f"surface {label!r} not in the basis")
+        self.surfaces = {}
+        for s in surfaces:
+            if s.label in self.surfaces:
+                raise ValueError(f"repeated surface {s.label!r}")
+            if s.label not in self.labels:
+                raise ValueError(f"surface {s.label!r} not in the basis")
+            self.surfaces[s.label] = s
 
     def index(self, label):
         try:

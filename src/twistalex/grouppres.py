@@ -4,13 +4,15 @@ Words, free reduction, the Fox Jacobian as one term per relator letter,
 abelianization via Smith normal form, automorphisms of small finite groups,
 enumeration of epimorphisms onto them (one search branch and one coset walk
 per Aut(G)-orbit; the other members walk their table only when it is read),
-and the Schreier generators of their kernels.
+and the Phi-values of the Schreier generators of their kernels, read off
+the coset table.
 
 A word is a tuple of letters (generator_index, +-1).
 """
 
 from functools import cached_property, partial
 from itertools import permutations, product
+from operator import neg
 
 # exactalg is imported by the functions that read it, so a job that never
 # abelianizes (fibred, alexander) does not load it.
@@ -633,32 +635,33 @@ def enumerate_epimorphisms(P, G, dedup_auto=False):
 
 # ---- Reidemeister-Schreier --------------------------------------------------
 
-def reidemeister_schreier(P, q):
-    """The Schreier generators s_{x,i} = t_x g_i t_{x g_i}^-1 of ker(q), one
-    per non-tree edge (x, i) of q's coset table, as words in P's generators.
+def reidemeister_schreier(q, phi):
+    """The Phi-values of the Schreier generators s_{x,i} = t_x g_i
+    t_{x g_i}^-1 of ker(q), which generate Phi(ker q): the nonzero ones,
+    each once up to sign (v > 0, for a tuple its first nonzero coordinate
+    positive), as a frozenset.
 
-    The transversal t is read off the parent edges of q's coset table, so the
-    output is deterministic.  A tree word is reduced as built: the inverse
-    of its last letter leads from its coset back to the coset's parent,
-    which the breadth-first walk discovered first.  So t_x g_i t_y^-1, with
-    y = x g_i, cancels only across a tree edge (parent[y] = (x, i, 1) or
-    parent[x] = (y, i, -1)), where it is empty; every other one is reduced
-    and nonempty as concatenated.
+    The transversal t is read off the parent edges of q's coset table, so
+    Phi(s_{x,i}) = Phi(t_x) + Phi(g_i) - Phi(t_{x g_i}) needs Phi of each
+    coset's transversal word alone, summed along its parent edge; tree edges
+    give 0.  Raises Incompatible when q and Phi live on different
+    presentations.
     """
-    _check_same(q.presentation, P,
+    _check_same(q.presentation, phi.presentation,
                 "quotient belongs to a different presentation")
-    table, parent = q.group.table, q.parent
-    trans = [None] * q.group.order
-    inv = [None] * q.group.order   # inv[y] = t_y^-1
-    trans[0] = inv[0] = ()
-    for y in q.order[1:]:
-        x, i, s = parent[y]
-        trans[y] = trans[x] + ((i, s),)
-        inv[y] = ((i, -s),) + inv[x]
-    words = []
-    for x in q.order:
-        for i, img in enumerate(q.images):
-            y = table[x][img]
-            if parent[y] != (x, i, 1) and parent[x] != (y, i, -1):
-                words.append(trans[x] + ((i, 1),) + inv[y])
-    return tuple(words)
+    table, zero = q.group.table, (0,) * phi.target_rank
+    coordinates = []
+    # one coordinate of Phi at a time, in integers: an edge's value becomes
+    # a tuple only in zip, and the set keeps each distinct one once
+    for k in range(phi.target_rank):
+        image = [img[k] for img in phi.images]
+        trans = [0] * q.group.order    # trans[y] = Phi(t_y)_k
+        for y in q.order[1:]:
+            x, i, s = q.parent[y]
+            trans[y] = trans[x] + s * image[i]
+        edges = tuple(zip(q.images, image))
+        coordinates.append([trans[x] + e - trans[row[a]]
+                            for x, row in enumerate(table) for a, e in edges])
+    values = set(zip(*coordinates))
+    values.discard(zero)
+    return frozenset(v if v > zero else tuple(map(neg, v)) for v in values)

@@ -13,8 +13,8 @@ from itertools import chain
 from math import gcd
 
 from .grouppres import (dihedral_group, check_table_entries, cyclic_group,
-                        enumerate_epimorphisms, reidemeister_schreier,
-                        symmetric_group, trivial_quotient)
+                        enumerate_epimorphisms, symmetric_group,
+                        trivial_quotient)
 from .laurent import (MINUS_INFINITY, LaurentPoly, RankMismatch, UnitClass,
                       laurent_degree, is_monic, specialize)
 from .twistedalex import Twister, twisted_alexander
@@ -150,15 +150,10 @@ def fibred_certificate(P, phi, thurston_norm, budget, b3=1, dedup_auto=False):
             # the key holds the group label, so label and order match
             records.append(cache[key]._replace(images=q.images))
             continue
-        # first: its presentation check guards the words Phi reads below
         tw = twisted_alexander(twister, q)
         # div: the divisibility of Phi pulled back to ker(alpha), the gcd of
-        # its values on the Schreier generators, read until it is 1
-        div = 0
-        for w in reidemeister_schreier(P, q):
-            div = gcd(div, *phi.of_word(w))
-            if div == 1:
-                break
+        # its values on the Schreier generators
+        div = gcd(*chain.from_iterable(tw.schreier_values))
         deg = laurent_degree(tw.value.representative)
         expected = q.group.order * thurston_norm + (1 + b3) * div
         rec = AlphaRecord(group_label=q.group.label,

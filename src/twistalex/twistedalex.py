@@ -14,7 +14,9 @@ TwistedPoly keeps (q, twister), and the twister computes each factor once
 per key: det(twist(g_j) - I) once per (|G|, ord alpha(g_j)), since by the
 cycle count above two elements of one order give twists conjugate by a
 permutation matrix, and ord(H_0), the gcd of t^v - 1 over the Schreier
-values v of the coset table, once per set of those values up to sign.
+values v of the coset table, once per set of those values up to sign;
+the TwistedPoly walks those values once (grouppres.reidemeister_schreier),
+and the certificate's div is their gcd.
 
 Each Fox term of a relator is +- one of its prefixes, so one walk along
 the relator gives alpha and Phi of every term, and the Jacobian is
@@ -60,7 +62,7 @@ from math import gcd
 from operator import attrgetter
 
 from .grouppres import (BoundExceeded, ClassMap, Incompatible, fox_jacobian,
-                        trivial_quotient, _check_same)
+                        reidemeister_schreier, trivial_quotient, _check_same)
 from .laurent import (LaurentPoly, UnitClass, UnsupportedRank, div_exact,
                       lp_gcd_many, normalize_unit, _arr_to_poly, _cyclotomic,
                       _mul, _prim, _scale)
@@ -224,30 +226,10 @@ def _twisted_rows(terms, rep, nrels, nblocks, rank):
     return rows
 
 
-def _schreier_values(q, phi):
-    """The Phi-values of the Schreier generators of ker q, which generate
-    Phi(ker alpha): the nonzero ones, each once up to sign, as a frozenset.
-
-    v = Phi(t_x) + Phi(g_i) - Phi(t_{x g_i}), with the transversal t read
-    off the parent edges of q's coset table; tree edges give v = 0.
-    """
-    G, rank = q.group, phi.target_rank
-    trans = [None] * G.order
-    trans[0] = (0,) * rank
-    for y in q.order[1:]:
-        x, i, s = q.parent[y]
-        trans[y] = tuple(a + s * b for a, b in zip(trans[x], phi.of_generator(i)))
-    values = (tuple(a + b - c for a, b, c in
-                    zip(trans[x], phi.of_generator(i), trans[G.mul(x, img)]))
-              for x in q.order for i, img in enumerate(q.images))
-    return frozenset(v if next(a for a in v if a) > 0 else tuple(-a for a in v)
-                     for v in values if any(v))
-
-
 def _h0_order(values, rank):
     """Order of the twisted H_0: gcd of t^v - 1 over the Schreier values
-    (_schreier_values).  t^v - 1 and t^-v - 1 are associates, so the sign
-    of each v does not matter."""
+    (grouppres.reidemeister_schreier).  t^v - 1 and t^-v - 1 are associates,
+    so the sign of each v does not matter."""
     one = LaurentPoly.one(rank)
     return lp_gcd_many((LaurentPoly.monomial(rank, v) - one for v in values),
                        rank).representative
@@ -256,6 +238,7 @@ def _h0_order(values, rank):
 class TwistedPoly:
     """A twisted Alexander polynomial of (P, alpha = q, Phi) with its
     computation metadata.  It keeps q and the twister of (P, Phi): the
+    Schreier values of ker alpha are walked on first read, and the
     correction and what depends on it are read from the twister's caches
     on first read; `==` compares the six public fields."""
 
@@ -265,8 +248,15 @@ class TwistedPoly:
         self._q, self._twister = q, twister
 
     @cached_property
+    def schreier_values(self):
+        """The Phi-values of the Schreier generators of ker alpha, nonzero
+        and up to sign (grouppres.reidemeister_schreier): ord(H_0) reads
+        them, and the divisibility of Phi on ker alpha is their gcd."""
+        return reidemeister_schreier(self._q, self._twister.phi)
+
+    @cached_property
     def h0_order(self):
-        return self._twister.h0_order(self._q)
+        return self._twister.h0_order(self.schreier_values)
 
     @cached_property
     def h0_correction(self):
@@ -333,7 +323,8 @@ class Twister:
     G into |G|/ord cycles of length ord, so two elements of one order, in
     one group or in two of one order, give permutation matrices conjugate
     by a permutation matrix, and equal determinants.  ord(H_0) is keyed by
-    the set of Schreier values up to sign, the only input of _h0_order.
+    the set of Schreier values up to sign that the TwistedPoly reads
+    (TwistedPoly.schreier_values), the only input of _h0_order.
     """
 
     def __init__(self, phi):
@@ -375,9 +366,9 @@ class Twister:
                 twist_ring_map(g_minus_1, q, self.phi), rank))
         return self._dets[key]
 
-    def h0_order(self, q):
-        """ord(H_0) at q, computed once per set of Schreier values."""
-        values = _schreier_values(q, self.phi)
+    def h0_order(self, values):
+        """ord(H_0) of a set of Schreier values up to sign, computed once per
+        set."""
         if values not in self._h0:
             self._h0[values] = UnitClass(_h0_order(values,
                                                    self.phi.target_rank))

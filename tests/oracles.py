@@ -30,18 +30,19 @@ term map {freely reduced prefix: coefficient} the library built for every
 Jacobian entry before it read the terms off one walk per relator, kept to
 check the walk (through `jacobian_terms`) and to state the Fox identities;
 `pullback_class` is Phi restricted to a Reidemeister-Schreier cover, as a
-validated class on the cover's generators, with its divisibility, which
-the library read `div` from before it took the gcd of the Schreier
-generators' Phi-values itself, kept to check that gcd and to twist the
-cover in the Shapiro checks; `eager_cover_presentation` is the cover's
-relator rewrite as the library ran it before it kept only the Schreier
-generator words, kept to twist the cover in those checks and to check the
-cover's homology; `schreier_generator_words` is `reidemeister_schreier`'s
-word list as the library built it before it concatenated the words
-unreduced, each product free-reduced by `word_mul`, kept to check the
-concatenation.  `trial_prime_factors` is trial division, kept to find
-the content primes in the Hermite-route oracle without the library's
-content step.
+validated class on the cover's generators (the Schreier generator words
+of `schreier_generator_words`), with its divisibility, which the library
+read `div` from before it took the gcd of the Schreier generators'
+Phi-values itself, kept to check that gcd and to twist the cover in the
+Shapiro checks; `eager_cover_presentation` is the cover's relator rewrite
+as the library ran it before it kept only the Schreier generator words,
+kept to twist the cover in those checks and to check the cover's
+homology; `schreier_generator_words` is the Schreier generator words
+t_x g_i t_{x g_i}^-1 of a kernel, each product free-reduced by
+`word_mul`, as the library built them before it walked only their
+Phi-values, kept to check those values through `ClassMap.of_word`.
+`trial_prime_factors` is trial division, kept to find the content primes
+in the Hermite-route oracle without the library's content step.
 """
 
 from collections import namedtuple
@@ -59,9 +60,8 @@ from twistalex.laurent import (LaurentPoly, RankMismatch, UnitClass, div_exact,
 from twistalex.polymat import (laurent_det, laurent_minor_gcd, max_minor_gcd,
                                _hermite_qpart)
 from twistalex.twistedalex import (twist_ring_map, _h0_order,
-                                   _schreier_values, _cyclotomic_rep,
-                                   _regular_rep, _summand_divisors,
-                                   _twisted_rows)
+                                   _cyclotomic_rep, _regular_rep,
+                                   _summand_divisors, _twisted_rows)
 
 
 # ---- polynomial determinants by cofactor expansion ----
@@ -637,8 +637,8 @@ def fox_derivative(word, gen):
 
 def pullback_class(Phi, q, words):
     """Phi restricted to ker(alpha = q), on its Schreier generator words
-    (reidemeister_schreier), as a class on eager_cover_presentation, plus
-    div.
+    (schreier_generator_words), as a class on eager_cover_presentation,
+    plus div.
 
     div is the gcd of all coordinate values of the pulled-back class.
     """
@@ -843,7 +843,10 @@ def eager_twisted_alexander(phi, q, column=None):
     else:
         raw = laurent_minor_gcd(rows, rank, ncols=k)
 
-    h0 = _h0_order(_schreier_values(q, phi), rank)
+    # ord(H_0) from the Schreier generator words, not the library's walk
+    values = {v for w in schreier_generator_words(q)
+              if any(v := phi.of_word(w))}
+    h0 = _h0_order(values, rank)
     corrected = div_exact(raw * h0, corr)
     value = corrected if corrected is not None else raw
     return EagerTwistedPoly(value=UnitClass(value),

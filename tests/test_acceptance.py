@@ -12,7 +12,7 @@ from twistalex.exactalg import ExactSequenceData, IntMatrix, MapData, \
     exact_sequence_solve, smith_normal_form
 from twistalex.grouppres import (ClassMap, Presentation, abelianize,
                                  enumerate_epimorphisms, free_reduce,
-                                 reidemeister_schreier, trivial_quotient)
+                                 trivial_quotient)
 from twistalex.laurent import LaurentPoly, laurent_degree, normalize_unit
 from twistalex.normsfibred import (alexander_norm, class_divisibility,
                                    fibred_certificate, group_catalog,
@@ -24,7 +24,7 @@ from twistalex.clifford import verify_all
 from conftest import FIXTURES
 from oracles import (GroupRingElement, fox_derivative, int_det,
                      mapping_torus_alexander, pullback_class,
-                     seifert_alexander)
+                     schreier_generator_words, seifert_alexander)
 
 _T0 = {}
 
@@ -161,7 +161,7 @@ def test_criterion_05_cover_consistency(capsys):
                 if key not in cache:
                     tw = twisted_alexander(Twister(phi), q)
                     phi_a, _ = pullback_class(phi, q,
-                                              reidemeister_schreier(P, q))
+                                              schreier_generator_words(q))
                     tw_cover = twisted_alexander(
                         Twister(phi_a), trivial_quotient(phi_a.presentation))
                     cache[key] = (tw.value == tw_cover.value)

@@ -57,6 +57,13 @@ def test_repeated_label_is_refused():
         FormData(["a", "a"], IntMatrix.zero(2, 2), [0, 0])
 
 
+def test_repeated_surface_is_refused():
+    # the dict of surfaces would keep the last entry alone
+    with pytest.raises(ValueError, match="repeated surface 'a'"):
+        FormData(["a"], [[0]], [0], [SurfaceEntry("a", "symplectic", 1),
+                                     SurfaceEntry("a", "lagrangian", 0)])
+
+
 def test_evenness_m_data():
     report = evenness_check(m_form())
     assert report.even and report.characteristic_ok

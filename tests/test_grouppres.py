@@ -17,8 +17,8 @@ from twistalex.grouppres import (BoundExceeded, ClassMap, FiniteQuotient,
                                  fox_jacobian, free_reduce,
                                  MAX_WORD_LETTERS, parse_group_spec, parse_word,
                                  reidemeister_schreier, render_word,
-                                 symmetric_group, trivial_group, word_inverse,
-                                 word_mul)
+                                 symmetric_group, trivial_group,
+                                 trivial_quotient, word_inverse, word_mul)
 from twistalex.normsfibred import fibred_certificate, group_catalog
 
 from conftest import FIXTURES, fixture_text
@@ -402,14 +402,15 @@ def test_reidemeister_schreier_index_two_in_z():
     cover = eager_cover_presentation(P, q)
     assert cover.ngens == 1
     assert cover.relators == ()
-    assert reidemeister_schreier(P, q) == (((0, 1), (0, 1)),)  # a^2
+    assert schreier_generator_words(q) == (((0, 1), (0, 1)),)  # a^2
+    assert reidemeister_schreier(q, ClassMap(P, [(1,)])) == {(2,)}
 
 
 def test_reidemeister_schreier_z2_cover():
     P = Presentation.from_text(["a", "b"], ["[a,b]"])
     q = FiniteQuotient(P, cyclic_group(2), (1, 0))
     cover = eager_cover_presentation(P, q)
-    assert cover.ngens == len(reidemeister_schreier(P, q)) == 3  # 2*(2-1)+1
+    assert cover.ngens == len(schreier_generator_words(q)) == 3  # 2*(2-1)+1
     assert abelianize(cover).free_rank == 2
 
 
@@ -417,20 +418,52 @@ def test_reidemeister_schreier_na_covers():
     P = na_presentation()
     for q in enumerate_epimorphisms(P, cyclic_group(2)):
         cover = eager_cover_presentation(P, q)
-        assert cover.ngens == len(reidemeister_schreier(P, q)) == 5
+        assert cover.ngens == len(schreier_generator_words(q)) == 5
         assert abelianize(cover).free_rank >= 2
 
 
 def test_reidemeister_schreier_checks_the_presentation():
+    # a class on a structurally equal presentation reads the same values;
+    # one on another presentation is refused
     P = na_presentation()
     q = enumerate_epimorphisms(P, cyclic_group(3))[0]
-    words = reidemeister_schreier(P, q)
+    images = [(0,), (0,), (1,)]
+    values = reidemeister_schreier(q, ClassMap(P, images))
     copy = Presentation(P.generators, P.relators)
-    assert reidemeister_schreier(copy, q) == words
+    assert reidemeister_schreier(q, ClassMap(copy, images)) == values
     other = Presentation(P.generators, P.relators[:-1])
     with pytest.raises(Incompatible,
                        match="quotient belongs to a different presentation"):
-        reidemeister_schreier(other, q)
+        reidemeister_schreier(q, ClassMap(other, images))
+
+
+def up_to_sign(v):
+    return v if v > (0,) * len(v) else tuple(-a for a in v)
+
+
+@pytest.mark.parametrize("name", sorted(p.name
+                                        for p in FIXTURES.glob("*.pres")))
+def test_reidemeister_schreier_against_the_words(name):
+    # the values walked off the coset table are Phi of the Schreier
+    # generator words, nonzero and up to sign, for the document's classes
+    # (m.pres: the class of the fibred benchmark) and the class onto
+    # H = Z^{b_1}, on the trivial quotient and every catalog quotient up to
+    # order 8 (m.pres up to 5), relabelled orbit members included
+    _, (P, classes) = parse_document(fixture_text(name))
+    phis = list(classes.values()) or [ClassMap(P, [(0,), (0,), (1,), (0,),
+                                                   (0,), (0,), (1,), (0,)])]
+    phis.append(ClassMap(P, P.abelianization.gen_images))
+    budget = 5 if name == "m.pres" else 8
+    quotients = [trivial_quotient(P)] + [q for G in group_catalog(budget)
+                                         for q in enumerate_epimorphisms(P, G)]
+    for phi in phis:
+        for q in quotients:
+            words = {phi.of_word(w) for w in schreier_generator_words(q)}
+            assert reidemeister_schreier(q, phi) \
+                == {up_to_sign(v) for v in words if any(v)}
+    assert len(phis) * len(quotients) == {
+        "fig8.pres": 44, "m.pres": 2340, "na.pres": 396, "t3.pres": 2456,
+        "torus.pres": 348, "trefoil.pres": 56, "zero_alex.pres": 432}[name]
 
 
 def test_cover_b1_never_drops_on_fixtures():
@@ -448,17 +481,29 @@ def test_cover_b1_never_drops_on_fixtures():
 @pytest.mark.parametrize("name", sorted(p.name
                                         for p in FIXTURES.glob("*.pres")))
 def test_transversal_words_are_reduced_as_built(name):
-    # the Schreier generator words are concatenated without free_reduce;
-    # they are reduced, and equal the word_mul products t_x g_i t_{x g_i}^-1
-    # of the nonempty non-tree edges, for representatives and relabelled
-    # orbit members alike
+    # the transversal words read off the parent edges, concatenated without
+    # free_reduce, give words t_x g_i t_{x g_i}^-1 that are reduced and
+    # nonempty exactly on the |G| (n - 1) + 1 non-tree edges, and equal the
+    # word_mul products of schreier_generator_words there, for
+    # representatives and relabelled orbit members alike
     _, (P, _) = parse_document(fixture_text(name))
     budget = 5 if name == "m.pres" else 8   # m.pres has 8 generators
     for G in group_catalog(budget):
         for q in enumerate_epimorphisms(P, G):
-            words = reidemeister_schreier(P, q)
-            assert words == schreier_generator_words(q)
+            trans = {0: ()}
+            for y in q.order[1:]:
+                x, i, s = q.parent[y]
+                trans[y] = trans[x] + ((i, s),)
+            words = []
+            for x in q.order:
+                for i, img in enumerate(q.images):
+                    y = G.mul(x, img)
+                    if q.parent[y] != (x, i, 1) and q.parent[x] != (y, i, -1):
+                        words.append(trans[x] + ((i, 1),)
+                                     + word_inverse(trans[y]))
+            assert tuple(words) == schreier_generator_words(q)
             assert all(w and free_reduce(w) == w for w in words)
+            assert len(words) == G.order * (P.ngens - 1) + 1
 
 
 def test_schreier_generator_count():
@@ -466,7 +511,7 @@ def test_schreier_generator_count():
     for G in (cyclic_group(3), cyclic_group(4)):
         for q in enumerate_epimorphisms(P, G):
             cover = eager_cover_presentation(P, q)
-            assert cover.ngens == len(reidemeister_schreier(P, q)) \
+            assert cover.ngens == len(schreier_generator_words(q)) \
                 == G.order * (P.ngens - 1) + 1
             assert len(cover.relators) <= G.order * len(P.relators)
 
@@ -475,14 +520,14 @@ def test_pullback_class_examples():
     P = Presentation(["a"], [])
     phi = ClassMap(P, [(1,)])
     q = FiniteQuotient(P, cyclic_group(2), (1,))
-    phi_a, div = pullback_class(phi, q, reidemeister_schreier(P, q))
+    phi_a, div = pullback_class(phi, q, schreier_generator_words(q))
     assert phi_a.images == ((2,),)
     assert div == 2
     # trivial group: identity cover
     P2 = na_presentation()
     phi2 = ClassMap(P2, [(0,), (0,), (1,)])
     q2 = FiniteQuotient(P2, trivial_group(), (0, 0, 0))
-    words2 = reidemeister_schreier(P2, q2)
+    words2 = schreier_generator_words(q2)
     _, div2 = pullback_class(phi2, q2, words2)
     assert div2 == 1
     phi3 = ClassMap(P2, [(0,), (0,), (2,)])

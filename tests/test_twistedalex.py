@@ -1,6 +1,7 @@
 import random
 import sys
 from functools import cached_property
+from itertools import chain
 from math import comb, gcd
 
 import pytest
@@ -27,8 +28,8 @@ from twistalex.twistedalex import (NoValidColumn, Twister,
 from conftest import fixture_text
 from oracles import (eager_twisted_alexander, fox_derivative,
                      mapping_torus_alexander, pullback_class,
-                     seifert_alexander, summand_reps, twist_by_letters,
-                     twisted_jacobian)
+                     schreier_generator_words, seifert_alexander,
+                     summand_reps, twist_by_letters, twisted_jacobian)
 
 
 def na_presentation():
@@ -242,7 +243,7 @@ def test_cover_consistency_small():
     for G in (cyclic_group(2), cyclic_group(3), dihedral_group(2)):
         for q in enumerate_epimorphisms(P, G):
             tw = twisted_alexander(Twister(phi), q)
-            phi_a, _ = pullback_class(phi, q, reidemeister_schreier(P, q))
+            phi_a, _ = pullback_class(phi, q, schreier_generator_words(q))
             tw_cover = twisted_alexander(Twister(phi_a),
                                          trivial_quotient(phi_a.presentation))
             assert tw.value == tw_cover.value
@@ -254,7 +255,7 @@ def test_cover_consistency_nonabelian():
     for G in (symmetric_group(3),):
         for q in enumerate_epimorphisms(P, G):
             tw = twisted_alexander(Twister(phi), q)
-            phi_a, _ = pullback_class(phi, q, reidemeister_schreier(P, q))
+            phi_a, _ = pullback_class(phi, q, schreier_generator_words(q))
             tw_cover = twisted_alexander(Twister(phi_a),
                                          trivial_quotient(phi_a.presentation))
             assert tw.value == tw_cover.value
@@ -264,8 +265,10 @@ def test_coset_table_against_word_map_and_cover():
     """The coset table against two independent oracles, on every epimorphism
     of na, fig8, trefoil and T^3 onto a catalog group of order <= 12:
     transversal words rebuilt from the parent edges evaluate to their coset,
-    the Schreier generator words lie in the kernel, and the Schreier
-    Phi-values have the gcd that pullback_class reports."""
+    the Schreier generator words (oracles.schreier_generator_words) lie in
+    the kernel, and the Schreier Phi-values, summed here along the
+    transversal words and walked by reidemeister_schreier, have the gcd
+    that pullback_class reports."""
     t3 = Presentation.from_text(["a", "b", "c"], ["[a,b]", "[a,c]", "[b,c]"])
     cases = ((na_presentation(), [(0,), (0,), (1,)]),
              (fig8(), [(0,), (0,), (1,)]),
@@ -286,7 +289,7 @@ def test_coset_table_against_word_map_and_cover():
                     words[y] = words[x] + ((i, s),)
                 for x, word in words.items():
                     assert q.of_word(word) == x
-                schreier = reidemeister_schreier(P, q)
+                schreier = schreier_generator_words(q)
                 assert all(q.of_word(w) == 0 for w in schreier)
                 div = 0
                 for x in q.order:
@@ -295,12 +298,13 @@ def test_coset_table_against_word_map_and_cover():
                         v = (phi.of_word(words[x])[0] + images[i][0]
                              - phi.of_word(words[y])[0])
                         div = gcd(div, v)
-                assert div == pullback_class(phi, q, schreier)[1]
+                assert div == pullback_class(phi, q, schreier)[1] == gcd(
+                    *chain.from_iterable(reidemeister_schreier(q, phi)))
     assert total == 6256
 
 
 def test_certificate_builds_no_cover_presentation(monkeypatch):
-    """fibred_certificate reads only the Schreier generator words of each
+    """fibred_certificate reads only the Schreier Phi-values of each
     cover: on m.pres at budget 5 it builds no Presentation, where rewriting
     every relator on every coset built one per distinct quotient, 367."""
     P, phi = fixture_class("m.pres")
@@ -354,7 +358,7 @@ def test_circle_has_trivial_polynomial():
     # and through a double cover, which is again a circle
     q = FiniteQuotient(P, cyclic_group(2), (1,))
     assert str(twisted_alexander(Twister(phi), q).value) == "1"
-    phi_a, _ = pullback_class(phi, q, reidemeister_schreier(P, q))
+    phi_a, _ = pullback_class(phi, q, schreier_generator_words(q))
     tw_cover = twisted_alexander(Twister(phi_a),
                                  trivial_quotient(phi_a.presentation))
     assert str(tw_cover.value) == "1"
@@ -382,7 +386,7 @@ def test_symmetry_of_computed_polynomials():
 
 def test_h0_order_against_brute_fitting_ideal():
     """ord H_0 = gcd of maximal minors of the full twisted degree-0 boundary."""
-    from twistalex.twistedalex import _h0_order, _schreier_values
+    from twistalex.twistedalex import _h0_order
     from twistalex.polymat import laurent_minor_gcd
     P = na_presentation()
     # the fibration class, and Phi onto H = Z^2, whose Schreier values are
@@ -399,7 +403,7 @@ def test_h0_order_against_brute_fitting_ideal():
                 mat = [[rows[i][j] for i in range(d)]
                        for j in range(len(rows[0]))]
                 brute = UnitClass(laurent_minor_gcd(mat, phi.target_rank))
-                values = _schreier_values(q, phi)
+                values = reidemeister_schreier(q, phi)
                 assert UnitClass(_h0_order(values, phi.target_rank)) == brute
 
 
@@ -992,7 +996,7 @@ def test_h0_order_is_t_to_the_div_minus_one():
     for name in FIXTURE_CLASSES:
         P, phi = fixture_class(name)
         for q in distinct_quotients(P, 4 if name == "m.pres" else 6):
-            _, div = pullback_class(phi, q, reidemeister_schreier(P, q))
+            _, div = pullback_class(phi, q, schreier_generator_words(q))
             assert twisted_alexander(Twister(phi), q).h0_order \
                 == UnitClass(LaurentPoly.monomial(1, (div,)) - one)
             total += 1
@@ -1013,13 +1017,13 @@ def test_certificate_div_against_pulled_back_class():
         for q, rec in zip(quotients, cert.records):
             assert (rec.group_label, rec.images) == (q.group.label, q.images)
             assert rec.div == pullback_class(phi, q,
-                                             reidemeister_schreier(P, q))[1]
+                                             schreier_generator_words(q))[1]
             total += 1
     assert total == 3036
 
 
 def test_certificate_builds_no_class_on_the_cover(monkeypatch):
-    """div is read from the Schreier generator words: no ClassMap is built
+    """div is read from the Schreier Phi-values: no ClassMap is built
     while the certificate runs."""
     P, phi = fixture_class("m.pres")
     built = []
@@ -1102,7 +1106,7 @@ def test_certificate_reads_the_correction_of_nonzero_records_only(
     quotients = list(distinct_quotients(P, 8))
     det_keys = {(q.group.order, q.group.element_order(q.images[j]))
                 for q in quotients}
-    value_sets = {twistedalex._schreier_values(q, phi) for q in quotients}
+    value_sets = {reidemeister_schreier(q, phi) for q in quotients}
     assert (len(quotients), len(det_keys), len(value_sets)) == (56, 20, 11)
     calls = {}
 
@@ -1128,6 +1132,34 @@ def test_certificate_reads_the_correction_of_nonzero_records_only(
                                "laurent_det": len(det_keys),
                                "twist_ring_map": len(det_keys),
                                "_h0_order": len(value_sets)}}
+
+
+def test_certificate_walks_each_kernel_once(monkeypatch):
+    """fibred_certificate reads div and ord(H_0) from one
+    reidemeister_schreier walk per twisted_alexander miss: on m.pres at
+    budget 5, whose records are all zero and read div alone, and on na.pres
+    at budgets 8 and 16, whose records read both."""
+    calls = []
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counted(*args):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(module, name, counted)
+
+    count(twistedalex, "reidemeister_schreier")
+    count(normsfibred, "twisted_alexander")
+    got = {}
+    for name, budget in (("m.pres", 5), ("na.pres", 8), ("na.pres", 16)):
+        calls.clear()
+        P, phi = fixture_class(name)
+        fibred_certificate(P, phi, 0, budget)
+        got[name, budget] = (calls.count("twisted_alexander"),
+                             calls.count("reidemeister_schreier"))
+    assert got == {("m.pres", 5): (367, 367), ("na.pres", 8): (56, 56),
+                   ("na.pres", 16): (208, 208)}
 
 
 # ---- one Twister per run: Fox terms and the block cache ----
